@@ -56,66 +56,32 @@ func logFigure(b *testing.B, fig *experiments.Figure, ref paper.Series) {
 	}
 	b.ReportMetric(head.IOs.Mean, "ios/point")
 	b.ReportMetric(float64(fig.CalendarPeak), "peakcal")
-	b.ReportMetric(fig.ShardImbalance, "shardimb")
 	b.ReportMetric(fig.BypassRate, "bypass")
 }
 
-// BenchmarkFig6Sharded runs the Figure 6 protocol on the sharded kernel at
-// 1, 2, and 4 shard workers, with replication-level Workers pinned to 1 so
-// the series isolates intra-replication sharding. Results are bit-identical
-// at every shard count (the golden suite proves it); this series exists to
-// track the sharded kernel's time and allocation profile in the BENCH
-// trajectory, where scripts/bench_compare.sh gates its allocs/op.
-func BenchmarkFig6Sharded(b *testing.B) {
-	for _, sw := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards%d", sw), func(b *testing.B) {
-			o := opts()
-			o.Workers = 1
-			o.ShardWorkers = sw
-			b.ReportAllocs()
-			var last *experiments.Figure
-			for i := 0; i < b.N; i++ {
-				fig, err := experiments.RunFigure("fig6", o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = fig
-			}
-			logFigure(b, last, paper.Fig6)
-		})
-	}
-}
-
-// BenchmarkLargeMPLSharded is the large-scenario benchmark: one replication
-// of a 100k-object base driven at MPL 512, unsharded versus four shard
-// workers. The kernel-level steady-state allocation claim (0 allocs/op at
-// a 100k-event standing population) is pinned by BenchmarkShardedScale in
-// internal/sim; this model-level series tracks end-to-end time on a base
-// two orders of magnitude beyond the paper's protocol.
-func BenchmarkLargeMPLSharded(b *testing.B) {
-	for _, sw := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards%d", sw), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := voodb.O2()
-				cfg.MPL = 512
-				cfg.Users = 64
-				cfg.BufferPages = 2048
-				cfg.ShardWorkers = sw
-				params := voodb.DefaultWorkload()
-				params.NC = 50
-				params.NO = 100_000
-				params.HotN = 2000
-				res, err := voodb.Experiment{
-					Config: cfg, Params: params, Seed: 3, Replications: 1,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.IOs.Mean(), "ios")
-				b.ReportMetric(res.ShardImbalance.Mean(), "shardimb")
-			}
-		})
+// BenchmarkLargeMPL is the large-scenario benchmark: one replication of a
+// 100k-object base driven at MPL 512 with 64 users, two orders of magnitude
+// beyond the paper's protocol. Its 64 concurrent users keep far more events
+// pending than the single-user paper figures, so it is the end-to-end
+// benchmark for changes to the event calendar.
+func BenchmarkLargeMPL(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := voodb.O2()
+		cfg.MPL = 512
+		cfg.Users = 64
+		cfg.BufferPages = 2048
+		params := voodb.DefaultWorkload()
+		params.NC = 50
+		params.NO = 100_000
+		params.HotN = 2000
+		res, err := voodb.Experiment{
+			Config: cfg, Params: params, Seed: 3, Replications: 1,
+		}.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(res.IOs.Mean(), "ios")
 	}
 }
 

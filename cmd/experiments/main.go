@@ -77,8 +77,6 @@ func main() {
 		"event-calendar strategy: auto, heap or wheel (bit-identical results; speed only)")
 	calhint := flag.Int("calhint", 0,
 		"event-calendar pre-size hint: expected pending-event peak (0 = derive from MPL/users)")
-	shardWorkers := flag.Int("shard-workers", 0,
-		"shard each replication's event calendar across this many kernel workers (bit-identical results at every value; composes with -workers; 0/1 = unsharded)")
 	dbLayout := flag.String("db-layout", "eager",
 		"object-base generation layout: eager (legacy, fully materialized), eagerv2 or stream (on-demand materialization, O(hot-set) resident memory — use for million-object -no runs)")
 	cpuprofile := flag.String("cpuprofile", "",
@@ -129,9 +127,6 @@ func main() {
 	}
 	if *calhint < 0 {
 		fatal(fmt.Errorf("-calhint %d: the calendar pre-size hint is an expected event count and must be ≥ 0", *calhint))
-	}
-	if *shardWorkers < 0 || *shardWorkers > voodb.MaxShardWorkers {
-		fatal(fmt.Errorf("-shard-workers %d: use 0 or 1 for the unsharded kernel, or up to %d shards", *shardWorkers, voodb.MaxShardWorkers))
 	}
 	if *no < 0 || *nc < 0 || *hotn < 0 {
 		fatal(fmt.Errorf("-no/-nc/-hotn must be ≥ 0 (0 keeps the Table 5 default)"))
@@ -191,8 +186,7 @@ func main() {
 			axes: sweeps, metrics: *metrics, system: *system,
 			no: *no, nc: *nc, hotn: *hotn,
 			reps: *reps, seed: *seed, workers: *workers, shareBases: *shareBases,
-			calendar: calKind, calhint: *calhint, shardWorkers: *shardWorkers,
-			layout: layout,
+			calendar: calKind, calhint: *calhint, layout: layout,
 			journal: *journalPath, resume: *resumePath,
 			policy: policy, retries: *retries, cellTimeout: *cellTimeout,
 			csv: *csv, chart: *chart, progress: progress,
@@ -202,9 +196,8 @@ func main() {
 
 	opts := experiments.Options{Replications: *reps, Seed: *seed, Workers: *workers,
 		ShareBases: *shareBases, Calendar: calKind, CalendarHint: *calhint,
-		ShardWorkers: *shardWorkers, DBLayout: layout,
-		Progress: progress,
-		Policy:   policy, Retries: *retries, CellTimeout: *cellTimeout}
+		DBLayout: layout, Progress: progress,
+		Policy: policy, Retries: *retries, CellTimeout: *cellTimeout}
 	ids := experiments.Names()
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
@@ -346,7 +339,6 @@ type userSweepFlags struct {
 	shareBases      bool
 	calendar        voodb.CalendarKind
 	calhint         int
-	shardWorkers    int
 	layout          voodb.Layout
 	journal, resume string
 	policy          voodb.SweepFailurePolicy
@@ -415,7 +407,6 @@ func runUserSweep(ctx context.Context, f userSweepFlags) {
 		ShareBases:   f.shareBases,
 		Calendar:     f.calendar,
 		CalendarHint: f.calhint,
-		ShardWorkers: f.shardWorkers,
 		DBLayout:     f.layout,
 		Progress:     f.progress,
 		Policy:       f.policy,

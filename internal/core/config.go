@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -181,13 +180,6 @@ type Config struct {
 	// the kernel onto the timing wheel). 0 derives a small estimate from
 	// MPL and Users; huge configurations should pass their own.
 	CalendarHint int
-	// ShardWorkers shards a single replication's event calendar across
-	// this many worker goroutines (see sim.WithShardWorkers). Results are
-	// bit-identical at every value — sharding only decides how many cores
-	// one replication can use, and composes with replication-level
-	// parallelism (RunOptions.Workers / sweep Workers). 0 or 1 selects
-	// the classic single-calendar kernel.
-	ShardWorkers int
 }
 
 // calendarHint resolves the calendar pre-size: the explicit hint, or an
@@ -200,30 +192,6 @@ func (c Config) calendarHint() int {
 		return c.CalendarHint
 	}
 	return 4*c.MPL + c.Users + 16
-}
-
-// shardLookaheadMs derives the sharded kernel's window lookahead from the
-// model's service-time lower bounds: the smallest positive delay any
-// resource interposes between consecutive events. Any positive value is
-// correct (the window rule re-derives t0 exactly at every barrier); the
-// bound only tunes how many events amortize one barrier, so it is floored
-// at one default wheel tick to keep degenerate configurations (every
-// service time 0) from scheduling one-event windows.
-func (c Config) shardLookaheadMs() float64 {
-	la := math.Inf(1)
-	for _, d := range [...]float64{
-		c.GetLockMs, c.RelLockMs,
-		c.DiskSeekMs + c.DiskLatencyMs,
-		c.ThinkTimeMs,
-	} {
-		if d > 0 && d < la {
-			la = d
-		}
-	}
-	if la < sim.DefaultWheelTickMs || math.IsInf(la, 1) {
-		la = sim.DefaultWheelTickMs
-	}
-	return la
 }
 
 // DefaultConfig returns the Table 3 default column.
@@ -251,43 +219,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Float checks are written as
+// !(x >= 0) rather than x < 0 so that NaN, for which every comparison is
+// false, is rejected too.
 func (c Config) Validate() error {
 	switch {
 	case c.System > DBServer:
 		return fmt.Errorf("core: unknown system class %d", c.System)
-	case c.NetThroughputMBps <= 0 || math.IsNaN(c.NetThroughputMBps):
+	case !(c.NetThroughputMBps > 0):
 		return fmt.Errorf("core: NetThroughputMBps = %v (use +Inf for a free network)", c.NetThroughputMBps)
-	case c.NetLatencyMs < 0:
-		return fmt.Errorf("core: negative NetLatencyMs")
+	case !(c.NetLatencyMs >= 0):
+		return fmt.Errorf("core: NetLatencyMs = %v", c.NetLatencyMs)
 	case c.PageSize < 64:
 		return fmt.Errorf("core: PageSize = %d", c.PageSize)
 	case c.BufferPages < 1:
 		return fmt.Errorf("core: BufferPages = %d", c.BufferPages)
 	case c.BufferPolicy == "":
 		return fmt.Errorf("core: empty BufferPolicy")
-	case c.DiskSeekMs < 0 || c.DiskLatencyMs < 0 || c.DiskTransferMs < 0:
-		return fmt.Errorf("core: negative disk times")
+	case !(c.DiskSeekMs >= 0) || !(c.DiskLatencyMs >= 0) || !(c.DiskTransferMs >= 0):
+		return fmt.Errorf("core: disk times seek=%v latency=%v transfer=%v", c.DiskSeekMs, c.DiskLatencyMs, c.DiskTransferMs)
 	case c.MPL < 1:
 		return fmt.Errorf("core: MPL = %d", c.MPL)
-	case c.GetLockMs < 0 || c.RelLockMs < 0:
-		return fmt.Errorf("core: negative lock times")
+	case !(c.GetLockMs >= 0) || !(c.RelLockMs >= 0):
+		return fmt.Errorf("core: lock times get=%v release=%v", c.GetLockMs, c.RelLockMs)
 	case c.Users < 1:
 		return fmt.Errorf("core: Users = %d", c.Users)
-	case c.ThinkTimeMs < 0:
-		return fmt.Errorf("core: negative ThinkTimeMs")
+	case !(c.ThinkTimeMs >= 0):
+		return fmt.Errorf("core: ThinkTimeMs = %v", c.ThinkTimeMs)
 	case c.ServerCPUs < 1:
 		return fmt.Errorf("core: ServerCPUs = %d", c.ServerCPUs)
-	case c.ObjectCPUMs < 0:
-		return fmt.Errorf("core: negative ObjectCPUMs")
-	case c.StorageOverhead < 1:
+	case !(c.ObjectCPUMs >= 0):
+		return fmt.Errorf("core: ObjectCPUMs = %v", c.ObjectCPUMs)
+	case !(c.StorageOverhead >= 1):
 		return fmt.Errorf("core: StorageOverhead = %v", c.StorageOverhead)
 	case c.Calendar > sim.WheelCalendar:
 		return fmt.Errorf("core: unknown calendar kind %d", c.Calendar)
 	case c.CalendarHint < 0:
 		return fmt.Errorf("core: CalendarHint = %d", c.CalendarHint)
-	case c.ShardWorkers < 0 || c.ShardWorkers > sim.MaxShardWorkers:
-		return fmt.Errorf("core: ShardWorkers = %d (want 0..%d)", c.ShardWorkers, sim.MaxShardWorkers)
 	}
 	if c.Clustering == DSTC {
 		if err := c.DSTCParams.Validate(); err != nil {

@@ -21,7 +21,6 @@ func foldRows(rows []repRow, conf float64) *Result {
 		res.NetBytes.Add(rows[i].netBytes)
 		res.LockWaits.Add(rows[i].lockWaits)
 		res.ReorgIOs.Add(rows[i].reorgIOs)
-		res.ShardImbalance.Add(rows[i].shardImb)
 		res.BypassRate.Add(rows[i].bypass)
 		if rows[i].calPeak > res.CalendarPeak {
 			res.CalendarPeak = rows[i].calPeak

@@ -42,6 +42,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	free := DefaultConfig()
+	free.NetThroughputMBps = math.Inf(1)
+	if err := free.Validate(); err != nil {
+		t.Fatalf("free network (+Inf throughput) rejected: %v", err)
+	}
+	nan := math.NaN()
 	cases := map[string]func(*Config){
 		"system":     func(c *Config) { c.System = SystemClass(9) },
 		"netthru":    func(c *Config) { c.NetThroughputMBps = 0 },
@@ -58,6 +64,19 @@ func TestConfigValidate(t *testing.T) {
 		"objcpu":     func(c *Config) { c.ObjectCPUMs = -1 },
 		"overhead":   func(c *Config) { c.StorageOverhead = 0.5 },
 		"dstcparams": func(c *Config) { c.Clustering = DSTC; c.DSTCParams.MinUsage = 0 },
+		// NaN fails every comparison, so each float check must reject it
+		// explicitly rather than through x < 0.
+		"netthru-nan":  func(c *Config) { c.NetThroughputMBps = nan },
+		"netlat-nan":   func(c *Config) { c.NetLatencyMs = nan },
+		"seek-nan":     func(c *Config) { c.DiskSeekMs = nan },
+		"latency-nan":  func(c *Config) { c.DiskLatencyMs = nan },
+		"transfer-nan": func(c *Config) { c.DiskTransferMs = nan },
+		"getlock-nan":  func(c *Config) { c.GetLockMs = nan },
+		"rellock-nan":  func(c *Config) { c.RelLockMs = nan },
+		"think-nan":    func(c *Config) { c.ThinkTimeMs = nan },
+		"objcpu-nan":   func(c *Config) { c.ObjectCPUMs = nan },
+		"overhead-nan": func(c *Config) { c.StorageOverhead = nan },
+		"mtbf-nan":     func(c *Config) { c.Failures = FailureParams{Enabled: true, MTBFMs: nan} },
 	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()

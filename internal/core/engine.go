@@ -133,16 +133,9 @@ type Result struct {
 	// wheel pays off for this configuration (see PERFORMANCE.md).
 	CalendarPeak int
 
-	// ShardImbalance samples the sharded kernel's load-balance ratio
-	// (max/mean events executed per shard, 1.0 = perfect spread) across
-	// replications — exactly 1 when ShardWorkers ≤ 1. Like CalendarPeak it
-	// describes the execution schedule, not the simulated results, so it
-	// never enters golden fingerprints.
-	ShardImbalance stats.Sample
-
 	// BypassRate samples the fraction of executed events dispatched through
 	// the head-slot register (the bit-identical next-event fast path) across
-	// replications. Like ShardImbalance it describes the execution schedule,
+	// replications. Like CalendarPeak it describes the execution schedule,
 	// not the simulated results, so it never enters golden fingerprints.
 	BypassRate stats.Sample
 }
@@ -214,7 +207,7 @@ type repRow struct {
 	hitRatio, respMs, tp float64
 	netMsgs, netBytes    float64
 	lockWaits, reorgIOs  float64
-	shardImb, bypass     float64
+	bypass               float64
 	calPeak              int
 }
 
@@ -282,7 +275,6 @@ func (e Experiment) runRep(ctx context.Context, c *repContext, rep int) (repRow,
 		netBytes:  float64(st.NetBytes),
 		lockWaits: float64(st.LockWaits),
 		reorgIOs:  float64(st.ReorgIOs),
-		shardImb:  st.ShardImbalance,
 		bypass:    st.BypassRate,
 		calPeak:   run.CalendarPeak(),
 	}, nil
@@ -324,7 +316,6 @@ func (e Experiment) RunContext(ctx context.Context) (*Result, error) {
 		res.NetBytes.Add(rows[i].netBytes)
 		res.LockWaits.Add(rows[i].lockWaits)
 		res.ReorgIOs.Add(rows[i].reorgIOs)
-		res.ShardImbalance.Add(rows[i].shardImb)
 		res.BypassRate.Add(rows[i].bypass)
 		if rows[i].calPeak > res.CalendarPeak {
 			res.CalendarPeak = rows[i].calPeak

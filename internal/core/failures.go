@@ -23,12 +23,12 @@ type FailureParams struct {
 	MeanRepairMs float64
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. The negated comparisons reject NaN too.
 func (f FailureParams) Validate() error {
 	if !f.Enabled {
 		return nil
 	}
-	if f.MTBFMs <= 0 || f.MeanRepairMs < 0 {
+	if !(f.MTBFMs > 0) || !(f.MeanRepairMs >= 0) {
 		return fmt.Errorf("core: failure params MTBF=%v repair=%v", f.MTBFMs, f.MeanRepairMs)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ocb"
@@ -18,6 +19,12 @@ func TestFailureParamsValidate(t *testing.T) {
 	}
 	if (FailureParams{Enabled: true, MTBFMs: 1, MeanRepairMs: -1}).Validate() == nil {
 		t.Error("negative repair accepted")
+	}
+	if (FailureParams{Enabled: true, MTBFMs: math.NaN(), MeanRepairMs: 10}).Validate() == nil {
+		t.Error("NaN MTBF accepted")
+	}
+	if (FailureParams{Enabled: true, MTBFMs: 100, MeanRepairMs: math.NaN()}).Validate() == nil {
+		t.Error("NaN repair accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Failures = FailureParams{Enabled: true, MTBFMs: -1}

@@ -88,8 +88,6 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	// Config field so it never enters sweep-journal fingerprints.
 	s := sim.New(
 		sim.WithCalendar(cfg.Calendar),
-		sim.WithShardWorkers(cfg.ShardWorkers),
-		sim.WithLookahead(cfg.shardLookaheadMs()),
 		sim.WithHeadSlot(os.Getenv("VOODB_NO_HEADSLOT") == ""),
 	)
 	s.Grow(cfg.calendarHint())
@@ -291,18 +289,11 @@ type BatchStats struct {
 	LockWaits   uint64
 	ReorgIOs    uint64
 
-	// ShardImbalance is the sharded kernel's load-balance ratio (max/mean
-	// events executed per shard) accumulated over the replication so far —
-	// exactly 1 on the unsharded kernel and 1.0 is a perfect spread. It
-	// describes the execution schedule, never the simulated results, so it
-	// is excluded from golden fingerprints.
-	ShardImbalance float64
-
 	// BypassRate is the fraction of executed events that dispatched through
 	// the kernel's head-slot register rather than the backing calendar,
-	// accumulated over the replication so far. Like ShardImbalance it
-	// describes the execution schedule (the fast path is bit-identical by
-	// construction), so it is excluded from golden fingerprints.
+	// accumulated over the replication so far. It describes the execution
+	// schedule (the fast path is bit-identical by construction), so it is
+	// excluded from golden fingerprints.
 	BypassRate float64
 }
 
@@ -394,7 +385,6 @@ func (r *Run) ExecuteBatch(txs []ocb.Transaction) BatchStats {
 	st.DiskUtilization = r.diskRes.Utilization()
 	st.CPUUtilization = r.serverCPU.Utilization()
 	st.MPLOccupancy = r.admission.Utilization()
-	st.ShardImbalance = r.sim.ShardImbalance()
 	st.BypassRate = r.sim.BypassRate()
 	return st
 }

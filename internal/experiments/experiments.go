@@ -49,15 +49,10 @@ type Figure struct {
 	// point and replication of the figure — the scheduling load the kernel's
 	// calendar actually carried (see sim.Simulation.PeakPending).
 	CalendarPeak int
-	// ShardImbalance is the worst (largest) mean shard-load ratio any point
-	// reported (max/mean events executed per shard; exactly 1 unsharded —
-	// see sim.Simulation.ShardImbalance). Like CalendarPeak it describes
-	// the execution schedule, never the simulated results.
-	ShardImbalance float64
 	// BypassRate is the mean fraction of executed events that dispatched
 	// through the kernel's head-slot register rather than the backing
 	// calendar, averaged over the figure's points (see
-	// sim.Simulation.BypassRate). Like ShardImbalance it describes the
+	// sim.Simulation.BypassRate). Like CalendarPeak it describes the
 	// execution schedule, never the simulated results.
 	BypassRate float64
 	Warnings   []string
@@ -121,11 +116,6 @@ type Options struct {
 	// CalendarHint, when positive, pre-sizes every point's event calendar
 	// to the given expected peak depth.
 	CalendarHint int
-	// ShardWorkers, when positive, shards every replication's event
-	// calendar across that many kernel workers (see
-	// core.Config.ShardWorkers). Results are bit-identical at every value
-	// (pinned by the sharded golden tests); it composes with Workers.
-	ShardWorkers int
 	// DBLayout, when not ocb.LayoutEager, forces every point's object
 	// bases onto the given generation layout (see ocb.Params.Layout).
 	// LayoutStream keeps resident object-base memory O(hot-set + classes),
@@ -165,7 +155,6 @@ func (o Options) sweepOptions() sweep.Options {
 		ShareBases:   o.ShareBases,
 		Calendar:     o.Calendar,
 		CalendarHint: o.CalendarHint,
-		ShardWorkers: o.ShardWorkers,
 		DBLayout:     o.DBLayout,
 		Progress:     o.Progress,
 		Policy:       o.Policy,
@@ -208,9 +197,6 @@ func runFigure(ctx context.Context, id string, ref paper.Series, o Options) (*Fi
 		f.Points[i] = Point{X: int(pr.X), IOs: ios, HitPct: hit.Mean}
 		if pr.Result != nil && pr.Result.CalendarPeak > f.CalendarPeak {
 			f.CalendarPeak = pr.Result.CalendarPeak
-		}
-		if pr.Result != nil && pr.Result.ShardImbalance.Mean() > f.ShardImbalance {
-			f.ShardImbalance = pr.Result.ShardImbalance.Mean()
 		}
 		if pr.Result != nil {
 			f.BypassRate += pr.Result.BypassRate.Mean()

@@ -98,18 +98,17 @@ func TestDeclarativeFig6MatchesLegacy(t *testing.T) {
 	}
 	samples := func(r *core.Result) map[sweep.Metric]*stats.Sample {
 		return map[sweep.Metric]*stats.Sample{
-			sweep.IOs:            &r.IOs,
-			sweep.Reads:          &r.Reads,
-			sweep.Writes:         &r.Writes,
-			sweep.HitPct:         &r.HitRatio,
-			sweep.RespMs:         &r.RespMs,
-			sweep.ThroughputTPS:  &r.Throughput,
-			sweep.NetMessages:    &r.NetMessages,
-			sweep.NetBytes:       &r.NetBytes,
-			sweep.LockWaits:      &r.LockWaits,
-			sweep.ReorgIOs:       &r.ReorgIOs,
-			sweep.ShardImbalance: &r.ShardImbalance,
-			sweep.BypassRate:     &r.BypassRate,
+			sweep.IOs:           &r.IOs,
+			sweep.Reads:         &r.Reads,
+			sweep.Writes:        &r.Writes,
+			sweep.HitPct:        &r.HitRatio,
+			sweep.RespMs:        &r.RespMs,
+			sweep.ThroughputTPS: &r.Throughput,
+			sweep.NetMessages:   &r.NetMessages,
+			sweep.NetBytes:      &r.NetBytes,
+			sweep.LockWaits:     &r.LockWaits,
+			sweep.ReorgIOs:      &r.ReorgIOs,
+			sweep.BypassRate:    &r.BypassRate,
 		}
 	}
 	if len(res.Points) != len(wantResults) {

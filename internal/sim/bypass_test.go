@@ -26,29 +26,68 @@ func bypassOnOff(t *testing.T, label string, run func(s *Simulation) []fired, op
 	}
 }
 
-// bypassVariants is the kernel-variant matrix the register threads through:
-// both calendars × unsharded (0) and per-shard registers at 1/2/4 workers.
+// bypassVariants runs bypassOnOff on both calendars the register threads
+// through.
 func bypassVariants(t *testing.T, run func(s *Simulation) []fired) {
 	t.Helper()
 	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		for _, sw := range []int{0, 1, 2, 4} {
-			label := kind.String() + "/shards" + string(rune('0'+sw))
-			bypassOnOff(t, label, run, WithCalendar(kind), WithShardWorkers(sw))
-		}
+		bypassOnOff(t, kind.String(), run, WithCalendar(kind))
 	}
+}
+
+// runCancelScenario drives mid-run cancellation: actions cancel
+// pseudo-random handles while the calendar is live, so victims are hit
+// while sitting in the heap, in wheel buckets, and in the head-slot
+// register. Every run sees identical state at every action, so
+// the cancel pattern — and therefore the firing record — must match
+// exactly across calendars and dispatch paths.
+func runCancelScenario(s *Simulation, n int, seed lcg) []fired {
+	rng := seed
+	var record []fired
+	handles := make([]Event, 0, 4*n)
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		myID := len(handles)
+		var delay Time
+		switch r := rng.float(); {
+		case r < 0.3:
+			delay = 0 // same-time chains
+		case r < 0.6:
+			delay = rng.float() * 0.5 // sub-tick
+		case r < 0.9:
+			delay = rng.float() * 300
+		default:
+			delay = 1e6 + rng.float()*1e9
+		}
+		d := depth
+		h := s.Schedule(delay, func() {
+			record = append(record, fired{id: myID, now: s.Now()})
+			if len(handles) > 0 && rng.float() < 0.4 {
+				s.Cancel(handles[int(rng.next())%len(handles)])
+			}
+			if d < 3 && rng.float() < 0.35 {
+				schedule(d + 1)
+			}
+		})
+		handles = append(handles, h)
+	}
+	for i := 0; i < n; i++ {
+		schedule(0)
+	}
+	s.Run()
+	return record
 }
 
 // TestBypassLockstepEquivalence replays the wheel tests' randomized
 // scenario — wide delay spectrum, nested scheduling from actions, upfront
-// cancels — with the fast path on and off, across both calendars and
-// shards 0/1/2/4.
+// cancels — with the fast path on and off, on both calendars.
 func TestBypassLockstepEquivalence(t *testing.T) {
 	bypassVariants(t, func(s *Simulation) []fired {
 		return runScenario(s, 800, lcg(20260808))
 	})
 }
 
-// TestBypassCancelEquivalence replays the sharded cancel scenario — 30%
+// TestBypassCancelEquivalence replays the mid-run cancel scenario — 30%
 // zero delays chain through the register, and actions cancel pseudo-random
 // handles mid-run, so victims are hit while register-resident — with the
 // fast path on and off.
@@ -99,8 +138,7 @@ func TestBypassChainEquivalence(t *testing.T) {
 
 // TestBypassStepHaltEquivalence drives the halting and stepping paths —
 // Step, RunUntil mid-calendar, a Halt honored through a stop check, then a
-// resumed Run — with the fast path on and off. On the sharded engine this
-// exercises rehome() with register-resident events.
+// resumed Run — with the fast path on and off.
 func TestBypassStepHaltEquivalence(t *testing.T) {
 	bypassVariants(t, func(s *Simulation) []fired {
 		rng := lcg(99)

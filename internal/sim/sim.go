@@ -22,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is simulated time. The unit is chosen by the model; the VOODB model
@@ -62,11 +61,17 @@ func (e Event) Pending() bool {
 	if e.s == nil || int(e.slot) >= len(e.s.events) {
 		return false
 	}
-	// A live slot is in a heap (heapIdx ≥ 0), a wheel bucket (bucket ≥ 0),
-	// or one of the sharded engine's staging structures (bucket < bkNone).
+	// A live slot is in the heap (heapIdx ≥ 0), a wheel bucket (bucket ≥ 0),
+	// or the head-slot register (bucket == bkHeadSlot).
 	slot := &e.s.events[e.slot]
 	return slot.gen == e.gen && (slot.heapIdx >= 0 || slot.bucket != bkNone)
 }
+
+// Sentinel values of eventSlot.bucket for a slot in no wheel bucket.
+const (
+	bkNone     int32 = -1 // in the heap (heapIdx ≥ 0) or free
+	bkHeadSlot int32 = -2 // parked in the head-slot dispatch register
+)
 
 // eventSlot is one arena entry. Live slots (heapIdx ≥ 0) hold an even
 // generation; cancellation bumps the generation to odd, execution bumps it
@@ -79,9 +84,10 @@ type eventSlot struct {
 	seq     uint64
 	action  func()
 	heapIdx int32 // index into Simulation.heap, -1 when not in the ready heap
-	// Timing-wheel membership: bucket id (-1 when not in a wheel bucket)
+	// Timing-wheel membership: bucket id (bkNone when not in a wheel bucket)
 	// and intrusive doubly-linked list through the arena. A live slot is in
-	// exactly one of the ready heap (heapIdx ≥ 0) or a bucket (bucket ≥ 0).
+	// exactly one of the ready heap (heapIdx ≥ 0), a bucket (bucket ≥ 0) or
+	// the head-slot register (bucket == bkHeadSlot).
 	bucket int32
 	next   int32
 	prev   int32
@@ -129,22 +135,6 @@ type Simulation struct {
 	stopCheck func() bool
 	halted    bool
 
-	// Sharded execution (see shard.go). nshards == 0 is the classic
-	// single-calendar engine; nshards ≥ 2 partitions the calendar across
-	// that many shards, each advanced by its own worker goroutine inside
-	// deterministic time windows. shardReq holds the WithShardWorkers
-	// request before New resolves it.
-	shardReq  int
-	nshards   int
-	lookahead Time
-	shards    []simShard
-	overlay   []int32 // in-window schedules, a (time, seq) min-heap
-	startCh   []chan Time
-	shardWG   sync.WaitGroup // barrier between phases; lives here so Run allocates nothing
-	inMerge   bool
-	windowEnd Time
-	live      int // pending events across all shard structures
-
 	// Trace, when non-nil, is invoked for every executed event with the
 	// firing time. It exists for debugging models and is never set by the
 	// kernel itself.
@@ -157,9 +147,7 @@ func New(opts ...Option) *Simulation {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.shardReq > 1 {
-		s.initShards()
-	} else if s.kind == WheelCalendar {
+	if s.kind == WheelCalendar {
 		s.enableWheel()
 	}
 	return s
@@ -202,9 +190,6 @@ func (s *Simulation) Reset() {
 	if s.wheel != nil {
 		s.wheel.clear(0) // keep the wheel (and its bucket storage), empty it
 	}
-	if s.nshards > 0 {
-		s.resetShards()
-	}
 }
 
 // Grow pre-sizes the calendar so at least n events can be pending at once
@@ -218,24 +203,9 @@ func (s *Simulation) Reset() {
 // through Calendar() — firing order is bit-identical either way — and
 // persists across Reset like any other capacity decision.
 func (s *Simulation) Grow(n int) {
-	if s.nshards > 0 {
-		s.growShards(n)
-		return
-	}
 	if s.kind == AutoCalendar && s.wheel == nil && n >= WheelAutoThreshold && s.Pending() == 0 {
 		s.enableWheel()
 	}
-	s.growArena(n)
-	if cap(s.heap) < n {
-		heap := make([]int32, len(s.heap), n)
-		copy(heap, s.heap)
-		s.heap = heap
-	}
-}
-
-// growArena is the arena/free-list half of Grow, shared with the sharded
-// engine (which sizes per-shard heaps itself).
-func (s *Simulation) growArena(n int) {
 	if cap(s.events) < n {
 		events := make([]eventSlot, len(s.events), n)
 		copy(events, s.events)
@@ -246,6 +216,11 @@ func (s *Simulation) growArena(n int) {
 		copy(free, s.free)
 		s.free = free
 	}
+	if cap(s.heap) < n {
+		heap := make([]int32, len(s.heap), n)
+		copy(heap, s.heap)
+		s.heap = heap
+	}
 }
 
 // Now returns the current simulated time.
@@ -253,9 +228,6 @@ func (s *Simulation) Now() Time { return s.now }
 
 // Pending returns the number of events waiting in the calendar.
 func (s *Simulation) Pending() int {
-	if s.nshards > 0 {
-		return s.live
-	}
 	p := len(s.heap)
 	if s.wheel != nil {
 		p += s.wheel.count
@@ -275,11 +247,7 @@ func (s *Simulation) PeakPending() int { return s.peak }
 // configured kind, except that an AutoCalendar simulation reports
 // WheelCalendar once the auto-switch has fired.
 func (s *Simulation) Calendar() CalendarKind {
-	w := s.wheel
-	if s.nshards > 0 {
-		w = s.shards[0].wheel
-	}
-	if w != nil {
+	if s.wheel != nil {
 		return WheelCalendar
 	}
 	if s.kind == AutoCalendar {
@@ -297,24 +265,18 @@ func (s *Simulation) Executed() uint64 { return s.executed }
 // Bypassed returns the number of executed events that were dispatched
 // through the head-slot register (skipping the backing calendar entirely)
 // since the last Reset.
-func (s *Simulation) Bypassed() uint64 {
-	b := s.bypass
-	for k := range s.shards {
-		b += s.shards[k].bypassed
-	}
-	return b
-}
+func (s *Simulation) Bypassed() uint64 { return s.bypass }
 
 // BypassRate returns the fraction of executed events dispatched through
 // the head-slot register since the last Reset — the share of scheduler
 // work the next-event fast path absorbed. Zero when nothing has executed.
-// Like ShardImbalance it describes the execution schedule, never the
-// simulated results: firing order is bit-identical at any rate.
+// It describes the execution schedule, never the simulated results: firing
+// order is bit-identical at any rate.
 func (s *Simulation) BypassRate() float64 {
 	if s.executed == 0 {
 		return 0
 	}
-	return float64(s.Bypassed()) / float64(s.executed)
+	return float64(s.bypass) / float64(s.executed)
 }
 
 // Schedule registers action to run after delay units of simulated time.
@@ -343,16 +305,12 @@ func (s *Simulation) ScheduleAt(t Time, action func()) Event {
 	slot.action = action
 	s.seq++
 	s.scheduled++
-	if s.nshards > 0 {
-		s.shardPlace(idx, t)
-	} else {
-		s.place(idx, t)
-	}
+	s.place(idx, t)
 	return Event{s: s, time: t, slot: idx, gen: s.events[idx].gen}
 }
 
 // place routes a freshly filled slot to the head-slot register or the
-// backing calendar (ScheduleAt's unsharded tail). A new event carries the
+// backing calendar (ScheduleAt's tail). A new event carries the
 // largest sequence number so far, so "strictly earlier in (time, seq) than
 // X" reduces to "time strictly before X's".
 func (s *Simulation) place(idx int32, t Time) {
@@ -403,12 +361,12 @@ func (s *Simulation) headFits(t Time) bool {
 	return true
 }
 
-// calInsert files a slot into the unsharded backing calendar.
+// calInsert files a slot into the backing calendar.
 func (s *Simulation) calInsert(idx int32) {
 	if s.wheel != nil {
-		s.wheelPlace(s.wheel, &s.heap, idx)
+		s.wheelPlace(idx)
 	} else {
-		s.heapPush(idx)
+		s.hPush(idx)
 	}
 }
 
@@ -423,7 +381,7 @@ func (s *Simulation) alloc() int32 {
 		}
 		return idx
 	}
-	s.events = append(s.events, eventSlot{heapIdx: -1, bucket: -1, next: -1, prev: -1})
+	s.events = append(s.events, eventSlot{heapIdx: -1, bucket: bkNone, next: -1, prev: -1})
 	return int32(len(s.events) - 1)
 }
 
@@ -438,15 +396,11 @@ func (s *Simulation) Cancel(e Event) {
 	if slot.gen != e.gen {
 		return
 	}
-	if s.nshards > 0 {
-		s.shardCancel(e.slot, slot)
-		return
-	}
 	switch {
 	case slot.heapIdx >= 0:
-		s.heapRemove(slot.heapIdx)
+		s.hRemove(slot.heapIdx)
 	case slot.bucket >= 0:
-		s.bucketRemove(s.wheel, e.slot)
+		s.bucketRemove(e.slot)
 	case slot.bucket == bkHeadSlot:
 		slot.bucket = bkNone
 		s.headSlot = -1
@@ -462,9 +416,6 @@ func (s *Simulation) Cancel(e Event) {
 // Step executes the single next event. It returns false when the calendar
 // is empty.
 func (s *Simulation) Step() bool {
-	if s.nshards > 0 {
-		return s.shardStep()
-	}
 	idx := s.headSlot
 	if idx >= 0 {
 		// The register occupant is strictly earlier than everything in the
@@ -476,7 +427,7 @@ func (s *Simulation) Step() bool {
 		if !s.peek() {
 			return false
 		}
-		idx = s.heapPop()
+		idx = s.hPop()
 	}
 	slot := &s.events[idx]
 	s.now = slot.time
@@ -521,10 +472,6 @@ func (s *Simulation) Halted() bool { return s.halted }
 // Run executes events until the calendar is empty — or, with a stop check
 // installed, until the check reports the run should halt.
 func (s *Simulation) Run() {
-	if s.nshards > 0 {
-		s.runSharded()
-		return
-	}
 	if s.stopCheck == nil && !s.halted {
 		s.runFast()
 		return
@@ -536,10 +483,10 @@ func (s *Simulation) Run() {
 	}
 }
 
-// runFast drains the calendar with the per-Step sharded/stop-check/halt
-// branches hoisted out of the loop: Run has already established that the
-// engine is unsharded and hook-free, so each iteration is just the register
-// check, the (rare) calendar pop, and the action dispatch.
+// runFast drains the calendar with the per-Step stop-check/halt branches
+// hoisted out of the loop: Run has already established that the engine is
+// hook-free, so each iteration is just the register check, the (rare)
+// calendar pop, and the action dispatch.
 func (s *Simulation) runFast() {
 	for {
 		idx := s.headSlot
@@ -548,7 +495,7 @@ func (s *Simulation) runFast() {
 			s.events[idx].bucket = bkNone
 			s.bypass++
 		} else if s.peek() {
-			idx = s.heapPop()
+			idx = s.hPop()
 		} else {
 			return
 		}
@@ -569,19 +516,6 @@ func (s *Simulation) runFast() {
 // RunUntil executes events whose time is ≤ horizon, then advances the clock
 // to horizon. Events scheduled beyond the horizon remain in the calendar.
 func (s *Simulation) RunUntil(horizon Time) {
-	if s.nshards > 0 {
-		for {
-			_, idx := s.shardMin()
-			if idx < 0 || s.events[idx].time > horizon {
-				break
-			}
-			s.shardStep()
-		}
-		if s.now < horizon {
-			s.now = horizon
-		}
-		return
-	}
 	for {
 		var t Time
 		if s.headSlot >= 0 {
@@ -604,12 +538,9 @@ func (s *Simulation) RunUntil(horizon Time) {
 // RunFor executes events for d units of simulated time from now.
 func (s *Simulation) RunFor(d Time) { s.RunUntil(s.now + d) }
 
-// --- event calendar: binary min-heaps of slot indices, ordered (time, seq) ---
+// --- event calendar: a binary min-heap of slot indices, ordered (time, seq) ---
 //
-// The heap functions take the heap slice explicitly because one arena can
-// feed several heaps at once: the classic calendar's s.heap, each shard's
-// ready heap, and the merge overlay. A slot's heapIdx is its position in
-// whichever single heap currently holds it.
+// A slot's heapIdx is its position in s.heap.
 
 // slotLess orders two arena slots by (time, seq) — the kernel's one and
 // only firing order.
@@ -621,46 +552,40 @@ func (s *Simulation) slotLess(a, b int32) bool {
 	return x.seq < y.seq
 }
 
-func (s *Simulation) hSwap(h []int32, i, j int) {
-	h[i], h[j] = h[j], h[i]
-	s.events[h[i]].heapIdx = int32(i)
-	s.events[h[j]].heapIdx = int32(j)
-}
-
-func (s *Simulation) hPush(h *[]int32, idx int32) {
-	s.events[idx].heapIdx = int32(len(*h))
-	*h = append(*h, idx)
-	s.hUp(*h, len(*h)-1)
+func (s *Simulation) hPush(idx int32) {
+	s.events[idx].heapIdx = int32(len(s.heap))
+	s.heap = append(s.heap, idx)
+	s.hUp(len(s.heap) - 1)
 }
 
 // hPop removes and returns the root slot index.
-func (s *Simulation) hPop(h *[]int32) int32 {
-	hh := *h
-	idx := hh[0]
-	last := len(hh) - 1
-	*h = hh[:last]
+func (s *Simulation) hPop() int32 {
+	h := s.heap
+	idx := h[0]
+	last := len(h) - 1
+	s.heap = h[:last]
 	if last > 0 {
-		moving := hh[last]
-		hh[0] = moving
+		moving := h[last]
+		h[0] = moving
 		s.events[moving].heapIdx = 0
-		s.hDown(hh[:last], 0)
+		s.hDown(0)
 	}
 	s.events[idx].heapIdx = -1
 	return idx
 }
 
 // hRemove removes the slot at heap position i.
-func (s *Simulation) hRemove(h *[]int32, i int32) {
-	hh := *h
-	idx := hh[i]
-	last := len(hh) - 1
-	*h = hh[:last]
+func (s *Simulation) hRemove(i int32) {
+	h := s.heap
+	idx := h[i]
+	last := len(h) - 1
+	s.heap = h[:last]
 	if int(i) < last {
-		moving := hh[last]
-		hh[i] = moving
+		moving := h[last]
+		h[i] = moving
 		s.events[moving].heapIdx = i
-		s.hDown(hh[:last], int(i))
-		s.hUp(hh[:last], int(i))
+		s.hDown(int(i))
+		s.hUp(int(i))
 	}
 	s.events[idx].heapIdx = -1
 }
@@ -671,7 +596,8 @@ func (s *Simulation) hRemove(h *[]int32, i int32) {
 // swap-based sift. The comparison sequence (and, because (time, seq) is a
 // strict total order, the firing order) is unchanged.
 
-func (s *Simulation) hUp(h []int32, i int) {
+func (s *Simulation) hUp(i int) {
+	h := s.heap
 	moving := h[i]
 	start := i
 	for i > 0 {
@@ -689,7 +615,8 @@ func (s *Simulation) hUp(h []int32, i int) {
 	}
 }
 
-func (s *Simulation) hDown(h []int32, i int) {
+func (s *Simulation) hDown(i int) {
+	h := s.heap
 	n := len(h)
 	moving := h[i]
 	start := i
@@ -714,9 +641,3 @@ func (s *Simulation) hDown(h []int32, i int) {
 		s.events[moving].heapIdx = int32(i)
 	}
 }
-
-// The classic calendar's heap, as thin wrappers.
-
-func (s *Simulation) heapPush(idx int32) { s.hPush(&s.heap, idx) }
-func (s *Simulation) heapPop() int32     { return s.hPop(&s.heap) }
-func (s *Simulation) heapRemove(i int32) { s.hRemove(&s.heap, i) }

@@ -183,15 +183,11 @@ func (s *Simulation) enableWheel() {
 	s.wheel = w
 }
 
-// The wheel operations below take the wheel and its ready heap explicitly
-// because a sharded simulation runs one independent wheel per shard (each
-// draining into that shard's ready heap) over the one shared slot arena;
-// the classic calendar passes (s.wheel, &s.heap).
-
 // bucketPush links slot idx into the given bucket (list head; order
 // within a bucket is irrelevant because the ready heap re-orders on
 // drain).
-func (s *Simulation) bucketPush(w *wheel, bucket int32, idx int32) {
+func (s *Simulation) bucketPush(bucket int32, idx int32) {
+	w := s.wheel
 	slot := &s.events[idx]
 	var head *int32
 	if bucket == overflowBucket {
@@ -214,7 +210,8 @@ func (s *Simulation) bucketPush(w *wheel, bucket int32, idx int32) {
 }
 
 // bucketRemove unlinks slot idx from its bucket in O(1).
-func (s *Simulation) bucketRemove(w *wheel, idx int32) {
+func (s *Simulation) bucketRemove(idx int32) {
+	w := s.wheel
 	slot := &s.events[idx]
 	bucket := slot.bucket
 	if slot.prev >= 0 {
@@ -232,7 +229,7 @@ func (s *Simulation) bucketRemove(w *wheel, idx int32) {
 	} else if w.heads[bucket>>wheelBits][bucket&wheelMask] < 0 {
 		w.occ[bucket>>wheelBits][(bucket&wheelMask)>>6] &^= 1 << uint(bucket&63)
 	}
-	slot.bucket = -1
+	slot.bucket = bkNone
 	slot.next, slot.prev = -1, -1
 	w.count--
 }
@@ -243,20 +240,21 @@ func (s *Simulation) bucketRemove(w *wheel, idx int32) {
 // differences (tick>>8k) − (cur>>8k) in [1, 255], which makes the mapping
 // collision-free as cur advances (two ticks 256 apart never share a
 // level-0 slot while both are pending).
-func (s *Simulation) wheelPlace(w *wheel, ready *[]int32, idx int32) {
+func (s *Simulation) wheelPlace(idx int32) {
+	w := s.wheel
 	tick := w.tickOf(s.events[idx].time)
 	if tick <= w.cur {
-		s.hPush(ready, idx)
+		s.hPush(idx)
 		return
 	}
 	for k := 0; k < wheelLevels; k++ {
 		shift := uint(wheelBits * k)
 		if (tick>>shift)-(w.cur>>shift) < wheelSlots {
-			s.bucketPush(w, int32(k)<<wheelBits|int32((tick>>shift)&wheelMask), idx)
+			s.bucketPush(int32(k)<<wheelBits|int32((tick>>shift)&wheelMask), idx)
 			return
 		}
 	}
-	s.bucketPush(w, overflowBucket, idx)
+	s.bucketPush(overflowBucket, idx)
 	if tick < w.overflowMin {
 		w.overflowMin = tick
 	}
@@ -308,7 +306,8 @@ func (w *wheel) candidate() uint64 {
 
 // drainBucket empties one wheel bucket, re-filing every event (due events
 // reach the ready heap, the rest cascade into lower levels).
-func (s *Simulation) drainBucket(w *wheel, ready *[]int32, bucket int32) {
+func (s *Simulation) drainBucket(bucket int32) {
+	w := s.wheel
 	for {
 		var idx int32
 		if bucket == overflowBucket {
@@ -319,8 +318,8 @@ func (s *Simulation) drainBucket(w *wheel, ready *[]int32, bucket int32) {
 		if idx < 0 {
 			return
 		}
-		s.bucketRemove(w, idx)
-		s.wheelPlace(w, ready, idx)
+		s.bucketRemove(idx)
+		s.wheelPlace(idx)
 	}
 }
 
@@ -329,7 +328,8 @@ func (s *Simulation) drainBucket(w *wheel, ready *[]int32, bucket int32) {
 // size), amortized: it only runs when the overflow tier actually holds the
 // next event (or a stale minimum suggests it might), and each surviving
 // event moves strictly closer to the wheels every time.
-func (s *Simulation) migrateOverflow(w *wheel, ready *[]int32) {
+func (s *Simulation) migrateOverflow() {
+	w := s.wheel
 	topShift := uint(wheelBits * (wheelLevels - 1))
 	min := maxWheelTick
 	idx := w.overflowHead
@@ -337,8 +337,8 @@ func (s *Simulation) migrateOverflow(w *wheel, ready *[]int32) {
 		next := s.events[idx].next
 		tick := w.tickOf(s.events[idx].time)
 		if tick <= w.cur || (tick>>topShift)-(w.cur>>topShift) < wheelSlots {
-			s.bucketRemove(w, idx)
-			s.wheelPlace(w, ready, idx)
+			s.bucketRemove(idx)
+			s.wheelPlace(idx)
 		} else if tick < min {
 			min = tick
 		}
@@ -352,42 +352,39 @@ func (s *Simulation) migrateOverflow(w *wheel, ready *[]int32) {
 // events trickle through intermediate levels correctly), drains the
 // level-0 slot of tick m into the ready heap, and migrates the overflow
 // tier when m has reached its minimum.
-func (s *Simulation) setCur(w *wheel, ready *[]int32, m uint64) {
+func (s *Simulation) setCur(m uint64) {
+	w := s.wheel
 	old := w.cur
 	w.cur = m
 	for k := wheelLevels - 1; k >= 1; k-- {
 		shift := uint(wheelBits * k)
 		if m>>shift != old>>shift {
-			s.drainBucket(w, ready, int32(k)<<wheelBits|int32((m>>shift)&wheelMask))
+			s.drainBucket(int32(k)<<wheelBits | int32((m>>shift)&wheelMask))
 		}
 	}
-	s.drainBucket(w, ready, int32(m&wheelMask))
+	s.drainBucket(int32(m & wheelMask))
 	if w.overflowCount > 0 && w.overflowMin <= m {
-		s.migrateOverflow(w, ready)
+		s.migrateOverflow()
 	}
 }
 
-// advanceWheel fills the ready heap with the next due events. It returns
-// false when the whole calendar (this wheel plus its ready heap) is empty.
+// advance fills the ready heap with the next due events from the wheel. It
+// returns false when the whole calendar (wheel plus ready heap) is empty.
 // Each iteration either strictly advances the ready tick toward the next
 // pending event or raises the overflow minimum past it, so the loop
 // terminates.
-func (s *Simulation) advanceWheel(w *wheel, ready *[]int32) bool {
-	for len(*ready) == 0 {
+func (s *Simulation) advance() bool {
+	w := s.wheel
+	if w == nil {
+		return false
+	}
+	for len(s.heap) == 0 {
 		if w.count == 0 {
 			return false
 		}
-		s.setCur(w, ready, w.candidate())
+		s.setCur(w.candidate())
 	}
 	return true
-}
-
-// advance is advanceWheel for the classic calendar.
-func (s *Simulation) advance() bool {
-	if s.wheel == nil {
-		return false
-	}
-	return s.advanceWheel(s.wheel, &s.heap)
 }
 
 // peek ensures the earliest pending event is at the ready heap's root,

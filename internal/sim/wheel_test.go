@@ -112,6 +112,42 @@ func TestWheelLockstepCoarseTick(t *testing.T) {
 	checkSameRecord(t, h, w)
 }
 
+// TestWheelCancelEquivalence replays the mid-run cancel scenario on both
+// calendars: victims are cancelled from actions while sitting in wheel
+// buckets, the overflow tier, the ready heap, and the register, and the
+// firing record must still match the heap exactly.
+func TestWheelCancelEquivalence(t *testing.T) {
+	h := runCancelScenario(New(WithCalendar(HeapCalendar)), 400, lcg(555))
+	w := runCancelScenario(New(WithCalendar(WheelCalendar)), 400, lcg(555))
+	if len(h) == 0 {
+		t.Fatal("cancel scenario fired nothing")
+	}
+	checkSameRecord(t, h, w)
+}
+
+// TestWheelStepRunUntil drives both calendars through the stepping paths —
+// Step, RunUntil mid-calendar, then Run — and compares the firing records.
+func TestWheelStepRunUntil(t *testing.T) {
+	drive := func(s *Simulation) []fired {
+		rng := lcg(77)
+		var record []fired
+		for i := 0; i < 200; i++ {
+			id := i
+			s.Schedule(rng.float()*100, func() { record = append(record, fired{id: id, now: s.Now()}) })
+		}
+		for i := 0; i < 25; i++ {
+			s.Step()
+		}
+		s.RunUntil(60)
+		if s.Now() != 60 {
+			t.Fatalf("RunUntil left clock at %v", s.Now())
+		}
+		s.Run()
+		return record
+	}
+	checkSameRecord(t, drive(New(WithCalendar(HeapCalendar))), drive(New(WithCalendar(WheelCalendar))))
+}
+
 // TestWheelSameTimeFIFO checks the seq tie-break survives bucket transit:
 // equal-time events must fire in scheduling order.
 func TestWheelSameTimeFIFO(t *testing.T) {

@@ -57,43 +57,3 @@ func (q *Quantiles) Reset() {
 	q.xs = q.xs[:0]
 	q.sorted = false
 }
-
-// BatchMeans implements the batch-means method for steady-state output
-// analysis: a single long run is cut into batches whose means are treated
-// as (approximately independent) replications. This complements the
-// independent-replications method of §4.2.2 for studies where one long
-// simulation is cheaper than many cold starts.
-type BatchMeans struct {
-	batchSize int
-	current   Sample
-	means     Sample
-}
-
-// NewBatchMeans returns an analyzer cutting batches of batchSize
-// observations. It panics if batchSize < 1.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize < 1 {
-		panic(fmt.Sprintf("stats: batch size %d", batchSize))
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add records one observation, closing a batch when it fills.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.N() == b.batchSize {
-		b.means.Add(b.current.Mean())
-		b.current = Sample{}
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int { return b.means.N() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.means.Mean() }
-
-// ConfidenceInterval returns the Student-t interval over batch means.
-func (b *BatchMeans) ConfidenceInterval(confidence float64) Interval {
-	return ConfidenceInterval(&b.means, confidence)
-}

@@ -75,47 +75,3 @@ func TestQuantilesUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchMeans(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 95; i++ {
-		b.Add(float64(i % 10)) // each full batch has mean 4.5
-	}
-	if b.Batches() != 9 {
-		t.Fatalf("batches = %d, want 9 (incomplete 10th discarded)", b.Batches())
-	}
-	if b.Mean() != 4.5 {
-		t.Fatalf("grand mean = %v", b.Mean())
-	}
-	ci := b.ConfidenceInterval(0.95)
-	if ci.N != 9 {
-		t.Fatalf("CI over %d batches", ci.N)
-	}
-	if ci.HalfWidth != 0 {
-		t.Fatalf("identical batch means should give zero half-width, got %v", ci.HalfWidth)
-	}
-}
-
-func TestBatchMeansVariance(t *testing.T) {
-	b := NewBatchMeans(100)
-	src := rng.New(2)
-	for i := 0; i < 10000; i++ {
-		b.Add(src.Exp(5))
-	}
-	if b.Batches() != 100 {
-		t.Fatalf("batches = %d", b.Batches())
-	}
-	ci := b.ConfidenceInterval(0.95)
-	if !ci.Contains(5) {
-		t.Errorf("true mean 5 outside %v (flaky only if the CI method is broken)", ci)
-	}
-}
-
-func TestBatchMeansPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewBatchMeans(0)
-}

@@ -27,13 +27,15 @@ import (
 // per-cell derived seeds (cellSeed), a resumed sweep that replays
 // journalled cells and runs only the remainder produces a Result
 // byte-identical to an uninterrupted run — pinned by
-// TestResumeMatchesUninterrupted and the CI resume smoke.
+// TestMidGridCancelAndResume and the CI resume smoke.
 
 // journalKind and journalVersion identify the format; ReadJournal rejects
-// anything else.
+// anything else. Version 2 removed the sharded kernel's Config field and
+// load-balance metric, which changed every fingerprint and the core.Result
+// encoding, so version-1 journals must be rerun.
 const (
 	journalKind    = "voodb-sweep-journal"
-	journalVersion = 1
+	journalVersion = 2
 )
 
 // JournalHeader is the journal's first line: enough spec identity to
@@ -63,14 +65,14 @@ type journalValue struct {
 // journalCell is one completed cell: the PointResult in wire form plus an
 // integrity checksum.
 type journalCell struct {
-	Index  int            `json:"index"`
-	Coords []int          `json:"coords"`
-	X      float64        `json:"x"`
-	Label  string         `json:"label"`
-	Labels []string       `json:"labels"`
-	Seed   uint64         `json:"seed"`
-	Values []journalValue `json:"values"`
-	Result *core.Result   `json:"result,omitempty"`
+	Index  int              `json:"index"`
+	Coords []int            `json:"coords"`
+	X      float64          `json:"x"`
+	Label  string           `json:"label"`
+	Labels []string         `json:"labels"`
+	Seed   uint64           `json:"seed"`
+	Values []journalValue   `json:"values"`
+	Result *core.Result     `json:"result,omitempty"`
 	DSTC   *core.DSTCResult `json:"dstc,omitempty"`
 	// Check is the SHA-256 hex of this record serialized with Check set to
 	// "" — a per-line integrity fingerprint.

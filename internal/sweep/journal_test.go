@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,6 +129,35 @@ func TestJournalRejectsNonJournal(t *testing.T) {
 	}
 	if _, err := ReadJournal(empty); err == nil {
 		t.Fatal("empty file accepted as journal")
+	}
+}
+
+// TestJournalRejectsOldVersion: a journal from an older format version is
+// refused by its version, before any fingerprint comparison, so the error
+// names the real cause instead of a spec mismatch.
+func TestJournalRejectsOldVersion(t *testing.T) {
+	s := robustGrid(t)
+	o := Options{Replications: 2, Seed: 31}
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	journalledRun(t, &s, path, o)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	current := fmt.Sprintf(`"version":%d`, journalVersion)
+	if !strings.Contains(lines[0], current) {
+		t.Fatalf("header %q does not carry %s", lines[0], current)
+	}
+	lines[0] = strings.Replace(lines[0], current, `"version":1`, 1)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.ResumeJournal(path, o)
+	want := fmt.Sprintf("has version 1, this build reads %d", journalVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-1 journal: err = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -58,15 +58,10 @@ const (
 	LockWaits Metric = "lockwaits"
 	// ReorgIOs is the I/O count of reorganizations triggered mid-batch.
 	ReorgIOs Metric = "reorgios"
-	// ShardImbalance is the sharded kernel's load-balance ratio (max/mean
-	// events executed per shard; exactly 1 when ShardWorkers ≤ 1). It
-	// describes the execution schedule, not the simulated system, so shard
-	// sweeps can chart load balance without touching result metrics.
-	ShardImbalance Metric = "shardimb"
 	// BypassRate is the fraction of executed events dispatched through the
-	// kernel's head-slot register instead of the backing calendar. Like
-	// shardimb it describes the execution schedule (the fast path is
-	// bit-identical by construction), not the simulated system.
+	// kernel's head-slot register instead of the backing calendar. It
+	// describes the execution schedule (the fast path is bit-identical by
+	// construction), not the simulated system.
 	BypassRate Metric = "bypass"
 )
 
@@ -95,18 +90,17 @@ type metricDef struct {
 }
 
 var metricDefs = map[Metric]metricDef{
-	IOs:            {label: "I/Os", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.IOs }},
-	Reads:          {label: "reads", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Reads }},
-	Writes:         {label: "writes", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Writes }},
-	HitPct:         {label: "hit%", scale: 100, standard: func(r *core.Result) *stats.Sample { return &r.HitRatio }},
-	RespMs:         {label: "resp ms", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.RespMs }},
-	ThroughputTPS:  {label: "tput tps", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Throughput }},
-	NetMessages:    {label: "net msgs", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.NetMessages }},
-	NetBytes:       {label: "net bytes", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.NetBytes }},
-	LockWaits:      {label: "lock waits", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.LockWaits }},
-	ReorgIOs:       {label: "reorg I/Os", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.ReorgIOs }},
-	ShardImbalance: {label: "shard imb", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.ShardImbalance }},
-	BypassRate:     {label: "bypass", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.BypassRate }},
+	IOs:           {label: "I/Os", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.IOs }},
+	Reads:         {label: "reads", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Reads }},
+	Writes:        {label: "writes", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Writes }},
+	HitPct:        {label: "hit%", scale: 100, standard: func(r *core.Result) *stats.Sample { return &r.HitRatio }},
+	RespMs:        {label: "resp ms", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.RespMs }},
+	ThroughputTPS: {label: "tput tps", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.Throughput }},
+	NetMessages:   {label: "net msgs", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.NetMessages }},
+	NetBytes:      {label: "net bytes", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.NetBytes }},
+	LockWaits:     {label: "lock waits", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.LockWaits }},
+	ReorgIOs:      {label: "reorg I/Os", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.ReorgIOs }},
+	BypassRate:    {label: "bypass", scale: 1, standard: func(r *core.Result) *stats.Sample { return &r.BypassRate }},
 
 	PreIOs:        {label: "pre I/Os", scale: 1, dstc: func(r *core.DSTCResult) *stats.Sample { return &r.PreIOs }},
 	OverheadIOs:   {label: "overhead I/Os", scale: 1, dstc: func(r *core.DSTCResult) *stats.Sample { return &r.OverheadIOs }},
@@ -117,7 +111,7 @@ var metricDefs = map[Metric]metricDef{
 }
 
 // standardMetrics and dstcMetrics fix the canonical display order.
-var standardMetrics = []Metric{IOs, Reads, Writes, HitPct, RespMs, ThroughputTPS, NetMessages, NetBytes, LockWaits, ReorgIOs, ShardImbalance, BypassRate}
+var standardMetrics = []Metric{IOs, Reads, Writes, HitPct, RespMs, ThroughputTPS, NetMessages, NetBytes, LockWaits, ReorgIOs, BypassRate}
 var dstcMetrics = []Metric{PreIOs, OverheadIOs, PostIOs, Gain, Clusters, ObjPerCluster}
 
 // Metrics returns every metric the given protocol collects, in canonical

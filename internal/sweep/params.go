@@ -591,25 +591,32 @@ func parseValues(s string) ([]float64, error) {
 			return nil, fmt.Errorf("range %q is not lo:hi:step", s)
 		}
 		loStr, hiStr, stepStr := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]), strings.TrimSpace(parts[2])
+		// NaN and ±Inf parse as floats but make no range: reject them
+		// before they reach the point count.
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 		lo, err := strconv.ParseFloat(loStr, 64)
-		if err != nil {
+		if err != nil || !finite(lo) {
 			return nil, fmt.Errorf("bad range start %q", parts[0])
 		}
 		hi, err := strconv.ParseFloat(hiStr, 64)
-		if err != nil {
+		if err != nil || !finite(hi) {
 			return nil, fmt.Errorf("bad range end %q", parts[1])
 		}
 		step, err := strconv.ParseFloat(stepStr, 64)
-		if err != nil || step <= 0 {
+		if err != nil || !finite(step) || step <= 0 {
 			return nil, fmt.Errorf("bad range step %q (need > 0)", parts[2])
 		}
 		if hi < lo {
 			return nil, fmt.Errorf("range %q runs backwards", s)
 		}
-		n := int(math.Floor((hi-lo)/step+1e-9)) + 1
-		if n > maxAxisPoints {
-			return nil, fmt.Errorf("range %q expands to %d points (max %d)", s, n, maxAxisPoints)
+		// Cap the count while it is still a float: (hi-lo)/step can exceed
+		// the int range (or overflow to +Inf), and converting first would
+		// wrap it.
+		count := math.Floor((hi-lo)/step+1e-9) + 1
+		if count > maxAxisPoints {
+			return nil, fmt.Errorf("range %q expands to more than %d points", s, maxAxisPoints)
 		}
+		n := int(count)
 		// Each value is lo + i·step rounded back to the inputs' decimal
 		// precision, so 0:0.3:0.1 ends at 0.3, not 0.30000000000000004.
 		// Exponent-notation bounds opt out of rounding entirely.

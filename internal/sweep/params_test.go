@@ -115,15 +115,19 @@ func TestParseAxisRangeCap(t *testing.T) {
 
 func TestParseAxisErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",              // no '='
-		"mpl",           // no '='
-		"mpl=",          // empty values
-		"mpl=1:2",       // malformed range
-		"mpl=1:2:0",     // zero step
-		"mpl=5:1:1",     // backwards
-		"mpl=x",         // bad value
-		"unknown=1:2:1", // unknown parameter
-		"mpl=1:2:1:4",   // too many fields
+		"",                  // no '='
+		"mpl",               // no '='
+		"mpl=",              // empty values
+		"mpl=1:2",           // malformed range
+		"mpl=1:2:0",         // zero step
+		"mpl=5:1:1",         // backwards
+		"mpl=x",             // bad value
+		"unknown=1:2:1",     // unknown parameter
+		"mpl=1:2:1:4",       // too many fields
+		"mpl=0:inf:1",       // infinite end
+		"mpl=1:4:nan",       // NaN step
+		"mpl=nan:4:1",       // NaN start
+		"mpl=0:1e300:1e-10", // point count beyond the int range
 	} {
 		if _, err := ParseAxis(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)

@@ -60,9 +60,9 @@ func TestDBLayoutFingerprint(t *testing.T) {
 	}
 	// Workers/Calendar-style knobs stay excluded: bit-identical options
 	// resume each other's journals.
-	o = Options{Replications: 2, Seed: 1, Workers: 8, ShardWorkers: 4, DBLayout: ocb.LayoutStream}
+	o = Options{Replications: 2, Seed: 1, Workers: 8, DBLayout: ocb.LayoutStream}
 	if got := s.fingerprint(o, axes, metrics); got != stream {
-		t.Error("workers/shards leaked into the fingerprint")
+		t.Error("workers leaked into the fingerprint")
 	}
 }
 

@@ -182,11 +182,6 @@ type Options struct {
 	// to the given peak depth (and, past sim.WheelAutoThreshold, flips
 	// AutoCalendar cells onto the timing wheel).
 	CalendarHint int
-	// ShardWorkers, when positive, shards every cell's replications across
-	// that many kernel workers (overriding the cell's Config; see
-	// core.Config.ShardWorkers). Results are bit-identical at every value;
-	// it composes with Workers, which parallelizes across replications.
-	ShardWorkers int
 	// DBLayout, when not LayoutEager, forces every cell's object bases onto
 	// the given generation layout (overriding the cell's Params.Layout).
 	// LayoutEagerV2 and LayoutStream produce bit-identical results to each
@@ -731,9 +726,6 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 	if o.CalendarHint > 0 {
 		cfg.CalendarHint = o.CalendarHint
 	}
-	if o.ShardWorkers > 0 {
-		cfg.ShardWorkers = o.ShardWorkers
-	}
 	if o.DBLayout != ocb.LayoutEager {
 		params.Layout = o.DBLayout
 	}
@@ -789,20 +781,17 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 // fingerprint hashes everything that determines the sweep's numeric
 // results — the spec identity (name, protocol, axes, points with their
 // seed deltas, base Config/Params) and the result-affecting options
-// (replications, seed, confidence, ShareBases). Workers, Calendar,
-// ShardWorkers, and the fault-tolerance knobs are deliberately excluded
-// (Config.ShardWorkers is zeroed in the hashed copy): results are
+// (replications, seed, confidence, ShareBases). Workers, Calendar, and the
+// fault-tolerance knobs are deliberately excluded: results are
 // bit-identical across them, so a journal written at -workers 4 on the
-// heap calendar resumes cleanly at -workers 1 on the wheel — or sharded. Point.Apply
+// heap calendar resumes cleanly at -workers 1 on the wheel. Point.Apply
 // closures cannot be hashed; axes built from the parameter registry are
 // identified by axis name + point labels, which pin the registry mutation.
 func (s *Sweep) fingerprint(o Options, axes []Axis, metrics []Metric) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s v%d\n", journalKind, journalVersion)
 	fmt.Fprintf(h, "name=%s proto=%d tx=%d depth=%d\n", s.Name, s.Protocol, s.transactions(), s.depth())
-	cfgFP := s.Config
-	cfgFP.ShardWorkers = 0
-	fmt.Fprintf(h, "cfg=%+v\n", cfgFP)
+	fmt.Fprintf(h, "cfg=%+v\n", s.Config)
 	fmt.Fprintf(h, "params=%+v\n", s.Params)
 	fmt.Fprintf(h, "reps=%d seed=%d conf=%g share=%t\n", o.reps(), o.Seed, o.confidence(), o.ShareBases)
 	// The layout override changes which derivation generates the bases

@@ -23,9 +23,8 @@ case "$WORKERS" in
   ''|*[!0-9]*) echo "FIG_WORKERS must be a non-negative integer, got '$WORKERS'" >&2; exit 1;;
 esac
 export FIG_WORKERS="$WORKERS"
-# Real core count of the machine, recorded in the JSON: the sharded-kernel
-# series (BenchmarkShardedScale, BenchmarkFig6Sharded) only shows speedups
-# when cores > 1, so trajectory readers need this to interpret ns/op.
+# Real core count of the machine, recorded in the JSON so trajectory
+# readers can tell single-core points from multi-core ones.
 CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo unknown)"
 GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
 
@@ -33,12 +32,11 @@ GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
   go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkWheelScheduleStep|BenchmarkWheelScheduleCancel' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem ./internal/sim/
-  go test -run '^$' -bench 'BenchmarkShardedScale' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem ./internal/core/
   go test -run '^$' -bench 'BenchmarkOCBGenerate' -benchmem ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamAccess' -benchmem ./internal/ocb/
-  go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPLSharded|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .
+  go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPL|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .
 } | tee "$TMP"
 
 awk -v date="$(date +%Y-%m-%d)" \
@@ -49,13 +47,12 @@ awk -v date="$(date +%Y-%m-%d)" \
 /^Benchmark/ {
   name = $1; sub(/-[0-9]+$/, "", name)
   iters = $2; ns = $3
-  bop = ""; aop = ""; ios = ""; peak = ""; imb = ""; dbb = ""; bpo = ""; byp = ""
+  bop = ""; aop = ""; ios = ""; peak = ""; dbb = ""; bpo = ""; byp = ""
   for (i = 4; i <= NF; i++) {
     if ($(i) == "B/op") bop = $(i - 1)
     else if ($(i) == "allocs/op") aop = $(i - 1)
     else if ($(i) == "ios/point" || $(i) == "headline" || $(i) == "ios") ios = $(i - 1)
     else if ($(i) == "peakcal") peak = $(i - 1)
-    else if ($(i) == "shardimb") imb = $(i - 1)
     else if ($(i) == "dbbytes") dbb = $(i - 1)
     else if ($(i) == "bytes/obj") bpo = $(i - 1)
     else if ($(i) == "bypass") byp = $(i - 1)
@@ -65,7 +62,6 @@ awk -v date="$(date +%Y-%m-%d)" \
   if (aop != "") line = line sprintf(", \"allocs_per_op\": %s", aop)
   if (ios != "") line = line sprintf(", \"ios_per_point\": %s", ios)
   if (peak != "") line = line sprintf(", \"peak_calendar_depth\": %s", peak)
-  if (imb != "") line = line sprintf(", \"peak_shard_imbalance\": %s", imb)
   if (dbb != "") line = line sprintf(", \"db_resident_bytes\": %s", dbb)
   if (bpo != "") line = line sprintf(", \"bytes_per_object\": %s", bpo)
   if (byp != "") line = line sprintf(", \"bypass_rate\": %s", byp)

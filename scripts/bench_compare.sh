@@ -31,8 +31,6 @@ GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel BenchmarkSched
 BenchmarkWheelScheduleStep BenchmarkWheelScheduleCancel BenchmarkReleaseAllWide \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireConflictDispatch BenchmarkTxnSubmitCommit \
 BenchmarkOCBGenerate BenchmarkOCBGenerateInto BenchmarkFig6_O2Instances20 \
-BenchmarkFig6Sharded/shards1 BenchmarkFig6Sharded/shards2 BenchmarkFig6Sharded/shards4 \
-BenchmarkShardedScale/heap/shards1/pending100000 BenchmarkShardedScale/heap/shards4/pending100000 \
 BenchmarkStreamAccess/hit BenchmarkStreamAccess/miss}"
 
 # Residency gate: the streaming layout's whole point is O(hot-set + classes)

@@ -121,10 +121,6 @@ const (
 	WheelCalendar = sim.WheelCalendar
 	// WheelAutoThreshold is the AutoCalendar switch-over hint.
 	WheelAutoThreshold = sim.WheelAutoThreshold
-	// MaxShardWorkers caps Config.ShardWorkers, the sharded-kernel worker
-	// count for a single replication. Results are bit-identical at every
-	// shard count; sharding composes with replication-level Workers.
-	MaxShardWorkers = sim.MaxShardWorkers
 )
 
 // WorkloadParams is the OCB benchmark parameter set.
@@ -335,9 +331,6 @@ const (
 	MetricNetBytes    = sweep.NetBytes
 	MetricLockWaits   = sweep.LockWaits
 	MetricReorgIOs    = sweep.ReorgIOs
-	// MetricShardImbalance charts the sharded kernel's load balance
-	// (max/mean events per shard; 1 when unsharded).
-	MetricShardImbalance = sweep.ShardImbalance
 	// MetricBypassRate charts the fraction of executed events dispatched
 	// through the kernel's head-slot register instead of the backing
 	// calendar (the bit-identical next-event fast path).

@@ -128,7 +128,7 @@ func TestSweepViaFacade(t *testing.T) {
 	if len(res2.Points) != 2 {
 		t.Fatalf("custom axis points = %d", len(res2.Points))
 	}
-	if len(voodb.SweepParams()) < 20 || len(voodb.SweepMetrics(voodb.StandardProtocol)) != 12 {
+	if len(voodb.SweepParams()) < 20 || len(voodb.SweepMetrics(voodb.StandardProtocol)) != 11 {
 		t.Error("sweep registries incomplete")
 	}
 }
