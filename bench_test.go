@@ -60,10 +60,13 @@ func logFigure(b *testing.B, fig *experiments.Figure, ref paper.Series) {
 }
 
 // BenchmarkLargeMPL is the large-scenario benchmark: one replication of a
-// 100k-object base driven at MPL 512 with 64 users, two orders of magnitude
-// beyond the paper's protocol. Its 64 concurrent users keep far more events
-// pending than the single-user paper figures, so it is the end-to-end
-// benchmark for changes to the event calendar.
+// 100k-object base with 64 users at MPL 512, two orders of magnitude
+// beyond the paper's protocol. MPL never binds here: the 64 users bound
+// the in-flight transactions, so the calendar peaks at 64 pending events
+// (peakcal), the same depth as the benchmark module's mpl-contend
+// workload, and the head-slot register absorbs part of the dispatch
+// (bypass). It measures a large object base under a multi-user load, not
+// a deep calendar.
 func BenchmarkLargeMPL(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -82,6 +85,8 @@ func BenchmarkLargeMPL(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.IOs.Mean(), "ios")
+		b.ReportMetric(float64(res.CalendarPeak), "peakcal")
+		b.ReportMetric(res.BypassRate.Mean(), "bypass")
 	}
 }
 

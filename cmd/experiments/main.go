@@ -73,10 +73,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "draw ASCII charts (heatmaps for 2-axis grids)")
 	verbose := flag.Bool("v", false, "print per-point progress")
-	calendar := flag.String("calendar", "auto",
-		"event-calendar strategy: auto, heap or wheel (bit-identical results; speed only)")
-	calhint := flag.Int("calhint", 0,
-		"event-calendar pre-size hint: expected pending-event peak (0 = derive from MPL/users)")
 	dbLayout := flag.String("db-layout", "eager",
 		"object-base generation layout: eager (legacy, fully materialized), eagerv2 or stream (on-demand materialization, O(hot-set) resident memory — use for million-object -no runs)")
 	cpuprofile := flag.String("cpuprofile", "",
@@ -117,16 +113,13 @@ func main() {
 
 	// Validate inputs before any simulation starts: a typo'd flag should
 	// fail in milliseconds with the legal choices, not after minutes of
-	// replications (unknown -sweep parameters and -calendar names already
-	// list theirs in ParseSweepAxis/parseCalendar).
+	// replications (unknown -sweep parameters and -db-layout names already
+	// list theirs in ParseSweepAxis/parseLayout).
 	if *reps < 1 {
 		fatal(fmt.Errorf("-reps %d: need at least 1 replication per point", *reps))
 	}
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers %d: use 0 for all cores, 1 for sequential, or a positive worker count", *workers))
-	}
-	if *calhint < 0 {
-		fatal(fmt.Errorf("-calhint %d: the calendar pre-size hint is an expected event count and must be ≥ 0", *calhint))
 	}
 	if *no < 0 || *nc < 0 || *hotn < 0 {
 		fatal(fmt.Errorf("-no/-nc/-hotn must be ≥ 0 (0 keeps the Table 5 default)"))
@@ -153,10 +146,6 @@ func main() {
 		progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
-	calKind, err := parseCalendar(*calendar)
-	if err != nil {
-		fatal(err)
-	}
 	layout, err := parseLayout(*dbLayout)
 	if err != nil {
 		fatal(err)
@@ -186,8 +175,7 @@ func main() {
 			axes: sweeps, metrics: *metrics, system: *system,
 			no: *no, nc: *nc, hotn: *hotn,
 			reps: *reps, seed: *seed, workers: *workers, shareBases: *shareBases,
-			calendar: calKind, calhint: *calhint, layout: layout,
-			journal: *journalPath, resume: *resumePath,
+			layout: layout, journal: *journalPath, resume: *resumePath,
 			policy: policy, retries: *retries, cellTimeout: *cellTimeout,
 			csv: *csv, chart: *chart, progress: progress,
 		})
@@ -195,8 +183,7 @@ func main() {
 	}
 
 	opts := experiments.Options{Replications: *reps, Seed: *seed, Workers: *workers,
-		ShareBases: *shareBases, Calendar: calKind, CalendarHint: *calhint,
-		DBLayout: layout, Progress: progress,
+		ShareBases: *shareBases, DBLayout: layout, Progress: progress,
 		Policy: policy, Retries: *retries, CellTimeout: *cellTimeout}
 	ids := experiments.Names()
 	if *run != "all" {
@@ -220,20 +207,6 @@ func main() {
 			fatal(err)
 		}
 		printTable(tbl, *csv)
-	}
-}
-
-// parseCalendar reads the -calendar flag value.
-func parseCalendar(name string) (voodb.CalendarKind, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "auto":
-		return voodb.AutoCalendar, nil
-	case "heap":
-		return voodb.HeapCalendar, nil
-	case "wheel":
-		return voodb.WheelCalendar, nil
-	default:
-		return voodb.AutoCalendar, fmt.Errorf("unknown -calendar %q (auto|heap|wheel)", name)
 	}
 }
 
@@ -337,8 +310,6 @@ type userSweepFlags struct {
 	seed            uint64
 	workers         int
 	shareBases      bool
-	calendar        voodb.CalendarKind
-	calhint         int
 	layout          voodb.Layout
 	journal, resume string
 	policy          voodb.SweepFailurePolicy
@@ -405,8 +376,6 @@ func runUserSweep(ctx context.Context, f userSweepFlags) {
 		Seed:         f.seed,
 		Workers:      f.workers,
 		ShareBases:   f.shareBases,
-		Calendar:     f.calendar,
-		CalendarHint: f.calhint,
 		DBLayout:     f.layout,
 		Progress:     f.progress,
 		Policy:       f.policy,

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -169,29 +168,6 @@ type Config struct {
 
 	// Failures injects random system failures (the §5 extension module).
 	Failures FailureParams
-
-	// Calendar selects the simulation kernel's event-calendar strategy
-	// (default sim.AutoCalendar). Every strategy fires events in the same
-	// (time, seq) order, so results are bit-identical; the choice only
-	// moves the heap/wheel performance crossover (see PERFORMANCE.md).
-	Calendar sim.CalendarKind
-	// CalendarHint pre-sizes the event calendar to an expected peak depth
-	// (and, at sim.WheelAutoThreshold or more on an AutoCalendar, flips
-	// the kernel onto the timing wheel). 0 derives a small estimate from
-	// MPL and Users; huge configurations should pass their own.
-	CalendarHint int
-}
-
-// calendarHint resolves the calendar pre-size: the explicit hint, or an
-// estimate of the model's standing event population — each in-flight
-// transaction holds O(1) scheduled events (plus lock-timeout and failure
-// timers), users hold think-time timers, and a batch keeps at most MPL
-// transactions admitted.
-func (c Config) calendarHint() int {
-	if c.CalendarHint > 0 {
-		return c.CalendarHint
-	}
-	return 4*c.MPL + c.Users + 16
 }
 
 // DefaultConfig returns the Table 3 default column.
@@ -252,10 +228,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ObjectCPUMs = %v", c.ObjectCPUMs)
 	case !(c.StorageOverhead >= 1):
 		return fmt.Errorf("core: StorageOverhead = %v", c.StorageOverhead)
-	case c.Calendar > sim.WheelCalendar:
-		return fmt.Errorf("core: unknown calendar kind %d", c.Calendar)
-	case c.CalendarHint < 0:
-		return fmt.Errorf("core: CalendarHint = %d", c.CalendarHint)
 	}
 	if c.Clustering == DSTC {
 		if err := c.DSTCParams.Validate(); err != nil {

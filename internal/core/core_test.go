@@ -264,6 +264,33 @@ func TestMultipleUsersAndMPL(t *testing.T) {
 	}
 }
 
+// TestHugeMPLAllocatesOnDemand runs a model whose MPL no user population
+// can reach. NewRun must size nothing by MPL: the event calendar grows on
+// demand, so MPL 2³⁰ costs what MPL 4 costs (a calendar pre-sized to
+// 4·MPL slots would abort the process with a runtime out-of-memory error,
+// which no panic guard can catch). With MPL ≥ Users admission never
+// binds, so the batch must also match MPL == Users exactly, apart from the
+// occupancy ratio that MPL divides.
+func TestHugeMPLAllocatesOnDemand(t *testing.T) {
+	run := func(mpl int) BatchStats {
+		cfg := smallConfig()
+		cfg.Users = 4
+		cfg.MPL = mpl
+		cfg.ThinkTimeMs = 1
+		r, db := mustRun(t, cfg, smallParams(), 31)
+		w := ocb.GenerateWorkload(db, 32)
+		st := r.ExecuteBatch(w.Hot)
+		if st.Transactions != uint64(len(w.Hot)) {
+			t.Fatalf("MPL %d: transactions = %d, want %d", mpl, st.Transactions, len(w.Hot))
+		}
+		st.MPLOccupancy = 0
+		return st
+	}
+	if huge, bound := run(1<<30), run(4); huge != bound {
+		t.Fatalf("MPL 2^30 diverged from MPL == Users:\n%+v\n%+v", huge, bound)
+	}
+}
+
 func TestConflictingWritersComplete(t *testing.T) {
 	// High write probability + concurrency: wait-die aborts may happen,
 	// but every transaction must eventually commit.

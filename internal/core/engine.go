@@ -129,8 +129,8 @@ type Result struct {
 	ReorgIOs    stats.Sample
 
 	// CalendarPeak is the largest pending-event high-water mark any
-	// replication reached — the depth that decides whether the timing
-	// wheel pays off for this configuration (see PERFORMANCE.md).
+	// replication reached — the calendar depth this configuration actually
+	// exercised (see PERFORMANCE.md).
 	CalendarPeak int
 
 	// BypassRate samples the fraction of executed events dispatched through

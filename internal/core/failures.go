@@ -88,7 +88,13 @@ func (f *failureInjector) strike() {
 	f.r.buf.InvalidateAll()
 	f.r.dsk.ResetHead()
 	f.stats.PagesDropped += uint64(dropped)
-	repair := f.src.Exp(f.params.MeanRepairMs)
+	// Validate accepts a zero mean repair time: the failure then costs the
+	// cache but no downtime. Exp rejects a zero mean, so draw only for a
+	// positive one.
+	var repair float64
+	if f.params.MeanRepairMs > 0 {
+		repair = f.src.Exp(f.params.MeanRepairMs)
+	}
 	f.stats.DowntimeMs += repair
 	f.r.use(f.r.diskRes, func() float64 { return repair }, func() {
 		if f.workRemaining() {

@@ -55,6 +55,30 @@ func TestFailuresStrikeAndRecover(t *testing.T) {
 	}
 }
 
+// TestFailuresInstantRepair runs the zero mean repair time Validate
+// accepts (and the mtbf sweep parameter leaves on a default config):
+// failures still strike and drop the buffer, with no downtime.
+func TestFailuresInstantRepair(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BufferPages = 4096
+	cfg.Failures = FailureParams{Enabled: true, MTBFMs: 500}
+	p := smallParams()
+	p.HotN = 120
+	r, db := mustRun(t, cfg, p, 51)
+	w := ocb.GenerateWorkload(db, 52)
+	st := r.ExecuteBatch(w.Hot)
+	fs := r.FailureStats()
+	if fs.Failures == 0 || fs.PagesDropped == 0 {
+		t.Fatalf("no failure struck despite tiny MTBF: %+v", fs)
+	}
+	if fs.DowntimeMs != 0 {
+		t.Fatalf("downtime = %v with a zero mean repair time", fs.DowntimeMs)
+	}
+	if st.Transactions != uint64(p.HotN) {
+		t.Fatalf("transactions = %d, want %d", st.Transactions, p.HotN)
+	}
+}
+
 func TestFailuresCostIOsAndTime(t *testing.T) {
 	run := func(enabled bool) BatchStats {
 		cfg := smallConfig()

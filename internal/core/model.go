@@ -86,11 +86,12 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	// golden suites with the register forced off. Results are bit-identical
 	// either way (only BypassRate changes); it is an env var rather than a
 	// Config field so it never enters sweep-journal fingerprints.
-	s := sim.New(
-		sim.WithCalendar(cfg.Calendar),
-		sim.WithHeadSlot(os.Getenv("VOODB_NO_HEADSLOT") == ""),
-	)
-	s.Grow(cfg.calendarHint())
+	//
+	// The calendar is not pre-sized: its slot arena grows on demand to the
+	// depth the model reaches (a pre-size from MPL would allocate for
+	// transactions the user population can never admit), and Reset keeps
+	// that capacity for later replications.
+	s := sim.New(sim.WithHeadSlot(os.Getenv("VOODB_NO_HEADSLOT") == ""))
 	r := &Run{
 		cfg:       cfg,
 		sim:       s,
@@ -184,10 +185,6 @@ func (r *Run) Clusterer() cluster.Policy { return r.clusterer }
 
 // Now returns the current simulated time (ms).
 func (r *Run) Now() float64 { return r.sim.Now() }
-
-// Calendar returns the event-calendar strategy the kernel is running on
-// (resolving the auto-switch, so a flipped AutoCalendar reports the wheel).
-func (r *Run) Calendar() sim.CalendarKind { return r.sim.Calendar() }
 
 // CalendarPeak returns the high-water mark of pending events since the
 // run's last Reset — the calendar depth this workload actually exercised.
@@ -290,7 +287,7 @@ type BatchStats struct {
 	ReorgIOs    uint64
 
 	// BypassRate is the fraction of executed events that dispatched through
-	// the kernel's head-slot register rather than the backing calendar,
+	// the kernel's head-slot register rather than the calendar heap,
 	// accumulated over the replication so far. It describes the execution
 	// schedule (the fast path is bit-identical by construction), so it is
 	// excluded from golden fingerprints.

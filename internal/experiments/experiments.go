@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/ocb"
 	"repro/internal/paper"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -50,8 +49,8 @@ type Figure struct {
 	// calendar actually carried (see sim.Simulation.PeakPending).
 	CalendarPeak int
 	// BypassRate is the mean fraction of executed events that dispatched
-	// through the kernel's head-slot register rather than the backing
-	// calendar, averaged over the figure's points (see
+	// through the kernel's head-slot register rather than the calendar
+	// heap, averaged over the figure's points (see
 	// sim.Simulation.BypassRate). Like CalendarPeak it describes the
 	// execution schedule, never the simulated results.
 	BypassRate float64
@@ -108,14 +107,6 @@ type Options struct {
 	// worker count, and identical whether or not the cache materializes
 	// (pinned by sweep's TestBaseCacheTransparent).
 	ShareBases bool
-	// Calendar, when not sim.AutoCalendar, forces the simulation kernel's
-	// event-calendar strategy for every point. Results are bit-identical
-	// for every calendar (pinned by the wheel golden tests); only speed
-	// changes.
-	Calendar sim.CalendarKind
-	// CalendarHint, when positive, pre-sizes every point's event calendar
-	// to the given expected peak depth.
-	CalendarHint int
 	// DBLayout, when not ocb.LayoutEager, forces every point's object
 	// bases onto the given generation layout (see ocb.Params.Layout).
 	// LayoutStream keeps resident object-base memory O(hot-set + classes),
@@ -153,8 +144,6 @@ func (o Options) sweepOptions() sweep.Options {
 		Seed:         o.Seed,
 		Workers:      o.Workers,
 		ShareBases:   o.ShareBases,
-		Calendar:     o.Calendar,
-		CalendarHint: o.CalendarHint,
 		DBLayout:     o.DBLayout,
 		Progress:     o.Progress,
 		Policy:       o.Policy,

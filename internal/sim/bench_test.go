@@ -36,27 +36,23 @@ func BenchmarkScheduleStep(b *testing.B) {
 // machines schedule one continuation per activity step, so in the closed
 // single-user regime nearly every insert is immediately the next pop. This
 // is the head-slot register's target workload: the whole chain must
-// dispatch through the register (bypass rate 1) without touching the heap
-// or wheel, at 0 allocs/op.
+// dispatch through the register (bypass rate 1) without touching the heap,
+// at 0 allocs/op.
 func BenchmarkScheduleStepChain(b *testing.B) {
-	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			s := New(WithCalendar(kind))
-			action := func() {}
-			// One warm cycle so -benchtime 1x measures steady state.
-			s.Schedule(1, action)
-			s.Step()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Schedule(1, action)
-				s.Step()
-			}
-			b.StopTimer()
-			if b.N > 1 && s.BypassRate() < 0.99 {
-				b.Fatalf("chain did not bypass: rate %.3f", s.BypassRate())
-			}
-		})
+	s := New()
+	action := func() {}
+	// One warm cycle so -benchtime 1x measures steady state.
+	s.Schedule(1, action)
+	s.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(1, action)
+		s.Step()
+	}
+	b.StopTimer()
+	if b.N > 1 && s.BypassRate() < 0.99 {
+		b.Fatalf("chain did not bypass: rate %.3f", s.BypassRate())
 	}
 }
 
@@ -78,83 +74,37 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkWheelScheduleStep mirrors BenchmarkScheduleStep on the timing
-// wheel: one schedule-then-execute cycle at a primed calendar depth, 0
-// allocs/op in steady state (guarded by CI).
-func BenchmarkWheelScheduleStep(b *testing.B) {
-	s := New(WithCalendar(WheelCalendar))
-	action := func() {}
-	for i := 0; i < 64; i++ {
-		s.Schedule(float64(i), action)
-	}
-	// Warm past the primed population: each bucket drain moves a batch of
-	// events into the ready heap, and the heap slice must reach its
-	// steady-state capacity before the timer starts or -benchtime 1x
-	// reports the one-time growth as an alloc.
-	for i := 0; i < 128; i++ {
-		s.Schedule(1, action)
-		s.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(1, action)
-		s.Step()
-	}
-}
-
-// BenchmarkWheelScheduleCancel mirrors BenchmarkScheduleCancel on the
-// wheel; Cancel unlinks a bucket entry in O(1). Also 0 allocs/op.
-func BenchmarkWheelScheduleCancel(b *testing.B) {
-	s := New(WithCalendar(WheelCalendar))
-	action := func() {}
-	for i := 0; i < 64; i++ {
-		s.Schedule(float64(i), action)
-	}
-	s.Cancel(s.Schedule(1, action))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := s.Schedule(1, action)
-		s.Cancel(e)
-	}
-}
-
 // BenchmarkCalendarScale is the calendar-scale stress suite: a hold model
 // (pop the next event, schedule a replacement at a pseudo-random future
-// offset) over a standing population of 10k/100k/1M pending events, run on
-// both calendars. This is the classic event-calendar benchmark shape — the
-// heap pays O(log n) per hold, the wheel amortized O(1) — and the BENCH
-// trajectory captures the crossover. 0 allocs/op on both calendars.
+// offset) over a standing population of 10k/100k/1M pending events. This
+// is the classic event-calendar benchmark shape: the heap pays O(log n)
+// per hold. No VOODB model comes near these depths (the deepest recorded
+// calendar peak is 64), so the suite bounds the kernel's worst case rather
+// than tracking a model workload. 0 allocs/op.
 func BenchmarkCalendarScale(b *testing.B) {
-	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		for _, n := range []int{10_000, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/pending%d", kind, n), func(b *testing.B) {
-				s := New(WithCalendar(kind))
-				s.Grow(n + 1)
-				rng := lcg(2026)
-				var hold func()
-				hold = func() {
-					// Offsets span sub-tick to ~10 s so every wheel level
-					// stays populated; delay derives from the LCG, so both
-					// calendars replay the identical event stream.
-					s.Schedule(rng.float()*1e4, hold)
-				}
-				for i := 0; i < n; i++ {
-					s.Schedule(rng.float()*1e4, hold)
-				}
-				// One warm hold so -benchtime 1x measures steady state.
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("pending%d", n), func(b *testing.B) {
+			s := New()
+			s.Grow(n + 1)
+			rng := lcg(2026)
+			var hold func()
+			hold = func() {
+				s.Schedule(rng.float()*1e4, hold)
+			}
+			for i := 0; i < n; i++ {
+				s.Schedule(rng.float()*1e4, hold)
+			}
+			// One warm hold so -benchtime 1x measures steady state.
+			s.Step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				s.Step()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Step()
-				}
-				b.StopTimer()
-				if got := s.Pending(); got != n {
-					b.Fatalf("population drifted: %d != %d", got, n)
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if got := s.Pending(); got != n {
+				b.Fatalf("population drifted: %d != %d", got, n)
+			}
+		})
 	}
 }

@@ -8,39 +8,29 @@ import (
 // via WithHeadSlot(false) — and fails unless both produced the exact same
 // firing record. This is the head-slot register's determinism contract:
 // the register only ever holds an event strictly earlier than everything
-// in the backing calendar, so dispatch order cannot differ.
-func bypassOnOff(t *testing.T, label string, run func(s *Simulation) []fired, opts ...Option) {
+// in the heap, so dispatch order cannot differ.
+func bypassOnOff(t *testing.T, run func(s *Simulation) []fired) {
 	t.Helper()
-	on := run(New(opts...))
-	off := run(New(append([]Option{WithHeadSlot(false)}, opts...)...))
+	on := run(New())
+	off := run(New(WithHeadSlot(false)))
 	if len(on) == 0 {
-		t.Fatalf("%s: scenario fired nothing", label)
+		t.Fatal("scenario fired nothing")
 	}
 	if len(on) != len(off) {
-		t.Fatalf("%s: bypass on fired %d events, off %d", label, len(on), len(off))
+		t.Fatalf("bypass on fired %d events, off %d", len(on), len(off))
 	}
 	for i := range on {
 		if on[i] != off[i] {
-			t.Fatalf("%s: firing %d differs: on=%+v off=%+v", label, i, on[i], off[i])
+			t.Fatalf("firing %d differs: on=%+v off=%+v", i, on[i], off[i])
 		}
-	}
-}
-
-// bypassVariants runs bypassOnOff on both calendars the register threads
-// through.
-func bypassVariants(t *testing.T, run func(s *Simulation) []fired) {
-	t.Helper()
-	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		bypassOnOff(t, kind.String(), run, WithCalendar(kind))
 	}
 }
 
 // runCancelScenario drives mid-run cancellation: actions cancel
 // pseudo-random handles while the calendar is live, so victims are hit
-// while sitting in the heap, in wheel buckets, and in the head-slot
-// register. Every run sees identical state at every action, so
-// the cancel pattern — and therefore the firing record — must match
-// exactly across calendars and dispatch paths.
+// while sitting in the heap and in the head-slot register. Every run sees
+// identical state at every action, so the cancel pattern — and therefore
+// the firing record — must match exactly across dispatch paths.
 func runCancelScenario(s *Simulation, n int, seed lcg) []fired {
 	rng := seed
 	var record []fired
@@ -53,7 +43,7 @@ func runCancelScenario(s *Simulation, n int, seed lcg) []fired {
 		case r < 0.3:
 			delay = 0 // same-time chains
 		case r < 0.6:
-			delay = rng.float() * 0.5 // sub-tick
+			delay = rng.float() * 0.5
 		case r < 0.9:
 			delay = rng.float() * 300
 		default:
@@ -78,11 +68,11 @@ func runCancelScenario(s *Simulation, n int, seed lcg) []fired {
 	return record
 }
 
-// TestBypassLockstepEquivalence replays the wheel tests' randomized
-// scenario — wide delay spectrum, nested scheduling from actions, upfront
-// cancels — with the fast path on and off, on both calendars.
+// TestBypassLockstepEquivalence replays the randomized runScenario — wide
+// delay spectrum, nested scheduling from actions, upfront cancels — with
+// the fast path on and off.
 func TestBypassLockstepEquivalence(t *testing.T) {
-	bypassVariants(t, func(s *Simulation) []fired {
+	bypassOnOff(t, func(s *Simulation) []fired {
 		return runScenario(s, 800, lcg(20260808))
 	})
 }
@@ -92,7 +82,7 @@ func TestBypassLockstepEquivalence(t *testing.T) {
 // handles mid-run, so victims are hit while register-resident — with the
 // fast path on and off.
 func TestBypassCancelEquivalence(t *testing.T) {
-	bypassVariants(t, func(s *Simulation) []fired {
+	bypassOnOff(t, func(s *Simulation) []fired {
 		return runCancelScenario(s, 400, lcg(808))
 	})
 }
@@ -100,7 +90,7 @@ func TestBypassCancelEquivalence(t *testing.T) {
 // TestBypassChainEquivalence drives the transaction-pipeline shape the
 // register exists for — every action schedules its continuation a small
 // strictly-earlier-than-everything delay ahead — interleaved with a
-// standing far-future population so the calendar is never empty, and
+// standing far-future population so the heap is never empty, and
 // checks on/off equivalence plus a near-total hit rate.
 func TestBypassChainEquivalence(t *testing.T) {
 	chain := func(s *Simulation) []fired {
@@ -122,7 +112,7 @@ func TestBypassChainEquivalence(t *testing.T) {
 		s.Run()
 		return record
 	}
-	bypassVariants(t, chain)
+	bypassOnOff(t, chain)
 
 	s := New()
 	chain(s)
@@ -140,7 +130,7 @@ func TestBypassChainEquivalence(t *testing.T) {
 // Step, RunUntil mid-calendar, a Halt honored through a stop check, then a
 // resumed Run — with the fast path on and off.
 func TestBypassStepHaltEquivalence(t *testing.T) {
-	bypassVariants(t, func(s *Simulation) []fired {
+	bypassOnOff(t, func(s *Simulation) []fired {
 		rng := lcg(99)
 		var record []fired
 		haltOnce := false
@@ -176,77 +166,70 @@ func TestBypassStepHaltEquivalence(t *testing.T) {
 
 // TestBypassRegisterCancel pins Cancel against a register-resident event
 // directly: the register occupant is cancelled in O(1) through its
-// generation handle, the calendar's events are untouched, and the register
+// generation handle, the heap's events are untouched, and the register
 // refills on the next eligible Schedule.
 func TestBypassRegisterCancel(t *testing.T) {
-	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		s := New(WithCalendar(kind))
-		var order []int
-		s.Schedule(100, func() { order = append(order, 1) })
-		// Strictly earlier than the calendar head → parks in the register.
-		near := s.Schedule(1, func() { order = append(order, 2) })
-		if !near.Pending() {
-			t.Fatalf("%v: register-resident event not Pending", kind)
-		}
-		if got := s.Pending(); got != 2 {
-			t.Fatalf("%v: Pending = %d, want 2", kind, got)
-		}
-		s.Cancel(near)
-		if near.Pending() {
-			t.Fatalf("%v: cancelled register event still Pending", kind)
-		}
-		if got := s.Pending(); got != 1 {
-			t.Fatalf("%v: Pending after cancel = %d, want 1", kind, got)
-		}
-		s.Cancel(near) // double-cancel through a stale handle is a no-op
-		// The register is free again: a new strictly-earlier event parks
-		// and fires first.
-		s.Schedule(2, func() { order = append(order, 3) })
-		s.Run()
-		if len(order) != 2 || order[0] != 3 || order[1] != 1 {
-			t.Fatalf("%v: firing order %v, want [3 1]", kind, order)
-		}
-		// On the heap the refilled register dispatches the t=2 event; the
-		// wheel cannot park it (its cursor trails the new event's tick once
-		// the calendar is populated), which is exactly the invariant.
-		if kind == HeapCalendar && s.Bypassed() == 0 {
-			t.Fatalf("%v: no bypass recorded", kind)
-		}
+	s := New()
+	var order []int
+	s.Schedule(100, func() { order = append(order, 1) })
+	// Strictly earlier than the heap root → parks in the register.
+	near := s.Schedule(1, func() { order = append(order, 2) })
+	if !near.Pending() {
+		t.Fatal("register-resident event not Pending")
+	}
+	if got := s.Pending(); got != 2 {
+		t.Fatalf("Pending = %d, want 2", got)
+	}
+	s.Cancel(near)
+	if near.Pending() {
+		t.Fatal("cancelled register event still Pending")
+	}
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("Pending after cancel = %d, want 1", got)
+	}
+	s.Cancel(near) // double-cancel through a stale handle is a no-op
+	// The register is free again: a new strictly-earlier event parks and
+	// fires first.
+	s.Schedule(2, func() { order = append(order, 3) })
+	s.Run()
+	if len(order) != 2 || order[0] != 3 || order[1] != 1 {
+		t.Fatalf("firing order %v, want [3 1]", order)
+	}
+	if s.Bypassed() == 0 {
+		t.Fatal("no bypass recorded")
 	}
 }
 
 // TestBypassDisplacement pins the demotion path: a parked occupant is
 // displaced by a strictly earlier arrival and must fall back into the
-// calendar without losing its slot handle or its turn.
+// heap without losing its slot handle or its turn.
 func TestBypassDisplacement(t *testing.T) {
-	for _, kind := range []CalendarKind{HeapCalendar, WheelCalendar} {
-		s := New(WithCalendar(kind))
-		var order []int
-		s.Schedule(100, func() { order = append(order, 1) })
-		mid := s.Schedule(10, func() { order = append(order, 2) }) // parks
-		s.Schedule(1, func() { order = append(order, 3) })         // displaces mid
-		if !mid.Pending() {
-			t.Fatalf("%v: demoted event lost its handle", kind)
-		}
-		if got := s.Pending(); got != 3 {
-			t.Fatalf("%v: Pending = %d, want 3", kind, got)
-		}
-		s.Run()
-		want := []int{3, 2, 1}
-		if len(order) != len(want) {
-			t.Fatalf("%v: fired %v, want %v", kind, order, want)
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("%v: fired %v, want %v", kind, order, want)
-			}
+	s := New()
+	var order []int
+	s.Schedule(100, func() { order = append(order, 1) })
+	mid := s.Schedule(10, func() { order = append(order, 2) }) // parks
+	s.Schedule(1, func() { order = append(order, 3) })         // displaces mid
+	if !mid.Pending() {
+		t.Fatal("demoted event lost its handle")
+	}
+	if got := s.Pending(); got != 3 {
+		t.Fatalf("Pending = %d, want 3", got)
+	}
+	s.Run()
+	want := []int{3, 2, 1}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
 		}
 	}
 }
 
 // TestBypassTiesRouteToCalendar pins the strict-inequality rule: an event
-// at exactly the calendar-head time must NOT bypass (same-time FIFO is the
-// calendar's job), so a same-time chain keeps scheduling order.
+// at exactly the heap-root time must NOT bypass (same-time FIFO is the
+// heap's job), so a same-time chain keeps scheduling order.
 func TestBypassTiesRouteToCalendar(t *testing.T) {
 	s := New()
 	var order []int

@@ -61,16 +61,16 @@ func (e Event) Pending() bool {
 	if e.s == nil || int(e.slot) >= len(e.s.events) {
 		return false
 	}
-	// A live slot is in the heap (heapIdx ≥ 0), a wheel bucket (bucket ≥ 0),
-	// or the head-slot register (bucket == bkHeadSlot).
+	// A live slot is in the heap (heapIdx ≥ 0) or the head-slot register
+	// (heapIdx == inHeadSlot).
 	slot := &e.s.events[e.slot]
-	return slot.gen == e.gen && (slot.heapIdx >= 0 || slot.bucket != bkNone)
+	return slot.gen == e.gen && slot.heapIdx != notQueued
 }
 
-// Sentinel values of eventSlot.bucket for a slot in no wheel bucket.
+// Sentinel values of eventSlot.heapIdx for a slot outside the heap.
 const (
-	bkNone     int32 = -1 // in the heap (heapIdx ≥ 0) or free
-	bkHeadSlot int32 = -2 // parked in the head-slot dispatch register
+	notQueued  int32 = -1 // free: never used, fired or cancelled
+	inHeadSlot int32 = -2 // parked in the head-slot dispatch register
 )
 
 // eventSlot is one arena entry. Live slots (heapIdx ≥ 0) hold an even
@@ -83,15 +83,8 @@ type eventSlot struct {
 	time    Time
 	seq     uint64
 	action  func()
-	heapIdx int32 // index into Simulation.heap, -1 when not in the ready heap
-	// Timing-wheel membership: bucket id (bkNone when not in a wheel bucket)
-	// and intrusive doubly-linked list through the arena. A live slot is in
-	// exactly one of the ready heap (heapIdx ≥ 0), a bucket (bucket ≥ 0) or
-	// the head-slot register (bucket == bkHeadSlot).
-	bucket int32
-	next   int32
-	prev   int32
-	gen    uint32
+	heapIdx int32 // index into Simulation.heap, or notQueued / inHeadSlot
+	gen     uint32
 }
 
 // Simulation is a discrete-event simulation: an event calendar and a clock.
@@ -103,22 +96,14 @@ type Simulation struct {
 	heap   []int32     // binary min-heap of slot indices, ordered by (time, seq)
 	seq    uint64
 
-	// Calendar strategy. When wheel is nil every pending event lives in
-	// the heap (the classic calendar). When the wheel is enabled the heap
-	// doubles as the exact-ordered ready tier the wheel buckets drain
-	// into, which is what keeps the firing order bit-identical.
-	kind      CalendarKind
-	wheelTick Time
-	wheel     *wheel
-
 	// Head-slot dispatch register. headSlot, when ≥ 0, is the arena index
 	// of an event strictly earlier in (time, seq) than every event in the
-	// backing calendar, so pops read it without touching the heap or wheel.
-	// The strict inequality is what keeps the fast path bit-identical:
-	// a strictly earlier event is the unique next pop, and ties (same-time
-	// FIFO) always route through the calendar. noBypass forces every event
-	// through the calendar — the register invariant then holds vacuously —
-	// so equivalence tests can run the two dispatch paths in lockstep.
+	// heap, so pops read it without touching the heap. The strict
+	// inequality is what keeps the fast path bit-identical: a strictly
+	// earlier event is the unique next pop, and ties (same-time FIFO)
+	// always route through the heap. noBypass forces every event through
+	// the heap — the register invariant then holds vacuously — so
+	// equivalence tests can run the two dispatch paths in lockstep.
 	headSlot int32
 	bypass   uint64 // events dispatched through the register
 	noBypass bool
@@ -141,14 +126,24 @@ type Simulation struct {
 	Trace func(t Time)
 }
 
+// Option configures a Simulation at construction.
+type Option func(*Simulation)
+
+// WithHeadSlot enables or disables the head-slot dispatch register
+// (default enabled). Firing order — and therefore every simulation result —
+// is bit-identical either way: the register only ever holds an event
+// strictly earlier than everything in the heap, which is the unique next
+// pop regardless. The option exists so equivalence and golden tests can
+// run the two dispatch paths in lockstep.
+func WithHeadSlot(on bool) Option {
+	return func(s *Simulation) { s.noBypass = !on }
+}
+
 // New returns an empty simulation with the clock at zero.
 func New(opts ...Option) *Simulation {
 	s := &Simulation{headSlot: -1}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.kind == WheelCalendar {
-		s.enableWheel()
 	}
 	return s
 }
@@ -174,8 +169,7 @@ func (s *Simulation) Reset() {
 	for i := range s.events {
 		slot := &s.events[i]
 		slot.action = nil // release captured state for the collector
-		slot.heapIdx = -1
-		slot.bucket, slot.next, slot.prev = -1, -1, -1
+		slot.heapIdx = notQueued
 		if slot.gen&1 == 0 {
 			slot.gen++ // odd: invalidated, normalized back to even on alloc
 		}
@@ -187,25 +181,13 @@ func (s *Simulation) Reset() {
 	s.peak = 0
 	s.stopCheck = nil
 	s.halted = false
-	if s.wheel != nil {
-		s.wheel.clear(0) // keep the wheel (and its bucket storage), empty it
-	}
 }
 
 // Grow pre-sizes the calendar so at least n events can be pending at once
-// without growing the arena or the heap — the capacity hint for models
-// whose peak calendar depth is known up front.
-//
-// On an AutoCalendar simulation a hint of WheelAutoThreshold or more
-// events, arriving while the calendar is empty, also switches the
-// calendar to the timing wheel: a model announcing that many pending
-// events is past the heap/wheel crossover. The switch is observable only
-// through Calendar() — firing order is bit-identical either way — and
-// persists across Reset like any other capacity decision.
+// without growing the arena or the heap — the capacity hint for callers
+// whose peak calendar depth is known up front. Without it the storage
+// grows on demand, and Reset keeps whatever capacity was reached.
 func (s *Simulation) Grow(n int) {
-	if s.kind == AutoCalendar && s.wheel == nil && n >= WheelAutoThreshold && s.Pending() == 0 {
-		s.enableWheel()
-	}
 	if cap(s.events) < n {
 		events := make([]eventSlot, len(s.events), n)
 		copy(events, s.events)
@@ -229,9 +211,6 @@ func (s *Simulation) Now() Time { return s.now }
 // Pending returns the number of events waiting in the calendar.
 func (s *Simulation) Pending() int {
 	p := len(s.heap)
-	if s.wheel != nil {
-		p += s.wheel.count
-	}
 	if s.headSlot >= 0 {
 		p++
 	}
@@ -239,22 +218,8 @@ func (s *Simulation) Pending() int {
 }
 
 // PeakPending returns the high-water mark of Pending() since the last
-// Reset — the calendar depth the model actually exercised, which is the
-// number that decides whether the timing wheel pays off.
+// Reset — the calendar depth the model actually exercised.
 func (s *Simulation) PeakPending() int { return s.peak }
-
-// Calendar returns the calendar strategy currently in effect: the
-// configured kind, except that an AutoCalendar simulation reports
-// WheelCalendar once the auto-switch has fired.
-func (s *Simulation) Calendar() CalendarKind {
-	if s.wheel != nil {
-		return WheelCalendar
-	}
-	if s.kind == AutoCalendar {
-		return AutoCalendar
-	}
-	return HeapCalendar
-}
 
 // Scheduled returns the total number of events ever scheduled.
 func (s *Simulation) Scheduled() uint64 { return s.scheduled }
@@ -263,8 +228,8 @@ func (s *Simulation) Scheduled() uint64 { return s.scheduled }
 func (s *Simulation) Executed() uint64 { return s.executed }
 
 // Bypassed returns the number of executed events that were dispatched
-// through the head-slot register (skipping the backing calendar entirely)
-// since the last Reset.
+// through the head-slot register (skipping the heap entirely) since the
+// last Reset.
 func (s *Simulation) Bypassed() uint64 { return s.bypass }
 
 // BypassRate returns the fraction of executed events dispatched through
@@ -310,63 +275,33 @@ func (s *Simulation) ScheduleAt(t Time, action func()) Event {
 }
 
 // place routes a freshly filled slot to the head-slot register or the
-// backing calendar (ScheduleAt's tail). A new event carries the
-// largest sequence number so far, so "strictly earlier in (time, seq) than
-// X" reduces to "time strictly before X's".
+// heap (ScheduleAt's tail). A new event carries the largest sequence
+// number so far, so "strictly earlier in (time, seq) than X" reduces to
+// "time strictly before X's".
 func (s *Simulation) place(idx int32, t Time) {
 	if h := s.headSlot; h >= 0 {
 		if t < s.events[h].time {
 			// Strictly earlier than the register occupant — and the
-			// occupant is strictly earlier than everything in the calendar,
-			// so the newcomer is the unique next pop. Demote the occupant.
-			s.events[h].bucket = bkNone
-			s.calInsert(h)
-			s.events[idx].bucket = bkHeadSlot
+			// occupant is strictly earlier than everything in the heap, so
+			// the newcomer is the unique next pop. Demote the occupant.
+			s.hPush(h)
+			s.events[idx].heapIdx = inHeadSlot
 			s.headSlot = idx
 		} else {
-			// At or after the occupant: the calendar orders it (same-time
-			// ties fire in seq order, and the occupant's seq is smaller).
-			s.calInsert(idx)
+			// At or after the occupant: the heap orders it (same-time ties
+			// fire in seq order, and the occupant's seq is smaller).
+			s.hPush(idx)
 		}
-	} else if !s.noBypass && s.headFits(t) {
-		s.events[idx].bucket = bkHeadSlot
+	} else if !s.noBypass && (len(s.heap) == 0 || t < s.events[s.heap[0]].time) {
+		// Strictly earlier than the heap root, hence than every heap event:
+		// the empty register may take it.
+		s.events[idx].heapIdx = inHeadSlot
 		s.headSlot = idx
 	} else {
-		s.calInsert(idx)
-	}
-	p := len(s.heap)
-	if s.wheel != nil {
-		p += s.wheel.count
-	}
-	if s.headSlot >= 0 {
-		p++
-	}
-	if p > s.peak {
-		s.peak = p
-	}
-}
-
-// headFits reports whether an event at time t (carrying the largest seq)
-// is strictly earlier than every event in the backing calendar, i.e. may
-// occupy the empty register. Heap events are bounded below by the root;
-// wheel and overflow events all have tick > cur and tickOf is monotone, so
-// tickOf(t) ≤ cur proves t strictly earlier than every bucketed event.
-func (s *Simulation) headFits(t Time) bool {
-	if len(s.heap) > 0 && t >= s.events[s.heap[0]].time {
-		return false
-	}
-	if s.wheel != nil && s.wheel.count > 0 && s.wheel.tickOf(t) > s.wheel.cur {
-		return false
-	}
-	return true
-}
-
-// calInsert files a slot into the backing calendar.
-func (s *Simulation) calInsert(idx int32) {
-	if s.wheel != nil {
-		s.wheelPlace(idx)
-	} else {
 		s.hPush(idx)
+	}
+	if p := s.Pending(); p > s.peak {
+		s.peak = p
 	}
 }
 
@@ -381,7 +316,7 @@ func (s *Simulation) alloc() int32 {
 		}
 		return idx
 	}
-	s.events = append(s.events, eventSlot{heapIdx: -1, bucket: bkNone, next: -1, prev: -1})
+	s.events = append(s.events, eventSlot{heapIdx: notQueued})
 	return int32(len(s.events) - 1)
 }
 
@@ -399,10 +334,8 @@ func (s *Simulation) Cancel(e Event) {
 	switch {
 	case slot.heapIdx >= 0:
 		s.hRemove(slot.heapIdx)
-	case slot.bucket >= 0:
-		s.bucketRemove(e.slot)
-	case slot.bucket == bkHeadSlot:
-		slot.bucket = bkNone
+	case slot.heapIdx == inHeadSlot:
+		slot.heapIdx = notQueued
 		s.headSlot = -1
 	default:
 		return
@@ -419,12 +352,12 @@ func (s *Simulation) Step() bool {
 	idx := s.headSlot
 	if idx >= 0 {
 		// The register occupant is strictly earlier than everything in the
-		// calendar, so it is the next pop — no heap or wheel work.
+		// heap, so it is the next pop — no heap work.
 		s.headSlot = -1
-		s.events[idx].bucket = bkNone
+		s.events[idx].heapIdx = notQueued
 		s.bypass++
 	} else {
-		if !s.peek() {
+		if len(s.heap) == 0 {
 			return false
 		}
 		idx = s.hPop()
@@ -486,15 +419,15 @@ func (s *Simulation) Run() {
 // runFast drains the calendar with the per-Step stop-check/halt branches
 // hoisted out of the loop: Run has already established that the engine is
 // hook-free, so each iteration is just the register check, the (rare)
-// calendar pop, and the action dispatch.
+// heap pop, and the action dispatch.
 func (s *Simulation) runFast() {
 	for {
 		idx := s.headSlot
 		if idx >= 0 {
 			s.headSlot = -1
-			s.events[idx].bucket = bkNone
+			s.events[idx].heapIdx = notQueued
 			s.bypass++
-		} else if s.peek() {
+		} else if len(s.heap) > 0 {
 			idx = s.hPop()
 		} else {
 			return
@@ -520,7 +453,7 @@ func (s *Simulation) RunUntil(horizon Time) {
 		var t Time
 		if s.headSlot >= 0 {
 			t = s.events[s.headSlot].time
-		} else if s.peek() {
+		} else if len(s.heap) > 0 {
 			t = s.events[s.heap[0]].time
 		} else {
 			break
@@ -570,7 +503,7 @@ func (s *Simulation) hPop() int32 {
 		s.events[moving].heapIdx = 0
 		s.hDown(0)
 	}
-	s.events[idx].heapIdx = -1
+	s.events[idx].heapIdx = notQueued
 	return idx
 }
 
@@ -587,7 +520,7 @@ func (s *Simulation) hRemove(i int32) {
 		s.hDown(int(i))
 		s.hUp(int(i))
 	}
-	s.events[idx].heapIdx = -1
+	s.events[idx].heapIdx = notQueued
 }
 
 // hUp and hDown sift by hole percolation — the displaced element is held

@@ -1,11 +1,75 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// lcg is a tiny deterministic generator for scenario construction, so the
+// equivalence tests are reproducible without seeding math/rand.
+type lcg uint64
+
+func (l *lcg) next() uint64 {
+	*l = *l*6364136223846793005 + 1442695040888963407
+	return uint64(*l) >> 11
+}
+
+func (l *lcg) float() float64 { return float64(l.next()) / float64(1<<53) }
+
+// fired is one observed execution: which event ran, and when.
+type fired struct {
+	id  int
+	now Time
+}
+
+// runScenario drives one deterministic scenario — schedules with a wide
+// delay spectrum (sub-millisecond to far future), nested re-scheduling
+// from actions, and interleaved cancellations — and returns the firing
+// record.
+func runScenario(s *Simulation, n int, seed lcg) []fired {
+	rng := seed
+	var record []fired
+	var handles []Event
+	id := 0
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		myID := id
+		id++
+		// Delay spectrum: 40% below 1 ms, 30% up to 40 ms, 20% up to
+		// 100 s, 10% far future.
+		var delay Time
+		switch r := rng.float(); {
+		case r < 0.4:
+			delay = rng.float() * 0.9
+		case r < 0.7:
+			delay = rng.float() * 40
+		case r < 0.9:
+			delay = rng.float() * 1e5
+		default:
+			delay = 1e7 + rng.float()*1e10
+		}
+		d := depth
+		h := s.Schedule(delay, func() {
+			record = append(record, fired{id: myID, now: s.Now()})
+			if d < 2 && rng.float() < 0.3 {
+				schedule(d + 1)
+			}
+		})
+		handles = append(handles, h)
+	}
+	for i := 0; i < n; i++ {
+		schedule(0)
+	}
+	// Cancel a deterministic subset before anything runs.
+	for i := 3; i < len(handles); i += 7 {
+		s.Cancel(handles[i])
+	}
+	s.Run()
+	return record
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	s := New()
@@ -227,6 +291,43 @@ func TestPropertyScheduleCancelStress(t *testing.T) {
 		s.Run()
 		if fired != len(live) {
 			t.Fatalf("trial %d: fired %d, want %d", trial, fired, len(live))
+		}
+	}
+}
+
+// TestPeakPending checks the pending-event high-water mark and that Reset
+// clears it.
+func TestPeakPending(t *testing.T) {
+	s := New()
+	for i := 0; i < 10; i++ {
+		s.Schedule(Time(i)*1000, func() {})
+	}
+	s.Run()
+	if s.PeakPending() != 10 {
+		t.Fatalf("peak=%d want 10", s.PeakPending())
+	}
+	s.Reset()
+	if s.PeakPending() != 0 {
+		t.Fatal("peak survives Reset")
+	}
+}
+
+// TestHugeTimes checks that huge times, +Inf included, still fire in
+// exact time order.
+func TestHugeTimes(t *testing.T) {
+	s := New()
+	var order []int
+	s.ScheduleAt(math.Inf(1), func() { order = append(order, 3) })
+	s.ScheduleAt(1e300, func() { order = append(order, 2) })
+	s.ScheduleAt(1e18, func() { order = append(order, 1) })
+	s.ScheduleAt(5, func() { order = append(order, 0) })
+	s.Run()
+	if len(order) != 4 {
+		t.Fatalf("huge-time order %v", order)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("huge-time order %v", order)
 		}
 	}
 }

@@ -32,10 +32,12 @@ import (
 // journalKind and journalVersion identify the format; ReadJournal rejects
 // anything else. Version 2 removed the sharded kernel's Config field and
 // load-balance metric, which changed every fingerprint and the core.Result
-// encoding, so version-1 journals must be rerun.
+// encoding. Version 3 removed core.Config's two event-calendar fields,
+// which again changed every fingerprint. Journals of older versions must
+// be rerun.
 const (
 	journalKind    = "voodb-sweep-journal"
-	journalVersion = 2
+	journalVersion = 3
 )
 
 // JournalHeader is the journal's first line: enough spec identity to

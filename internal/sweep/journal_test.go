@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ocb"
 )
 
 // journalledRun executes the small grid with a fresh journal at path and
@@ -158,6 +162,54 @@ func TestJournalRejectsOldVersion(t *testing.T) {
 	want := fmt.Sprintf("has version 1, this build reads %d", journalVersion)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("version-1 journal: err = %v, want it to contain %q", err, want)
+	}
+}
+
+// flatFieldNames lists t's fields the way %+v walks them: every field by
+// name, and a nested struct's fields as dotted paths after the struct.
+func flatFieldNames(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		out = append(out, prefix+f.Name)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, flatFieldNames(f.Type, prefix+f.Name+".")...)
+		}
+	}
+	return out
+}
+
+// TestFingerprintFieldNames pins the field lists the journal fingerprint
+// hashes. Sweep.fingerprint formats core.Config and ocb.Params with %+v,
+// so adding, removing or renaming a field changes every fingerprint and
+// orphans every existing journal. Such a change must bump journalVersion,
+// so old journals are refused by version rather than by a spec mismatch;
+// then update the lists here.
+func TestFingerprintFieldNames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		want string
+	}{
+		{"core.Config", reflect.TypeOf(core.Config{}), "System NetThroughputMBps NetLatencyMs " +
+			"PageSize BufferPages BufferPolicy Prefetch Clustering DSTCParams " +
+			"DSTCParams.ObservationPeriod DSTCParams.MinUsage DSTCParams.MinLink " +
+			"DSTCParams.MaxClusterSize DSTCParams.TriggerCandidates Placement " +
+			"DiskSeekMs DiskLatencyMs DiskTransferMs MPL GetLockMs RelLockMs Users " +
+			"ThinkTimeMs ServerCPUs ObjectCPUMs StorageOverhead PhysicalOIDs " +
+			"ReserveOnLoad ReserveCold SwizzleDirty Failures Failures.Enabled " +
+			"Failures.MTBFMs Failures.MeanRepairMs"},
+		{"ocb.Params", reflect.TypeOf(ocb.Params{}), "NC MaxNRef BaseSize SizeMult NO " +
+			"NRefT TypeZeroBias ClassRefDist ClassLocality ObjClassDist ObjRefDist " +
+			"ObjectLocality ZipfTheta Layout StreamCacheObjects ColdN HotN PSet " +
+			"SetDepth PSimple SimDepth PHier HieDepth PStoch StoDepth RootDist " +
+			"HotRootCount WriteProb ThinkTime"},
+	} {
+		if got := strings.Join(flatFieldNames(c.typ, ""), " "); got != c.want {
+			t.Errorf("%s fields changed, which changes every sweep journal fingerprint: "+
+				"bump journalVersion (now %d) and update this list.\n got  %s\n want %s",
+				c.name, journalVersion, got, c.want)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ const (
 	// ReorgIOs is the I/O count of reorganizations triggered mid-batch.
 	ReorgIOs Metric = "reorgios"
 	// BypassRate is the fraction of executed events dispatched through the
-	// kernel's head-slot register instead of the backing calendar. It
+	// kernel's head-slot register instead of the calendar heap. It
 	// describes the execution schedule (the fast path is bit-identical by
 	// construction), not the simulated system.
 	BypassRate Metric = "bypass"

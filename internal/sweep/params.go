@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ocb"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -181,7 +180,6 @@ var (
 	placementChoices    = []string{"sequential", "optimized"}
 	clusteringChoices   = []string{"none", "dstc", "greedygraph"}
 	prefetchChoices     = []string{"none", "oneahead"}
-	calendarChoices     = []string{"auto", "heap", "wheel"}
 	layoutChoices       = []string{"eager", "eagerv2", "stream"}
 )
 
@@ -206,12 +204,6 @@ var clusteringByName = map[string]core.ClusteringKind{
 var prefetchByName = map[string]core.PrefetchKind{
 	"none":     core.NoPrefetch,
 	"oneahead": core.OneAhead,
-}
-
-var calendarByName = map[string]sim.CalendarKind{
-	"auto":  sim.AutoCalendar,
-	"heap":  sim.HeapCalendar,
-	"wheel": sim.WheelCalendar,
 }
 
 var layoutByName = map[string]ocb.Layout{
@@ -288,11 +280,6 @@ var paramTable = []Param{
 		func(cfg *core.Config, _ *ocb.Params, v float64) { cfg.Failures.MeanRepairMs = v }),
 	withConflict("failures", boolParam("failures", "failure injection on/off (uses the configured MTBF/repair times)",
 		func(cfg *core.Config, _ *ocb.Params, v bool) { cfg.Failures.Enabled = v })),
-
-	enumParam("calendar", "event-calendar strategy of the simulation kernel (bit-identical results; speed only)", calendarChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Calendar = calendarByName[v] }),
-	intParam("calhint", "event-calendar pre-size hint (expected pending-event peak)", false,
-		func(cfg *core.Config, _ *ocb.Params, v int) { cfg.CalendarHint = v }),
 
 	intParam("no", "object-base instances (OCB NO)", true,
 		func(_ *core.Config, p *ocb.Params, v int) { p.NO = v }),

@@ -58,8 +58,8 @@ func TestDBLayoutFingerprint(t *testing.T) {
 	if got := s.fingerprint(o, axes, metrics); got == legacy || got == stream {
 		t.Error("LayoutEagerV2 fingerprint not distinct")
 	}
-	// Workers/Calendar-style knobs stay excluded: bit-identical options
-	// resume each other's journals.
+	// Execution-only knobs such as Workers stay excluded: bit-identical
+	// options resume each other's journals.
 	o = Options{Replications: 2, Seed: 1, Workers: 8, DBLayout: ocb.LayoutStream}
 	if got := s.fingerprint(o, axes, metrics); got != stream {
 		t.Error("workers leaked into the fingerprint")

@@ -38,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ocb"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -174,14 +173,6 @@ type Options struct {
 	// (several sweeps in one session); by default each run creates its
 	// own pool spanning all points. Results are identical either way.
 	Pool *core.ContextPool
-	// Calendar, when not AutoCalendar, forces every cell's simulation onto
-	// the given event-calendar strategy (overriding the cell's Config).
-	// Results are bit-identical for every calendar; only speed changes.
-	Calendar sim.CalendarKind
-	// CalendarHint, when positive, pre-sizes every cell's event calendar
-	// to the given peak depth (and, past sim.WheelAutoThreshold, flips
-	// AutoCalendar cells onto the timing wheel).
-	CalendarHint int
 	// DBLayout, when not LayoutEager, forces every cell's object bases onto
 	// the given generation layout (overriding the cell's Params.Layout).
 	// LayoutEagerV2 and LayoutStream produce bit-identical results to each
@@ -697,7 +688,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 }
 
 // runCellOnce executes one attempt of one grid cell — the point mutators,
-// the calendar overrides, the base lookup, and the replicated experiment —
+// the layout override, the base lookup, and the replicated experiment —
 // under a panic guard: a panic anywhere in cell setup surfaces as a
 // *cellPanic error (replication-body panics already surface as
 // *core.PanicError from the engine), so a poisoned cell can be retried or
@@ -719,12 +710,6 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 		if apply := ax.Points[coords[k]].Apply; apply != nil {
 			apply(&cfg, &params)
 		}
-	}
-	if o.Calendar != sim.AutoCalendar {
-		cfg.Calendar = o.Calendar
-	}
-	if o.CalendarHint > 0 {
-		cfg.CalendarHint = o.CalendarHint
 	}
 	if o.DBLayout != ocb.LayoutEager {
 		params.Layout = o.DBLayout
@@ -781,10 +766,13 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 // fingerprint hashes everything that determines the sweep's numeric
 // results — the spec identity (name, protocol, axes, points with their
 // seed deltas, base Config/Params) and the result-affecting options
-// (replications, seed, confidence, ShareBases). Workers, Calendar, and the
+// (replications, seed, confidence, ShareBases). Workers and the
 // fault-tolerance knobs are deliberately excluded: results are
-// bit-identical across them, so a journal written at -workers 4 on the
-// heap calendar resumes cleanly at -workers 1 on the wheel. Point.Apply
+// bit-identical across them, so a journal written at -workers 4 resumes
+// cleanly at -workers 1. Config and Params are hashed through %+v, so
+// adding, removing or renaming any of their fields changes every
+// fingerprint; TestFingerprintFieldNames pins the field list so such a
+// change also bumps journalVersion. Point.Apply
 // closures cannot be hashed; axes built from the parameter registry are
 // identified by axis name + point labels, which pin the registry mutation.
 func (s *Sweep) fingerprint(o Options, axes []Axis, metrics []Metric) string {

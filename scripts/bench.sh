@@ -30,7 +30,6 @@ GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
 
 {
   go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun' -benchmem ./internal/sim/
-  go test -run '^$' -bench 'BenchmarkWheelScheduleStep|BenchmarkWheelScheduleCancel' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem ./internal/core/

@@ -24,11 +24,10 @@ NS_GATE_PCT="${NS_GATE_PCT:-}"
 # counts are high enough for stable timing (figure-level benches run 1-3
 # iterations and stay alloc-gated only).
 NS_GUARDED="${NS_GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel \
-BenchmarkScheduleStepChain/heap BenchmarkScheduleStepChain/wheel \
-BenchmarkWheelScheduleStep BenchmarkWheelScheduleCancel \
+BenchmarkScheduleStepChain \
 BenchmarkAcquireReleaseCycle BenchmarkReleaseAllWide BenchmarkTxnSubmitCommit}"
 GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel BenchmarkScheduleRun \
-BenchmarkWheelScheduleStep BenchmarkWheelScheduleCancel BenchmarkReleaseAllWide \
+BenchmarkReleaseAllWide \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireConflictDispatch BenchmarkTxnSubmitCommit \
 BenchmarkOCBGenerate BenchmarkOCBGenerateInto BenchmarkFig6_O2Instances20 \
 BenchmarkStreamAccess/hit BenchmarkStreamAccess/miss}"

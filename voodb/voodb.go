@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ocb"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/sweep"
@@ -102,26 +101,6 @@ type FailureParams = core.FailureParams
 
 // FailureStats reports injected failures.
 type FailureStats = core.FailureStats
-
-// CalendarKind selects the simulation kernel's event-calendar strategy
-// (Config.Calendar). Every strategy fires events in the same order, so
-// results are bit-identical; the choice only moves the performance
-// crossover between the binary heap and the hierarchical timing wheel.
-type CalendarKind = sim.CalendarKind
-
-// Calendar strategies.
-const (
-	// AutoCalendar starts on the heap and switches to the timing wheel
-	// when Config.CalendarHint announces at least WheelAutoThreshold
-	// pending events (the default).
-	AutoCalendar = sim.AutoCalendar
-	// HeapCalendar pins the binary min-heap calendar.
-	HeapCalendar = sim.HeapCalendar
-	// WheelCalendar pins the hierarchical timing wheel.
-	WheelCalendar = sim.WheelCalendar
-	// WheelAutoThreshold is the AutoCalendar switch-over hint.
-	WheelAutoThreshold = sim.WheelAutoThreshold
-)
 
 // WorkloadParams is the OCB benchmark parameter set.
 type WorkloadParams = ocb.Params
