@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/ocb"
@@ -115,7 +116,9 @@ func TestStreamClusteringRejected(t *testing.T) {
 // under a GOMEMLIMIT the eager base could not fit in (set
 // VOODB_LARGE_SMOKE=1 to enable): a 1M-object streaming base must simulate
 // end to end with ≥ 10× less resident object-base memory than eager-v2 at
-// hex-identical BatchStats.
+// hex-identical BatchStats. The streaming replication's model side (run
+// set-up, workload and batch) must also allocate under
+// streamModelAllocLimit in total, so no per-access table is sized by NO.
 func TestLargeStreamingSmoke(t *testing.T) {
 	if os.Getenv("VOODB_LARGE_SMOKE") == "" {
 		t.Skip("set VOODB_LARGE_SMOKE=1 to run the 1M-object smoke")
@@ -132,12 +135,17 @@ func TestLargeStreamingSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamResident := sdb.ResidentBytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	run, err := NewRun(cfg, sdb, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := ocb.GenerateWorkload(sdb, 43)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	stats := run.ExecuteBatch(w.Hot)
+	runtime.ReadMemStats(&after)
+	modelAlloc := after.TotalAlloc - before.TotalAlloc
+	got := fingerprintBatch(stats)
 
 	// The eager-v2 twin: measured second so the streaming run above really
 	// executed under the low memory limit, not after a 100+ MB base was
@@ -158,11 +166,21 @@ func TestLargeStreamingSmoke(t *testing.T) {
 	if got != want {
 		t.Errorf("1M-object stream batch diverged from eager-v2:\n got  %s\n want %s", got, want)
 	}
+	if modelAlloc >= streamModelAllocLimit {
+		t.Errorf("streaming replication allocated %.1f MB across NewRun, GenerateWorkload and ExecuteBatch, want < %.0f MB",
+			float64(modelAlloc)/1e6, float64(streamModelAllocLimit)/1e6)
+	}
 	if eagerResident < 10*streamResident {
 		t.Errorf("resident ratio %.1f× < 10× (eager-v2 %d B, streaming %d B)",
 			float64(eagerResident)/float64(streamResident), eagerResident, streamResident)
 	}
-	t.Logf("1M objects: eager-v2 resident %.1f MB, streaming resident %.2f MB (%.0f×), batch %s",
+	t.Logf("1M objects: eager-v2 resident %.1f MB, streaming resident %.2f MB (%.0f×), streaming model allocation %.1f MB, batch %s",
 		float64(eagerResident)/1e6, float64(streamResident)/1e6,
-		float64(eagerResident)/float64(streamResident), got)
+		float64(eagerResident)/float64(streamResident), float64(modelAlloc)/1e6, got)
 }
+
+// streamModelAllocLimit bounds what TestLargeStreamingSmoke's streaming
+// replication may allocate outside the object base. Tables indexed by OID
+// (8 MB each at a million objects) would break it; the buffer's per-page
+// frame tables are what remain under it.
+const streamModelAllocLimit = 20e6

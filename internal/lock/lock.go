@@ -14,12 +14,15 @@
 // held locks live in a dense list recycled through a free list (no
 // per-transaction maps), lock-table entries carry a small inline holder
 // array (most items have at most two holders under wait-die) and are
-// themselves recycled, and End visits only the items the transaction ever
-// queued on instead of sweeping the whole table.
+// themselves recycled, and a release visits only the items the transaction
+// queued on instead of sweeping the whole table. The item table holds only
+// the items currently locked or queued on, so its size does not depend on
+// the range of Items (OIDs) the workload touches.
 package lock
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Mode is a lock mode.
@@ -179,43 +182,123 @@ func (e *entry) reset() {
 	e.queue = e.queue[:0]
 }
 
-// heldLock is one item a transaction holds.
+// heldLock is one item a transaction holds, with the item's entry: a held
+// item is never idle, so the entry stays filed under it until the release,
+// and ReleaseAll needs no index lookup.
 type heldLock struct {
 	item Item
+	e    *entry
 	mode Mode
 }
 
 // txRec is a transaction's dense lock state: the owning TxID (validating
 // its transaction-ring slot), the distinct items it holds (append order;
-// sorted at release) and the items it ever queued on, so End can purge
-// abandoned requests without sweeping the whole table. Records are
-// recycled through the Manager's pool.
+// sorted at release) and the items it queued on since its last release, so
+// ReleaseAll can abandon its queued requests without sweeping the whole
+// table. Records are recycled through the Manager's pool.
 type txRec struct {
 	owner TxID // 0 when the record is pooled (TxIDs start at 1)
 	locks []heldLock
 	waits []Item
 }
 
-// denseItems bounds the directly indexed item table. OCB object IDs are
-// small dense non-negative integers, so in practice every item lands in
-// the dense slice; anything outside [0, denseItems) falls back to a map.
-const denseItems = 1 << 22
+// itemSlot is one slot of the item index; e is nil in an empty slot.
+type itemSlot struct {
+	item Item
+	e    *entry
+}
+
+// itemIndexInit is the item index's initial slot count (a power of two).
+const itemIndexInit = 64
+
+// itemIndex files the entries of the items currently locked or queued on.
+// It is open-addressed: linear probing from a Fibonacci-hashed home slot
+// over a power-of-two slot array that doubles at half load and never
+// shrinks. Deletion back-shifts the rest of the probe run into the hole, so
+// no tombstones build up. Its size follows the live items (a few thousand
+// at most under admission control), not the largest Item, so a
+// million-object base costs the table nothing and Reset sweeps only the
+// live high-water mark.
+type itemIndex struct {
+	slots []itemSlot
+	shift uint // 64 − log2(len(slots))
+	n     int  // occupied slots
+}
+
+// newItemIndex returns an empty index of size slots (a power of two).
+func newItemIndex(size int) itemIndex {
+	return itemIndex{slots: make([]itemSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// home returns item's first probe slot.
+func (x *itemIndex) home(item Item) int {
+	return int(uint64(item) * 0x9E3779B97F4A7C15 >> x.shift)
+}
+
+// find returns the slot holding item, or the empty slot that ends item's
+// probe run, where an insert would file it.
+func (x *itemIndex) find(item Item) int {
+	mask := len(x.slots) - 1
+	for i := x.home(item); ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.e == nil || s.item == item {
+			return i
+		}
+	}
+}
+
+// insert files e under item in slot i, the empty slot find(item) returned,
+// doubling the table first if the insert would pass half load.
+func (x *itemIndex) insert(i int, item Item, e *entry) {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+		i = x.find(item)
+	}
+	x.slots[i] = itemSlot{item: item, e: e}
+	x.n++
+}
+
+// grow doubles the slot array and re-files every item.
+func (x *itemIndex) grow() {
+	old, n := x.slots, x.n
+	*x = newItemIndex(2 * len(old))
+	x.n = n
+	for _, s := range old {
+		if s.e != nil {
+			x.slots[x.find(s.item)] = s
+		}
+	}
+}
+
+// removeAt deletes the item in slot hole, then walks the rest of its probe
+// run, moving back into the hole every item j whose home does not lie
+// cyclically in (hole, j], so each remaining item stays reachable from its
+// home.
+func (x *itemIndex) removeAt(hole int) {
+	mask := len(x.slots) - 1
+	for j := (hole + 1) & mask; x.slots[j].e != nil; j = (j + 1) & mask {
+		if (j-x.home(x.slots[j].item))&mask >= (j-hole)&mask {
+			x.slots[hole] = x.slots[j]
+			hole = j
+		}
+	}
+	x.slots[hole] = itemSlot{}
+	x.n--
+}
 
 // ringInit is the transaction ring's initial size; it doubles whenever the
 // window of concurrently active TxIDs no longer fits collision-free.
 const ringInit = 64
 
-// Manager is the lock table. Both index structures are map-free on the hot
-// path: per-item state lives in a dense slice indexed by Item, and active
-// transactions live in a power-of-two ring indexed by the TxID's low bits
-// (validated against txRec.owner). Maps churn internal buckets under the
-// steady begin/lock/commit cycle — a residual byte per operation that
-// plain slices do not have.
+// Manager is the lock table. Both index structures are map-free: per-item
+// state lives in the open-addressed item index, and active transactions
+// live in a power-of-two ring indexed by the TxID's low bits (validated
+// against txRec.owner). Maps churn internal buckets under the steady
+// begin/lock/commit cycle — a residual byte per operation that plain
+// slices do not have.
 type Manager struct {
 	nextTx TxID
-	dense  []*entry        // per-item state; index = Item (never shrinks)
-	sparse map[Item]*entry // fallback for items outside the dense range
-	ring   []*txRec        // active transactions; index = TxID & (len-1)
+	items  itemIndex // entries of the items locked or queued on
+	ring   []*txRec  // active transactions; index = TxID & (len-1)
 
 	entryPool []*entry
 	recPool   []*txRec
@@ -233,48 +316,7 @@ type Manager struct {
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
-	return &Manager{}
-}
-
-// lookupItem returns item's entry, or nil when the item is idle.
-func (m *Manager) lookupItem(item Item) *entry {
-	if uint64(item) < uint64(len(m.dense)) {
-		return m.dense[item]
-	}
-	return m.sparse[item]
-}
-
-// storeItem files e under item, growing the dense slice on first contact
-// with a new high-water item (amortized; free once the table has seen the
-// database's OID range).
-func (m *Manager) storeItem(item Item, e *entry) {
-	if item >= 0 && item < denseItems {
-		if n := int(item) + 1; n > len(m.dense) {
-			if n <= cap(m.dense) {
-				m.dense = m.dense[:n]
-			} else {
-				grown := make([]*entry, n, max(n, 2*cap(m.dense)))
-				copy(grown, m.dense)
-				m.dense = grown
-			}
-		}
-		m.dense[item] = e
-		return
-	}
-	if m.sparse == nil {
-		m.sparse = make(map[Item]*entry)
-	}
-	m.sparse[item] = e
-}
-
-// clearItem forgets item's entry (the entry itself is recycled by the
-// caller).
-func (m *Manager) clearItem(item Item) {
-	if uint64(item) < uint64(len(m.dense)) {
-		m.dense[item] = nil
-		return
-	}
-	delete(m.sparse, item)
+	return &Manager{items: newItemIndex(itemIndexInit)}
 }
 
 // lookupTx returns tx's record, or nil for unknown/finished transactions.
@@ -351,22 +393,18 @@ func (m *Manager) putRec(rec *txRec) {
 
 // Reset restores the table to its freshly-constructed state — no items, no
 // transactions, TxIDs restarting from 1, zeroed counters — while keeping
-// the entry and record pools, the dense item table, and the transaction
-// ring, so a recycled table behaves bit-for-bit like a new one (wait-die
-// compares TxIDs, so the ID restart matters) without reallocating. Any
-// leftover entries and records are recycled into the pools rather than
-// dropped.
+// the entry and record pools, the item index, and the transaction ring, so
+// a recycled table behaves bit-for-bit like a new one (wait-die compares
+// TxIDs, so the ID restart matters) without reallocating. Any leftover
+// entries and records are recycled into the pools rather than dropped.
 func (m *Manager) Reset() {
-	for i, e := range m.dense {
-		if e != nil {
-			m.dense[i] = nil
-			m.putEntry(e)
+	for i, s := range m.items.slots {
+		if s.e != nil {
+			m.items.slots[i] = itemSlot{}
+			m.putEntry(s.e)
 		}
 	}
-	for item, e := range m.sparse {
-		delete(m.sparse, item)
-		m.putEntry(e)
-	}
+	m.items.n = 0
 	for i, rec := range m.ring {
 		if rec != nil {
 			m.ring[i] = nil
@@ -438,14 +476,14 @@ func (m *Manager) HeldCount(tx TxID) int {
 // entry or appending. Fresh grants (where the caller knows tx does not
 // hold item) append directly instead; this path serves upgrades and
 // queued grants, which are rare.
-func (rec *txRec) updateHeld(item Item, mode Mode) {
+func (rec *txRec) updateHeld(item Item, e *entry, mode Mode) {
 	for i := range rec.locks {
 		if rec.locks[i].item == item {
 			rec.locks[i].mode = mode
 			return
 		}
 	}
-	rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
+	rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 }
 
 // Acquire requests item in the given mode for tx. Exactly one of granted or
@@ -460,14 +498,15 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 	if rec == nil {
 		panic(fmt.Sprintf("lock: Acquire by unknown transaction %d", tx))
 	}
-	e := m.lookupItem(item)
+	slot := m.items.find(item)
+	e := m.items.slots[slot].e
 	if e == nil {
 		// A fresh entry has no holders and no queue: the request is
 		// always granted immediately.
 		e = m.getEntry()
-		m.storeItem(item, e)
+		m.items.insert(slot, item, e)
 		e.setHolder(tx, mode)
-		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
+		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 		m.acquisitions++
 		granted()
 		return
@@ -483,7 +522,7 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 		// Upgrade S → X: immediate if sole holder.
 		if e.numHolders() == 1 {
 			e.setHolder(tx, Exclusive)
-			rec.updateHeld(item, Exclusive)
+			rec.updateHeld(item, e, Exclusive)
 			m.acquisitions++
 			granted()
 			return
@@ -504,7 +543,7 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 
 	if m.compatible(e, tx, mode) && len(e.queue) == 0 {
 		e.setHolder(tx, mode)
-		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
+		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 		m.acquisitions++
 		granted()
 		return
@@ -561,13 +600,16 @@ func (m *Manager) youngerThanAnyBlocker(e *entry, tx TxID, mode Mode) bool {
 
 // ReleaseAll drops every lock tx holds (strict 2PL commit/abort) and grants
 // whatever queued requests become compatible, in FIFO order per item.
-// Items are released in sorted order so the dispatch sequence — and hence
-// the whole simulation — is deterministic.
+// Requests tx itself still has queued are abandoned first (they would
+// never be answered otherwise), so a release never grants tx a lock that
+// its record then drops. Items are released in sorted order so the
+// dispatch sequence — and hence the whole simulation — is deterministic.
 func (m *Manager) ReleaseAll(tx TxID) {
 	rec := m.lookupTx(tx)
 	if rec == nil {
 		return
 	}
+	m.abandonQueued(tx, rec)
 	if m.queued > 0 {
 		// With no queued request anywhere, no release can dispatch a grant,
 		// so the release order is unobservable and the sort is skipped —
@@ -575,25 +617,19 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		sortHeldLocks(rec.locks)
 	}
 	for i := range rec.locks {
-		item := rec.locks[i].item
-		e := m.lookupItem(item)
-		e.delHolder(tx)
-		m.dispatch(item, e)
+		h := &rec.locks[i]
+		h.e.delHolder(tx)
+		m.dispatch(h.item, h.e)
 	}
 	rec.locks = rec.locks[:0]
 }
 
-// End forgets a finished transaction entirely. Any locks still held are
-// released first; queued requests from tx are abandoned (they would never
-// be answered otherwise). Only the items tx ever queued on are visited.
-func (m *Manager) End(tx TxID) {
-	m.ReleaseAll(tx)
-	rec := m.lookupTx(tx)
-	if rec == nil {
-		return
-	}
+// abandonQueued drops tx's queued requests. Only the items tx queued on
+// since its last release are visited.
+func (m *Manager) abandonQueued(tx TxID, rec *txRec) {
 	for _, item := range rec.waits {
-		e := m.lookupItem(item)
+		slot := m.items.find(item)
+		e := m.items.slots[slot].e
 		if e == nil {
 			continue
 		}
@@ -607,12 +643,21 @@ func (m *Manager) End(tx TxID) {
 		}
 		e.queue = filtered
 		if e.numHolders() == 0 && len(e.queue) == 0 {
-			m.clearItem(item)
+			m.items.removeAt(slot)
 			m.putEntry(e)
 		}
 	}
-	m.clearTx(tx)
-	m.putRec(rec)
+	rec.waits = rec.waits[:0]
+}
+
+// End forgets a finished transaction entirely, after releasing its locks
+// and abandoning its queued requests.
+func (m *Manager) End(tx TxID) {
+	m.ReleaseAll(tx)
+	if rec := m.lookupTx(tx); rec != nil {
+		m.clearTx(tx)
+		m.putRec(rec)
+	}
 }
 
 // dispatch grants queued compatible requests at the head of item's queue.
@@ -627,7 +672,7 @@ func (m *Manager) dispatch(item Item, e *entry) {
 				e.popHead()
 				m.queued--
 				e.setHolder(head.tx, Exclusive)
-				m.lookupTx(head.tx).updateHeld(item, Exclusive)
+				m.lookupTx(head.tx).updateHeld(item, e, Exclusive)
 				m.acquisitions++
 				head.granted()
 				continue
@@ -637,12 +682,12 @@ func (m *Manager) dispatch(item Item, e *entry) {
 		e.popHead()
 		m.queued--
 		e.setHolder(head.tx, head.mode)
-		m.lookupTx(head.tx).updateHeld(item, head.mode)
+		m.lookupTx(head.tx).updateHeld(item, e, head.mode)
 		m.acquisitions++
 		head.granted()
 	}
 	if e.numHolders() == 0 && len(e.queue) == 0 {
-		m.clearItem(item)
+		m.items.removeAt(m.items.find(item))
 		m.putEntry(e)
 	}
 }

@@ -1,6 +1,10 @@
 package lock
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 func grantFlag(flag *bool) func() { return func() { *flag = true } }
 
@@ -226,18 +230,100 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// wideItems returns a few hundred distinct items spread over the whole
+// Item range — negatives, small OIDs, values around and past 2²², and the
+// extremes — so the item index grows, collides and wraps.
+func wideItems() []Item {
+	var items []Item
+	for k := Item(0); k < 100; k++ {
+		items = append(items, k, -1-k, 1<<22+k, 1<<40+7919*k)
+	}
+	return append(items, 1<<22-1, math.MaxInt64, math.MinInt64, -1<<40)
+}
+
+// indexCoverage records which item-index paths a property run exercised.
+type indexCoverage struct {
+	grew, collided, wrapShift bool
+	// wrapped maps each item whose probe run crossed the end of the table
+	// at the previous check to its slot then; size is the table's length
+	// then.
+	wrapped map[Item]int
+	size    int
+}
+
+// checkIndex asserts the item index's invariants: its count matches its
+// occupied slots, it is at most half full, and every item is found from
+// its home slot. It also updates cov; a wrapped item that moved to a
+// higher slot without the table growing was back-shifted across the wrap.
+func checkIndex(t *testing.T, m *Manager, cov *indexCoverage) {
+	t.Helper()
+	x := &m.items
+	wrapped := map[Item]int{}
+	n := 0
+	for i, s := range x.slots {
+		if s.e == nil {
+			continue
+		}
+		n++
+		if got := x.find(s.item); got != i {
+			t.Fatalf("item %d in slot %d, but find returns slot %d", s.item, i, got)
+		}
+		home := x.home(s.item)
+		if home != i {
+			cov.collided = true
+		}
+		if i < home {
+			wrapped[s.item] = i
+		}
+		if was, ok := cov.wrapped[s.item]; ok && len(x.slots) == cov.size && i > was {
+			cov.wrapShift = true
+		}
+	}
+	if n != x.n || 2*n > len(x.slots) {
+		t.Fatalf("index holds %d items, counts %d, in %d slots", n, x.n, len(x.slots))
+	}
+	if len(x.slots) > itemIndexInit {
+		cov.grew = true
+	}
+	cov.wrapped, cov.size = wrapped, len(x.slots)
+}
+
+// checkIndexEmpty asserts the item index holds no item.
+func checkIndexEmpty(t *testing.T, m *Manager, when string) {
+	t.Helper()
+	if m.items.n != 0 {
+		t.Fatalf("%s: index counts %d items", when, m.items.n)
+	}
+	for i, s := range m.items.slots {
+		if s.e != nil {
+			t.Fatalf("%s: slot %d still holds item %d", when, i, s.item)
+		}
+	}
+}
+
 // Property: under arbitrary interleavings of acquire/release by several
 // transactions, the table never grants incompatible modes simultaneously
-// and every request is answered exactly once.
+// and every request is answered exactly once. Narrow trials contend on six
+// items; wide trials draw from wideItems with rarer releases, so many
+// items are live at once and the item index grows, probes past collisions
+// and back-shifts across its wrap (asserted through indexCoverage). The
+// index must be empty after every trial's End calls and after a Reset.
 func TestPropertyNoIncompatibleGrants(t *testing.T) {
 	type key struct {
 		tx   TxID
 		item Item
 	}
-	for trial := 0; trial < 30; trial++ {
+	wide := wideItems()
+	var cov indexCoverage
+	for trial := 0; trial < 60; trial++ {
+		isWide := trial >= 30
+		nTx, steps, releaseOdds := 4, 200, 3
+		if isWide {
+			nTx, steps, releaseOdds = 8, 600, 12
+		}
 		m := NewManager()
 		var txs []TxID
-		for i := 0; i < 4; i++ {
+		for i := 0; i < nTx; i++ {
 			txs = append(txs, m.Begin())
 		}
 		held := map[key]Mode{}
@@ -248,11 +334,15 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 			r = r*6364136223846793005 + 1442695040888963407
 			return int((r >> 33) % uint64(n))
 		}
-		for step := 0; step < 200; step++ {
+		for step := 0; step < steps; step++ {
 			tx := txs[next(len(txs))]
-			switch next(3) {
-			case 0, 1:
-				item := Item(next(6))
+			if next(releaseOdds) != releaseOdds-1 {
+				var item Item
+				if isWide {
+					item = wide[next(len(wide))]
+				} else {
+					item = Item(next(6))
+				}
 				mode := Shared
 				if next(2) == 0 {
 					mode = Exclusive
@@ -283,13 +373,16 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 						}
 						m.ReleaseAll(tx)
 					})
-			case 2:
+			} else {
 				for k := range held {
 					if k.tx == tx {
 						delete(held, k)
 					}
 				}
 				m.ReleaseAll(tx)
+			}
+			if isWide {
+				checkIndex(t, m, &cov)
 			}
 		}
 		for _, tx := range txs {
@@ -300,7 +393,37 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 		if answered > requested {
 			t.Fatalf("trial %d: %d answers for %d requests", trial, answered, requested)
 		}
+		checkIndexEmpty(t, m, "after End")
+
+		// Reset with live locks and a queued request must empty it too.
+		older, younger := m.Begin(), m.Begin()
+		for k := 0; k < 40; k++ {
+			m.Acquire(younger, wide[next(len(wide))], Exclusive, func() {}, func() {})
+		}
+		m.Acquire(older, wide[0], Exclusive, func() {}, func() {})
+		m.Reset()
+		checkIndexEmpty(t, m, "after Reset")
 	}
+	if !cov.grew || !cov.collided || !cov.wrapShift {
+		t.Fatalf("item index paths not exercised: grew %v, collided %v, back-shift across wrap %v",
+			cov.grew, cov.collided, cov.wrapShift)
+	}
+}
+
+// TestItemTableSizedByLiveItems pins that the lock table is sized by the
+// items locked, not by their values: locking item 2²²−1 on a fresh Manager
+// allocates a few small tables, not a slice indexed by Item (32 MiB).
+func TestItemTableSizedByLiveItems(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewManager()
+	tx := m.Begin()
+	mustGrant(t, m, tx, 1<<22-1, Exclusive)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("locking item 2²²−1 allocated %d B, want < 64 KiB", d)
+	}
+	m.End(tx)
 }
 
 // Regression: wait-die must consider queued requests, not just holders.

@@ -199,3 +199,39 @@ func TestWorkloadGenerateIntoMatches(t *testing.T) {
 		t.Error("recycled Zipf-rooted workload diverged from fresh GenerateWorkload")
 	}
 }
+
+// TestTraversalMarksClearAfterGenerate pins the mark-bit contract: each
+// traversal clears exactly the marks it set, so after a workload fill —
+// mixed or hierarchy-only, eager or streaming base — every mark is clear
+// and the next traversal starts from an empty visited set.
+func TestTraversalMarksClearAfterGenerate(t *testing.T) {
+	for _, layout := range []Layout{LayoutEager, LayoutStream} {
+		p := DefaultParams()
+		p.NC = 8
+		p.NO = 1000
+		p.ColdN = 5
+		p.HotN = 60
+		p.Layout = layout
+		db, err := Generate(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := new(Workload)
+		check := func(what string) {
+			t.Helper()
+			if len(w.gen.marks) != (db.NumObjects()+63)/64 {
+				t.Fatalf("%v %s: %d mark words for %d objects", layout, what, len(w.gen.marks), db.NumObjects())
+			}
+			for i, word := range w.gen.marks {
+				if word != 0 {
+					t.Fatalf("%v %s: mark word %d = %#x left set", layout, what, i, word)
+				}
+			}
+		}
+		w.GenerateInto(db, 8)
+		check("GenerateInto")
+		w.Release()
+		w.GenerateHierarchyInto(db, 9, 40, 4)
+		check("GenerateHierarchyInto")
+	}
+}

@@ -92,7 +92,7 @@ func (sb *streamBase) materialize(db *Database, o OID) []OID {
 	cls := db.classIndexOf(o)
 	crefs := db.Classes[cls].Refs
 	base := int(uint32(o)&sb.mask) * db.Params.MaxNRef
-	refs := sb.refsArena[base:base : base+db.Params.MaxNRef]
+	refs := sb.refsArena[base : base : base+db.Params.MaxNRef]
 	myRank := int(o - db.classStart[cls])
 	sb.src.Reinit(rng.SubSeed(sb.refBase, uint64(o)))
 	for _, cr := range crefs {
@@ -262,7 +262,7 @@ func generateV2(db *Database, p Params, seed uint64) error {
 			obj := &db.Objects[o]
 			obj.Class = int32(c)
 			obj.Size = size
-			obj.Refs = db.refArena[refOff:refOff : refOff+len(crefs)]
+			obj.Refs = db.refArena[refOff : refOff : refOff+len(crefs)]
 			refOff += len(crefs)
 			src.Reinit(rng.SubSeed(refBase, uint64(o)))
 			myRank := int(o - lo)

@@ -257,11 +257,24 @@ func DSTCExperimentParams() Params {
 	return p
 }
 
+// MaxNO is the largest object count a base may have: an OID is an int32
+// and an Op packs it into 31 bits, so OIDs 0 … MaxNO−1 are representable.
+const MaxNO = math.MaxInt32
+
+// NOLimitError reports an NO above MaxNO, which OIDs cannot represent.
+type NOLimitError struct{ NO int }
+
+func (e *NOLimitError) Error() string {
+	return fmt.Sprintf("ocb: NO = %d exceeds the OID limit MaxNO = %d (OIDs are 31-bit)", e.NO, MaxNO)
+}
+
 // Validate checks parameter consistency.
 func (p Params) Validate() error {
 	switch {
 	case p.NC < 1:
 		return fmt.Errorf("ocb: NC = %d, need ≥ 1", p.NC)
+	case p.NO > MaxNO:
+		return &NOLimitError{NO: p.NO}
 	case p.NO < p.NC:
 		return fmt.Errorf("ocb: NO = %d < NC = %d (every class needs an instance)", p.NO, p.NC)
 	case p.MaxNRef < 1:

@@ -107,12 +107,11 @@ type Generator struct {
 	zipfTheta float64
 	next      int
 
-	// visited is reused across transactions to avoid re-allocation; the
-	// epoch trick avoids clearing 20000 entries per transaction. The epoch
-	// is monotonic across Reinit calls, so stale stamps from a previous
-	// database can never collide with a later pass.
-	visited []int
-	epoch   int
+	// marks holds one traversal mark bit per object (125 KB at a million
+	// objects). It is all clear between traversals: each traversal clears
+	// exactly the bits of the ops it emitted, since it marks an object
+	// exactly when it emits that object's op.
+	marks []uint64
 
 	// scratch accumulates the current transaction's ops; frontA/frontB
 	// are the breadth-first frontiers. All are reused across transactions.
@@ -135,7 +134,7 @@ func NewGenerator(db *Database, seed uint64) *Generator {
 
 // Reinit re-targets the generator at db with a fresh stream derived from
 // seed, restoring the state NewGenerator(db, seed) would produce while
-// reusing the visited table, the op scratch, the frontier buffers, and —
+// reusing the mark bits, the op scratch, the frontier buffers, and —
 // when the transaction mix is unchanged — the type sampler. A reinited
 // generator draws the exact same transaction sequence as a fresh one.
 func (g *Generator) Reinit(db *Database, seed uint64) {
@@ -152,11 +151,10 @@ func (g *Generator) Reinit(db *Database, seed uint64) {
 		g.typeWts = wts
 	}
 	g.next = 0
-	if n := db.NumObjects(); cap(g.visited) >= n {
-		g.visited = g.visited[:n]
+	if words := (db.NumObjects() + 63) / 64; cap(g.marks) >= words {
+		g.marks = g.marks[:words]
 	} else {
-		g.visited = make([]int, n)
-		g.epoch = 0
+		g.marks = make([]uint64, words)
 	}
 	if p.RootDist == Zipf {
 		n := db.NumObjects()
@@ -250,12 +248,16 @@ func (g *Generator) pickRoot() OID {
 	return OID(g.src.Intn(g.db.NumObjects()))
 }
 
-func (g *Generator) beginVisit() {
-	g.epoch++
-}
+func (g *Generator) seen(o OID) bool { return g.marks[o>>6]&(1<<(o&63)) != 0 }
+func (g *Generator) mark(o OID)      { g.marks[o>>6] |= 1 << (o & 63) }
 
-func (g *Generator) seen(o OID) bool { return g.visited[o] == g.epoch }
-func (g *Generator) mark(o OID)      { g.visited[o] = g.epoch }
+// unmark clears the marks of ops, the ops a traversal emitted.
+func (g *Generator) unmark(ops []Op) {
+	for _, op := range ops {
+		o := op.Object()
+		g.marks[o>>6] &^= 1 << (o & 63)
+	}
+}
 
 func (g *Generator) op(o OID) Op {
 	w := g.db.Params.WriteProb > 0 && g.src.Bernoulli(g.db.Params.WriteProb)
@@ -265,7 +267,7 @@ func (g *Generator) op(o OID) Op {
 // breadthFirst visits every object reachable within depth levels, level by
 // level (the set-oriented access), appending to the scratch ops.
 func (g *Generator) breadthFirst(root OID, depth int) {
-	g.beginVisit()
+	start := len(g.scratch)
 	g.scratch = append(g.scratch, g.op(root))
 	g.mark(root)
 	frontier := append(g.frontA[:0], root)
@@ -286,14 +288,16 @@ func (g *Generator) breadthFirst(root OID, depth int) {
 	}
 	// Keep whatever grew, whichever role the buffers ended in.
 	g.frontA, g.frontB = frontier, next
+	g.unmark(g.scratch[start:])
 }
 
 // depthFirst visits references in declaration order, preorder, down to
 // depth levels, appending to the scratch ops. When hierarchyOnly is set,
 // only type-0 references are followed (the hierarchy traversal).
 func (g *Generator) depthFirst(root OID, depth int, hierarchyOnly bool) {
-	g.beginVisit()
+	start := len(g.scratch)
 	g.dfWalk(root, depth, hierarchyOnly)
+	g.unmark(g.scratch[start:])
 }
 
 func (g *Generator) dfWalk(o OID, remaining int, hierarchyOnly bool) {

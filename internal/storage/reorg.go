@@ -135,7 +135,6 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena
 	s.pageStart, s.pageObjArena = starts, arena
 	s.resetRefCache()
-	s.ensureVisited()
 	s.reorgs++
 
 	// Cost accounting: pages read = distinct old pages of moved objects;

@@ -99,12 +99,6 @@ type Store struct {
 	refCache map[disk.PageID][]disk.PageID
 	reorgs   int
 
-	// visited is an epoch-stamped per-page scratch used to deduplicate
-	// reference-page sets without allocating a map per call; bumping the
-	// epoch invalidates every stamp at once.
-	visited    []int32
-	visitEpoch int32
-
 	// orderScratch backs initialOrder, recycled across Reset calls.
 	orderScratch []ocb.OID
 
@@ -140,8 +134,8 @@ func New(db *ocb.Database, cfg Config) (*Store, error) {
 // Reset re-targets the store at db — typically the next replication's
 // object base — restoring the state New(db, s.Config()) would produce
 // while reusing every backing array (placement tables, per-page object
-// lists, the visited scratch, the reference cache's buckets). The layout
-// and lookup results are bit-identical to a freshly built store.
+// lists, the reference cache's buckets). The layout and lookup results are
+// bit-identical to a freshly built store.
 func (s *Store) Reset(db *ocb.Database) {
 	s.db = db
 	n := len(db.Objects)
@@ -232,7 +226,6 @@ func (s *Store) place(order []ocb.OID) {
 	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStart, s.pageObjArena = starts, arena
 	s.resetRefCache()
-	s.ensureVisited()
 }
 
 // resetRefCache empties the reference-page cache, keeping the map's
@@ -243,29 +236,6 @@ func (s *Store) resetRefCache() {
 	} else {
 		clear(s.refCache)
 	}
-}
-
-// ensureVisited sizes the visited scratch to the current page count; call
-// after any operation that can grow the page space.
-func (s *Store) ensureVisited() {
-	if s.numPages > len(s.visited) {
-		s.visited = make([]int32, s.numPages)
-		s.visitEpoch = 0
-	}
-}
-
-// beginVisit starts a fresh deduplication pass over pages.
-func (s *Store) beginVisit() {
-	s.visitEpoch++
-}
-
-// seen marks page p visited and reports whether it already was this pass.
-func (s *Store) seen(p disk.PageID) bool {
-	if s.visited[p] == s.visitEpoch {
-		return true
-	}
-	s.visited[p] = s.visitEpoch
-	return false
 }
 
 // Database returns the underlying object base.
@@ -323,22 +293,19 @@ func (s *Store) ReferencedPages(p disk.PageID) []disk.PageID {
 	if cached, ok := s.refCache[p]; ok {
 		return cached
 	}
-	s.beginVisit()
 	var out []disk.PageID
 	for _, o := range s.ObjectsOn(p) {
 		for _, t := range s.db.RefsOf(o) {
 			if t == ocb.NilRef {
 				continue
 			}
-			tp := s.PageOf(t)
-			if tp == p || s.seen(tp) {
-				continue
+			if tp := s.PageOf(t); tp != p {
+				out = append(out, tp)
 			}
-			out = append(out, tp)
 		}
 	}
 	// Deterministic order for reproducible simulations.
-	sortPageIDs(out)
+	out = sortUniquePages(out)
 	s.refCache[p] = out
 	return out
 }
@@ -356,27 +323,32 @@ func (s *Store) ObjectRefPages(o ocb.OID) []disk.PageID {
 // the Texas reservation mechanism allocates nothing in steady state.
 func (s *Store) ObjectRefPagesInto(o ocb.OID, buf []disk.PageID) []disk.PageID {
 	own := s.PageOf(o)
-	s.beginVisit()
-	s.visited[own] = s.visitEpoch
+	start := len(buf)
 	for _, t := range s.db.RefsOf(o) {
 		if t == ocb.NilRef {
 			continue
 		}
-		tp := s.PageOf(t)
-		if s.seen(tp) {
-			continue
+		if tp := s.PageOf(t); tp != own {
+			buf = append(buf, tp)
 		}
-		buf = append(buf, tp)
 	}
-	sortPageIDs(buf)
-	return buf
+	uniq := sortUniquePages(buf[start:])
+	return buf[:start+len(uniq)]
 }
 
 // sortPageIDs orders ps ascending without allocating (slices.Sort is
-// generic, unlike sort.Slice's reflection swapper). Callers pass distinct
-// pages, so the unstable sort is deterministic.
+// generic, unlike sort.Slice's reflection swapper). Page IDs are plain
+// integers, so the unstable sort is deterministic.
 func sortPageIDs(ps []disk.PageID) {
 	slices.Sort(ps)
+}
+
+// sortUniquePages sorts ps ascending and drops repeats in place, returning
+// the distinct prefix. A reference set is a few dozen pages, so sorting it
+// costs less than keeping a visited table sized by the page count.
+func sortUniquePages(ps []disk.PageID) []disk.PageID {
+	slices.Sort(ps)
+	return slices.Compact(ps)
 }
 
 // Reorgs returns how many reorganizations the store has undergone.

@@ -120,7 +120,6 @@ func (s *Store) placeStream() {
 	}
 	s.numPages = pages
 	s.resetRefCache()
-	s.ensureVisited()
 }
 
 // streamPages is Pages() over the extents.

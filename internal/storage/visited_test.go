@@ -30,9 +30,9 @@ func TestObjectRefPagesIntoMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestReferencedPagesEpochDedup checks the epoch-stamped visited slice
-// against a straightforward map-based recomputation, including after the
-// cache is invalidated by a reorganization-style re-place.
+// TestReferencedPagesEpochDedup checks the sort-and-compact deduplication
+// (which replaced an epoch-stamped visited slice) against a
+// straightforward map-based recomputation.
 func TestReferencedPagesEpochDedup(t *testing.T) {
 	db := testDB(t, 10, 500, 34)
 	s := mustStore(t, db, DefaultConfig())
