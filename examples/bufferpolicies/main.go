@@ -1,8 +1,8 @@
-// Buffer-policy study: sweep every PGREP replacement policy of Table 3
-// (RANDOM, FIFO, LFU, LRU, LRU-2, MRU, CLOCK, GCLOCK) over the same OCB
-// workload on a memory-constrained page server, and rank them by mean
-// I/Os — the kind of "adjust the parameters of a buffering technique"
-// question the paper's introduction raises.
+// Buffer-policy study: sweep every PGREP replacement policy (Table 3's
+// RANDOM, FIFO, LFU, LRU, LRU-2, CLOCK and GCLOCK, plus MRU and 2Q) over
+// the same OCB workload on a memory-constrained page server, and rank them
+// by mean I/Os — the kind of "adjust the parameters of a buffering
+// technique" question the paper's introduction raises.
 package main
 
 import (

@@ -2,32 +2,28 @@ package buffer
 
 import "fmt"
 
-// clock implements the CLOCK (second chance) policy: resident pages sit on
-// a circular list; a hand sweeps the circle, clearing reference bits and
+// clock implements the CLOCK (second chance) policy: the frames in use form
+// a circle in frame order; a hand sweeps it, clearing reference bits and
 // evicting the first page found with a clear bit. GCLOCK generalizes the
-// bit to a counter initialized to weight and decremented per sweep.
+// bit to a counter set to weight on every reference and decremented per
+// sweep. A victim's frame takes the incoming page, so the new page sits
+// just behind the hand and is examined last in the current sweep, as in
+// the classic formulation.
 type clock struct {
-	weight int // 1 = CLOCK, >1 = GCLOCK
-	list   *pageList
-	nodes  map[PageID]*node
-	hand   *node
+	weight int32   // 1 = CLOCK, >1 = GCLOCK
+	ref    []int32 // one counter per frame in use
+	hand   int32
 }
 
 // NewClock returns the CLOCK policy.
-func NewClock() Policy { return newClock(1) }
+func NewClock() Policy { return &clock{weight: 1} }
 
 // NewGClock returns the GCLOCK policy with the given counter weight (≥ 1).
 func NewGClock(weight int) Policy {
 	if weight < 1 {
 		panic(fmt.Sprintf("buffer: GCLOCK weight %d", weight))
 	}
-	return newClock(weight)
-}
-
-func newClock(weight int) *clock {
-	p := &clock{weight: weight}
-	p.Reset()
-	return p
+	return &clock{weight: int32(weight)}
 }
 
 func (p *clock) Name() string {
@@ -38,81 +34,37 @@ func (p *clock) Name() string {
 }
 
 func (p *clock) Reset() {
-	p.list = newPageList()
-	p.nodes = make(map[PageID]*node)
-	p.hand = nil
+	p.ref = p.ref[:0]
+	p.hand = 0
 }
 
-func (p *clock) Inserted(pg PageID) {
-	n := &node{page: pg, ref: p.weight}
-	p.nodes[pg] = n
-	// Insert just behind the hand so the new page is examined last in the
-	// current sweep, matching the classic formulation.
-	if p.hand == nil {
-		p.list.pushBack(n)
-		p.hand = n
-	} else {
-		n.next = p.hand
-		n.prev = p.hand.prev
-		n.prev.next = n
-		n.next.prev = n
-		p.list.len++
-	}
-}
+func (p *clock) Inserted(f int32, _ PageID) { p.insert(f, p.weight) }
 
 // InsertedCold inserts with a clear reference count: the hand evicts it on
 // first encounter unless it is touched first.
-func (p *clock) InsertedCold(pg PageID) {
-	p.Inserted(pg)
-	p.nodes[pg].ref = 0
-}
+func (p *clock) InsertedCold(f int32, _ PageID) { p.insert(f, 0) }
 
-func (p *clock) Touched(pg PageID) {
-	if n, ok := p.nodes[pg]; ok {
-		n.ref = p.weight
+func (p *clock) insert(f, ref int32) {
+	if int(f) == len(p.ref) {
+		p.ref = append(p.ref, 0)
 	}
+	p.ref[f] = ref
 }
 
-// advance moves the hand one step, skipping the list sentinel.
-func (p *clock) advance() {
-	p.hand = p.hand.next
-	if p.hand == &p.list.root {
-		p.hand = p.hand.next
-	}
-}
+func (p *clock) Touched(f int32) { p.ref[f] = p.weight }
 
-func (p *clock) Victim() PageID {
-	if p.list.len == 0 {
+func (p *clock) Victim() int32 {
+	if len(p.ref) == 0 {
 		panic("buffer: CLOCK victim of empty policy")
 	}
 	for {
-		n := p.hand
-		if n.ref > 0 {
-			n.ref--
-			p.advance()
-			continue
+		f := p.hand
+		if p.hand++; int(p.hand) == len(p.ref) {
+			p.hand = 0
 		}
-		p.advance()
-		if p.list.len == 1 {
-			p.hand = nil
+		if p.ref[f] == 0 {
+			return f
 		}
-		p.list.remove(n)
-		delete(p.nodes, n.page)
-		return n.page
+		p.ref[f]--
 	}
-}
-
-func (p *clock) Removed(pg PageID) {
-	n, ok := p.nodes[pg]
-	if !ok {
-		return
-	}
-	if p.hand == n {
-		p.advance()
-		if p.hand == n {
-			p.hand = nil
-		}
-	}
-	p.list.remove(n)
-	delete(p.nodes, pg)
 }

@@ -4,122 +4,82 @@ import "repro/internal/rng"
 
 // fifo evicts in insertion order; re-references do not rejuvenate a page.
 type fifo struct {
-	list  *pageList
-	nodes map[PageID]*node
+	list frameList
 }
 
 // NewFIFO returns a FIFO policy.
-func NewFIFO() Policy {
-	p := &fifo{}
-	p.Reset()
-	return p
-}
+func NewFIFO() Policy { return &fifo{} }
 
-func (p *fifo) Name() string { return "FIFO" }
-
-func (p *fifo) Reset() {
-	p.list = newPageList()
-	p.nodes = make(map[PageID]*node)
-}
-
-func (p *fifo) Inserted(pg PageID) {
-	n := &node{page: pg}
-	p.nodes[pg] = n
-	p.list.pushFront(n)
-}
+func (p *fifo) Name() string               { return "FIFO" }
+func (p *fifo) Reset()                     { p.list.reset() }
+func (p *fifo) Inserted(f int32, _ PageID) { p.list.pushFront(f) }
+func (p *fifo) Touched(int32)              {} // FIFO ignores re-references
 
 // InsertedCold places the page at the eviction end of the queue.
-func (p *fifo) InsertedCold(pg PageID) {
-	n := &node{page: pg}
-	p.nodes[pg] = n
-	p.list.pushBack(n)
-}
+func (p *fifo) InsertedCold(f int32, _ PageID) { p.list.pushBack(f) }
 
-func (p *fifo) Touched(PageID) {} // FIFO ignores re-references
-
-func (p *fifo) Victim() PageID {
-	n := p.list.back()
-	if n == nil {
+func (p *fifo) Victim() int32 {
+	if p.list.len == 0 {
 		panic("buffer: FIFO victim of empty policy")
 	}
-	p.list.remove(n)
-	delete(p.nodes, n.page)
-	return n.page
-}
-
-func (p *fifo) Removed(pg PageID) {
-	if n, ok := p.nodes[pg]; ok {
-		p.list.remove(n)
-		delete(p.nodes, pg)
-	}
+	return p.list.popBack()
 }
 
 // lfu evicts the least frequently used page; ties break toward the least
 // recently inserted. Frequencies persist only while the page is resident
 // (this is in-buffer LFU, the variant OODB buffer managers used).
 type lfu struct {
-	counts map[PageID]uint64
-	seq    map[PageID]uint64
-	clock  uint64
+	frames []lfuFrame // one per frame in use
+	clock  uint64     // advances on every insertion
+}
+
+type lfuFrame struct {
+	count    uint64 // references while resident
+	inserted uint64 // clock at insertion
 }
 
 // NewLFU returns an LFU policy.
-func NewLFU() Policy {
-	p := &lfu{}
-	p.Reset()
-	return p
-}
+func NewLFU() Policy { return &lfu{} }
 
 func (p *lfu) Name() string { return "LFU" }
 
 func (p *lfu) Reset() {
-	p.counts = make(map[PageID]uint64)
-	p.seq = make(map[PageID]uint64)
+	p.frames = p.frames[:0]
 	p.clock = 0
 }
 
-func (p *lfu) Inserted(pg PageID) {
-	p.clock++
-	p.counts[pg] = 1
-	p.seq[pg] = p.clock
-}
-
-func (p *lfu) Touched(pg PageID) {
-	if _, ok := p.counts[pg]; ok {
-		p.counts[pg]++
+func (p *lfu) Inserted(f int32, _ PageID) {
+	if int(f) == len(p.frames) {
+		p.frames = append(p.frames, lfuFrame{})
 	}
+	p.clock++
+	p.frames[f] = lfuFrame{count: 1, inserted: p.clock}
 }
 
-func (p *lfu) Victim() PageID {
-	if len(p.counts) == 0 {
+func (p *lfu) Touched(f int32) { p.frames[f].count++ }
+
+func (p *lfu) Victim() int32 {
+	if len(p.frames) == 0 {
 		panic("buffer: LFU victim of empty policy")
 	}
-	var victim PageID
-	var bestCount, bestSeq uint64
-	first := true
-	for pg, c := range p.counts {
-		s := p.seq[pg]
-		if first || c < bestCount || (c == bestCount && s < bestSeq) {
-			victim, bestCount, bestSeq = pg, c, s
-			first = false
+	victim := int32(0)
+	for f, fr := range p.frames {
+		v := p.frames[victim]
+		if fr.count < v.count || fr.count == v.count && fr.inserted < v.inserted {
+			victim = int32(f)
 		}
 	}
-	delete(p.counts, victim)
-	delete(p.seq, victim)
 	return victim
-}
-
-func (p *lfu) Removed(pg PageID) {
-	delete(p.counts, pg)
-	delete(p.seq, pg)
 }
 
 // random evicts a uniformly random resident page. Deterministic given its
 // source, as required for reproducible replications.
 type random struct {
-	src   *rng.Source
-	pages []PageID
-	pos   map[PageID]int
+	src *rng.Source
+	// order lists the frames in use in the order the draw indexes them: a
+	// victim's slot takes the last frame, and its frame rejoins at the end
+	// when refilled.
+	order []int32
 }
 
 // NewRandom returns a RANDOM policy drawing from src.
@@ -127,9 +87,7 @@ func NewRandom(src *rng.Source) Policy {
 	if src == nil {
 		panic("buffer: NewRandom with nil source")
 	}
-	p := &random{src: src}
-	p.Reset()
-	return p
+	return &random{src: src}
 }
 
 func (p *random) Name() string { return "RANDOM" }
@@ -139,43 +97,18 @@ func (p *random) Reseed(seed uint64) {
 	p.src.Reinit(seed)
 }
 
-func (p *random) Reset() {
-	p.pages = p.pages[:0]
-	if p.pos == nil {
-		p.pos = make(map[PageID]int)
-	} else {
-		clear(p.pos)
-	}
-}
+func (p *random) Reset()                     { p.order = p.order[:0] }
+func (p *random) Inserted(f int32, _ PageID) { p.order = append(p.order, f) }
+func (p *random) Touched(int32)              {}
 
-func (p *random) Inserted(pg PageID) {
-	p.pos[pg] = len(p.pages)
-	p.pages = append(p.pages, pg)
-}
-
-func (p *random) Touched(PageID) {}
-
-func (p *random) Victim() PageID {
-	if len(p.pages) == 0 {
+func (p *random) Victim() int32 {
+	n := len(p.order)
+	if n == 0 {
 		panic("buffer: RANDOM victim of empty policy")
 	}
-	i := p.src.Intn(len(p.pages))
-	pg := p.pages[i]
-	p.removeAt(i)
-	return pg
-}
-
-func (p *random) Removed(pg PageID) {
-	if i, ok := p.pos[pg]; ok {
-		p.removeAt(i)
-	}
-}
-
-func (p *random) removeAt(i int) {
-	pg := p.pages[i]
-	last := len(p.pages) - 1
-	p.pages[i] = p.pages[last]
-	p.pos[p.pages[i]] = i
-	p.pages = p.pages[:last]
-	delete(p.pos, pg)
+	i := p.src.Intn(n)
+	f := p.order[i]
+	p.order[i] = p.order[n-1]
+	p.order = p.order[:n-1]
+	return f
 }

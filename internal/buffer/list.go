@@ -1,74 +1,76 @@
 package buffer
 
-// node is an intrusive doubly-linked list node used by the list-based
-// policies (LRU, MRU, FIFO, CLOCK, GCLOCK). Hand-rolled to avoid
-// container/list's interface boxing on the simulator's hottest path.
-type node struct {
-	page       PageID
-	prev, next *node
-	ref        int // CLOCK reference bit / GCLOCK counter
+// frameList is a doubly linked list of small integer slots — buffer frames,
+// or 2Q's ghost entries — threaded through slot-indexed prev/next slices,
+// with -1 at either end. The front is the most recently pushed end. The
+// slices grow when a slot is first pushed and are kept across reset, so
+// steady-state use allocates nothing. The zero value is an empty list.
+type frameList struct {
+	prev, next  []int32
+	front, back int32 // meaningful only when len > 0
+	len         int
 }
 
-// pageList is a circular doubly-linked list with a sentinel root.
-// root.next is the front (most recently added for LRU semantics),
-// root.prev is the back.
-type pageList struct {
-	root node
-	len  int
+func (l *frameList) reset() { l.len = 0 }
+
+func (l *frameList) grow(s int32) {
+	for int(s) >= len(l.prev) {
+		l.prev = append(l.prev, -1)
+		l.next = append(l.next, -1)
+	}
 }
 
-func newPageList() *pageList {
-	l := &pageList{}
-	l.root.prev = &l.root
-	l.root.next = &l.root
-	return l
-}
-
-func (l *pageList) pushFront(n *node) {
-	n.prev = &l.root
-	n.next = l.root.next
-	n.prev.next = n
-	n.next.prev = n
+func (l *frameList) pushFront(s int32) {
+	l.grow(s)
+	l.prev[s], l.next[s] = -1, -1
+	if l.len == 0 {
+		l.back = s
+	} else {
+		l.next[s] = l.front
+		l.prev[l.front] = s
+	}
+	l.front = s
 	l.len++
 }
 
-func (l *pageList) pushBack(n *node) {
-	n.next = &l.root
-	n.prev = l.root.prev
-	n.prev.next = n
-	n.next.prev = n
+func (l *frameList) pushBack(s int32) {
+	l.grow(s)
+	l.prev[s], l.next[s] = -1, -1
+	if l.len == 0 {
+		l.front = s
+	} else {
+		l.prev[s] = l.back
+		l.next[l.back] = s
+	}
+	l.back = s
 	l.len++
 }
 
-func (l *pageList) remove(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+func (l *frameList) remove(s int32) {
+	p, n := l.prev[s], l.next[s]
+	if p < 0 {
+		l.front = n
+	} else {
+		l.next[p] = n
+	}
+	if n < 0 {
+		l.back = p
+	} else {
+		l.prev[n] = p
+	}
 	l.len--
 }
 
-func (l *pageList) moveToFront(n *node) {
-	if l.root.next == n {
-		return
+func (l *frameList) moveToFront(s int32) {
+	if l.front != s {
+		l.remove(s)
+		l.pushFront(s)
 	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev = &l.root
-	n.next = l.root.next
-	n.prev.next = n
-	n.next.prev = n
 }
 
-func (l *pageList) back() *node {
-	if l.len == 0 {
-		return nil
-	}
-	return l.root.prev
-}
-
-func (l *pageList) front() *node {
-	if l.len == 0 {
-		return nil
-	}
-	return l.root.next
+// popBack removes and returns the back slot; the list must not be empty.
+func (l *frameList) popBack() int32 {
+	s := l.back
+	l.remove(s)
+	return s
 }

@@ -2,268 +2,135 @@ package buffer
 
 import "fmt"
 
-// lruK implements LRU-K (O'Neil et al.): the victim is the page whose K-th
-// most recent reference is oldest ("maximum backward K-distance"). Pages
-// with fewer than K references have infinite backward distance and are
-// evicted first, oldest first. K = 1 is classic LRU and uses an O(1)
-// linked-list fast path; K ≥ 2 keeps per-page reference history and scans
-// on eviction (evictions are rare relative to accesses).
-type lruK struct {
-	k     int
-	clock uint64
-
-	// K == 1 fast path: a dense page→node table (PageIDs are dense) and
-	// a recycling node arena, so steady-state operation is allocation-free
-	// and map-probe-free.
-	list     *pageList
-	nodes    []*node // indexed by PageID, grown on demand
-	freeList *node   // recycled nodes, chained through next
-	arena    []node  // chunk the next fresh nodes are handed out from
-
-	// K ≥ 2 path.
-	hist map[PageID][]uint64 // most recent first, at most k entries
+// lru is classic LRU (LRU-1): frames on one list, most recently used at the
+// front; the victim is the back.
+type lru struct {
+	list frameList
 }
 
-// NewLRUK returns an LRU-K policy. K must be ≥ 1.
+// NewLRUK returns an LRU-K policy (O'Neil et al.). K must be ≥ 1; K = 1 is
+// classic LRU.
 func NewLRUK(k int) Policy {
 	if k < 1 {
 		panic(fmt.Sprintf("buffer: LRU-K with k=%d", k))
 	}
-	p := &lruK{k: k}
-	p.Reset()
-	return p
+	if k == 1 {
+		return &lru{}
+	}
+	return &lruK{k: k}
 }
 
-func (p *lruK) Name() string {
-	if p.k == 1 {
-		return "LRU"
+func (p *lru) Name() string                   { return "LRU" }
+func (p *lru) Reset()                         { p.list.reset() }
+func (p *lru) Inserted(f int32, _ PageID)     { p.list.pushFront(f) }
+func (p *lru) Touched(f int32)                { p.list.moveToFront(f) }
+func (p *lru) InsertedCold(f int32, _ PageID) { p.list.pushBack(f) }
+
+func (p *lru) Victim() int32 {
+	if p.list.len == 0 {
+		panic("buffer: LRU victim of empty policy")
 	}
-	return fmt.Sprintf("LRU-%d", p.k)
+	return p.list.popBack()
 }
+
+// lruK is LRU-K for K ≥ 2: the victim is the frame whose K-th most recent
+// reference is oldest ("maximum backward K-distance"). Frames with fewer
+// than K references have infinite backward distance and go first, oldest
+// reference first. A cold insertion is stamped 0, older than any access;
+// ties, which only cold insertions create, go to the most recently
+// inserted frame, the order in which LRU, FIFO and 2Q evict cold
+// reservations. Every victim is a scan of the frames in use.
+type lruK struct {
+	k      int
+	clock  uint64   // advances on every hot insertion and touch
+	serial uint64   // advances on every insertion, hot or cold
+	frames []kFrame // one per frame in use
+	hist   []uint64 // k timestamps per frame, most recent first
+}
+
+type kFrame struct {
+	refs     int    // timestamps recorded in hist, at most k
+	inserted uint64 // serial at insertion
+}
+
+func (p *lruK) Name() string { return fmt.Sprintf("LRU-%d", p.k) }
 
 func (p *lruK) Reset() {
-	if p.k == 1 {
-		// Recycle every tracked node and clear the dense table in place so
-		// repeated resets (buffer invalidation) do not discard the arena;
-		// draining leaves the list empty and valid, so no fresh list is
-		// allocated either.
-		if p.list == nil {
-			p.list = newPageList()
-			return
-		}
-		for n := p.list.back(); n != nil; n = p.list.back() {
-			p.list.remove(n)
-			p.nodes[n.page] = nil
-			p.recycle(n)
-		}
-		return
-	}
-	p.hist = make(map[PageID][]uint64)
+	p.clock, p.serial = 0, 0
+	p.frames = p.frames[:0]
 }
 
-// getNode takes a node from the free list or the current arena chunk.
-func (p *lruK) getNode(pg PageID) *node {
-	if n := p.freeList; n != nil {
-		p.freeList = n.next
-		n.next = nil
-		n.page = pg
-		return n
-	}
-	if len(p.arena) == 0 {
-		p.arena = make([]node, 64)
-	}
-	n := &p.arena[0]
-	p.arena = p.arena[1:]
-	n.page = pg
-	return n
-}
-
-func (p *lruK) recycle(n *node) {
-	n.ref = 0
-	n.prev = nil
-	n.next = p.freeList
-	p.freeList = n
-}
-
-// slot returns the dense-table entry for pg, growing the table as needed.
-func (p *lruK) slot(pg PageID) **node {
-	if need := int(pg) + 1; need > len(p.nodes) {
-		if need <= cap(p.nodes) {
-			p.nodes = p.nodes[:need]
-		} else {
-			newCap := 2 * cap(p.nodes)
-			if newCap < need {
-				newCap = need
-			}
-			grown := make([]*node, need, newCap)
-			copy(grown, p.nodes)
-			p.nodes = grown
+func (p *lruK) insert(f int32, stamp uint64) {
+	if int(f) == len(p.frames) {
+		p.frames = append(p.frames, kFrame{})
+		for len(p.hist) < len(p.frames)*p.k {
+			p.hist = append(p.hist, 0)
 		}
 	}
-	return &p.nodes[pg]
+	p.serial++
+	p.frames[f] = kFrame{refs: 1, inserted: p.serial}
+	p.hist[int(f)*p.k] = stamp
 }
 
-func (p *lruK) Inserted(pg PageID) {
+func (p *lruK) Inserted(f int32, _ PageID) {
 	p.clock++
-	if p.k == 1 {
-		n := p.getNode(pg)
-		*p.slot(pg) = n
-		p.list.pushFront(n)
-		return
-	}
-	p.hist[pg] = append(make([]uint64, 0, p.k), p.clock)
+	p.insert(f, p.clock)
 }
 
-// InsertedCold places the page at the LRU end: it is the next victim
-// unless it gets touched first.
-func (p *lruK) InsertedCold(pg PageID) {
-	if p.k == 1 {
-		n := p.getNode(pg)
-		*p.slot(pg) = n
-		p.list.pushBack(n)
-		return
-	}
-	// Timestamp 0 gives the page infinite backward K-distance and the
-	// oldest possible last reference.
-	p.hist[pg] = append(make([]uint64, 0, p.k), 0)
-}
+// InsertedCold stamps the page 0: infinite backward K-distance and the
+// oldest possible reference, so it is the next victim unless touched.
+func (p *lruK) InsertedCold(f int32, _ PageID) { p.insert(f, 0) }
 
-func (p *lruK) Touched(pg PageID) {
+func (p *lruK) Touched(f int32) {
 	p.clock++
-	if p.k == 1 {
-		if int(pg) < len(p.nodes) && p.nodes[pg] != nil {
-			p.list.moveToFront(p.nodes[pg])
-		}
-		return
+	fr := &p.frames[f]
+	if fr.refs < p.k {
+		fr.refs++
 	}
-	h := p.hist[pg]
-	if h == nil {
-		return
-	}
-	// Prepend the new timestamp, keeping at most k.
-	if len(h) < p.k {
-		h = append(h, 0)
-	}
+	h := p.hist[int(f)*p.k : int(f)*p.k+fr.refs]
 	copy(h[1:], h)
 	h[0] = p.clock
-	p.hist[pg] = h
 }
 
-func (p *lruK) Victim() PageID {
-	if p.k == 1 {
-		n := p.list.back()
-		if n == nil {
-			panic("buffer: LRU victim of empty policy")
-		}
-		p.list.remove(n)
-		p.nodes[n.page] = nil
-		pg := n.page
-		p.recycle(n)
-		return pg
-	}
-	if len(p.hist) == 0 {
+func (p *lruK) Victim() int32 {
+	if len(p.frames) == 0 {
 		panic("buffer: LRU-K victim of empty policy")
 	}
-	var victim PageID
-	victimDist := uint64(0)
-	victimOldest := uint64(1<<63 - 1)
-	first := true
-	for pg, h := range p.hist {
-		var kth uint64
-		infinite := len(h) < p.k
-		if !infinite {
-			kth = h[p.k-1]
-		}
-		oldest := h[len(h)-1]
-		better := false
-		switch {
-		case first:
-			better = true
-		case infinite && victimDist != 0:
-			// finite current victim loses to an infinite-distance page
-			better = true
-		case infinite && victimDist == 0:
-			// both infinite: older last reference loses (evict it)
-			better = oldest < victimOldest
-		case !infinite && victimDist == 0:
-			better = false
-		default:
-			better = kth < victimDist
-		}
-		if better {
-			victim = pg
-			if infinite {
-				victimDist = 0
-			} else {
-				victimDist = kth
-			}
-			victimOldest = oldest
-			first = false
+	victim := int32(-1)
+	var vInf bool
+	var vKey, vIns uint64
+	for f, fr := range p.frames {
+		inf := fr.refs < p.k
+		// The oldest recorded reference: the K-th most recent one once
+		// there are K of them.
+		key := p.hist[f*p.k+fr.refs-1]
+		if victim < 0 || inf && !vInf ||
+			inf == vInf && (key < vKey || key == vKey && fr.inserted > vIns) {
+			victim, vInf, vKey, vIns = int32(f), inf, key, fr.inserted
 		}
 	}
-	delete(p.hist, victim)
 	return victim
-}
-
-func (p *lruK) Removed(pg PageID) {
-	if p.k == 1 {
-		if int(pg) < len(p.nodes) && p.nodes[pg] != nil {
-			n := p.nodes[pg]
-			p.list.remove(n)
-			p.nodes[pg] = nil
-			p.recycle(n)
-		}
-		return
-	}
-	delete(p.hist, pg)
 }
 
 // mru evicts the most recently used page — a useful baseline for scan-heavy
 // workloads where LRU degenerates.
 type mru struct {
-	list  *pageList
-	nodes map[PageID]*node
+	list frameList
 }
 
 // NewMRU returns an MRU policy.
-func NewMRU() Policy {
-	p := &mru{}
-	p.Reset()
-	return p
-}
+func NewMRU() Policy { return &mru{} }
 
-func (p *mru) Name() string { return "MRU" }
+func (p *mru) Name() string               { return "MRU" }
+func (p *mru) Reset()                     { p.list.reset() }
+func (p *mru) Inserted(f int32, _ PageID) { p.list.pushFront(f) }
+func (p *mru) Touched(f int32)            { p.list.moveToFront(f) }
 
-func (p *mru) Reset() {
-	p.list = newPageList()
-	p.nodes = make(map[PageID]*node)
-}
-
-func (p *mru) Inserted(pg PageID) {
-	n := &node{page: pg}
-	p.nodes[pg] = n
-	p.list.pushFront(n)
-}
-
-func (p *mru) Touched(pg PageID) {
-	if n, ok := p.nodes[pg]; ok {
-		p.list.moveToFront(n)
-	}
-}
-
-func (p *mru) Victim() PageID {
-	n := p.list.front()
-	if n == nil {
+func (p *mru) Victim() int32 {
+	if p.list.len == 0 {
 		panic("buffer: MRU victim of empty policy")
 	}
-	p.list.remove(n)
-	delete(p.nodes, n.page)
-	return n.page
-}
-
-func (p *mru) Removed(pg PageID) {
-	if n, ok := p.nodes[pg]; ok {
-		p.list.remove(n)
-		delete(p.nodes, pg)
-	}
+	f := p.list.front
+	p.list.remove(f)
+	return f
 }

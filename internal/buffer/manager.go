@@ -2,19 +2,18 @@ package buffer
 
 import "fmt"
 
-// frameState distinguishes empty frames, loaded pages, and reserved ones.
-// Reserved frames model Texas's virtual-memory behaviour: address space
-// (and a physical frame) is claimed for a page before its content is read
-// from disk.
+// frameState distinguishes loaded pages from reserved ones. Reserved frames
+// model Texas's virtual-memory behaviour: address space (and a physical
+// frame) is claimed for a page before its content is read from disk.
 type frameState uint8
 
 const (
-	absent frameState = iota
-	loaded
+	loaded frameState = iota
 	reserved
 )
 
 type frame struct {
+	page  PageID
 	state frameState
 	dirty bool
 }
@@ -45,15 +44,17 @@ type AccessResult struct {
 // Manager is a fixed-capacity page buffer with a pluggable replacement
 // policy and dirty-page tracking.
 //
-// Page residency is tracked in a dense slice indexed by PageID — page
-// identifiers are dense in [0, NumPages) — so the hot path is a bounds
-// check and an array load instead of a map probe, and frames are stored by
-// value instead of one heap allocation each.
+// The resident pages sit in frames 0…Len()−1 in fill order: a miss takes
+// the next unused frame or, when the buffer is full, the policy's victim
+// frame, and frames empty only all at once. frameOf maps a page to its
+// frame in 4 bytes per page (page identifiers are dense in [0, NumPages)).
+// An entry counts only when it points below Len() at a frame holding that
+// page, so neither an eviction nor emptying the buffer has to clear it.
 type Manager struct {
 	capacity int
 	policy   Policy
-	frames   []frame // indexed by PageID, grown on demand; absent = not resident
-	resident int
+	frames   []frame // resident pages in fill order, grown on demand
+	frameOf  []int32 // indexed by PageID, grown on demand
 
 	// reserveCold inserts reserved frames at the eviction end (when the
 	// policy supports it) instead of the hot end. Hot insertion models a
@@ -89,47 +90,65 @@ func New(capacity int, policy Policy) *Manager {
 	}
 }
 
-// frameAt returns the frame entry for p, growing the table as needed. It
-// panics on a negative page (disk.None must never reach the buffer).
-func (m *Manager) frameAt(p PageID) *frame {
+// lookup returns the frame holding p, or -1 when p is not resident.
+func (m *Manager) lookup(p PageID) int32 {
+	if p >= 0 && int(p) < len(m.frameOf) {
+		if f := m.frameOf[p]; int(f) < len(m.frames) && m.frames[f].page == p {
+			return f
+		}
+	}
+	return -1
+}
+
+// place puts the non-resident page p in a frame — the next unused one, or
+// the policy's victim when the buffer is full — and reports the eviction.
+// It panics on a negative page (disk.None must never reach the buffer).
+func (m *Manager) place(p PageID, state frameState, dirty bool) (int32, AccessResult) {
 	if p < 0 {
 		panic(fmt.Sprintf("buffer: negative page %d", p))
 	}
-	if need := int(p) + 1; need > len(m.frames) {
-		if need <= cap(m.frames) {
-			m.frames = m.frames[:need]
-		} else {
-			// Geometric growth keeps ascending first-touch sweeps amortized
-			// O(N) instead of reallocating on every new max page.
-			newCap := 2 * cap(m.frames)
-			if newCap < need {
-				newCap = need
-			}
-			grown := make([]frame, need, newCap)
-			copy(grown, m.frames)
-			m.frames = grown
-		}
+	if need := int(p) + 1; need > len(m.frameOf) {
+		m.frameOf = append(m.frameOf, make([]int32, need-len(m.frameOf))...)
 	}
-	return &m.frames[p]
+	m.evScratch = m.evScratch[:0]
+	var f int32
+	if len(m.frames) < m.capacity {
+		f = int32(len(m.frames))
+		m.frames = append(m.frames, frame{})
+	} else {
+		f = m.policy.Victim()
+		v := m.frames[f]
+		wb := v.state == loaded && v.dirty
+		m.evictions++
+		if wb {
+			m.writebacks++
+		}
+		m.evScratch = append(m.evScratch, Eviction{Page: v.page, Dirty: wb})
+	}
+	m.frames[f] = frame{page: p, state: state, dirty: dirty}
+	m.frameOf[p] = f
+	return f, AccessResult{Evicted: m.evScratch}
 }
 
 // Capacity returns the frame count.
 func (m *Manager) Capacity() int { return m.capacity }
 
 // Len returns the number of resident frames (loaded + reserved).
-func (m *Manager) Len() int { return m.resident }
+func (m *Manager) Len() int { return len(m.frames) }
 
 // Policy returns the replacement policy in use.
 func (m *Manager) Policy() Policy { return m.policy }
 
 // Contains reports whether p is resident with loaded content.
 func (m *Manager) Contains(p PageID) bool {
-	return p >= 0 && int(p) < len(m.frames) && m.frames[p].state == loaded
+	f := m.lookup(p)
+	return f >= 0 && m.frames[f].state == loaded
 }
 
 // IsReserved reports whether p has a reserved (content-less) frame.
 func (m *Manager) IsReserved(p PageID) bool {
-	return p >= 0 && int(p) < len(m.frames) && m.frames[p].state == reserved
+	f := m.lookup(p)
+	return f >= 0 && m.frames[f].state == reserved
 }
 
 // Access requests page p, marking it dirty when write is true. On a miss a
@@ -138,27 +157,23 @@ func (m *Manager) IsReserved(p PageID) bool {
 // the disk read. Accessing a reserved frame loads it in place: a miss with
 // no eviction.
 func (m *Manager) Access(p PageID, write bool) AccessResult {
-	f := m.frameAt(p)
-	if f.state != absent {
-		m.policy.Touched(p)
+	if f := m.lookup(p); f >= 0 {
+		fr := &m.frames[f]
+		m.policy.Touched(f)
 		if write {
-			f.dirty = true
+			fr.dirty = true
 		}
-		if f.state == loaded {
+		if fr.state == loaded {
 			m.hits++
 			return AccessResult{Hit: true}
 		}
-		f.state = loaded
+		fr.state = loaded
 		m.misses++
 		return AccessResult{WasReserved: true}
 	}
 	m.misses++
-	res := AccessResult{}
-	m.makeRoom(&res)
-	f.state = loaded
-	f.dirty = write
-	m.resident++
-	m.policy.Inserted(p)
+	f, res := m.place(p, loaded, write)
+	m.policy.Inserted(f, p)
 	return res
 }
 
@@ -167,99 +182,35 @@ func (m *Manager) Access(p PageID, write bool) AccessResult {
 // victim, exactly like a miss — this is the Texas memory-pressure
 // mechanism. Insertion position follows SetReserveCold.
 func (m *Manager) Reserve(p PageID) AccessResult {
-	f := m.frameAt(p)
-	if f.state != absent {
+	if m.lookup(p) >= 0 {
 		return AccessResult{Hit: true}
 	}
-	res := AccessResult{}
-	m.makeRoom(&res)
-	f.state = reserved
-	f.dirty = false
-	m.resident++
+	f, res := m.place(p, reserved, false)
 	if ci, ok := m.policy.(ColdInserter); ok && m.reserveCold {
-		ci.InsertedCold(p)
+		ci.InsertedCold(f, p)
 	} else {
-		m.policy.Inserted(p)
+		m.policy.Inserted(f, p)
 	}
 	return res
-}
-
-func (m *Manager) makeRoom(res *AccessResult) {
-	m.evScratch = m.evScratch[:0]
-	for m.resident >= m.capacity {
-		v := m.policy.Victim()
-		f := &m.frames[v]
-		dirty := f.state == loaded && f.dirty
-		f.state = absent
-		f.dirty = false
-		m.resident--
-		m.evictions++
-		if dirty {
-			m.writebacks++
-		}
-		m.evScratch = append(m.evScratch, Eviction{Page: v, Dirty: dirty})
-	}
-	res.Evicted = m.evScratch
 }
 
 // MarkDirty marks a resident loaded page dirty; it reports whether the page
 // was resident.
 func (m *Manager) MarkDirty(p PageID) bool {
-	if !m.Contains(p) {
+	f := m.lookup(p)
+	if f < 0 || m.frames[f].state != loaded {
 		return false
 	}
-	m.frames[p].dirty = true
+	m.frames[f].dirty = true
 	return true
 }
 
-// Invalidate drops p from the buffer without an eviction decision,
-// returning whether it was resident and whether it was dirty (the caller
-// decides if the lost update matters — reorganization discards pages
-// deliberately).
-func (m *Manager) Invalidate(p PageID) (wasResident, wasDirty bool) {
-	if p < 0 || int(p) >= len(m.frames) || m.frames[p].state == absent {
-		return false, false
-	}
-	f := &m.frames[p]
-	wasDirty = f.state == loaded && f.dirty
-	f.state = absent
-	f.dirty = false
-	m.resident--
-	m.policy.Removed(p)
-	return true, wasDirty
-}
-
-// InvalidateAll empties the buffer, returning the dirty pages that were
-// dropped (in ascending page order).
-func (m *Manager) InvalidateAll() []PageID {
-	var dirtyPages []PageID
-	for p := range m.frames {
-		if m.frames[p].state == loaded && m.frames[p].dirty {
-			dirtyPages = append(dirtyPages, PageID(p))
-		}
-		m.frames[p] = frame{}
-	}
-	m.resident = 0
+// InvalidateAll empties the buffer without writing anything back: the
+// caller has either lost the content (a failure) or made it stale (a
+// reorganization).
+func (m *Manager) InvalidateAll() {
+	m.frames = m.frames[:0]
 	m.policy.Reset()
-	return dirtyPages
-}
-
-// DirtyPages returns the resident dirty pages in ascending page order.
-func (m *Manager) DirtyPages() []PageID {
-	var out []PageID
-	for p := range m.frames {
-		if m.frames[p].state == loaded && m.frames[p].dirty {
-			out = append(out, PageID(p))
-		}
-	}
-	return out
-}
-
-// Clean clears the dirty bit of p (after a write-back).
-func (m *Manager) Clean(p PageID) {
-	if p >= 0 && int(p) < len(m.frames) && m.frames[p].state != absent {
-		m.frames[p].dirty = false
-	}
 }
 
 // Hits returns the hit count since the last ResetStats.
@@ -289,15 +240,11 @@ func (m *Manager) ResetStats() {
 }
 
 // Reset restores the manager to its freshly-constructed state — empty
-// buffer, pristine policy, zeroed counters — while keeping the frame
-// table's storage, so a recycled manager behaves bit-for-bit like a new
-// one without reallocating O(pages) state. The frame table's length (its
-// high-water page mark) is preserved; entries are cleared, which is
-// indistinguishable from absence.
+// buffer, pristine policy, zeroed counters — while keeping the frame and
+// page tables' storage, so a recycled manager behaves bit-for-bit like a
+// new one without reallocating.
 func (m *Manager) Reset() {
-	clear(m.frames)
-	m.resident = 0
-	m.policy.Reset()
+	m.InvalidateAll()
 	m.hits, m.misses, m.evictions, m.writebacks = 0, 0, 0, 0
 	m.evScratch = m.evScratch[:0]
 }

@@ -1,9 +1,6 @@
 package buffer
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestHitMissBasics(t *testing.T) {
 	m := New(2, NewLRUK(1))
@@ -46,45 +43,26 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 }
 
-func TestMarkDirtyAndClean(t *testing.T) {
+func TestMarkDirty(t *testing.T) {
 	m := New(2, NewLRUK(1))
 	m.Access(1, false)
+	m.Reserve(2)
 	if !m.MarkDirty(1) {
 		t.Fatal("MarkDirty on resident page failed")
 	}
 	if m.MarkDirty(99) {
 		t.Fatal("MarkDirty on absent page succeeded")
 	}
-	pages := m.DirtyPages()
-	if len(pages) != 1 || pages[0] != 1 {
-		t.Fatalf("DirtyPages = %v", pages)
+	if m.MarkDirty(2) {
+		t.Fatal("MarkDirty on a reserved page succeeded")
 	}
-	m.Clean(1)
-	if len(m.DirtyPages()) != 0 {
-		t.Fatal("Clean did not clear dirty bit")
+	m.Access(3, false) // evicts page 1, the least recently used
+	r := m.Access(4, false)
+	if len(r.Evicted) != 1 || r.Evicted[0].Page != 2 || r.Evicted[0].Dirty {
+		t.Fatalf("reserved page must leave clean: %+v", r.Evicted)
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	m := New(4, NewLRUK(1))
-	m.Access(1, true)
-	m.Access(2, false)
-	if res, dirty := m.Invalidate(1); !res || !dirty {
-		t.Fatalf("Invalidate(1) = %v, %v", res, dirty)
-	}
-	if res, _ := m.Invalidate(1); res {
-		t.Fatal("double invalidate reported resident")
-	}
-	if m.Contains(1) {
-		t.Fatal("page still resident after invalidate")
-	}
-	// The invalidated page must not be chosen as a victim later.
-	m.Access(3, false)
-	m.Access(4, false)
-	m.Access(5, false)
-	r := m.Access(6, false)
-	if len(r.Evicted) != 1 || r.Evicted[0].Page == 1 {
-		t.Fatalf("eviction after invalidate wrong: %+v", r)
+	if m.Writebacks() != 1 {
+		t.Errorf("writebacks = %d, want 1 (page 1, marked dirty)", m.Writebacks())
 	}
 }
 
@@ -93,18 +71,25 @@ func TestInvalidateAll(t *testing.T) {
 	m.Access(1, true)
 	m.Access(2, false)
 	m.Access(3, true)
-	dirty := m.InvalidateAll()
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	if len(dirty) != 2 || dirty[0] != 1 || dirty[1] != 3 {
-		t.Fatalf("InvalidateAll dirty = %v, want [1 3]", dirty)
-	}
+	m.Reserve(4)
+	m.InvalidateAll()
 	if m.Len() != 0 {
 		t.Fatal("buffer not empty after InvalidateAll")
 	}
-	// Buffer must be fully usable afterwards.
-	m.Access(7, false)
-	if !m.Contains(7) {
-		t.Fatal("buffer broken after InvalidateAll")
+	for p := PageID(1); p <= 4; p++ {
+		if m.Contains(p) || m.IsReserved(p) {
+			t.Fatalf("page %d still resident after InvalidateAll", p)
+		}
+	}
+	// The buffer must be fully usable afterwards, and the dropped dirty
+	// pages are never written back.
+	for p := PageID(3); p < 9; p++ {
+		if r := m.Access(p, false); r.Hit {
+			t.Fatalf("page %d hit after InvalidateAll", p)
+		}
+	}
+	if !m.Contains(8) || m.Len() != 4 || m.Writebacks() != 0 {
+		t.Fatalf("buffer broken after InvalidateAll: len %d, writebacks %d", m.Len(), m.Writebacks())
 	}
 }
 

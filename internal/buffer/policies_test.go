@@ -142,6 +142,35 @@ func TestLRU2FallsBackToKDistance(t *testing.T) {
 	}
 }
 
+func TestLRU2ColdTies(t *testing.T) {
+	// Cold insertions are stamped 0. Among frames with fewer than K
+	// references, ties go to the most recently inserted frame; a cold frame
+	// touched up to K references is finite and waits for every infinite one.
+	p := NewLRUK(2)
+	ci := p.(ColdInserter)
+	victim := func(want int32) {
+		t.Helper()
+		if v := p.Victim(); v != want {
+			t.Fatalf("victim = frame %d, want %d", v, want)
+		}
+	}
+	ci.InsertedCold(0, 10)
+	ci.InsertedCold(1, 11)
+	ci.InsertedCold(2, 12)
+	p.Touched(0) // frame 0: references {t, 0}, so its K-th reference is 0
+	victim(2)    // frames 1 and 2 tie at 0; 2 is the newer
+	ci.InsertedCold(2, 13)
+	p.Inserted(3, 14)
+	victim(2)
+	p.Inserted(2, 15)
+	victim(1) // the last untouched cold frame
+	p.Inserted(1, 16)
+	for _, f := range []int32{1, 2, 3} {
+		p.Touched(f)
+	}
+	victim(0) // every frame is finite now; frame 0's K-th reference is 0
+}
+
 func TestRandomPolicyDeterministicAndValid(t *testing.T) {
 	mkSeq := func() []PageID {
 		src := rng.New(99)
@@ -164,7 +193,7 @@ func TestRandomPolicyDeterministicAndValid(t *testing.T) {
 func TestNewPolicyFactory(t *testing.T) {
 	src := rng.New(1)
 	for _, name := range PolicyNames() {
-		p, err := NewPolicy(name, src)
+		p, err := NewPolicy(name, src, 8)
 		if err != nil {
 			t.Errorf("NewPolicy(%q): %v", name, err)
 			continue
@@ -173,16 +202,16 @@ func TestNewPolicyFactory(t *testing.T) {
 			t.Errorf("NewPolicy(%q) returned nil", name)
 		}
 	}
-	if p, err := NewPolicy("lru-3", nil); err != nil || p.Name() != "LRU-3" {
+	if p, err := NewPolicy("lru-3", nil, 8); err != nil || p.Name() != "LRU-3" {
 		t.Errorf("lru-3: %v %v", p, err)
 	}
-	if _, err := NewPolicy("NOPE", nil); err == nil {
+	if _, err := NewPolicy("NOPE", nil, 8); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := NewPolicy("RANDOM", nil); err == nil {
+	if _, err := NewPolicy("RANDOM", nil, 8); err == nil {
 		t.Error("RANDOM without source accepted")
 	}
-	if _, err := NewPolicy("LRU-0", nil); err == nil {
+	if _, err := NewPolicy("LRU-0", nil, 8); err == nil {
 		t.Error("LRU-0 accepted")
 	}
 }
@@ -194,6 +223,7 @@ func TestVictimOnEmptyPanics(t *testing.T) {
 		NewFIFO, NewLFU, NewMRU, NewClock,
 		func() Policy { return NewGClock(2) },
 		func() Policy { return NewRandom(rng.New(1)) },
+		func() Policy { return NewTwoQ(4) },
 	} {
 		p := mk()
 		func() {
@@ -204,5 +234,53 @@ func TestVictimOnEmptyPanics(t *testing.T) {
 			}()
 			p.Victim()
 		}()
+	}
+}
+
+// BenchmarkPolicySteadyState replays a fixed trace of 16,384 accesses and
+// cold reservations over 2,048 pages on a warmed 256-frame Manager, one
+// sub-benchmark per PGREP name; an op is one replay. Every policy keeps its
+// state in frame-indexed slices that the warm-up grows, so a replay must
+// report 0 B/op and 0 allocs/op (CI gates this).
+func BenchmarkPolicySteadyState(b *testing.B) {
+	const (
+		frames = 256
+		pages  = 2048
+		ops    = 16384
+	)
+	src := rng.New(16)
+	trace := make([]PageID, ops)
+	for i := range trace {
+		if src.Intn(5) == 0 {
+			trace[i] = PageID(src.Intn(pages))
+		} else {
+			trace[i] = PageID(src.Intn(pages / 4))
+		}
+	}
+	for _, name := range PolicyNames() {
+		b.Run(name, func(b *testing.B) {
+			pol, err := NewPolicy(name, rng.New(1), frames)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := New(frames, pol)
+			m.SetReserveCold(true)
+			replay := func() {
+				for i, p := range trace {
+					if i%4 == 3 {
+						m.Reserve(p)
+					} else {
+						m.Access(p, i%8 == 0)
+					}
+				}
+			}
+			replay()
+			replay()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replay()
+			}
+		})
 	}
 }

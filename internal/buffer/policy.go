@@ -2,8 +2,14 @@
 // fixed-capacity page buffer with interchangeable replacement policies.
 //
 // Table 3 of the paper lists the PGREP parameter with the values RANDOM,
-// FIFO, LFU, LRU-K, CLOCK and GCLOCK; all are implemented here (plus MRU,
-// a common extra baseline). The paper's validation experiments use LRU-1.
+// FIFO, LFU, LRU-K, CLOCK and GCLOCK; all are implemented here, plus MRU
+// (a common extra baseline) and 2Q. The paper's validation experiments use
+// LRU-1.
+//
+// The Manager is the only code that maps a page to its buffer state. It
+// keeps the resident pages in frames 0…Len()−1, filled in order and emptied
+// only all at once, and a policy ranks those frame numbers: its state lives
+// in slices indexed by frame, grown as frames first fill.
 package buffer
 
 import (
@@ -18,24 +24,23 @@ import (
 // PageID aliases the physical page identifier; the buffer caches disk pages.
 type PageID = disk.PageID
 
-// Policy is a replacement policy. The Manager owns page membership; the
-// policy only ranks resident pages for eviction. Calls are balanced: every
-// page is Inserted once, possibly Touched many times, and leaves via
-// exactly one Victim or Removed call.
+// Policy is a replacement policy over the Manager's frames. Frames fill in
+// order from 0 and empty only all at once (Reset). Every frame is Inserted,
+// possibly Touched many times, and leaves through Victim, after which the
+// Manager inserts the incoming page into that same frame before calling
+// Victim again.
 type Policy interface {
 	// Name identifies the policy (e.g. "LRU", "GCLOCK").
 	Name() string
-	// Inserted tells the policy that p became resident.
-	Inserted(p PageID)
-	// Touched tells the policy that resident page p was accessed again.
-	Touched(p PageID)
-	// Victim selects a resident page to evict and forgets it.
-	// It panics if the policy tracks no pages (a Manager bug).
-	Victim() PageID
-	// Removed tells the policy that p left the buffer without an eviction
-	// decision (invalidation).
-	Removed(p PageID)
-	// Reset forgets all pages.
+	// Inserted tells the policy that frame f now holds page p, newly
+	// resident. f is the next unused frame or the last Victim.
+	Inserted(f int32, p PageID)
+	// Touched tells the policy that the page in frame f was accessed again.
+	Touched(f int32)
+	// Victim selects the frame whose page is evicted to make room.
+	// It panics if the policy tracks no frames (a Manager bug).
+	Victim() int32
+	// Reset forgets all frames.
 	Reset()
 }
 
@@ -43,7 +48,7 @@ type Policy interface {
 // eviction end of their ordering — used for reserved (never-touched)
 // frames, which should be reclaimed before any referenced page.
 type ColdInserter interface {
-	InsertedCold(p PageID)
+	InsertedCold(f int32, p PageID)
 }
 
 // Reseeder is implemented by policies whose eviction decisions consume
@@ -55,17 +60,12 @@ type Reseeder interface {
 	Reseed(seed uint64)
 }
 
-// NewPolicy builds a policy from its PGREP name. Recognized (case
-// insensitive): "RANDOM", "FIFO", "LFU", "LRU", "LRU-K" for any integer K
-// (e.g. "LRU-2"), "MRU", "CLOCK", "GCLOCK", "2Q". RANDOM requires a
-// non-nil random source; other policies ignore it.
-func NewPolicy(name string, src *rng.Source) (Policy, error) {
-	return NewPolicySized(name, src, 64)
-}
-
-// NewPolicySized is NewPolicy with an explicit buffer-capacity hint for
-// policies that size internal structures from it (2Q's probation queue).
-func NewPolicySized(name string, src *rng.Source, capacityHint int) (Policy, error) {
+// NewPolicy builds a policy from its PGREP name for a buffer of capacity
+// frames. Recognized (case insensitive): the PolicyNames and "LRU-K" for
+// any integer K ≥ 1. RANDOM requires a non-nil random source; other
+// policies ignore it. Only 2Q sizes anything by capacity: its probation
+// and ghost targets.
+func NewPolicy(name string, src *rng.Source, capacity int) (Policy, error) {
 	upper := strings.ToUpper(strings.TrimSpace(name))
 	switch {
 	case upper == "RANDOM":
@@ -92,11 +92,7 @@ func NewPolicySized(name string, src *rng.Source, capacityHint int) (Policy, err
 	case upper == "GCLOCK":
 		return NewGClock(2), nil
 	case upper == "2Q":
-		hint := capacityHint
-		if hint < 4 {
-			hint = 4
-		}
-		return NewTwoQ(hint), nil
+		return NewTwoQ(max(capacity, 4)), nil
 	default:
 		return nil, fmt.Errorf("buffer: unknown replacement policy %q", name)
 	}

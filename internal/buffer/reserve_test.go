@@ -41,11 +41,11 @@ func TestColdInsertionAcrossPolicies(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no ColdInserter support", p.Name())
 		}
-		p.Inserted(1)
-		p.Touched(1)
-		ci.InsertedCold(2)
-		if v := p.Victim(); v != 2 {
-			t.Errorf("%s: victim = %d, want the cold page 2", p.Name(), v)
+		p.Inserted(0, 10)
+		p.Touched(0)
+		ci.InsertedCold(1, 20)
+		if v := p.Victim(); v != 1 {
+			t.Errorf("%s: victim = frame %d, want the cold frame 1", p.Name(), v)
 		}
 	}
 }

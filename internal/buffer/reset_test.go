@@ -13,7 +13,10 @@ func replay(m *Manager) [4]uint64 {
 		m.Access(PageID(i%12), i%5 == 0)
 	}
 	m.Reserve(13)
-	m.Invalidate(3)
+	m.InvalidateAll()
+	for i := 0; i < 20; i++ {
+		m.Access(PageID(i%9), i%3 == 0)
+	}
 	return [4]uint64{m.Hits(), m.Misses(), m.Evictions(), uint64(m.Len())}
 }
 
@@ -23,7 +26,7 @@ func replay(m *Manager) [4]uint64 {
 func TestManagerResetMatchesFresh(t *testing.T) {
 	for _, name := range PolicyNames() {
 		mk := func() *Manager {
-			pol, err := NewPolicySized(name, rng.NewStream(7, 20), 8)
+			pol, err := NewPolicy(name, rng.NewStream(7, 20), 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,18 +8,25 @@ package buffer
 // protected LRU queue (Am). One-touch scans therefore flow through
 // probation without flushing the hot set — the weakness of plain LRU that
 // Table 3's "Other" slot invites exploring.
+//
+// The ghost queue is the only state any policy keeps about pages that are
+// not resident. Its entries live in slots threaded on a list, newest at the
+// front, and ghostOf maps a page to its newest slot. A cold insertion does
+// not consult the ghosts, so a page can be queued twice; dropping the older
+// entry off the back then forgets the page's newer one too, and the newer
+// entry stays queued, unreachable, until it reaches the back itself.
 type twoQ struct {
-	sizeHint int
 	a1Max    int // probation target (¼ of capacity)
 	ghostMax int // ghost capacity (½ of capacity)
 
-	a1      *pageList
-	am      *pageList
-	a1Nodes map[PageID]*node
-	amNodes map[PageID]*node
+	a1, am    frameList
+	probation []bool   // per frame: on a1, not am
+	page      []PageID // per frame: the page it holds
 
-	ghosts   *pageList
-	ghostSet map[PageID]*node
+	ghosts    frameList
+	ghostPage []PageID // per slot
+	ghostFree []int32  // slots not on the ghost list
+	ghostOf   []int32  // per page: its newest ghost slot + 1, 0 when none
 }
 
 // NewTwoQ returns a 2Q policy. sizeHint is the buffer capacity; the
@@ -29,109 +36,96 @@ func NewTwoQ(sizeHint int) Policy {
 	if sizeHint < 4 {
 		panic("buffer: 2Q needs a size hint ≥ 4")
 	}
-	p := &twoQ{sizeHint: sizeHint}
-	p.Reset()
-	return p
+	return &twoQ{a1Max: sizeHint / 4, ghostMax: sizeHint / 2}
 }
 
 func (p *twoQ) Name() string { return "2Q" }
 
 func (p *twoQ) Reset() {
-	p.a1Max = p.sizeHint / 4
-	if p.a1Max < 1 {
-		p.a1Max = 1
+	p.a1.reset()
+	p.am.reset()
+	p.ghosts.reset()
+	for _, pg := range p.ghostPage {
+		p.ghostOf[pg] = 0
 	}
-	p.ghostMax = p.sizeHint / 2
-	if p.ghostMax < 1 {
-		p.ghostMax = 1
-	}
-	p.a1 = newPageList()
-	p.am = newPageList()
-	p.a1Nodes = make(map[PageID]*node)
-	p.amNodes = make(map[PageID]*node)
-	p.ghosts = newPageList()
-	p.ghostSet = make(map[PageID]*node)
+	p.ghostPage = p.ghostPage[:0]
+	p.ghostFree = p.ghostFree[:0]
 }
 
-func (p *twoQ) Inserted(pg PageID) {
-	if g, ok := p.ghostSet[pg]; ok {
+// admit records that frame f holds page pg, on probation or not.
+func (p *twoQ) admit(f int32, pg PageID, probation bool) {
+	if int(f) == len(p.page) {
+		p.page = append(p.page, 0)
+		p.probation = append(p.probation, false)
+	}
+	p.page[f], p.probation[f] = pg, probation
+}
+
+func (p *twoQ) Inserted(f int32, pg PageID) {
+	if int(pg) < len(p.ghostOf) && p.ghostOf[pg] != 0 {
 		// Recently evicted from probation: this is a genuine re-reference.
-		p.ghosts.remove(g)
-		delete(p.ghostSet, pg)
-		n := &node{page: pg}
-		p.amNodes[pg] = n
-		p.am.pushFront(n)
+		s := p.ghostOf[pg] - 1
+		p.ghostOf[pg] = 0
+		p.ghosts.remove(s)
+		p.ghostFree = append(p.ghostFree, s)
+		p.admit(f, pg, false)
+		p.am.pushFront(f)
 		return
 	}
-	n := &node{page: pg}
-	p.a1Nodes[pg] = n
-	p.a1.pushFront(n)
+	p.admit(f, pg, true)
+	p.a1.pushFront(f)
 }
 
 // InsertedCold places the page at the probation queue's eviction end.
-func (p *twoQ) InsertedCold(pg PageID) {
-	n := &node{page: pg}
-	p.a1Nodes[pg] = n
-	p.a1.pushBack(n)
+func (p *twoQ) InsertedCold(f int32, pg PageID) {
+	p.admit(f, pg, true)
+	p.a1.pushBack(f)
 }
 
-func (p *twoQ) Touched(pg PageID) {
-	if n, ok := p.a1Nodes[pg]; ok {
+func (p *twoQ) Touched(f int32) {
+	if p.probation[f] {
 		// Promotion: probation → protected.
-		p.a1.remove(n)
-		delete(p.a1Nodes, pg)
-		m := &node{page: pg}
-		p.amNodes[pg] = m
-		p.am.pushFront(m)
+		p.probation[f] = false
+		p.a1.remove(f)
+		p.am.pushFront(f)
 		return
 	}
-	if n, ok := p.amNodes[pg]; ok {
-		p.am.moveToFront(n)
-	}
+	p.am.moveToFront(f)
 }
 
-func (p *twoQ) Victim() PageID {
-	// Drain probation beyond its target first; then protected LRU; then
-	// whatever probation still holds.
-	if p.a1.len > p.a1Max || (p.a1.len > 0 && p.am.len == 0) {
-		return p.evictProbation()
+func (p *twoQ) Victim() int32 {
+	// Drain probation beyond its target first, then protected LRU.
+	if p.a1.len > p.a1Max || p.am.len == 0 {
+		if p.a1.len == 0 {
+			panic("buffer: 2Q victim of empty policy")
+		}
+		f := p.a1.popBack()
+		p.remember(p.page[f])
+		return f
 	}
-	if p.am.len > 0 {
-		n := p.am.back()
-		p.am.remove(n)
-		delete(p.amNodes, n.page)
-		return n.page
-	}
-	if p.a1.len > 0 {
-		return p.evictProbation()
-	}
-	panic("buffer: 2Q victim of empty policy")
+	return p.am.popBack()
 }
 
-func (p *twoQ) evictProbation() PageID {
-	n := p.a1.back()
-	p.a1.remove(n)
-	delete(p.a1Nodes, n.page)
-	// Remember the identifier in the ghost queue.
-	g := &node{page: n.page}
-	p.ghostSet[n.page] = g
-	p.ghosts.pushFront(g)
+// remember queues a ghost for pg, dropping the oldest ghost when the queue
+// outgrows its target.
+func (p *twoQ) remember(pg PageID) {
+	var s int32
+	if n := len(p.ghostFree); n > 0 {
+		s = p.ghostFree[n-1]
+		p.ghostFree = p.ghostFree[:n-1]
+		p.ghostPage[s] = pg
+	} else {
+		s = int32(len(p.ghostPage))
+		p.ghostPage = append(p.ghostPage, pg)
+	}
+	if need := int(pg) + 1; need > len(p.ghostOf) {
+		p.ghostOf = append(p.ghostOf, make([]int32, need-len(p.ghostOf))...)
+	}
+	p.ghostOf[pg] = s + 1
+	p.ghosts.pushFront(s)
 	if p.ghosts.len > p.ghostMax {
-		old := p.ghosts.back()
-		p.ghosts.remove(old)
-		delete(p.ghostSet, old.page)
-	}
-	return n.page
-}
-
-func (p *twoQ) Removed(pg PageID) {
-	if n, ok := p.a1Nodes[pg]; ok {
-		p.a1.remove(n)
-		delete(p.a1Nodes, pg)
-		return
-	}
-	if n, ok := p.amNodes[pg]; ok {
-		p.am.remove(n)
-		delete(p.amNodes, pg)
+		old := p.ghosts.popBack()
+		p.ghostOf[p.ghostPage[old]] = 0
+		p.ghostFree = append(p.ghostFree, old)
 	}
 }

@@ -68,31 +68,17 @@ func TestTwoQInvariantsUnderStress(t *testing.T) {
 	}
 }
 
-func TestTwoQRemoved(t *testing.T) {
-	p := NewTwoQ(8)
-	p.Inserted(1)
-	p.Inserted(2)
-	p.Touched(2) // protected
-	p.Removed(1)
-	p.Removed(2)
-	p.Removed(99) // absent: no-op
-	p.Inserted(3)
-	if v := p.Victim(); v != 3 {
-		t.Fatalf("victim = %d", v)
-	}
-}
-
 func TestTwoQColdInsert(t *testing.T) {
 	p := NewTwoQ(8).(ColdInserter)
-	p.(Policy).Inserted(1)
-	p.InsertedCold(2)
-	if v := p.(Policy).Victim(); v != 2 {
-		t.Fatalf("cold-inserted page not first victim: %d", v)
+	p.(Policy).Inserted(0, 10)
+	p.InsertedCold(1, 20)
+	if v := p.(Policy).Victim(); v != 1 {
+		t.Fatalf("cold-inserted frame not first victim: %d", v)
 	}
 }
 
 func TestTwoQFactory(t *testing.T) {
-	p, err := NewPolicySized("2q", nil, 100)
+	p, err := NewPolicy("2q", nil, 100)
 	if err != nil || p.Name() != "2Q" {
 		t.Fatalf("factory: %v %v", p, err)
 	}

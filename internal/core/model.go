@@ -77,7 +77,7 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := buffer.NewPolicySized(cfg.BufferPolicy, rng.NewStream(seed, 20), cfg.BufferPages)
+	pol, err := buffer.NewPolicy(cfg.BufferPolicy, rng.NewStream(seed, 20), cfg.BufferPages)
 	if err != nil {
 		return nil, err
 	}

@@ -180,7 +180,8 @@ func TestLargeStreamingSmoke(t *testing.T) {
 }
 
 // streamModelAllocLimit bounds what TestLargeStreamingSmoke's streaming
-// replication may allocate outside the object base. Tables indexed by OID
-// (8 MB each at a million objects) would break it; the buffer's per-page
-// frame tables are what remain under it.
-const streamModelAllocLimit = 20e6
+// replication may allocate outside the object base (3.3 MB measured). A
+// table indexed by OID (8 MB at a million objects) would break it, and so
+// would per-page tables beyond the buffer's one 4-byte-per-page frame
+// index.
+const streamModelAllocLimit = 6e6

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/ocb"
 	"repro/internal/storage"
@@ -173,14 +174,13 @@ func asGenerative(p Param) Param {
 
 // Canonical enum choice lists. SystemClasses and Placements use
 // CLI-friendly lower-case names; buffer policies keep their PGREP
-// spelling (matching buffer.NewPolicy and voodb.BufferPolicies).
+// spelling and come from buffer.PolicyNames.
 var (
-	systemClassChoices  = []string{"centralized", "objectserver", "pageserver", "dbserver"}
-	bufferPolicyChoices = []string{"RANDOM", "FIFO", "LFU", "LRU", "LRU-2", "MRU", "CLOCK", "GCLOCK", "2Q"}
-	placementChoices    = []string{"sequential", "optimized"}
-	clusteringChoices   = []string{"none", "dstc", "greedygraph"}
-	prefetchChoices     = []string{"none", "oneahead"}
-	layoutChoices       = []string{"eager", "eagerv2", "stream"}
+	systemClassChoices = []string{"centralized", "objectserver", "pageserver", "dbserver"}
+	placementChoices   = []string{"sequential", "optimized"}
+	clusteringChoices  = []string{"none", "dstc", "greedygraph"}
+	prefetchChoices    = []string{"none", "oneahead"}
+	layoutChoices      = []string{"eager", "eagerv2", "stream"}
 )
 
 var systemClassByName = map[string]core.SystemClass{
@@ -247,7 +247,7 @@ var paramTable = []Param{
 
 	enumParam("sysclass", "system class architecture (SYSCLASS)", systemClassChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.System = systemClassByName[v] }),
-	enumParam("pgrep", "buffer page replacement policy (PGREP)", bufferPolicyChoices,
+	enumParam("pgrep", "buffer page replacement policy (PGREP)", buffer.PolicyNames(),
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.BufferPolicy = v }),
 	enumParam("initpl", "initial object placement (INITPL)", placementChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Placement = placementByName[v] }),

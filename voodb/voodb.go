@@ -33,6 +33,7 @@ package voodb
 import (
 	"context"
 
+	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ocb"
@@ -235,9 +236,7 @@ func RequiredReplications(pilotN int, pilotHalfWidth, desiredHalfWidth float64) 
 }
 
 // BufferPolicies lists the supported PGREP values.
-func BufferPolicies() []string {
-	return []string{"RANDOM", "FIFO", "LFU", "LRU", "LRU-2", "MRU", "CLOCK", "GCLOCK", "2Q"}
-}
+func BufferPolicies() []string { return buffer.PolicyNames() }
 
 // --- declarative sweeps ---
 //
