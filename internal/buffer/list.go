@@ -1,33 +1,34 @@
 package buffer
 
 // frameList is a doubly linked list of small integer slots — buffer frames,
-// or 2Q's ghost entries — threaded through slot-indexed prev/next slices,
-// with -1 at either end. The front is the most recently pushed end. The
-// slices grow when a slot is first pushed and are kept across reset, so
+// or 2Q's ghost entries — threaded through a slot-indexed link table, with
+// -1 at either end. The front is the most recently pushed end. The table
+// grows when a slot is first pushed and is kept across reset, so
 // steady-state use allocates nothing. The zero value is an empty list.
 type frameList struct {
-	prev, next  []int32
+	links       []link
 	front, back int32 // meaningful only when len > 0
 	len         int
 }
 
+type link struct{ prev, next int32 }
+
 func (l *frameList) reset() { l.len = 0 }
 
 func (l *frameList) grow(s int32) {
-	for int(s) >= len(l.prev) {
-		l.prev = append(l.prev, -1)
-		l.next = append(l.next, -1)
+	for int(s) >= len(l.links) {
+		l.links = append(l.links, link{})
 	}
 }
 
 func (l *frameList) pushFront(s int32) {
 	l.grow(s)
-	l.prev[s], l.next[s] = -1, -1
 	if l.len == 0 {
+		l.links[s] = link{-1, -1}
 		l.back = s
 	} else {
-		l.next[s] = l.front
-		l.prev[l.front] = s
+		l.links[s] = link{-1, l.front}
+		l.links[l.front].prev = s
 	}
 	l.front = s
 	l.len++
@@ -35,28 +36,28 @@ func (l *frameList) pushFront(s int32) {
 
 func (l *frameList) pushBack(s int32) {
 	l.grow(s)
-	l.prev[s], l.next[s] = -1, -1
 	if l.len == 0 {
+		l.links[s] = link{-1, -1}
 		l.front = s
 	} else {
-		l.prev[s] = l.back
-		l.next[l.back] = s
+		l.links[s] = link{l.back, -1}
+		l.links[l.back].next = s
 	}
 	l.back = s
 	l.len++
 }
 
 func (l *frameList) remove(s int32) {
-	p, n := l.prev[s], l.next[s]
-	if p < 0 {
-		l.front = n
+	k := l.links[s]
+	if k.prev < 0 {
+		l.front = k.next
 	} else {
-		l.next[p] = n
+		l.links[k.prev].next = k.next
 	}
-	if n < 0 {
-		l.back = p
+	if k.next < 0 {
+		l.back = k.prev
 	} else {
-		l.prev[n] = p
+		l.links[k.next].prev = k.prev
 	}
 	l.len--
 }

@@ -48,13 +48,11 @@ type AccessResult struct {
 // the next unused frame or, when the buffer is full, the policy's victim
 // frame, and frames empty only all at once. frameOf maps a page to its
 // frame in 4 bytes per page (page identifiers are dense in [0, NumPages)).
-// An entry counts only when it points below Len() at a frame holding that
-// page, so neither an eviction nor emptying the buffer has to clear it.
 type Manager struct {
 	capacity int
 	policy   Policy
 	frames   []frame // resident pages in fill order, grown on demand
-	frameOf  []int32 // indexed by PageID, grown on demand
+	frameOf  []int32 // indexed by PageID: frame + 1, 0 when not resident
 
 	// reserveCold inserts reserved frames at the eviction end (when the
 	// policy supports it) instead of the hot end. Hot insertion models a
@@ -93,9 +91,7 @@ func New(capacity int, policy Policy) *Manager {
 // lookup returns the frame holding p, or -1 when p is not resident.
 func (m *Manager) lookup(p PageID) int32 {
 	if p >= 0 && int(p) < len(m.frameOf) {
-		if f := m.frameOf[p]; int(f) < len(m.frames) && m.frames[f].page == p {
-			return f
-		}
+		return m.frameOf[p] - 1
 	}
 	return -1
 }
@@ -118,6 +114,7 @@ func (m *Manager) place(p PageID, state frameState, dirty bool) (int32, AccessRe
 	} else {
 		f = m.policy.Victim()
 		v := m.frames[f]
+		m.frameOf[v.page] = 0
 		wb := v.state == loaded && v.dirty
 		m.evictions++
 		if wb {
@@ -126,7 +123,7 @@ func (m *Manager) place(p PageID, state frameState, dirty bool) (int32, AccessRe
 		m.evScratch = append(m.evScratch, Eviction{Page: v.page, Dirty: wb})
 	}
 	m.frames[f] = frame{page: p, state: state, dirty: dirty}
-	m.frameOf[p] = f
+	m.frameOf[p] = f + 1
 	return f, AccessResult{Evicted: m.evScratch}
 }
 
@@ -209,6 +206,9 @@ func (m *Manager) MarkDirty(p PageID) bool {
 // caller has either lost the content (a failure) or made it stale (a
 // reorganization).
 func (m *Manager) InvalidateAll() {
+	for _, fr := range m.frames {
+		m.frameOf[fr.page] = 0
+	}
 	m.frames = m.frames[:0]
 	m.policy.Reset()
 }

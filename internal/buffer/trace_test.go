@@ -95,9 +95,7 @@ func traceDigest(t *testing.T, name string, cold bool) string {
 // TestPolicyTraceDigests pins every replacement policy's eviction
 // decisions on one long trace, with reservations inserted hot and cold.
 // Any change to a policy's data structures must leave these digests alone.
-// All but LRU-K's cold digests were recorded before the policies moved from
-// page-keyed to frame-indexed state; LRU-K with cold reservations broke
-// ties in map order until then and is pinned from its deterministic rule.
+// LRU-K's cold digests pin its tie rule between cold reservations.
 func TestPolicyTraceDigests(t *testing.T) {
 	want := map[string][2]string{ // name → {hot reservations, cold reservations}
 		"RANDOM": {"4ba421ec8183f613", "4ba421ec8183f613"},

@@ -19,14 +19,18 @@ type twoQ struct {
 	a1Max    int // probation target (¼ of capacity)
 	ghostMax int // ghost capacity (½ of capacity)
 
-	a1, am    frameList
-	probation []bool   // per frame: on a1, not am
-	page      []PageID // per frame: the page it holds
+	a1, am frameList
+	frames []qFrame // one per frame in use
 
 	ghosts    frameList
 	ghostPage []PageID // per slot
 	ghostFree []int32  // slots not on the ghost list
 	ghostOf   []int32  // per page: its newest ghost slot + 1, 0 when none
+}
+
+type qFrame struct {
+	page      PageID
+	probation bool // on a1, not am
 }
 
 // NewTwoQ returns a 2Q policy. sizeHint is the buffer capacity; the
@@ -54,11 +58,10 @@ func (p *twoQ) Reset() {
 
 // admit records that frame f holds page pg, on probation or not.
 func (p *twoQ) admit(f int32, pg PageID, probation bool) {
-	if int(f) == len(p.page) {
-		p.page = append(p.page, 0)
-		p.probation = append(p.probation, false)
+	if int(f) == len(p.frames) {
+		p.frames = append(p.frames, qFrame{})
 	}
-	p.page[f], p.probation[f] = pg, probation
+	p.frames[f] = qFrame{page: pg, probation: probation}
 }
 
 func (p *twoQ) Inserted(f int32, pg PageID) {
@@ -83,9 +86,9 @@ func (p *twoQ) InsertedCold(f int32, pg PageID) {
 }
 
 func (p *twoQ) Touched(f int32) {
-	if p.probation[f] {
+	if p.frames[f].probation {
 		// Promotion: probation → protected.
-		p.probation[f] = false
+		p.frames[f].probation = false
 		p.a1.remove(f)
 		p.am.pushFront(f)
 		return
@@ -100,7 +103,7 @@ func (p *twoQ) Victim() int32 {
 			panic("buffer: 2Q victim of empty policy")
 		}
 		f := p.a1.popBack()
-		p.remember(p.page[f])
+		p.remember(p.frames[f].page)
 		return f
 	}
 	return p.am.popBack()
