@@ -42,24 +42,24 @@ func (p *lru) Victim() int32 {
 // reservations. Every victim is a scan of the frames in use.
 type lruK struct {
 	k      int
-	clock  uint64   // advances on every hot insertion and touch
-	serial uint64   // advances on every insertion, hot or cold
+	clock  uint64   // advances on every insertion and touch
 	frames []kFrame // one per frame in use
 	hist   []uint64 // k timestamps per frame, most recent first
 }
 
 type kFrame struct {
 	refs     int    // timestamps recorded in hist, at most k
-	inserted uint64 // serial at insertion
+	inserted uint64 // clock at insertion
 }
 
 func (p *lruK) Name() string { return fmt.Sprintf("LRU-%d", p.k) }
 
 func (p *lruK) Reset() {
-	p.clock, p.serial = 0, 0
+	p.clock = 0
 	p.frames = p.frames[:0]
 }
 
+// insert records frame f's first reference, stamped stamp.
 func (p *lruK) insert(f int32, stamp uint64) {
 	if int(f) == len(p.frames) {
 		p.frames = append(p.frames, kFrame{})
@@ -67,8 +67,7 @@ func (p *lruK) insert(f int32, stamp uint64) {
 			p.hist = append(p.hist, 0)
 		}
 	}
-	p.serial++
-	p.frames[f] = kFrame{refs: 1, inserted: p.serial}
+	p.frames[f] = kFrame{refs: 1, inserted: p.clock}
 	p.hist[int(f)*p.k] = stamp
 }
 
@@ -79,7 +78,10 @@ func (p *lruK) Inserted(f int32, _ PageID) {
 
 // InsertedCold stamps the page 0: infinite backward K-distance and the
 // oldest possible reference, so it is the next victim unless touched.
-func (p *lruK) InsertedCold(f int32, _ PageID) { p.insert(f, 0) }
+func (p *lruK) InsertedCold(f int32, _ PageID) {
+	p.clock++
+	p.insert(f, 0)
+}
 
 func (p *lruK) Touched(f int32) {
 	p.clock++
