@@ -161,7 +161,7 @@ func TestLRU2ColdTies(t *testing.T) {
 	victim(2)    // frames 1 and 2 tie at 0; 2 is the newer
 	ci.InsertedCold(2, 13)
 	p.Inserted(3, 14)
-	victim(2)
+	victim(2) // frames 1 and 2 tie at 0 again; 2 is the newer
 	p.Inserted(2, 15)
 	victim(1) // the last untouched cold frame
 	p.Inserted(1, 16)

@@ -63,8 +63,8 @@ type Reseeder interface {
 // NewPolicy builds a policy from its PGREP name for a buffer of capacity
 // frames. Recognized (case insensitive): the PolicyNames and "LRU-K" for
 // any integer K ≥ 1. RANDOM requires a non-nil random source; other
-// policies ignore it. Only 2Q sizes anything by capacity: its probation
-// and ghost targets.
+// policies ignore it. Only 2Q uses capacity: its probation and ghost
+// targets are fractions of it.
 func NewPolicy(name string, src *rng.Source, capacity int) (Policy, error) {
 	upper := strings.ToUpper(strings.TrimSpace(name))
 	switch {
