@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ocb"
 )
@@ -57,38 +57,48 @@ func (p DSTCParams) Validate() error {
 	return nil
 }
 
-// linkKey packs a directed object pair.
-type linkKey uint64
-
-func mkLink(a, b ocb.OID) linkKey { return linkKey(uint64(uint32(a))<<32 | uint64(uint32(b))) }
-
-func (k linkKey) split() (a, b ocb.OID) {
-	return ocb.OID(uint32(k >> 32)), ocb.OID(uint32(k))
-}
-
 // DSTC implements the Dynamic, Statistical and Tunable Clustering
 // technique: per-period access counting (observation), threshold filtering
 // (selection), and weight-ordered cluster-unit construction (clustering).
+//
+// Every table is recycled: statistics are zeroed in place at a period
+// boundary or build, and cluster construction reuses its scratch, so a
+// warmed policy observes and builds without allocating.
 type DSTC struct {
 	params DSTCParams
 
-	// Period statistics (observation phase). Usage counts live in a dense
-	// slice indexed by OID (grown on demand) plus a touched list for
-	// iteration, so a period boundary zeroes only what was used instead of
-	// reallocating maps; the sparse link counts reuse one map, cleared in
-	// place.
+	// Usage statistics (observation phase). Counts live in a dense slice
+	// indexed by OID (grown on demand) plus a touched list for iteration,
+	// so a period boundary zeroes only what was used. The consolidated
+	// counts use the same layout.
 	periodUsage   []int32
 	periodTouched []ocb.OID
-	periodLinks   map[linkKey]int
 	periodTx      int
+	usage         []int32
+	usageTouched  []ocb.OID
 
-	// Consolidated statistics, same layout.
-	usage        []int32
-	usageTouched []ocb.OID
-	links        map[linkKey]int
+	// links counts every transition since the last build. Links need no
+	// period split: consolidation would only add period counts into the
+	// consolidated ones, and only BuildClusters reads them.
+	links linkTable
+
+	// Cluster-construction scratch, recycled across builds.
+	sorted    []weightedLink // filtered links, strongest first
+	adj       []adjEntry     // each object's links, strongest first
+	adjEnd    []int32        // OID → end of its adjacency (a degree counter while counting)
+	adjNext   []int32        // OID → first adjacency entry not yet known to be clustered
+	clustered []bool         // OID → already placed in a unit
+	linked    []ocb.OID      // objects with at least one filtered link
+	units     clusterSet
 
 	observedTx uint64
 	builds     int
+}
+
+// adjEntry is one filtered link as seen from one of its ends.
+type adjEntry struct {
+	other  ocb.OID
+	weight int
 }
 
 // NewDSTC returns a DSTC policy; it panics on invalid parameters (a
@@ -127,48 +137,21 @@ func (d *DSTC) Reset() {
 		d.usage[o] = 0
 	}
 	d.usageTouched = d.usageTouched[:0]
-	if d.periodLinks == nil {
-		d.periodLinks = make(map[linkKey]int)
-		d.links = make(map[linkKey]int)
-	} else {
-		clear(d.periodLinks)
-		clear(d.links)
-	}
+	d.links.reset()
 	d.periodTx = 0
 }
 
-// grow extends a dense counter slice so index o is addressable. Elements
-// past the old length are zero: they are either freshly allocated or were
-// zeroed by the touched-list sweep before the length last shrank (it never
-// does — lengths only grow).
-func grow(counts []int32, o ocb.OID) []int32 {
-	need := int(o) + 1
-	if need <= len(counts) {
-		return counts
-	}
-	if need <= cap(counts) {
-		return counts[:need]
-	}
-	newCap := 2 * cap(counts)
-	if newCap < need {
-		newCap = need
-	}
-	grown := make([]int32, need, newCap)
-	copy(grown, counts)
-	return grown
-}
-
 // Observe records one access and, when prev is valid, the transition link
-// prev → o. Links are direction-insensitive at clustering time but stored
-// directed (cheaper, and the merge happens once per build).
+// between prev and o. A link is stored undirected, under its (min, max)
+// pair, so both directions of a transition add to one weight.
 func (d *DSTC) Observe(o, prev ocb.OID, _ bool) {
-	d.periodUsage = grow(d.periodUsage, o)
+	d.periodUsage = growTo(d.periodUsage, int(o)+1)
 	if d.periodUsage[o] == 0 {
 		d.periodTouched = append(d.periodTouched, o)
 	}
 	d.periodUsage[o]++
 	if prev != ocb.NilRef && prev != o {
-		d.periodLinks[mkLink(prev, o)]++
+		d.links.add(prev, o)
 	}
 }
 
@@ -184,7 +167,7 @@ func (d *DSTC) EndTransaction() {
 
 func (d *DSTC) consolidate() {
 	for _, o := range d.periodTouched {
-		d.usage = grow(d.usage, o)
+		d.usage = growTo(d.usage, int(o)+1)
 		if d.usage[o] == 0 {
 			d.usageTouched = append(d.usageTouched, o)
 		}
@@ -192,10 +175,6 @@ func (d *DSTC) consolidate() {
 		d.periodUsage[o] = 0
 	}
 	d.periodTouched = d.periodTouched[:0]
-	for k, c := range d.periodLinks {
-		d.links[k] += c
-	}
-	clear(d.periodLinks)
 	d.periodTx = 0
 }
 
@@ -228,98 +207,110 @@ func (d *DSTC) usageOf(o ocb.OID) int {
 	return int(d.usage[o])
 }
 
-// weightedLink is an undirected, filtered link.
-type weightedLink struct {
-	a, b   ocb.OID
-	weight int
-}
-
-// BuildClusters runs the selection and clustering phases: merge directed
-// links, drop links below MinLink or touching objects below MinUsage, then
-// grow cluster units greedily from the strongest links, strongest-neighbor
-// first — the placement order of the unit. Statistics are cleared
-// afterwards (DSTC starts a fresh observation cycle after reorganizing).
+// BuildClusters runs the selection and clustering phases: drop links
+// below MinLink or touching objects below MinUsage, then grow cluster
+// units greedily from the strongest links, strongest-neighbor first — the
+// placement order of the unit. Statistics are cleared afterwards (DSTC
+// starts a fresh observation cycle after reorganizing). The clusters stay
+// valid until the next BuildClusters.
 func (d *DSTC) BuildClusters() [][]ocb.OID {
 	d.consolidate() // fold any partial period in
 
-	// Merge directions: weight(a,b) = directed(a,b) + directed(b,a).
-	merged := make(map[linkKey]int, len(d.links))
-	for k, c := range d.links {
-		a, b := k.split()
-		if a > b {
-			a, b = b, a
-		}
-		merged[mkLink(a, b)] += c
-	}
-	var links []weightedLink
-	for k, w := range merged {
-		a, b := k.split()
-		if w < d.params.MinLink {
-			continue
-		}
-		if d.usageOf(a) < d.params.MinUsage || d.usageOf(b) < d.params.MinUsage {
-			continue
-		}
-		links = append(links, weightedLink{a: a, b: b, weight: w})
-	}
-	// Deterministic strongest-first order.
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].weight != links[j].weight {
-			return links[i].weight > links[j].weight
-		}
-		if links[i].a != links[j].a {
-			return links[i].a < links[j].a
-		}
-		return links[i].b < links[j].b
-	})
-
-	// Adjacency over filtered links.
-	adj := make(map[ocb.OID][]weightedLink)
+	links := d.links.appendLinks(d.sorted[:0], d.params.MinLink)
+	kept := links[:0]
 	for _, l := range links {
-		adj[l.a] = append(adj[l.a], l)
-		adj[l.b] = append(adj[l.b], l)
+		if d.usageOf(l.a) >= d.params.MinUsage && d.usageOf(l.b) >= d.params.MinUsage {
+			kept = append(kept, l)
+		}
+	}
+	links = kept
+	slices.SortFunc(links, strongerFirst)
+	d.sorted = links
+
+	// Adjacency over filtered links: count each object's degree, turn the
+	// counts into end offsets, then fill every list back to front from the
+	// links in reverse, so each list is strongest first.
+	n := int(d.links.maxOID) + 1
+	d.adjEnd = growTo(d.adjEnd, n)
+	d.adjNext = growTo(d.adjNext, n)
+	d.clustered = growTo(d.clustered, n)
+	linked := d.linked[:0]
+	for _, l := range links {
+		for _, o := range [2]ocb.OID{l.a, l.b} {
+			if d.adjEnd[o] == 0 {
+				linked = append(linked, o)
+			}
+			d.adjEnd[o]++
+		}
+	}
+	end := int32(0)
+	for _, o := range linked {
+		end += d.adjEnd[o]
+		d.adjEnd[o] = end
+		d.adjNext[o] = end
+	}
+	d.adj = growTo(d.adj, int(end))
+	for i := len(links) - 1; i >= 0; i-- {
+		l := links[i]
+		d.adjNext[l.a]--
+		d.adj[d.adjNext[l.a]] = adjEntry{other: l.b, weight: l.weight}
+		d.adjNext[l.b]--
+		d.adj[d.adjNext[l.b]] = adjEntry{other: l.a, weight: l.weight}
 	}
 
-	clustered := make(map[ocb.OID]bool)
-	var clusters [][]ocb.OID
+	d.units.reset()
 	for _, seed := range links {
-		if clustered[seed.a] || clustered[seed.b] {
+		if d.clustered[seed.a] || d.clustered[seed.b] {
 			continue
 		}
-		unit := []ocb.OID{seed.a, seed.b}
-		clustered[seed.a], clustered[seed.b] = true, true
+		start := len(d.units.members)
+		d.units.members = append(d.units.members, seed.a, seed.b)
+		d.clustered[seed.a], d.clustered[seed.b] = true, true
 		// Grow: repeatedly attach the strongest unclustered neighbor of
-		// any unit member.
-		for len(unit) < d.params.MaxClusterSize {
-			best := weightedLink{weight: -1}
-			var bestTarget ocb.OID
-			for _, member := range unit {
-				for _, l := range adj[member] {
-					other := l.a
-					if other == member {
-						other = l.b
-					}
-					if clustered[other] {
-						continue
-					}
-					if l.weight > best.weight ||
-						(l.weight == best.weight && other < bestTarget) {
-						best = l
-						bestTarget = other
-					}
+		// any unit member, the smallest OID among equals.
+		for len(d.units.members)-start < d.params.MaxClusterSize {
+			best := adjEntry{weight: -1}
+			for _, m := range d.units.members[start:] {
+				if e, ok := d.strongestFree(m); ok &&
+					(e.weight > best.weight || (e.weight == best.weight && e.other < best.other)) {
+					best = e
 				}
 			}
 			if best.weight < 0 {
 				break
 			}
-			unit = append(unit, bestTarget)
-			clustered[bestTarget] = true
+			d.units.members = append(d.units.members, best.other)
+			d.clustered[best.other] = true
 		}
-		clusters = append(clusters, unit)
+		d.units.closeCluster()
 	}
+
+	for _, o := range linked {
+		d.adjEnd[o] = 0
+		d.clustered[o] = false
+	}
+	d.linked = linked
 	d.builds++
 	d.Reset()
-	return clusters
+	return d.units.clusters()
+}
+
+// strongestFree returns m's strongest link to an object not yet clustered,
+// the smallest OID among equals. m's list is sorted strongest first and,
+// within a weight, by (min, max) pair, which puts the other ends in
+// ascending order (smaller ones pair as (other, m), larger as (m, other));
+// so the first unclustered entry is the answer. Objects only ever become
+// clustered during a build, so the scan resumes where it last stopped.
+func (d *DSTC) strongestFree(m ocb.OID) (adjEntry, bool) {
+	i, end := d.adjNext[m], d.adjEnd[m]
+	for i < end && d.clustered[d.adj[i].other] {
+		i++
+	}
+	d.adjNext[m] = i
+	if i == end {
+		return adjEntry{}, false
+	}
+	return d.adj[i], true
 }
 
 // Builds returns how many times BuildClusters ran.

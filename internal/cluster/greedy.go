@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ocb"
 )
@@ -15,8 +15,24 @@ import (
 type GreedyGraph struct {
 	minLink int
 	maxSize int
-	links   map[linkKey]int
+	links   linkTable
 	txSeen  uint64
+
+	// Cluster-construction scratch, recycled across builds. Each cluster
+	// is a linked list of its members, so a merge relinks instead of
+	// copying.
+	sorted    []weightedLink
+	clusterOf []int32   // OID → cluster index + 1 (0: none)
+	nextOf    []ocb.OID // OID → next member of its cluster (NilRef: last)
+	lists     []memberList
+	units     clusterSet
+}
+
+// memberList is one cluster under construction; size 0 marks a cluster
+// merged away.
+type memberList struct {
+	head, tail ocb.OID
+	size       int
 }
 
 // NewGreedyGraph returns the baseline policy. minLink filters weak links;
@@ -25,9 +41,7 @@ func NewGreedyGraph(minLink, maxSize int) *GreedyGraph {
 	if minLink < 1 || maxSize < 2 {
 		panic("cluster: bad GreedyGraph parameters")
 	}
-	g := &GreedyGraph{minLink: minLink, maxSize: maxSize}
-	g.Reset()
-	return g
+	return &GreedyGraph{minLink: minLink, maxSize: maxSize}
 }
 
 // Name returns "GreedyGraph".
@@ -36,11 +50,7 @@ func (g *GreedyGraph) Name() string { return "GreedyGraph" }
 // Observe records the transition link.
 func (g *GreedyGraph) Observe(o, prev ocb.OID, _ bool) {
 	if prev != ocb.NilRef && prev != o {
-		a, b := prev, o
-		if a > b {
-			a, b = b, a
-		}
-		g.links[mkLink(a, b)]++
+		g.links.add(prev, o)
 	}
 }
 
@@ -51,14 +61,8 @@ func (g *GreedyGraph) EndTransaction() { g.txSeen++ }
 // demand.
 func (g *GreedyGraph) ShouldTrigger() bool { return false }
 
-// Reset drops the statistics, keeping the link map's buckets.
-func (g *GreedyGraph) Reset() {
-	if g.links == nil {
-		g.links = make(map[linkKey]int)
-	} else {
-		clear(g.links)
-	}
-}
+// Reset drops the statistics, keeping the link table's slots.
+func (g *GreedyGraph) Reset() { g.links.reset() }
 
 // FullReset additionally zeroes the transaction counter (see
 // cluster.FullResetter).
@@ -67,65 +71,71 @@ func (g *GreedyGraph) FullReset() {
 	g.txSeen = 0
 }
 
-// BuildClusters merges links strongest-first into bounded clusters.
+// BuildClusters merges links strongest-first into bounded clusters, in
+// the order the clusters were started. The clusters stay valid until the
+// next BuildClusters.
 func (g *GreedyGraph) BuildClusters() [][]ocb.OID {
-	var links []weightedLink
-	for k, w := range g.links {
-		if w < g.minLink {
-			continue
-		}
-		a, b := k.split()
-		links = append(links, weightedLink{a: a, b: b, weight: w})
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].weight != links[j].weight {
-			return links[i].weight > links[j].weight
-		}
-		if links[i].a != links[j].a {
-			return links[i].a < links[j].a
-		}
-		return links[i].b < links[j].b
-	})
+	links := g.links.appendLinks(g.sorted[:0], g.minLink)
+	slices.SortFunc(links, strongerFirst)
+	g.sorted = links
 
-	clusterOf := make(map[ocb.OID]int)
-	var clusters [][]ocb.OID
+	n := int(g.links.maxOID) + 1
+	g.clusterOf = growTo(g.clusterOf, n)
+	g.nextOf = growTo(g.nextOf, n)
+	lists := g.lists[:0]
 	for _, l := range links {
-		ca, aok := clusterOf[l.a]
-		cb, bok := clusterOf[l.b]
+		ca, cb := g.clusterOf[l.a]-1, g.clusterOf[l.b]-1
 		switch {
-		case !aok && !bok:
-			clusters = append(clusters, []ocb.OID{l.a, l.b})
-			clusterOf[l.a] = len(clusters) - 1
-			clusterOf[l.b] = len(clusters) - 1
-		case aok && !bok:
-			if len(clusters[ca]) < g.maxSize {
-				clusters[ca] = append(clusters[ca], l.b)
-				clusterOf[l.b] = ca
+		case ca < 0 && cb < 0:
+			lists = append(lists, memberList{head: l.a, tail: l.b, size: 2})
+			g.nextOf[l.a], g.nextOf[l.b] = l.b, ocb.NilRef
+			g.clusterOf[l.a], g.clusterOf[l.b] = int32(len(lists)), int32(len(lists))
+		case cb < 0:
+			if lists[ca].size < g.maxSize {
+				g.appendMember(&lists[ca], l.b, ca)
 			}
-		case !aok && bok:
-			if len(clusters[cb]) < g.maxSize {
-				clusters[cb] = append(clusters[cb], l.a)
-				clusterOf[l.a] = cb
+		case ca < 0:
+			if lists[cb].size < g.maxSize {
+				g.appendMember(&lists[cb], l.a, cb)
 			}
-		case ca != cb && len(clusters[ca])+len(clusters[cb]) <= g.maxSize:
+		case ca != cb && lists[ca].size+lists[cb].size <= g.maxSize:
 			// Merge the smaller into the larger.
-			if len(clusters[ca]) < len(clusters[cb]) {
+			if lists[ca].size < lists[cb].size {
 				ca, cb = cb, ca
 			}
-			for _, o := range clusters[cb] {
-				clusterOf[o] = ca
+			for o := lists[cb].head; o != ocb.NilRef; o = g.nextOf[o] {
+				g.clusterOf[o] = ca + 1
 			}
-			clusters[ca] = append(clusters[ca], clusters[cb]...)
-			clusters[cb] = nil
+			g.nextOf[lists[ca].tail] = lists[cb].head
+			lists[ca].tail = lists[cb].tail
+			lists[ca].size += lists[cb].size
+			lists[cb].size = 0
 		}
 	}
+	g.lists = lists
 	g.Reset()
-	// Drop merged-away husks.
-	out := clusters[:0]
-	for _, c := range clusters {
-		if len(c) >= 2 {
-			out = append(out, c)
+
+	// Emit the surviving clusters, dropping merged-away husks, and clear
+	// the membership marks on the way.
+	g.units.reset()
+	for _, c := range lists {
+		if c.size == 0 {
+			continue
 		}
+		for o := c.head; o != ocb.NilRef; o = g.nextOf[o] {
+			g.units.members = append(g.units.members, o)
+			g.clusterOf[o] = 0
+		}
+		g.units.closeCluster()
 	}
-	return out
+	return g.units.clusters()
+}
+
+// appendMember adds o at the tail of cluster c (index ci).
+func (g *GreedyGraph) appendMember(c *memberList, o ocb.OID, ci int32) {
+	g.nextOf[c.tail] = o
+	g.nextOf[o] = ocb.NilRef
+	c.tail = o
+	c.size++
+	g.clusterOf[o] = ci + 1
 }

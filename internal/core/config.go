@@ -229,10 +229,19 @@ func (c Config) Validate() error {
 	case !(c.StorageOverhead >= 1):
 		return fmt.Errorf("core: StorageOverhead = %v", c.StorageOverhead)
 	}
-	if c.Clustering == DSTC {
+	switch c.Clustering {
+	case NoClustering:
+	case DSTC:
 		if err := c.DSTCParams.Validate(); err != nil {
 			return err
 		}
+	case GreedyGraph:
+		// The baseline reads only the cluster size cap.
+		if c.DSTCParams.MaxClusterSize < 2 {
+			return fmt.Errorf("core: GreedyGraph needs DSTCParams.MaxClusterSize ≥ 2, got %d", c.DSTCParams.MaxClusterSize)
+		}
+	default:
+		return fmt.Errorf("core: unknown clustering kind %d", c.Clustering)
 	}
 	return c.Failures.Validate()
 }

@@ -64,6 +64,8 @@ func TestConfigValidate(t *testing.T) {
 		"objcpu":     func(c *Config) { c.ObjectCPUMs = -1 },
 		"overhead":   func(c *Config) { c.StorageOverhead = 0.5 },
 		"dstcparams": func(c *Config) { c.Clustering = DSTC; c.DSTCParams.MinUsage = 0 },
+		"greedysize": func(c *Config) { c.Clustering = GreedyGraph; c.DSTCParams.MaxClusterSize = 1 },
+		"clustering": func(c *Config) { c.Clustering = ClusteringKind(9) },
 		// NaN fails every comparison, so each float check must reject it
 		// explicitly rather than through x < 0.
 		"netthru-nan":  func(c *Config) { c.NetThroughputMBps = nan },
@@ -78,11 +80,22 @@ func TestConfigValidate(t *testing.T) {
 		"overhead-nan": func(c *Config) { c.StorageOverhead = nan },
 		"mtbf-nan":     func(c *Config) { c.Failures = FailureParams{Enabled: true, MTBFMs: nan} },
 	}
+	p := smallParams()
+	p.NO = 200
+	db, err := ocb.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, mutate := range cases {
 		cfg := DefaultConfig()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
+		}
+		// NewRun validates first, so it returns the error instead of
+		// panicking in a substrate constructor.
+		if _, err := NewRun(cfg, db, 1); err == nil {
+			t.Errorf("%s: NewRun accepted an invalid config", name)
 		}
 	}
 }

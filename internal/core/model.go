@@ -42,7 +42,10 @@ type Run struct {
 
 	// execPool recycles transaction executors (LIFO), so steady-state
 	// transaction execution performs no per-transaction allocation.
-	execPool []*txnExec
+	// reorgPool does the same for reorganization I/O executors; it holds
+	// as many as there were reorganizations in flight at once.
+	execPool  []*txnExec
+	reorgPool []*reorgExec
 
 	// Counters (see also the substrate models' own counters).
 	txDone      uint64
@@ -235,25 +238,6 @@ func (r *Run) use(res *sim.Resource, service func() float64, then func()) {
 			then()
 		})
 	})
-}
-
-// readPage performs a physical read of page p through the disk controller.
-func (r *Run) readPage(p disk.PageID, then func()) {
-	r.use(r.diskRes, func() float64 { return r.dsk.ReadTime(p) }, then)
-}
-
-// writePage performs a physical write of page p.
-func (r *Run) writePage(p disk.PageID, then func()) {
-	r.use(r.diskRes, func() float64 { return r.dsk.WriteTime(p) }, then)
-}
-
-// writePages writes a list of pages back-to-back, then continues.
-func (r *Run) writePages(pages []disk.PageID, then func()) {
-	if len(pages) == 0 {
-		then()
-		return
-	}
-	r.writePage(pages[0], func() { r.writePages(pages[1:], then) })
 }
 
 // BatchStats reports what one ExecuteBatch did.

@@ -64,6 +64,11 @@ func TestOverlappingReorganizations(t *testing.T) {
 			if got != want[key] {
 				t.Errorf("%s diverged:\n got  %s\n want %s", key, got, want[key])
 			}
+			// The executor pool holds as many executors as there were
+			// reorganizations in flight at once: one per user here.
+			if n := len(r.reorgPool); n != users {
+				t.Errorf("%s: %d reorganizations in flight at most, want %d", key, n, users)
+			}
 		}
 	}
 }

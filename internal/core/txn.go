@@ -163,7 +163,7 @@ func (e *txnExec) restart() {
 
 // diskIO acquires the disk controller, holds it for the transfer time of
 // one page op, releases, then resumes at next. Equivalent to Run.use with
-// readPage/writePage, without the per-call closures.
+// a ReadTime or WriteTime service, without the per-call closures.
 func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) {
 	e.diskPage = p
 	e.diskWrite = write

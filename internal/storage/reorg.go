@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+
 	"repro/internal/disk"
 	"repro/internal/ocb"
 )
@@ -27,6 +29,9 @@ type ReorgStats struct {
 	// OldPageList lists the distinct old pages of moved objects in
 	// ascending order; the core model charges a disk read for each that is
 	// not buffer-resident when the reorganization runs.
+	//
+	// The three page lists view the store's recycled scratch: they stay
+	// valid until the next Reorganize or Reset. Copy them to keep them.
 	OldPageList []disk.PageID
 	// NewPageList lists the distinct new pages of moved objects in
 	// ascending order; each costs a disk write.
@@ -45,13 +50,21 @@ func (r ReorgStats) TotalIOs() int {
 	return r.PagesRead + r.PagesWritten + r.ScanReads + r.ScanWrites
 }
 
+// Page marks Reorganize sets while it works, one byte per page.
+const (
+	markOld  uint8 = 1 << iota // old page of a moved object
+	markNew                    // new page of a moved object
+	markScan                   // old page the physical-OID fixup scan rewrites
+)
+
 // Reorganize moves each cluster's objects onto fresh, contiguous pages
 // appended after the existing ones, in the given cluster order; objects not
 // in any cluster stay exactly where they are (the vacated space is left as
 // holes, as DSTC's copy-to-new-region reorganization does). Objects listed
 // in several clusters keep their first occurrence. It returns the physical
 // cost of the move, including the reference-fixup scan when the store uses
-// physical OIDs.
+// physical OIDs. Its scratch is recycled, so a warmed store reorganizes
+// without allocating.
 func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	if s.stream {
 		// Streaming placement is derived arithmetically from the class
@@ -64,13 +77,13 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	if len(clusters) == 0 {
 		return st
 	}
-
-	oldFirst := make([]disk.PageID, len(s.firstPage))
-	copy(oldFirst, s.firstPage)
 	oldPages := s.numPages
 
-	inCluster := make([]bool, len(s.db.Objects))
-	order := make([]ocb.OID, 0, 256)
+	// Every clustered object moves: its new first page lies past the old
+	// pages. Unclustered objects keep their pages. Both the object marks
+	// and the page marks are all clear between calls.
+	inCluster := resized(s.inCluster, len(s.db.Objects))
+	order := s.reorgOrder[:0]
 	for _, cl := range clusters {
 		placed := false
 		for _, o := range cl {
@@ -83,6 +96,26 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 		}
 		if placed {
 			st.ClustersPlaced++
+		}
+	}
+	st.ObjectsMoved = len(order)
+
+	// Mark the old pages before the directory changes: those of the moved
+	// objects and, with physical OIDs, those of every object referencing a
+	// moved one (the fixup scan rewrites them).
+	marks := resized(s.pageMarks, oldPages)
+	for _, o := range order {
+		marks[s.firstPage[o]] |= markOld
+	}
+	scan := s.cfg.PhysicalOIDs && len(order) > 0
+	if scan {
+		for o := range s.db.Objects {
+			for _, t := range s.db.Objects[o].Refs {
+				if t != ocb.NilRef && inCluster[t] {
+					marks[s.firstPage[o]] |= markScan
+					break
+				}
+			}
 		}
 	}
 
@@ -137,50 +170,56 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	s.resetRefCache()
 	s.reorgs++
 
-	// Cost accounting: pages read = distinct old pages of moved objects;
-	// pages written = distinct new pages of moved objects.
-	oldRead := map[disk.PageID]bool{}
-	newWritten := map[disk.PageID]bool{}
-	moved := make([]bool, len(s.db.Objects))
-	for o := range s.db.Objects {
-		if s.firstPage[o] != oldFirst[o] {
-			st.ObjectsMoved++
-			moved[o] = true
-			oldRead[oldFirst[o]] = true
-			newWritten[s.firstPage[o]] = true
-		}
+	// Mark the new pages and clear the object marks.
+	marks = resized(marks, s.numPages)
+	for _, o := range order {
+		marks[s.firstPage[o]] |= markNew
+		inCluster[o] = false
 	}
-	st.PagesRead = len(oldRead)
-	st.PagesWritten = len(newWritten)
-	st.OldPageList = sortedKeys(oldRead)
-	st.NewPageList = sortedKeys(newWritten)
-	st.OldPageCount = oldPages
+	s.inCluster, s.reorgOrder = inCluster, order
 
-	if s.cfg.PhysicalOIDs && st.ObjectsMoved > 0 {
-		// Physical OIDs changed for every moved object: scan the whole
-		// (old) database and rewrite every page holding a reference to a
-		// moved object.
-		st.ScanReads = oldPages
-		dirty := map[disk.PageID]bool{}
-		for o := range s.db.Objects {
-			for _, t := range s.db.Objects[o].Refs {
-				if t != ocb.NilRef && moved[t] {
-					dirty[oldFirst[ocb.OID(o)]] = true
-					break
-				}
-			}
+	// Read the page lists off the marks in ascending order, clearing them.
+	oldList, newList, scanList := s.oldPageList[:0], s.newPageList[:0], s.scanPageList[:0]
+	for p, m := range marks {
+		if m == 0 {
+			continue
 		}
-		st.ScanWrites = len(dirty)
-		st.ScanWritePages = sortedKeys(dirty)
+		if m&markOld != 0 {
+			oldList = append(oldList, disk.PageID(p))
+		}
+		if m&markNew != 0 {
+			newList = append(newList, disk.PageID(p))
+		}
+		if m&markScan != 0 {
+			scanList = append(scanList, disk.PageID(p))
+		}
+		marks[p] = 0
+	}
+	s.pageMarks = marks
+	s.oldPageList, s.newPageList, s.scanPageList = oldList, newList, scanList
+
+	st.PagesRead = len(oldList)
+	st.PagesWritten = len(newList)
+	st.OldPageList = oldList
+	st.NewPageList = newList
+	st.OldPageCount = oldPages
+	if scan {
+		// Physical OIDs changed for every moved object: the whole (old)
+		// database is scanned and every page holding a reference to a
+		// moved object is rewritten.
+		st.ScanReads = oldPages
+		st.ScanWrites = len(scanList)
+		st.ScanWritePages = scanList
 	}
 	return st
 }
 
-func sortedKeys(set map[disk.PageID]bool) []disk.PageID {
-	out := make([]disk.PageID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+// resized returns s with n elements, reallocating only past its capacity.
+// Elements past len(s) read zero: Reorganize clears every mark it sets
+// before it returns, so its recycled mark arrays are zero between calls.
+func resized[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
 	}
-	sortPageIDs(out)
-	return out
+	return slices.Grow(s, n-len(s))[:n]
 }

@@ -99,6 +99,16 @@ type Store struct {
 	refCache map[disk.PageID][]disk.PageID
 	reorgs   int
 
+	// Reorganize's scratch, recycled across calls: the clustered objects
+	// in placement order, one mark per object and per page (all clear
+	// between calls), and the three page lists ReorgStats views.
+	reorgOrder   []ocb.OID
+	inCluster    []bool
+	pageMarks    []uint8
+	oldPageList  []disk.PageID
+	newPageList  []disk.PageID
+	scanPageList []disk.PageID
+
 	// orderScratch backs initialOrder, recycled across Reset calls.
 	orderScratch []ocb.OID
 
@@ -334,13 +344,6 @@ func (s *Store) ObjectRefPagesInto(o ocb.OID, buf []disk.PageID) []disk.PageID {
 	}
 	uniq := sortUniquePages(buf[start:])
 	return buf[:start+len(uniq)]
-}
-
-// sortPageIDs orders ps ascending without allocating (slices.Sort is
-// generic, unlike sort.Slice's reflection swapper). Page IDs are plain
-// integers, so the unstable sort is deterministic.
-func sortPageIDs(ps []disk.PageID) {
-	slices.Sort(ps)
 }
 
 // sortUniquePages sorts ps ascending and drops repeats in place, returning

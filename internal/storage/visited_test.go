@@ -86,33 +86,3 @@ func TestReferencedPagesCachedAllocFree(t *testing.T) {
 		t.Fatalf("cached ReferencedPages allocated %v times per sweep", allocs)
 	}
 }
-
-// TestSortPageIDs exercises the allocation-free sort against the library
-// sort over assorted shapes (empty, single, reversed, large scrambled).
-func TestSortPageIDs(t *testing.T) {
-	cases := [][]disk.PageID{
-		nil,
-		{5},
-		{3, 1},
-		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
-	}
-	big := make([]disk.PageID, 1000)
-	for i := range big {
-		big[i] = disk.PageID((i * 733) % 1009)
-	}
-	cases = append(cases, big)
-	for ci, c := range cases {
-		want := append([]disk.PageID(nil), c...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := append([]disk.PageID(nil), c...)
-		sortPageIDs(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("case %d: index %d = %d, want %d", ci, i, got[i], want[i])
-			}
-		}
-	}
-	if n := testing.AllocsPerRun(10, func() { sortPageIDs(big) }); n != 0 {
-		t.Fatalf("sortPageIDs allocated %v times", n)
-	}
-}
