@@ -26,7 +26,9 @@ type Policy interface {
 	// "automatic triggering"). Users may also force one externally.
 	ShouldTrigger() bool
 	// BuildClusters computes the clusters for a reorganization, in
-	// placement order, and resets the trigger condition.
+	// placement order, and resets the trigger condition. The result views
+	// the policy's recycled scratch: it stays valid until the next
+	// BuildClusters or Reset, so a caller that keeps it must copy it.
 	BuildClusters() [][]ocb.OID
 	// Reset drops all gathered statistics.
 	Reset()

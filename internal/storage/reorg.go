@@ -83,7 +83,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// pages. Unclustered objects keep their pages. Both the object marks
 	// and the page marks are all clear between calls.
 	inCluster := resized(s.inCluster, len(s.db.Objects))
-	order := s.reorgOrder[:0]
+	order := s.orderScratch[:0]
 	for _, cl := range clusters {
 		placed := false
 		for _, o := range cl {
@@ -176,7 +176,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 		marks[s.firstPage[o]] |= markNew
 		inCluster[o] = false
 	}
-	s.inCluster, s.reorgOrder = inCluster, order
+	s.inCluster, s.orderScratch = inCluster, order
 
 	// Read the page lists off the marks in ascending order, clearing them.
 	oldList, newList, scanList := s.oldPageList[:0], s.newPageList[:0], s.scanPageList[:0]

@@ -99,17 +99,17 @@ type Store struct {
 	refCache map[disk.PageID][]disk.PageID
 	reorgs   int
 
-	// Reorganize's scratch, recycled across calls: the clustered objects
-	// in placement order, one mark per object and per page (all clear
-	// between calls), and the three page lists ReorgStats views.
-	reorgOrder   []ocb.OID
+	// Reorganize's scratch, recycled across calls: one mark per object
+	// and per page (all clear between calls), and the three page lists
+	// ReorgStats views.
 	inCluster    []bool
 	pageMarks    []uint8
 	oldPageList  []disk.PageID
 	newPageList  []disk.PageID
 	scanPageList []disk.PageID
 
-	// orderScratch backs initialOrder, recycled across Reset calls.
+	// orderScratch backs initialOrder and Reorganize's placement order,
+	// recycled across calls.
 	orderScratch []ocb.OID
 
 	// Streaming mode (see stream.go): when the database is a streaming
