@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -70,5 +72,67 @@ func TestOverlappingReorganizations(t *testing.T) {
 				t.Errorf("%s: %d reorganizations in flight at most, want %d", key, n, users)
 			}
 		}
+	}
+}
+
+// texasDSTCConfig copies systems.TexasDSTC, the §4.4 configuration
+// (internal/systems imports core, so core's tests cannot import it).
+func texasDSTCConfig() Config {
+	cfg := DefaultConfig()
+	cfg.System = Centralized
+	cfg.NetThroughputMBps = math.Inf(1)
+	cfg.BufferPages = (64 - 6) * 256
+	cfg.DiskSeekMs = 7.4
+	cfg.DiskLatencyMs = 4.3
+	cfg.DiskTransferMs = 0.5
+	cfg.MPL = 1
+	cfg.GetLockMs = 0
+	cfg.RelLockMs = 0
+	cfg.StorageOverhead = 1.05
+	cfg.PhysicalOIDs = true
+	cfg.ReserveOnLoad = true
+	cfg.ReserveCold = true
+	cfg.SwizzleDirty = true
+	cfg.Clustering = DSTC
+	return cfg
+}
+
+// TestWarmDSTCReplicationAllocs gates the clustering path's allocations: a
+// warm §4.4 replication (regenerate the base, reset the model, 1000
+// depth-3 traversals, a reorganization drained to completion, then 1000
+// more) recycles the link table, the cluster scratch, the store's
+// reorganization scratch and the pooled I/O executor. What remains is
+// ExecuteBatch's per-batch closures and occasional high-water growth when
+// a replication's base outgrows every earlier one.
+func TestWarmDSTCReplicationAllocs(t *testing.T) {
+	e := DSTCExperiment{
+		Config:       texasDSTCConfig(),
+		Params:       ocb.DSTCExperimentParams(),
+		Transactions: 1000,
+		Depth:        3,
+		Seed:         1999,
+		Replications: 64,
+		Workers:      1,
+	}
+	c := &repContext{}
+	for rep := 0; rep < 3; rep++ {
+		if _, err := e.runRep(context.Background(), c, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := 3
+	allocs := testing.AllocsPerRun(4, func() {
+		row, err := e.runRep(context.Background(), c, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.overhead == 0 {
+			t.Fatal("the replication did no reorganization I/O")
+		}
+		rep++
+	})
+	t.Logf("warm §4.4 replication: %v allocations", allocs)
+	if allocs > 32 {
+		t.Errorf("warm §4.4 replication performed %v allocations, want ≤ 32", allocs)
 	}
 }
