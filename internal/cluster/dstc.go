@@ -77,9 +77,9 @@ type DSTC struct {
 	usage         []int32
 	usageTouched  []ocb.OID
 
-	// links counts every transition since the last build. Links need no
-	// period split: consolidation would only add period counts into the
-	// consolidated ones, and only BuildClusters reads them.
+	// links counts every transition since the last build or Reset. Links
+	// need no period split: consolidation would only add period counts
+	// into the consolidated ones, and only BuildClusters reads them.
 	links linkTable
 
 	// Cluster-construction scratch, recycled across builds.
