@@ -158,6 +158,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	db.counts = grown(db.counts, p.NC)
 	counts := db.counts
 	clear(counts)
+	totalRefs := 0
 	for o := 0; o < p.NO; o++ {
 		var cls int
 		if o < p.NC {
@@ -172,6 +173,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 			Size:  int32(db.Classes[cls].InstanceSize),
 		}
 		counts[cls]++
+		totalRefs += len(db.Classes[cls].Refs)
 	}
 	db.byClassArena = grown(db.byClassArena, p.NO)
 	off := 0
@@ -199,21 +201,26 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	// --- object references ---
 	// All Refs slices share one backing arena sized in a single shot (full
 	// capacity slice expressions keep neighbouring objects from appending
-	// into each other).
-	totalRefs := 0
-	for o := range db.Objects {
-		totalRefs += len(db.Classes[db.Objects[o].Class].Refs)
-	}
+	// into each other). Objects are visited in OID order, the order ByClass
+	// lists them in, so counts — free once ByClass is carved — becomes each
+	// class's running rank.
 	db.refArena = grown(db.refArena, totalRefs)
+	clear(counts)
 	off = 0
 	for o := range db.Objects {
 		obj := &db.Objects[o]
-		refs := db.Classes[obj.Class].Refs
+		cls := int(obj.Class)
+		refs := db.Classes[cls].Refs
 		obj.Refs = db.refArena[off : off+len(refs) : off+len(refs)]
 		off += len(refs)
-		myRank := rankWithin(db.ByClass[obj.Class], OID(o))
+		myRank := counts[cls]
+		counts[cls]++
 		for r, cr := range refs {
-			obj.Refs[r] = pickInstance(refSrc, p, db.ByClass[cr.Target], myRank, OID(o))
+			cands := db.ByClass[cr.Target]
+			obj.Refs[r] = NilRef
+			if k := pickRank(refSrc, p.ObjectLocality, len(cands), myRank, selfRank(cr.Target, cls, myRank)); k >= 0 {
+				obj.Refs[r] = cands[k]
+			}
 		}
 	}
 	return nil
@@ -287,58 +294,39 @@ func pickClass(src *rng.Source, zipf *rng.Zipf, p Params, i int) int {
 	return src.Intn(p.NC)
 }
 
-// pickInstance selects a target instance among candidates, honouring object
-// locality (rank distance within the target class) and avoiding direct
-// self-reference when possible.
-func pickInstance(src *rng.Source, p Params, candidates []OID, myRank int, self OID) OID {
-	if len(candidates) == 0 {
-		return NilRef
+// pickRank draws the rank of a reference's target instance within a target
+// class of count ≥ 1 instances, honouring object locality: the window is
+// the ranks within objectLocality of the requester's rank myRank, projected
+// into the target class's rank range (classes differ in size). A draw of
+// selfRank, the rank that denotes the requester itself, is retried up to
+// four times; if the requester is its target class's only instance, the
+// reference is nil and pickRank returns −1. Both layouts share it: v1 maps
+// the rank through ByClass, v2 adds the class's first OID.
+func pickRank(src *rng.Source, objectLocality, count, myRank, selfRank int) int {
+	lo, span := 0, count
+	if objectLocality < count {
+		center := min(myRank, count-1)
+		lo = max(center-objectLocality, 0)
+		span = min(center+objectLocality, count-1) - lo + 1
 	}
-	pick := func() OID {
-		if p.ObjectLocality < len(candidates) {
-			// Center the window on the requester's rank, projected into
-			// the target class's rank range (classes differ in size).
-			center := myRank
-			if center > len(candidates)-1 {
-				center = len(candidates) - 1
-			}
-			lo := center - p.ObjectLocality
-			if lo < 0 {
-				lo = 0
-			}
-			hi := center + p.ObjectLocality
-			if hi > len(candidates)-1 {
-				hi = len(candidates) - 1
-			}
-			return candidates[src.IntRange(lo, hi)]
-		}
-		return candidates[src.Intn(len(candidates))]
+	k := lo + src.Intn(span)
+	for retry := 0; k == selfRank && retry < 4; retry++ {
+		k = lo + src.Intn(span)
 	}
-	t := pick()
-	for retry := 0; t == self && retry < 4; retry++ {
-		t = pick()
+	if k == selfRank && count == 1 {
+		return -1
 	}
-	if t == self && len(candidates) == 1 {
-		return NilRef
-	}
-	return t
+	return k
 }
 
-func rankWithin(list []OID, o OID) int {
-	// Instances are appended in OID order, so binary search applies.
-	lo, hi := 0, len(list)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case list[mid] == o:
-			return mid
-		case list[mid] < o:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
+// selfRank is the rank that denotes the requester, of rank myRank in class
+// cls, within a reference's target class: myRank when the reference targets
+// cls itself, and −1 otherwise, since class instance sets are disjoint.
+func selfRank(target, cls, myRank int) int {
+	if target == cls {
+		return myRank
 	}
-	return 0
+	return -1
 }
 
 // TotalBytes returns the sum of all instance sizes (the logical base size,

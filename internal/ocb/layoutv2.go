@@ -96,8 +96,7 @@ func (sb *streamBase) materialize(db *Database, o OID) []OID {
 	myRank := int(o - db.classStart[cls])
 	sb.src.Reinit(rng.SubSeed(sb.refBase, uint64(o)))
 	for _, cr := range crefs {
-		lo, hi := db.classStart[cr.Target], db.classStart[cr.Target+1]
-		refs = append(refs, pickInstanceRange(&sb.src, db.Params.ObjectLocality, lo, int(hi-lo), myRank, o))
+		refs = append(refs, db.pickRef(&sb.src, cls, myRank, cr.Target))
 	}
 	slot.oid, slot.refs = o, refs
 	return refs
@@ -118,43 +117,18 @@ func (db *Database) classIndexOf(o OID) int {
 	return lo
 }
 
-// pickInstanceRange is pickInstance over the contiguous candidate range
-// [start, start+count): because v2 instances are class-contiguous,
-// candidates[i] is simply start+i, so the draw sequence — window clamping,
-// self-reference retries, NilRef fallback — mirrors pickInstance exactly
-// without a materialized candidate slice. Both v2 flavors share this
-// function, which is what makes eager-v2 and streaming bit-identical by
-// construction.
-func pickInstanceRange(src *rng.Source, objectLocality int, start OID, count, myRank int, self OID) OID {
-	if count == 0 {
+// pickRef draws the target of a reference from the instance of rank
+// myRank in class cls to class target. Class target owns the contiguous
+// OID range [classStart[target], classStart[target+1]), so a drawn rank
+// is an offset into it. Both v2 flavors draw through this function, which
+// is what makes eager-v2 and streaming bit-identical by construction.
+func (db *Database) pickRef(src *rng.Source, cls, myRank, target int) OID {
+	lo := db.classStart[target]
+	k := pickRank(src, db.Params.ObjectLocality, int(db.classStart[target+1]-lo), myRank, selfRank(target, cls, myRank))
+	if k < 0 {
 		return NilRef
 	}
-	pick := func() OID {
-		if objectLocality < count {
-			center := myRank
-			if center > count-1 {
-				center = count - 1
-			}
-			lo := center - objectLocality
-			if lo < 0 {
-				lo = 0
-			}
-			hi := center + objectLocality
-			if hi > count-1 {
-				hi = count - 1
-			}
-			return start + OID(src.IntRange(lo, hi))
-		}
-		return start + OID(src.Intn(count))
-	}
-	t := pick()
-	for retry := 0; t == self && retry < 4; retry++ {
-		t = pick()
-	}
-	if t == self && count == 1 {
-		return NilRef
-	}
-	return t
+	return lo + OID(k)
 }
 
 // generateV2 builds a v2 base into db: schema and class-population draws
@@ -267,8 +241,7 @@ func generateV2(db *Database, p Params, seed uint64) error {
 			src.Reinit(rng.SubSeed(refBase, uint64(o)))
 			myRank := int(o - lo)
 			for _, cr := range crefs {
-				tlo, thi := db.classStart[cr.Target], db.classStart[cr.Target+1]
-				obj.Refs = append(obj.Refs, pickInstanceRange(src, p.ObjectLocality, tlo, int(thi-tlo), myRank, o))
+				obj.Refs = append(obj.Refs, db.pickRef(src, c, myRank, cr.Target))
 			}
 		}
 	}

@@ -10,7 +10,10 @@
 // by the xoshiro authors.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random stream. It is not safe for
 // concurrent use; the simulator is single-threaded by design.
@@ -97,27 +100,14 @@ func (r *Source) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	// Lemire's multiply-shift rejection method: unbiased and branch-light.
+	// bits.Mul64 is a compiler intrinsic (one MULQ on amd64).
 	bound := uint64(n)
 	for {
-		x := r.Uint64()
-		hi, lo := mul64(x, bound)
+		hi, lo := bits.Mul64(r.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bHi
-	u := aHi * bLo
-	lo = a * b
-	carry := ((aLo*bLo)>>32 + t&mask + u&mask) >> 32
-	hi = aHi*bHi + t>>32 + u>>32 + carry
-	return hi, lo
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive. It panics if

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -254,26 +255,23 @@ func TestDiscretePanics(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.Uint64()
+	}
+}
+
+// BenchmarkIntn draws bounded integers at the bounds object-base
+// generation uses: a class count, a window of ±100 ranks, and NO.
+func BenchmarkIntn(b *testing.B) {
+	for _, n := range []int{50, 201, 20000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				r.Intn(n)
+			}
+		})
 	}
 }
 
