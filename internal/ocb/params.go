@@ -268,6 +268,31 @@ func (e *NOLimitError) Error() string {
 	return fmt.Sprintf("ocb: NO = %d exceeds the OID limit MaxNO = %d (OIDs are 31-bit)", e.NO, MaxNO)
 }
 
+// MaxInstanceSize is the largest instance size a class may have, in bytes:
+// Object.Size is an int32, so BaseSize·SizeMult must not exceed it.
+const MaxInstanceSize = math.MaxInt32
+
+// InstanceSizeLimitError reports a BaseSize·SizeMult above MaxInstanceSize,
+// which Object.Size cannot hold.
+type InstanceSizeLimitError struct{ BaseSize, SizeMult int }
+
+func (e *InstanceSizeLimitError) Error() string {
+	return fmt.Sprintf("ocb: BaseSize·SizeMult = %d·%d exceeds the instance-size limit MaxInstanceSize = %d (sizes are int32)",
+		e.BaseSize, e.SizeMult, MaxInstanceSize)
+}
+
+// MaxNRefT is the largest number of reference types: ClassRef.Type is a
+// uint8, so types 0 … MaxNRefT−1 are representable.
+const MaxNRefT = 256
+
+// NRefTLimitError reports an NRefT above MaxNRefT, which ClassRef.Type
+// cannot represent.
+type NRefTLimitError struct{ NRefT int }
+
+func (e *NRefTLimitError) Error() string {
+	return fmt.Sprintf("ocb: NRefT = %d exceeds the reference-type limit MaxNRefT = %d (types are 8-bit)", e.NRefT, MaxNRefT)
+}
+
 // Validate checks parameter consistency.
 func (p Params) Validate() error {
 	switch {
@@ -281,8 +306,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: MaxNRef = %d, need ≥ 1", p.MaxNRef)
 	case p.BaseSize < 1 || p.SizeMult < 1:
 		return fmt.Errorf("ocb: BaseSize = %d, SizeMult = %d, need ≥ 1", p.BaseSize, p.SizeMult)
+	case p.BaseSize > MaxInstanceSize/p.SizeMult:
+		return &InstanceSizeLimitError{BaseSize: p.BaseSize, SizeMult: p.SizeMult}
 	case p.NRefT < 1:
 		return fmt.Errorf("ocb: NRefT = %d, need ≥ 1", p.NRefT)
+	case p.NRefT > MaxNRefT:
+		return &NRefTLimitError{NRefT: p.NRefT}
 	case p.ColdN < 0 || p.HotN < 1:
 		return fmt.Errorf("ocb: ColdN = %d, HotN = %d", p.ColdN, p.HotN)
 	case p.WriteProb < 0 || p.WriteProb > 1:
