@@ -45,6 +45,54 @@ func BenchmarkOCBGenerateInto(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadGenerateInto is the workload half of a replication's
+// set-up: refill a recycled Workload over a generated base, as a
+// replication context does. It covers the mixed fill over an eager and over
+// a streaming base (paper-o2's NC 20, NO 20000) and the §4.4 hierarchy fill
+// (1000 depth-3 hierarchy traversals over DSTCExperimentParams). The op
+// arena's block count and the traversal buffers depend on the draws, so
+// the warm-up fills with the exact seeds the timed loop alternates
+// between: even -benchtime 1x (the CI 0-allocs/op guard) measures steady
+// state.
+func BenchmarkWorkloadGenerateInto(b *testing.B) {
+	eager := DefaultParams()
+	eager.NC = 20
+	stream := eager
+	stream.Layout = LayoutStream
+	dstc := DSTCExperimentParams()
+	mixed := func(w *Workload, db *Database, seed uint64) { w.GenerateInto(db, seed) }
+	cases := []struct {
+		name string
+		p    Params
+		fill func(w *Workload, db *Database, seed uint64)
+	}{
+		{"mixed-eager", eager, mixed},
+		{"mixed-stream", stream, mixed},
+		{"hierarchy", dstc, func(w *Workload, db *Database, seed uint64) {
+			w.GenerateHierarchyInto(db, seed, 1000, dstc.HieDepth)
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			db, err := Generate(c.p, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := new(Workload)
+			for seed := uint64(1); seed <= 2; seed++ {
+				c.fill(w, db, seed)
+				w.Release()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.fill(w, db, uint64(i%2)+1)
+				w.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkStreamGen1M is the tentpole's generation benchmark: building a
 // million-object base under each layout. The streaming build is a counts
 // pass plus an O(classes) index — no per-object materialization — so it is

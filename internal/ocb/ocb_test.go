@@ -438,14 +438,3 @@ func BenchmarkGenerateDatabase(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkGenerateWorkload(b *testing.B) {
-	db, err := Generate(DefaultParams(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GenerateWorkload(db, uint64(i))
-	}
-}
