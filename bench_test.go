@@ -7,13 +7,14 @@
 package repro_bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/paper"
+	"repro/internal/sweep"
 	"repro/voodb"
 )
 
@@ -23,29 +24,34 @@ const benchReps = 2
 // scripts/bench.sh) overrides the replication worker count so the
 // trajectory JSON can distinguish sequential from parallel points; results
 // are bit-identical either way.
-func opts() experiments.Options {
-	o := experiments.Options{Replications: benchReps, Seed: 1999}
+func opts() sweep.Options {
+	o := sweep.Options{Replications: benchReps, Seed: 1999}
 	if w, err := strconv.Atoi(os.Getenv("FIG_WORKERS")); err == nil && w >= 0 {
 		o.Workers = w
 	}
 	return o
 }
 
-func benchFigure(b *testing.B, id string, ref paper.Series) {
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	var last *experiments.Figure
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure(id, opts())
+		s, err := experiments.Spec(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fig, err := experiments.RunFigure(context.Background(), s, opts())
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = fig
 	}
-	logFigure(b, last, ref)
+	logFigure(b, last)
 }
 
-func logFigure(b *testing.B, fig *experiments.Figure, ref paper.Series) {
+func logFigure(b *testing.B, fig *experiments.Figure) {
 	b.Helper()
+	ref := fig.Paper
 	for i, p := range fig.Points {
 		b.Logf("%s x=%-6d paper(bench)=%-8.0f paper(sim)=%-8.0f ours=%.0f",
 			fig.ID, p.X, ref.Benchmark[i], ref.Simulated[i], p.IOs.Mean)
@@ -132,20 +138,22 @@ func BenchmarkStreamMillionObjects(b *testing.B) {
 	}
 }
 
-func BenchmarkFig6_O2Instances20(b *testing.B)    { benchFigure(b, "fig6", paper.Fig6) }
-func BenchmarkFig7_O2Instances50(b *testing.B)    { benchFigure(b, "fig7", paper.Fig7) }
-func BenchmarkFig8_O2CacheSize(b *testing.B)      { benchFigure(b, "fig8", paper.Fig8) }
-func BenchmarkFig9_TexasInstances20(b *testing.B) { benchFigure(b, "fig9", paper.Fig9) }
-func BenchmarkFig10_TexasInstances50(b *testing.B) {
-	benchFigure(b, "fig10", paper.Fig10)
-}
-func BenchmarkFig11_TexasMemory(b *testing.B) { benchFigure(b, "fig11", paper.Fig11) }
+func BenchmarkFig6_O2Instances20(b *testing.B)     { benchFigure(b, "fig6") }
+func BenchmarkFig7_O2Instances50(b *testing.B)     { benchFigure(b, "fig7") }
+func BenchmarkFig8_O2CacheSize(b *testing.B)       { benchFigure(b, "fig8") }
+func BenchmarkFig9_TexasInstances20(b *testing.B)  { benchFigure(b, "fig9") }
+func BenchmarkFig10_TexasInstances50(b *testing.B) { benchFigure(b, "fig10") }
+func BenchmarkFig11_TexasMemory(b *testing.B)      { benchFigure(b, "fig11") }
 
 func benchTable(b *testing.B, id string) {
 	b.Helper()
 	var last *experiments.TableResult
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.RunTable(id, opts())
+		s, err := experiments.Spec(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl, err := experiments.RunTable(context.Background(), s, opts())
 		if err != nil {
 			b.Fatal(err)
 		}

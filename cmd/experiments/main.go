@@ -6,17 +6,20 @@
 // Usage:
 //
 //	experiments [-run fig6|…|table8|all] [-reps N] [-seed S] [-workers W]
-//	            [-share-bases] [-csv] [-chart]
+//	            [-share-bases] [-db-layout eager|eagerv2|stream] [-csv] [-chart]
 //	experiments -sweep param=lo:hi:step [-sweep param=A,B,…] [-metrics ios,resp,…]
 //	            [-system default|o2|texas] [-no N] [-nc N] [-hotn N]
 //	            [-db-layout eager|eagerv2|stream] …
 //	experiments -sweep-params
 //
-// -db-layout stream generates the object base on demand behind a bounded
+// -db-layout sets the object-base layout (Params.Layout) of every -run spec
+// and of the -sweep base; a -sweep dblayout axis overrides it per cell.
+// Its stream layout generates the object base on demand behind a bounded
 // cache (O(hot-set) resident memory; bit-identical to eagerv2), enabling
 // million-object -no values. -cpuprofile/-memprofile write pprof profiles
 // and -trace a runtime execution trace for the whole run (see
-// PERFORMANCE.md).
+// PERFORMANCE.md). Both forms run under the same options (-reps, -seed,
+// -workers, -share-bases, -on-error, -retries, -cell-timeout).
 //
 // The -sweep form compiles a declarative voodb.Sweep from the flag set: a
 // base system configuration (-system, workload sizing via -no/-nc/-hotn),
@@ -44,7 +47,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -64,7 +66,7 @@ func (a *axisSpecs) Set(v string) error {
 
 func main() {
 	run := flag.String("run", "all", "experiment id (fig6…fig11, table6…table8) or 'all'")
-	reps := flag.Int("reps", experiments.DefaultReplications,
+	reps := flag.Int("reps", voodb.DefaultReplications,
 		fmt.Sprintf("replications per point (the paper used %d)", voodb.PaperReplications))
 	seed := flag.Uint64("seed", 1999, "base random seed")
 	workers := flag.Int("workers", 0, "parallel replications per point (0 = all cores, 1 = sequential)")
@@ -170,29 +172,31 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	opts := voodb.SweepOptions{Replications: *reps, Seed: *seed, Workers: *workers,
+		ShareBases: *shareBases, Progress: progress,
+		Policy: policy, Retries: *retries, CellTimeout: *cellTimeout}
 	if len(sweeps) > 0 {
 		runUserSweep(ctx, userSweepFlags{
 			axes: sweeps, metrics: *metrics, system: *system,
-			no: *no, nc: *nc, hotn: *hotn,
-			reps: *reps, seed: *seed, workers: *workers, shareBases: *shareBases,
-			layout: layout, journal: *journalPath, resume: *resumePath,
-			policy: policy, retries: *retries, cellTimeout: *cellTimeout,
-			csv: *csv, chart: *chart, progress: progress,
-		})
+			no: *no, nc: *nc, hotn: *hotn, layout: layout,
+			journal: *journalPath, resume: *resumePath, csv: *csv, chart: *chart,
+		}, opts)
 		return
 	}
 
-	opts := experiments.Options{Replications: *reps, Seed: *seed, Workers: *workers,
-		ShareBases: *shareBases, DBLayout: layout, Progress: progress,
-		Policy: policy, Retries: *retries, CellTimeout: *cellTimeout}
 	ids := experiments.Names()
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
+		s, err := experiments.Spec(id)
+		if err != nil {
+			fatal(err)
+		}
+		s.Params.Layout = layout
 		if strings.HasPrefix(id, "fig") {
-			fig, err := experiments.FigureContext(ctx, id, opts)
+			fig, err := experiments.RunFigure(ctx, s, opts)
 			if err != nil {
 				if fig != nil && len(fig.Points) > 0 {
 					printFigure(fig, *csv, *chart)
@@ -202,7 +206,7 @@ func main() {
 			printFigure(fig, *csv, *chart)
 			continue
 		}
-		tbl, err := experiments.TableContext(ctx, id, opts)
+		tbl, err := experiments.RunTable(ctx, s, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -301,29 +305,21 @@ func startProfiles(cpu, mem, trc string) (func(), error) {
 	}, nil
 }
 
-// userSweepFlags carries the -sweep mode's flag values.
+// userSweepFlags carries the -sweep mode's spec and output flags.
 type userSweepFlags struct {
 	axes            []string
 	metrics, system string
 	no, nc, hotn    int
-	reps            int
-	seed            uint64
-	workers         int
-	shareBases      bool
 	layout          voodb.Layout
 	journal, resume string
-	policy          voodb.SweepFailurePolicy
-	retries         int
-	cellTimeout     time.Duration
 	csv, chart      bool
-	progress        func(string)
 }
 
 // runUserSweep compiles and executes a declarative sweep from the flags —
 // entirely through the public voodb API. One -sweep flag runs the classic
 // 1-D study; several run the cross-product grid. Interruption (ctx) and
 // failed cells render whatever completed, annotated with the cell counts.
-func runUserSweep(ctx context.Context, f userSweepFlags) {
+func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions) {
 	axes := make([]voodb.Axis, len(f.axes))
 	names := make([]string, len(f.axes))
 	for i, spec := range f.axes {
@@ -359,28 +355,14 @@ func runUserSweep(ctx context.Context, f userSweepFlags) {
 	if f.hotn > 0 {
 		params.HotN = f.hotn
 	}
+	params.Layout = f.layout
 	s := voodb.Sweep{
 		Name:    "sweep-" + strings.Join(names, "-x-"),
 		Title:   fmt.Sprintf("%s sweep (%s system, NC=%d, NO=%d)", strings.Join(names, " × "), f.system, params.NC, params.NO),
 		Config:  cfg,
 		Params:  params,
+		Axes:    axes,
 		Metrics: ms,
-	}
-	if len(axes) == 1 {
-		s.Axis = axes[0]
-	} else {
-		s.Axes = voodb.Grid(axes...)
-	}
-	opts := voodb.SweepOptions{
-		Replications: f.reps,
-		Seed:         f.seed,
-		Workers:      f.workers,
-		ShareBases:   f.shareBases,
-		DBLayout:     f.layout,
-		Progress:     f.progress,
-		Policy:       f.policy,
-		Retries:      f.retries,
-		CellTimeout:  f.cellTimeout,
 	}
 	var journal *voodb.SweepJournal
 	switch {

@@ -51,7 +51,7 @@ func main() {
 			Title:  fmt.Sprintf("MPL sweep — %s", sys),
 			Config: cfg,
 			Params: params,
-			Axis:   axis,
+			Axes:   []voodb.Axis{axis},
 			Metrics: []voodb.Metric{
 				voodb.MetricIOs, voodb.MetricRespMs, voodb.MetricThroughput,
 				voodb.MetricNetMessages, voodb.MetricLockWaits,

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"strings"
+	"context"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 	"repro/internal/systems"
 )
 
@@ -18,36 +19,45 @@ func TestNamesCoverEveryTableAndFigure(t *testing.T) {
 		if names[i] != n {
 			t.Fatalf("names[%d] = %s, want %s", i, names[i], n)
 		}
+		s, err := Spec(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name != n {
+			t.Errorf("Spec(%q).Name = %q", n, s.Name)
+		}
 	}
 }
 
+// TestDispatchErrors: unknown ids and specs of the wrong kind are refused
+// before anything runs.
 func TestDispatchErrors(t *testing.T) {
-	if _, err := RunFigure("fig99", Options{}); err == nil {
-		t.Error("unknown figure accepted")
+	if _, err := Spec("fig99"); err == nil {
+		t.Error("unknown id accepted")
 	}
-	if _, err := RunTable("table99", Options{}); err == nil {
-		t.Error("unknown table accepted")
+	ctx := context.Background()
+	fig, err := Spec("fig6")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunFigure("table6", Options{}); err == nil {
-		t.Error("table id accepted as figure")
+	table, err := Spec("table6")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	if (Options{}).reps() != 10 {
-		t.Error("default replications wrong")
+	if _, err := RunFigure(ctx, table, sweep.Options{}); err == nil {
+		t.Error("table spec accepted as figure")
 	}
-	if (Options{Replications: 3}).reps() != 3 {
-		t.Error("explicit replications ignored")
+	if _, err := RunTable(ctx, fig, sweep.Options{}); err == nil {
+		t.Error("figure spec accepted as table")
 	}
-	var lines []string
-	o := Options{Progress: func(s string) { lines = append(lines, s) }}
-	o.progress("point %d", 7)
-	if len(lines) != 1 || !strings.Contains(lines[0], "point 7") {
-		t.Errorf("progress lines = %v", lines)
+	fig.Name = "fig99"
+	if _, err := RunFigure(ctx, fig, sweep.Options{}); err == nil {
+		t.Error("unregistered figure accepted")
 	}
-	// nil Progress must not panic.
-	(Options{}).progress("x")
+	table.Name = "table99"
+	if _, err := RunTable(ctx, table, sweep.Options{}); err == nil {
+		t.Error("unregistered table accepted")
+	}
 }
 
 // TestFig6PointParallelDeterminism runs the first Figure 6 point (O₂, 20
@@ -84,7 +94,11 @@ func TestTable7EndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment skipped in -short mode")
 	}
-	tbl, err := Table7(Options{Replications: 1, Seed: 4})
+	s, err := Spec("table7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := RunTable(context.Background(), s, sweep.Options{Replications: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

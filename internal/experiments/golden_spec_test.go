@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -26,7 +27,7 @@ func hexInterval(ci stats.Interval) string {
 // per-point seed o.Seed + NO. It returns the legacy figure points plus the
 // underlying per-point aggregates so the multi-metric intervals can be
 // pinned too.
-func legacyFig6(t *testing.T, o Options) ([]Point, []*core.Result) {
+func legacyFig6(t *testing.T, o sweep.Options) ([]Point, []*core.Result) {
 	t.Helper()
 	cfg := systems.O2()
 	pool := core.NewContextPool()
@@ -38,7 +39,7 @@ func legacyFig6(t *testing.T, o Options) ([]Point, []*core.Result) {
 			Config:       cfg,
 			Params:       table5Params(20, no),
 			Seed:         o.Seed + uint64(no),
-			Replications: o.reps(),
+			Replications: o.Replications,
 			Workers:      o.Workers,
 			Pool:         pool,
 		}
@@ -61,10 +62,14 @@ func TestDeclarativeFig6MatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep skipped in -short mode")
 	}
-	o := Options{Replications: 2, Seed: 1999}
+	o := sweep.Options{Replications: 2, Seed: 1999}
 	wantPoints, wantResults := legacyFig6(t, o)
 
-	fig, err := Fig6(o)
+	spec, err := Spec("fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := RunFigure(context.Background(), spec, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +93,7 @@ func TestDeclarativeFig6MatchesLegacy(t *testing.T) {
 
 	// The spec's full metric vector: every interval of every point must
 	// equal the Student-t interval over the legacy run's samples.
-	spec, err := Spec("fig6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := spec.Run(o.sweepOptions())
+	res, err := spec.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

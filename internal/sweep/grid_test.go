@@ -10,10 +10,9 @@ import (
 )
 
 // TestLegacyAxisMatchesTypedGrid is the golden contract of the grid
-// generalization: a hand-built legacy 1-D Axis (float mutators, explicit
-// SeedDeltas — the pre-typed spec form) run through the Axis field must be
-// hex-identical to the same study expressed as a typed single-axis grid
-// (registry-built axis passed via Axes).
+// generalization: a hand-built legacy 1-D axis (float mutators, explicit
+// SeedDeltas — the pre-typed spec form) must be hex-identical to the same
+// study expressed with the registry-built typed axis.
 func TestLegacyAxisMatchesTypedGrid(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
@@ -34,7 +33,7 @@ func TestLegacyAxisMatchesTypedGrid(t *testing.T) {
 		Name:    "legacy-buff",
 		Config:  cfg,
 		Params:  params,
-		Axis:    Axis{Name: "buffpages", Points: legacyPoints},
+		Axes:    []Axis{{Name: "buffpages", Points: legacyPoints}},
 		Metrics: []Metric{IOs, HitPct, RespMs},
 	}
 	typedAxis, err := ParamAxis("buffpages", []float64{48, 96, 192})
@@ -43,7 +42,6 @@ func TestLegacyAxisMatchesTypedGrid(t *testing.T) {
 	}
 	typed := legacy
 	typed.Name = "typed-buff"
-	typed.Axis = Axis{}
 	typed.Axes = Grid(typedAxis)
 
 	o := Options{Replications: 2, Seed: 33}
@@ -110,13 +108,13 @@ func TestGridPointMatchesStandalone(t *testing.T) {
 					Name:   "cell",
 					Config: cfg,
 					Params: params,
-					Axis: Axis{Name: "cell", Points: []Point{{
+					Axes: []Axis{{Name: "cell", Points: []Point{{
 						X: bpt.X,
 						Apply: func(c *core.Config, p *ocb.Params) {
 							bpt.Apply(c, p)
 							mpt.Apply(c, p)
 						},
-					}}},
+					}}}},
 					Metrics: []Metric{IOs, RespMs},
 				}
 				cellSeed := rng.SubSeed(seed+bpt.SeedDelta, mpt.SeedDelta)
@@ -371,7 +369,7 @@ func TestEnumSweepRuns(t *testing.T) {
 	cfg.System = core.Centralized
 	cfg.BufferPages = 48 // tight buffer: policy choice must matter
 	s := Sweep{Name: "policies", Config: cfg, Params: matrixParams(),
-		Axis: axis, Metrics: []Metric{IOs, HitPct}}
+		Axes: []Axis{axis}, Metrics: []Metric{IOs, HitPct}}
 	res, err := s.Run(Options{Replications: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +452,7 @@ func TestGridRendering(t *testing.T) {
 	if _, err := res.Heatmap(RespMs); err == nil {
 		t.Error("uncollected metric accepted")
 	}
-	one := Sweep{Name: "one", Config: cfg, Params: matrixParams(), Axis: buff, Metrics: []Metric{IOs}}
+	one := Sweep{Name: "one", Config: cfg, Params: matrixParams(), Axes: []Axis{buff}, Metrics: []Metric{IOs}}
 	r1, err := one.Run(Options{Replications: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

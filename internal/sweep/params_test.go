@@ -278,7 +278,7 @@ func TestRenderSweep(t *testing.T) {
 		Title:   "render study",
 		Config:  cfg,
 		Params:  matrixParams(),
-		Axis:    axis,
+		Axes:    []Axis{axis},
 		Metrics: []Metric{IOs, HitPct},
 	}
 	res, err := s.Run(Options{Replications: 2, Seed: 4})

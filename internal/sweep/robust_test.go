@@ -49,11 +49,11 @@ func faultSweep(boom func(cfg *core.Config, p *ocb.Params)) Sweep {
 		Name:   "fault-sweep",
 		Config: cfg,
 		Params: matrixParams(),
-		Axis: Axis{Name: "variant", Points: []Point{
+		Axes: []Axis{{Name: "variant", Points: []Point{
 			{X: 0, Label: "a"},
 			{X: 1, Label: "boom", SeedDelta: 1, Apply: boom},
 			{X: 2, Label: "c", SeedDelta: 2},
-		}},
+		}}},
 	}
 }
 
@@ -234,7 +234,7 @@ func TestSkipPolicyIsolatesFailure(t *testing.T) {
 	}
 
 	clean := faultSweep(nil)
-	clean.Axis.Points = []Point{clean.Axis.Points[0], clean.Axis.Points[2]}
+	clean.Axes[0].Points = []Point{clean.Axes[0].Points[0], clean.Axes[0].Points[2]}
 	cleanRes, err := clean.Run(Options{Replications: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

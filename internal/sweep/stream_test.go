@@ -7,24 +7,23 @@ import (
 	"repro/internal/ocb"
 )
 
-// TestDBLayoutOverrideIdentical pins the Options.DBLayout override: the
-// same sweep forced onto eager-v2 and onto streaming bases produces
-// bit-identical results (streaming only changes residency), with and
-// without base sharing.
+// TestDBLayoutOverrideIdentical pins the layout contract of Params.Layout:
+// the same sweep on eager-v2 and on streaming bases produces bit-identical
+// results (streaming only changes residency), with and without base
+// sharing.
 func TestDBLayoutOverrideIdentical(t *testing.T) {
 	for _, share := range []bool{false, true} {
-		s := matrixSweep(core.Centralized)
-		base := Options{Replications: 3, Seed: 7, Workers: 2, ShareBases: share}
+		o := Options{Replications: 3, Seed: 7, Workers: 2, ShareBases: share}
 
-		ov2 := base
-		ov2.DBLayout = ocb.LayoutEagerV2
-		rv2, err := s.Run(ov2)
+		v2 := matrixSweep(core.Centralized)
+		v2.Params.Layout = ocb.LayoutEagerV2
+		rv2, err := v2.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ost := base
-		ost.DBLayout = ocb.LayoutStream
-		rst, err := s.Run(ost)
+		st := matrixSweep(core.Centralized)
+		st.Params.Layout = ocb.LayoutStream
+		rst, err := st.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,33 +35,23 @@ func TestDBLayoutOverrideIdentical(t *testing.T) {
 	}
 }
 
-// TestDBLayoutFingerprint pins the journal-compatibility rule: the layout
-// override enters the fingerprint only when set, so journals written
-// before the knob existed (layout zero) still resume.
+// TestDBLayoutFingerprint pins the journal-compatibility rule for the
+// layout: Params.Layout enters the fingerprint, so each layout has its
+// own, while execution-only knobs such as Workers stay out of it and
+// bit-identical runs resume each other's journals.
 func TestDBLayoutFingerprint(t *testing.T) {
-	s := matrixSweep(core.Centralized)
-	o := Options{Replications: 2, Seed: 1}
-	axes, metrics := s.axes(), s.metrics()
-	legacy := s.fingerprint(o, axes, metrics)
-
-	o.DBLayout = ocb.LayoutEager
-	if got := s.fingerprint(o, axes, metrics); got != legacy {
-		t.Error("explicit LayoutEager changed the fingerprint")
-	}
-	o.DBLayout = ocb.LayoutStream
-	stream := s.fingerprint(o, axes, metrics)
-	if stream == legacy {
-		t.Error("LayoutStream did not change the fingerprint")
-	}
-	o.DBLayout = ocb.LayoutEagerV2
-	if got := s.fingerprint(o, axes, metrics); got == legacy || got == stream {
-		t.Error("LayoutEagerV2 fingerprint not distinct")
-	}
-	// Execution-only knobs such as Workers stay excluded: bit-identical
-	// options resume each other's journals.
-	o = Options{Replications: 2, Seed: 1, Workers: 8, DBLayout: ocb.LayoutStream}
-	if got := s.fingerprint(o, axes, metrics); got != stream {
-		t.Error("workers leaked into the fingerprint")
+	seen := make(map[string]ocb.Layout)
+	for _, layout := range []ocb.Layout{ocb.LayoutEager, ocb.LayoutEagerV2, ocb.LayoutStream} {
+		s := matrixSweep(core.Centralized)
+		s.Params.Layout = layout
+		fp := s.fingerprint(Options{Replications: 2, Seed: 1})
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("layouts %v and %v share a fingerprint", prev, layout)
+		}
+		seen[fp] = layout
+		if got := s.fingerprint(Options{Replications: 2, Seed: 1, Workers: 8}); got != fp {
+			t.Errorf("%v: workers leaked into the fingerprint", layout)
+		}
 	}
 }
 
@@ -97,8 +86,7 @@ func TestDBLayoutAxis(t *testing.T) {
 	// the two v2 cells are comparable — both get SubSeed-distinct seeds,
 	// hence distinct draws; here we just require completion).
 	s := matrixSweep(core.Centralized)
-	s.Axes = nil
-	s.Axis = axis
+	s.Axes = []Axis{axis}
 	res, err := s.Run(Options{Replications: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +125,9 @@ func TestHotSkewAxis(t *testing.T) {
 		t.Fatalf("axis points=%d generative=%t", len(axis.Points), axis.Generative)
 	}
 	s := matrixSweep(core.Centralized)
-	s.Axes = nil
-	s.Axis = axis
-	res, err := s.Run(Options{Replications: 2, Seed: 3, DBLayout: ocb.LayoutStream})
+	s.Axes = []Axis{axis}
+	s.Params.Layout = ocb.LayoutStream
+	res, err := s.Run(Options{Replications: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ import (
 // DefaultReplications is the number of replications per sweep point when
 // Options.Replications is zero. The paper's own protocol used
 // PaperReplications; the smaller default keeps interactive runs fast and
-// is shared by every harness (experiments.Options, cmd/experiments' and
-// cmd/voodb's -reps flags).
+// is shared by every harness (the figure reproductions, cmd/experiments'
+// and cmd/voodb's -reps flags).
 const DefaultReplications = 10
 
 // PaperReplications is the replication count of the paper's §4.2.2 output
@@ -113,14 +113,12 @@ type Sweep struct {
 	// Apply may specialize it.
 	Config core.Config
 	// Params is the base OCB parameterization (Table 5); each point's
-	// Apply may specialize it.
+	// Apply may specialize it. Params.Layout selects the object-base
+	// generation layout of every cell whose axes leave it unset.
 	Params ocb.Params
-	// Axis is the swept variable of a 1-D study (the legacy spec form).
-	// Multi-axis studies set Axes instead; setting both is an error.
-	Axis Axis
-	// Axes, when non-empty, declares a multi-axis study: the sweep runs
+	// Axes are the swept variables: one axis for a 1-D study, several for
 	// the full cross-product grid of all axes' points (row-major, last
-	// axis fastest). A single-element Axes is equivalent to Axis.
+	// axis fastest).
 	Axes []Axis
 	// Metrics selects which outputs to collect (nil = every metric of the
 	// protocol). Order is preserved in results and rendering.
@@ -173,12 +171,6 @@ type Options struct {
 	// (several sweeps in one session); by default each run creates its
 	// own pool spanning all points. Results are identical either way.
 	Pool *core.ContextPool
-	// DBLayout, when not LayoutEager, forces every cell's object bases onto
-	// the given generation layout (overriding the cell's Params.Layout).
-	// LayoutEagerV2 and LayoutStream produce bit-identical results to each
-	// other (streaming only changes residency); both differ from the legacy
-	// LayoutEager derivation, so the choice enters the journal fingerprint.
-	DBLayout ocb.Layout
 	// Progress, when non-nil, receives one line per completed point.
 	Progress func(string)
 
@@ -351,17 +343,13 @@ func (r *Result) At(coords ...int) *PointResult {
 
 // Validate checks the spec without running it.
 func (s *Sweep) Validate() error {
-	if len(s.Axes) > 0 && len(s.Axis.Points) > 0 {
-		return fmt.Errorf("sweep %q: both Axis and Axes set (use one)", s.Name)
-	}
-	axes := s.axes()
-	if len(axes) == 0 {
+	if len(s.Axes) == 0 {
 		return fmt.Errorf("sweep %q: no axes", s.Name)
 	}
 	cells := 1
-	names := make(map[string]bool, len(axes))
+	names := make(map[string]bool, len(s.Axes))
 	conflicts := make(map[string]string)
-	for i, ax := range axes {
+	for i, ax := range s.Axes {
 		if len(ax.Points) == 0 {
 			return fmt.Errorf("sweep %q: axis %d (%s): empty axis", s.Name, i, ax.Name)
 		}
@@ -400,17 +388,6 @@ func (s *Sweep) Validate() error {
 // runs per cell, so a larger grid is a typo'd spec, and failing fast beats
 // queueing months of simulation.
 const maxGridCells = 100000
-
-// axes resolves the spec's axis set (Axes, or the legacy 1-D Axis).
-func (s *Sweep) axes() []Axis {
-	if len(s.Axes) > 0 {
-		return s.Axes
-	}
-	if len(s.Axis.Points) > 0 || s.Axis.Name != "" {
-		return []Axis{s.Axis}
-	}
-	return nil
-}
 
 // metrics resolves the metric selection (nil = all for the protocol).
 func (s *Sweep) metrics() []Metric {
@@ -478,16 +455,15 @@ func sliceSeed(base uint64, axes []Axis, coords []int, generative []bool) uint64
 // NO × buffer grid once per NO value.
 type gridBases struct {
 	s          *Sweep
-	axes       []Axis
 	generative []bool
 	seed       uint64
-	layout     ocb.Layout
 	caches     map[string]*BaseCache
 }
 
 func (g *gridBases) forCell(coords []int) (func(rep int, seed uint64) (*ocb.Database, error), error) {
+	axes := g.s.Axes
 	var key strings.Builder
-	for k := range g.axes {
+	for k := range axes {
 		if g.generative[k] {
 			fmt.Fprintf(&key, "%d,", coords[k])
 		}
@@ -497,19 +473,16 @@ func (g *gridBases) forCell(coords []int) (func(rep int, seed uint64) (*ocb.Data
 		// The slice's generation inputs: the base params specialized by
 		// the generative axes only.
 		cfg, params := g.s.Config, g.s.Params
-		for k := range g.axes {
+		for k := range axes {
 			if !g.generative[k] {
 				continue
 			}
-			if apply := g.axes[k].Points[coords[k]].Apply; apply != nil {
+			if apply := axes[k].Points[coords[k]].Apply; apply != nil {
 				apply(&cfg, &params)
 			}
 		}
-		if g.layout != ocb.LayoutEager {
-			params.Layout = g.layout
-		}
 		var err error
-		cache, err = NewBaseCache(params, sliceSeed(g.seed, g.axes, coords, g.generative))
+		cache, err = NewBaseCache(params, sliceSeed(g.seed, axes, coords, g.generative))
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +515,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	axes := s.axes()
+	axes := s.Axes
 	metrics := s.metrics()
 	pool := o.Pool
 	if pool == nil {
@@ -559,8 +532,8 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 	var bases *gridBases
 	if o.ShareBases && !allGenerative && s.Protocol == Standard {
-		bases = &gridBases{s: s, axes: axes, generative: generative, seed: o.Seed,
-			layout: o.DBLayout, caches: make(map[string]*BaseCache)}
+		bases = &gridBases{s: s, generative: generative, seed: o.Seed,
+			caches: make(map[string]*BaseCache)}
 	}
 
 	shape := make([]int, len(axes))
@@ -603,7 +576,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	if o.Resume != nil {
-		if got, want := o.Resume.Header.Fingerprint, s.fingerprint(o, axes, metrics); got != want {
+		if got, want := o.Resume.Header.Fingerprint, s.fingerprint(o); got != want {
 			return nil, fmt.Errorf("sweep %q: resume journal fingerprint %.12s… does not match this spec/options (%.12s…)",
 				s.Name, got, want)
 		}
@@ -651,7 +624,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 						s.Name, desc, res.Completed(), cells, err)
 				}
 			}
-			pr, cellErr = s.runCellOnce(ctx, o, axes, coords, seed, metrics, conf, pool, bases)
+			pr, cellErr = s.runCellOnce(ctx, o, coords, seed, metrics, conf, pool, bases)
 			if cellErr == nil {
 				break
 			}
@@ -688,12 +661,12 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 }
 
 // runCellOnce executes one attempt of one grid cell — the point mutators,
-// the layout override, the base lookup, and the replicated experiment —
-// under a panic guard: a panic anywhere in cell setup surfaces as a
-// *cellPanic error (replication-body panics already surface as
-// *core.PanicError from the engine), so a poisoned cell can be retried or
-// skipped without crashing the campaign.
-func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords []int,
+// the base lookup, and the replicated experiment — under a panic guard: a
+// panic anywhere in cell setup surfaces as a *cellPanic error
+// (replication-body panics already surface as *core.PanicError from the
+// engine), so a poisoned cell can be retried or skipped without crashing
+// the campaign.
+func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 	seed uint64, metrics []Metric, conf float64, pool *core.ContextPool, bases *gridBases) (pr PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -706,13 +679,10 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 		defer cancel()
 	}
 	cfg, params := s.Config, s.Params
-	for k, ax := range axes {
+	for k, ax := range s.Axes {
 		if apply := ax.Points[coords[k]].Apply; apply != nil {
 			apply(&cfg, &params)
 		}
-	}
-	if o.DBLayout != ocb.LayoutEager {
-		params.Layout = o.DBLayout
 	}
 	var base func(rep int, seed uint64) (*ocb.Database, error)
 	if bases != nil {
@@ -765,36 +735,31 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, axes []Axis, coords 
 
 // fingerprint hashes everything that determines the sweep's numeric
 // results — the spec identity (name, protocol, axes, points with their
-// seed deltas, base Config/Params) and the result-affecting options
-// (replications, seed, confidence, ShareBases). Workers and the
-// fault-tolerance knobs are deliberately excluded: results are
-// bit-identical across them, so a journal written at -workers 4 resumes
-// cleanly at -workers 1. Config and Params are hashed through %+v, so
-// adding, removing or renaming any of their fields changes every
+// seed deltas, base Config/Params, the layout among them) and the
+// result-affecting options (replications, seed, confidence, ShareBases).
+// Workers and the fault-tolerance knobs are deliberately excluded: results
+// are bit-identical across them, so a journal written at -workers 4
+// resumes cleanly at -workers 1. Config and Params are hashed through %+v,
+// so adding, removing or renaming any of their fields changes every
 // fingerprint; TestFingerprintFieldNames pins the field list so such a
-// change also bumps journalVersion. Point.Apply
-// closures cannot be hashed; axes built from the parameter registry are
-// identified by axis name + point labels, which pin the registry mutation.
-func (s *Sweep) fingerprint(o Options, axes []Axis, metrics []Metric) string {
+// change also bumps journalVersion, and TestFingerprintPins pins the
+// values. Point.Apply closures cannot be hashed; axes built from the
+// parameter registry are identified by axis name + point labels, which pin
+// the registry mutation.
+func (s *Sweep) fingerprint(o Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s v%d\n", journalKind, journalVersion)
 	fmt.Fprintf(h, "name=%s proto=%d tx=%d depth=%d\n", s.Name, s.Protocol, s.transactions(), s.depth())
 	fmt.Fprintf(h, "cfg=%+v\n", s.Config)
 	fmt.Fprintf(h, "params=%+v\n", s.Params)
 	fmt.Fprintf(h, "reps=%d seed=%d conf=%g share=%t\n", o.reps(), o.Seed, o.confidence(), o.ShareBases)
-	// The layout override changes which derivation generates the bases
-	// (v1 vs v2 streams), so it is result-affecting — but only emit it when
-	// set, keeping journals from before the knob existed resumable.
-	if o.DBLayout != ocb.LayoutEager {
-		fmt.Fprintf(h, "layout=%s\n", o.DBLayout)
-	}
-	for _, ax := range axes {
+	for _, ax := range s.Axes {
 		fmt.Fprintf(h, "axis=%s gen=%t\n", ax.Name, ax.Generative)
 		for _, pt := range ax.Points {
 			fmt.Fprintf(h, " point x=%g label=%s delta=%d\n", pt.X, pt.label(), pt.SeedDelta)
 		}
 	}
-	for _, m := range metrics {
+	for _, m := range s.metrics() {
 		fmt.Fprintf(h, "metric=%s\n", m)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -807,12 +772,11 @@ func (s *Sweep) StartJournal(path string, o Options) (*Journal, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	axes := s.axes()
 	metrics := s.metrics()
-	names := make([]string, len(axes))
-	shape := make([]int, len(axes))
+	names := make([]string, len(s.Axes))
+	shape := make([]int, len(s.Axes))
 	cells := 1
-	for i, ax := range axes {
+	for i, ax := range s.Axes {
 		names[i] = ax.Name
 		shape[i] = len(ax.Points)
 		cells *= shape[i]
@@ -823,7 +787,7 @@ func (s *Sweep) StartJournal(path string, o Options) (*Journal, error) {
 	}
 	return CreateJournal(path, JournalHeader{
 		Sweep:        s.Name,
-		Fingerprint:  s.fingerprint(o, axes, metrics),
+		Fingerprint:  s.fingerprint(o),
 		Axes:         names,
 		Shape:        shape,
 		Metrics:      metricNames,
@@ -846,7 +810,7 @@ func (s *Sweep) ResumeJournal(path string, o Options) (*Journal, *JournalData, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if got, want := d.Header.Fingerprint, s.fingerprint(o, s.axes(), s.metrics()); got != want {
+	if got, want := d.Header.Fingerprint, s.fingerprint(o); got != want {
 		return nil, nil, fmt.Errorf("sweep %q: journal %s was written by a different spec or options (fingerprint %.12s…, this run %.12s…)",
 			s.Name, path, got, want)
 	}

@@ -33,7 +33,7 @@ func matrixSweep(sys core.SystemClass) Sweep {
 		Name:   "matrix-" + sys.String(),
 		Config: cfg,
 		Params: matrixParams(),
-		Axis:   axis,
+		Axes:   []Axis{axis},
 	}
 }
 
@@ -130,7 +130,7 @@ func TestShareBasesGenerativeAxis(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.BufferPages = 64
 	p := matrixParams()
-	s := Sweep{Name: "gen", Config: cfg, Params: p, Axis: axis, Metrics: []Metric{IOs}}
+	s := Sweep{Name: "gen", Config: cfg, Params: p, Axes: []Axis{axis}, Metrics: []Metric{IOs}}
 	plain, err := s.Run(Options{Replications: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestShareBasesNonGenerativeAxis(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
-	s := Sweep{Name: "mem", Config: cfg, Params: matrixParams(), Axis: axis, Metrics: []Metric{IOs, HitPct}}
+	s := Sweep{Name: "mem", Config: cfg, Params: matrixParams(), Axes: []Axis{axis}, Metrics: []Metric{IOs, HitPct}}
 	res, err := s.Run(Options{Replications: 2, Seed: 5, ShareBases: true})
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +197,10 @@ func TestDSTCProtocolSweep(t *testing.T) {
 		Name:   "mini-table6",
 		Config: cfg,
 		Params: p,
-		Axis: Axis{Name: "variant", Points: []Point{
+		Axes: []Axis{{Name: "variant", Points: []Point{
 			{X: 0, Label: "physical", Apply: func(c *core.Config, _ *ocb.Params) { *c = physical }},
 			{X: 1, Label: "logical", Apply: func(c *core.Config, _ *ocb.Params) { *c = logical }},
-		}},
+		}}},
 		Protocol:     DSTCProtocol,
 		Transactions: 40,
 		Depth:        3,
@@ -237,17 +237,13 @@ func TestSweepValidate(t *testing.T) {
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "no axes") {
 		t.Errorf("axis-less sweep accepted: %v", err)
 	}
-	s = Sweep{Name: "named-empty", Axis: Axis{Name: "x"}}
+	s = Sweep{Name: "named-empty", Axes: []Axis{{Name: "x"}}}
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "empty axis") {
 		t.Errorf("empty axis accepted: %v", err)
 	}
 	ax, err := ParamAxis("mpl", []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	s = Sweep{Name: "both", Axis: ax, Axes: []Axis{ax}}
-	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "both Axis and Axes") {
-		t.Errorf("Axis+Axes accepted: %v", err)
 	}
 	s = Sweep{Name: "dup", Axes: []Axis{ax, ax}}
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "duplicate axis") {
@@ -267,11 +263,11 @@ func TestSweepValidate(t *testing.T) {
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "both set clustering") {
 		t.Errorf("aliased axes accepted: %v", err)
 	}
-	s = Sweep{Name: "bad", Axis: Axis{Points: []Point{{X: 1}}}, Metrics: []Metric{PreIOs}}
+	s = Sweep{Name: "bad", Axes: []Axis{{Points: []Point{{X: 1}}}}, Metrics: []Metric{PreIOs}}
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "not collected") {
 		t.Errorf("DSTC metric accepted on standard protocol: %v", err)
 	}
-	s = Sweep{Name: "badcfg", Axis: Axis{Points: []Point{{X: 1}}}}
+	s = Sweep{Name: "badcfg", Axes: []Axis{{Points: []Point{{X: 1}}}}}
 	s.Params = matrixParams()
 	s.Config = core.Config{} // invalid
 	if _, err := s.Run(Options{Replications: 1}); err == nil {
@@ -288,7 +284,7 @@ func TestRunDescendingMatchesAscending(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.BufferPages = 64
-	s := Sweep{Name: "asc", Config: cfg, Params: matrixParams(), Axis: axis, Metrics: []Metric{IOs}}
+	s := Sweep{Name: "asc", Config: cfg, Params: matrixParams(), Axes: []Axis{axis}, Metrics: []Metric{IOs}}
 	asc, err := s.Run(Options{Replications: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +315,7 @@ func TestProgressAndDefaults(t *testing.T) {
 	axis, _ := ParamAxis("mpl", []float64{1, 2})
 	cfg := core.DefaultConfig()
 	cfg.BufferPages = 64
-	s := Sweep{Name: "prog", Config: cfg, Params: matrixParams(), Axis: axis, Metrics: []Metric{IOs}}
+	s := Sweep{Name: "prog", Config: cfg, Params: matrixParams(), Axes: []Axis{axis}, Metrics: []Metric{IOs}}
 	var lines []string
 	_, err := s.Run(Options{Replications: 1, Seed: 3, Progress: func(l string) { lines = append(lines, l) }})
 	if err != nil {

@@ -10,7 +10,7 @@
 //   - replicated experiments with Student-t confidence intervals
 //     (Experiment, DSTCExperiment), run in parallel across cores with
 //     bit-identical results (the Workers field; 1 forces sequential)
-//   - declarative multi-metric parameter sweeps (Sweep, Axis, Metric):
+//   - declarative multi-metric parameter sweeps (Sweep, Axes, Metric):
 //     any Table 3 or OCB parameter — numeric, integer, enum (SYSCLASS,
 //     PGREP, INITPL, CLUSTP) or switch — swept over any metric subset,
 //     executed through the pooled replication engine (RunSweep, ParamAxis,
@@ -240,8 +240,8 @@ func BufferPolicies() []string { return buffer.PolicyNames() }
 
 // --- declarative sweeps ---
 //
-// A Sweep is a parameter study as data: a base Config + WorkloadParams, an
-// Axis of per-point mutations, and a metric selection. One generic runner
+// A Sweep is a parameter study as data: a base Config + WorkloadParams,
+// Axes of per-point mutations, and a metric selection. One generic runner
 // executes any spec through the pooled replication engine, collecting a
 // Student-t interval per metric per point. A minimal study:
 //
@@ -249,16 +249,17 @@ func BufferPolicies() []string { return buffer.PolicyNames() }
 //	res, err := voodb.RunSweep(voodb.Sweep{
 //		Name: "mpl-study", Config: voodb.DefaultConfig(),
 //		Params: voodb.DefaultWorkload(),
-//		Axis: axis, Metrics: []voodb.Metric{voodb.MetricIOs, voodb.MetricRespMs},
+//		Axes: []voodb.Axis{axis}, Metrics: []voodb.Metric{voodb.MetricIOs, voodb.MetricRespMs},
 //	}, voodb.SweepOptions{Replications: 10, Seed: 42})
 //	if err != nil { ... }
 //	fmt.Print(res.Text())
 
-// Sweep is a declarative parameter study over the evaluation model. A
-// 1-D study sets Axis; a multi-axis study sets Axes (see Grid) and runs
-// the full cross-product, with 2-D results renderable as heatmaps
+// Sweep is a declarative parameter study over the evaluation model. Its
+// Axes hold one axis for a 1-D study, or several (see Grid) for the full
+// cross-product, with 2-D results renderable as heatmaps
 // (SweepResult.Heatmap / HeatmapCSV) and N-D results as facet tables
-// (SweepResult.FacetTables).
+// (SweepResult.FacetTables). Its Params.Layout selects the object-base
+// layout of every cell whose axes leave it unset.
 type Sweep = sweep.Sweep
 
 // Axis is one independent variable of a sweep: a named series of points.

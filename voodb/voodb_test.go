@@ -92,7 +92,7 @@ func TestSweepViaFacade(t *testing.T) {
 		Name:    "facade-mpl",
 		Config:  cfg,
 		Params:  params,
-		Axis:    axis,
+		Axes:    []voodb.Axis{axis},
 		Metrics: []voodb.Metric{voodb.MetricIOs, voodb.MetricRespMs, voodb.MetricThroughput},
 	}, voodb.SweepOptions{Replications: 2, Seed: 21})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestSweepViaFacade(t *testing.T) {
 		{X: 40, SeedDelta: 1, Apply: func(_ *voodb.Config, p *voodb.WorkloadParams) { p.HotN = 40 }},
 	}}
 	res2, err := voodb.RunSweep(voodb.Sweep{
-		Name: "facade-hotn", Config: cfg, Params: params, Axis: custom,
+		Name: "facade-hotn", Config: cfg, Params: params, Axes: []voodb.Axis{custom},
 		Metrics: []voodb.Metric{voodb.MetricThroughput},
 	}, voodb.SweepOptions{Replications: 2, Seed: 5})
 	if err != nil {
