@@ -48,11 +48,17 @@ type streamBase struct {
 	src       rng.Source
 }
 
-// streamSlotCount rounds the requested cache bound up to a power of two.
-func streamSlotCount(requested int) int {
+// streamSlotCount rounds the requested cache bound, capped at the base's
+// object count, up to a power of two. The cache is direct-mapped by
+// oid & mask, so slots beyond the first power of two ≥ objects would never
+// be used.
+func streamSlotCount(requested, objects int) int {
 	n := requested
 	if n <= 0 {
 		n = defaultStreamCacheObjects
+	}
+	if n > objects {
+		n = objects
 	}
 	slots := 1
 	for slots < n {
@@ -64,7 +70,7 @@ func streamSlotCount(requested int) int {
 // resetStream points db at a streaming backend for refBase, recycling the
 // cache storage when its geometry (slot count, per-slot ref capacity) fits.
 func (db *Database) resetStream(refBase uint64, p Params) {
-	slots := streamSlotCount(p.StreamCacheObjects)
+	slots := streamSlotCount(p.StreamCacheObjects, p.NO)
 	sb := db.stream
 	if sb == nil || len(sb.slots) != slots || cap(sb.refsArena) < slots*p.MaxNRef {
 		sb = &streamBase{

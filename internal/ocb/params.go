@@ -160,9 +160,9 @@ type Params struct {
 	// eager scheme, so existing parameter sets are unaffected.
 	Layout Layout
 	// StreamCacheObjects bounds the LayoutStream materialization cache to
-	// roughly this many objects (rounded up to a power of two; 0 = default).
-	// It only trades recomputation for memory — simulation results are
-	// identical at every cache size.
+	// roughly this many objects (capped at NO and rounded up to a power of
+	// two; 0 = default). It only trades recomputation for memory —
+	// simulation results are identical at every cache size.
 	StreamCacheObjects int
 
 	// --- workload parameters (Table 5) ---

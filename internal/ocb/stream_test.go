@@ -234,6 +234,26 @@ func TestStreamResidencyScaling(t *testing.T) {
 	}
 }
 
+// TestStreamCacheCappedByObjects: the direct-mapped cache never uses more
+// slots than the base has objects, so a StreamCacheObjects far above NO
+// holds the same memory as one just above it, and derives the same base.
+func TestStreamCacheCappedByObjects(t *testing.T) {
+	p := streamTestParams()["base"]
+	p.NO = 200
+	p.StreamCacheObjects = 256
+	fit := generateLayout(t, p, LayoutStream, 11)
+	p.StreamCacheObjects = 2_000_000_000
+	huge := generateLayout(t, p, LayoutStream, 11)
+	if fb, hb := fit.ResidentBytes(), huge.ResidentBytes(); hb != fb {
+		t.Errorf("StreamCacheObjects 2e9 holds %d resident bytes, 256 holds %d", hb, fb)
+	}
+	for o := 0; o < p.NO; o++ {
+		if got, want := snapshotObject(huge, OID(o)), snapshotObject(fit, OID(o)); got != want {
+			t.Fatalf("object %d: %s != %s", o, got, want)
+		}
+	}
+}
+
 func TestLayoutValidation(t *testing.T) {
 	if got := LayoutEager.String() + "/" + LayoutEagerV2.String() + "/" + LayoutStream.String(); got != "eager/eagerv2/stream" {
 		t.Errorf("layout strings = %q", got)
