@@ -51,6 +51,19 @@ func main() {
 	)
 	flag.Parse()
 
+	// Refuse negative sizes before any simulation runs: -memory and -cache
+	// would otherwise fall back to the preset's size without a word, and
+	// -workers would run on every core.
+	if *memory < 0 {
+		fatal(fmt.Errorf("-memory %d: need a size in MB ≥ 0 (0 keeps the preset)", *memory))
+	}
+	if *cache < 0 {
+		fatal(fmt.Errorf("-cache %d: need a size in MB ≥ 0 (0 keeps the preset)", *cache))
+	}
+	if *workers < 0 {
+		fatal(fmt.Errorf("-workers %d: use 0 for all cores, 1 for sequential, or a positive worker count", *workers))
+	}
+
 	cfg := voodb.DefaultConfig()
 	switch strings.ToLower(*system) {
 	case "":
