@@ -14,46 +14,50 @@ go build -o "$workdir/experiments" ./cmd/experiments
 
 # Small grid, enough replications that SIGTERM lands mid-grid on any
 # machine. Every flag below is result-affecting and must match across the
-# three runs (the journal fingerprint enforces this).
-args=(-sweep mpl=1:4:2 -sweep buffpages=48,96 -no 600 -nc 8 -hotn 40 -reps 25 -seed 77 -csv)
+# three runs (the journal fingerprint enforces this). The smoke runs once
+# per object-base layout: -db-layout sets the base Params.Layout, which the
+# fingerprint covers.
+for layout in eager stream; do
+  args=(-sweep mpl=1:4:2 -sweep buffpages=48,96 -no 600 -nc 8 -hotn 40 -reps 25 -seed 77 -db-layout "$layout" -csv)
 
-echo "== uninterrupted run"
-"$workdir/experiments" "${args[@]}" > "$workdir/full.csv"
+  echo "== [$layout] uninterrupted run"
+  "$workdir/experiments" "${args[@]}" > "$workdir/full.csv"
 
-echo "== journalled run, SIGTERM after the first completed cell"
-journal="$workdir/grid.jsonl"
-set +e
-"$workdir/experiments" "${args[@]}" -journal "$journal" \
-  > "$workdir/partial.csv" 2> "$workdir/partial.log" &
-pid=$!
-for _ in $(seq 1 600); do
-  lines=$( (wc -l < "$journal") 2>/dev/null || echo 0)
-  if [ "$lines" -ge 2 ]; then
-    kill -TERM "$pid"
-    break
-  fi
-  sleep 0.05
-done
-wait "$pid"
-rc=$?
-set -e
-cells=$(( $(wc -l < "$journal") - 1 ))
-echo "   interrupted: exit $rc, $cells cells journalled"
-cat "$workdir/partial.log"
+  echo "== [$layout] journalled run, SIGTERM after the first completed cell"
+  journal="$workdir/grid-$layout.jsonl"
+  set +e
+  "$workdir/experiments" "${args[@]}" -journal "$journal" \
+    > "$workdir/partial.csv" 2> "$workdir/partial.log" &
+  pid=$!
+  for _ in $(seq 1 600); do
+    lines=$( (wc -l < "$journal") 2>/dev/null || echo 0)
+    if [ "$lines" -ge 2 ]; then
+      kill -TERM "$pid"
+      break
+    fi
+    sleep 0.05
+  done
+  wait "$pid"
+  rc=$?
+  set -e
+  cells=$(( $(wc -l < "$journal") - 1 ))
+  echo "   interrupted: exit $rc, $cells cells journalled"
+  cat "$workdir/partial.log"
 
-if [ "$rc" -eq 130 ]; then
-  if [ "$cells" -ge 4 ]; then
-    echo "interrupted run journalled every cell; interruption landed too late" >&2
+  if [ "$rc" -eq 130 ]; then
+    if [ "$cells" -ge 4 ]; then
+      echo "interrupted run journalled every cell; interruption landed too late" >&2
+      exit 1
+    fi
+  elif [ "$rc" -ne 0 ]; then
+    echo "interrupted run exited $rc (want 130 on SIGTERM or 0 if it outran the signal)" >&2
     exit 1
   fi
-elif [ "$rc" -ne 0 ]; then
-  echo "interrupted run exited $rc (want 130 on SIGTERM or 0 if it outran the signal)" >&2
-  exit 1
-fi
 
-echo "== resumed run"
-"$workdir/experiments" "${args[@]}" -resume "$journal" > "$workdir/resumed.csv"
+  echo "== [$layout] resumed run"
+  "$workdir/experiments" "${args[@]}" -resume "$journal" > "$workdir/resumed.csv"
 
-echo "== byte-compare resumed vs uninterrupted"
-cmp "$workdir/full.csv" "$workdir/resumed.csv"
-echo "resume smoke OK: resumed CSV is byte-identical"
+  echo "== [$layout] byte-compare resumed vs uninterrupted"
+  cmp "$workdir/full.csv" "$workdir/resumed.csv"
+  echo "resume smoke OK ($layout): resumed CSV is byte-identical"
+done
