@@ -174,7 +174,7 @@ type Experiment struct {
 	// sweep-level seed — the object-base cache does, which is what lets
 	// one base be shared across sweep points whose experiment seeds
 	// differ, and which then intentionally changes results relative to
-	// Base == nil (see experiments.Options.ShareBases). Either way the
+	// Base == nil (see sweep.Options.ShareBases). Either way the
 	// supplier must be deterministic in rep, and the returned database is
 	// treated as immutable, so it may be shared across concurrent
 	// replications and sweep points. A supplier that cannot produce the
