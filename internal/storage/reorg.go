@@ -167,7 +167,6 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena
 	s.pageStart, s.pageObjArena = starts, arena
-	s.resetRefCache()
 	s.reorgs++
 
 	// Mark the new pages and clear the object marks.

@@ -96,8 +96,7 @@ type Store struct {
 	pageStartScratch []int32
 	pageObjArenaSwap []ocb.OID
 
-	refCache map[disk.PageID][]disk.PageID
-	reorgs   int
+	reorgs int
 
 	// Reorganize's scratch, recycled across calls: one mark per object
 	// and per page (all clear between calls), and the three page lists
@@ -144,8 +143,8 @@ func New(db *ocb.Database, cfg Config) (*Store, error) {
 // Reset re-targets the store at db — typically the next replication's
 // object base — restoring the state New(db, s.Config()) would produce
 // while reusing every backing array (placement tables, per-page object
-// lists, the reference cache's buckets). The layout and lookup results are
-// bit-identical to a freshly built store.
+// lists). The layout and lookup results are bit-identical to a freshly
+// built store.
 func (s *Store) Reset(db *ocb.Database) {
 	s.db = db
 	n := len(db.Objects)
@@ -235,17 +234,6 @@ func (s *Store) place(order []ocb.OID) {
 	s.numPages = len(starts)
 	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStart, s.pageObjArena = starts, arena
-	s.resetRefCache()
-}
-
-// resetRefCache empties the reference-page cache, keeping the map's
-// buckets so repeated placements do not regrow it from scratch.
-func (s *Store) resetRefCache() {
-	if s.refCache == nil {
-		s.refCache = make(map[disk.PageID][]disk.PageID)
-	} else {
-		clear(s.refCache)
-	}
 }
 
 // Database returns the underlying object base.
@@ -293,31 +281,6 @@ func (s *Store) ObjectsOn(p disk.PageID) []ocb.OID {
 	}
 	lo, hi := s.pageStart[p], s.pageStart[p+1]
 	return s.pageObjArena[lo:hi:hi]
-}
-
-// ReferencedPages returns the distinct pages referenced by the objects on
-// page p, excluding p itself, in ascending order. This is the reservation
-// set of the Texas virtual-memory emulation: faulting p reserves these
-// pages. Results are cached until the next reorganization.
-func (s *Store) ReferencedPages(p disk.PageID) []disk.PageID {
-	if cached, ok := s.refCache[p]; ok {
-		return cached
-	}
-	var out []disk.PageID
-	for _, o := range s.ObjectsOn(p) {
-		for _, t := range s.db.RefsOf(o) {
-			if t == ocb.NilRef {
-				continue
-			}
-			if tp := s.PageOf(t); tp != p {
-				out = append(out, tp)
-			}
-		}
-	}
-	// Deterministic order for reproducible simulations.
-	out = sortUniquePages(out)
-	s.refCache[p] = out
-	return out
 }
 
 // ObjectRefPages returns the distinct first pages of the objects o

@@ -135,36 +135,6 @@ func TestSpanningObjects(t *testing.T) {
 	}
 }
 
-func TestReferencedPages(t *testing.T) {
-	db := testDB(t, 10, 500, 6)
-	s := mustStore(t, db, DefaultConfig())
-	for p := disk.PageID(0); int(p) < s.NumPages(); p++ {
-		refs := s.ReferencedPages(p)
-		seen := map[disk.PageID]bool{}
-		for i, rp := range refs {
-			if rp == p {
-				t.Fatalf("page %d references itself in reservation set", p)
-			}
-			if rp < 0 || int(rp) >= s.NumPages() {
-				t.Fatalf("page %d references out-of-range page %d", p, rp)
-			}
-			if seen[rp] {
-				t.Fatalf("page %d reservation set has duplicate %d", p, rp)
-			}
-			if i > 0 && refs[i-1] > rp {
-				t.Fatalf("page %d reservation set unsorted", p)
-			}
-			seen[rp] = true
-		}
-	}
-	// Cached result must be identical.
-	a := s.ReferencedPages(0)
-	b := s.ReferencedPages(0)
-	if len(a) != len(b) {
-		t.Fatal("cache returned different result")
-	}
-}
-
 func TestValidateConfig(t *testing.T) {
 	bad := []Config{
 		{PageSize: 10, Overhead: 1},
@@ -304,20 +274,6 @@ func TestReorganizeEmptyClusterList(t *testing.T) {
 	st := s.Reorganize(nil)
 	if st.TotalIOs() != 0 || s.PageOf(42) != before || s.Reorgs() != 0 {
 		t.Error("empty reorganization must be free and change nothing")
-	}
-}
-
-func TestReorganizeInvalidatesRefCache(t *testing.T) {
-	db := testDB(t, 10, 500, 12)
-	s := mustStore(t, db, DefaultConfig())
-	before := s.ReferencedPages(0)
-	s.Reorganize([][]ocb.OID{{0, 100, 200, 300}})
-	after := s.ReferencedPages(0)
-	// Not required to differ, but must be internally valid.
-	for _, rp := range after {
-		if rp == 0 || int(rp) >= s.NumPages() {
-			t.Fatalf("stale reservation set after reorg: %v (before %v)", after, before)
-		}
 	}
 }
 

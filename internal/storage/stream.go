@@ -119,7 +119,6 @@ func (s *Store) placeStream() {
 		}
 	}
 	s.numPages = pages
-	s.resetRefCache()
 }
 
 // streamPages is Pages() over the extents.

@@ -28,8 +28,8 @@ func streamStoreParams() map[string]ocb.Params {
 
 // TestStreamPlacementMatchesEager pins that the streaming store's
 // arithmetic extents reproduce the eager first-fit layout exactly: same
-// page count, same Pages/PageOf for every object, same ObjectsOn for every
-// page, same ReferencedPages — for both placement policies and overheads.
+// page count, same Pages/PageOf and ObjectRefPages for every object, same
+// ObjectsOn for every page — for both placement policies and overheads.
 func TestStreamPlacementMatchesEager(t *testing.T) {
 	for name, p := range streamStoreParams() {
 		for _, overhead := range []float64{1.0, 1.36} {
@@ -82,13 +82,6 @@ func TestStreamPlacementMatchesEager(t *testing.T) {
 						got := fmt.Sprintf("%v", ss.ObjectsOn(disk.PageID(pg)))
 						if got != want {
 							t.Fatalf("ObjectsOn(%d): stream=%s eager=%s", pg, got, want)
-						}
-					}
-					for pg := 0; pg < es.NumPages(); pg++ {
-						want := fmt.Sprintf("%v", es.ReferencedPages(disk.PageID(pg)))
-						got := fmt.Sprintf("%v", ss.ReferencedPages(disk.PageID(pg)))
-						if got != want {
-							t.Fatalf("ReferencedPages(%d): stream=%s eager=%s", pg, got, want)
 						}
 					}
 					var ebuf, sbuf []disk.PageID
