@@ -8,8 +8,8 @@ import (
 )
 
 // foldRows aggregates repRows exactly like Experiment.Run.
-func foldRows(rows []repRow, conf float64) *Result {
-	res := &Result{Confidence: conf}
+func foldRows(rows []repRow) *Result {
+	res := &Result{Confidence: Confidence}
 	for i := range rows {
 		res.IOs.Add(rows[i].ios)
 		res.Reads.Add(rows[i].reads)
@@ -45,7 +45,7 @@ func TestContextReuseMatchesFreshContexts(t *testing.T) {
 		}
 		rows[rep] = row
 	}
-	want := foldRows(rows, e.confidence())
+	want := foldRows(rows)
 
 	for _, workers := range []int{1, 3} {
 		reused := e

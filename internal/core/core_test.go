@@ -355,11 +355,16 @@ func TestExperimentReplications(t *testing.T) {
 		t.Fatalf("replications = %d", res.IOs.N())
 	}
 	ci := res.IOsCI()
-	if ci.N != 5 || ci.Mean <= 0 {
+	if ci.N != 5 || ci.Mean <= 0 || ci.Confidence != Confidence {
 		t.Fatalf("CI: %+v", ci)
 	}
 	if res.IOs.StdDev() == 0 {
 		t.Error("replications identical — seeds not varied")
+	}
+	// The model's kernels dispatch through the head-slot register; the
+	// register's bit-identity is pinned by internal/sim's lockstep tests.
+	if res.BypassRate.Mean() <= 0 {
+		t.Error("model run recorded no head-slot bypasses")
 	}
 	if _, err := (Experiment{Config: smallConfig(), Params: smallParams(), Replications: 0}).Run(); err == nil {
 		t.Error("zero replications accepted")

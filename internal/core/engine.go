@@ -107,9 +107,14 @@ func (p *ContextPool) put(c *repContext) {
 	p.mu.Unlock()
 }
 
+// Confidence is the Student-t level of every interval an experiment
+// reports (§4.2.2 of the paper). stats.ConfidenceInterval gives any other
+// level from a result's samples.
+const Confidence = 0.95
+
 // Result aggregates a replicated experiment. Every metric is a sample over
-// replications; confidence intervals follow §4.2.2 of the paper (Student-t,
-// 95 % by default).
+// replications; confidence intervals follow §4.2.2 of the paper (Student-t
+// at level Confidence).
 type Result struct {
 	Confidence float64
 
@@ -155,8 +160,6 @@ type Experiment struct {
 	// Replications is the number of independent replications (the paper
 	// used 100).
 	Replications int
-	// Confidence is the CI level (default 0.95 when zero).
-	Confidence float64
 	// Workers bounds how many replications run concurrently: 0 (the
 	// default) uses all available cores, 1 forces the sequential engine.
 	// Results are bit-identical for every worker count.
@@ -181,13 +184,6 @@ type Experiment struct {
 	// base returns an error (never panics): the error fails this
 	// replication's experiment through the normal error path.
 	Base func(rep int, seed uint64) (*ocb.Database, error)
-}
-
-func (e Experiment) confidence() float64 {
-	if e.Confidence == 0 {
-		return 0.95
-	}
-	return e.Confidence
 }
 
 // repSeed derives the replication's seed through the SplitMix64 substream
@@ -304,7 +300,7 @@ func (e Experiment) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Confidence: e.confidence()}
+	res := &Result{Confidence: Confidence}
 	for i := range rows {
 		res.IOs.Add(rows[i].ios)
 		res.Reads.Add(rows[i].reads)
@@ -350,7 +346,6 @@ type DSTCExperiment struct {
 	Depth        int
 	Seed         uint64
 	Replications int
-	Confidence   float64
 	// Workers bounds how many replications run concurrently: 0 (the
 	// default) uses all available cores, 1 forces the sequential engine.
 	Workers int
@@ -421,16 +416,12 @@ func (e DSTCExperiment) RunContext(ctx context.Context) (*DSTCResult, error) {
 	if err := e.Params.Validate(); err != nil {
 		return nil, err
 	}
-	conf := e.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
 	rows, err := runReplications(ctx, e.Replications, e.Workers, e.Pool,
 		func(c *repContext, rep int) (dstcRow, error) { return e.runRep(ctx, c, rep) })
 	if err != nil {
 		return nil, err
 	}
-	res := &DSTCResult{Confidence: conf}
+	res := &DSTCResult{Confidence: Confidence}
 	for i := range rows {
 		res.PreIOs.Add(rows[i].pre)
 		res.OverheadIOs.Add(rows[i].overhead)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/buffer"
 	"repro/internal/cluster"
@@ -84,17 +83,11 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	// VOODB_NO_HEADSLOT=1 disables the kernel's head-slot dispatch fast
-	// path — an A/B escape hatch for benchmarking and for rerunning the
-	// golden suites with the register forced off. Results are bit-identical
-	// either way (only BypassRate changes); it is an env var rather than a
-	// Config field so it never enters sweep-journal fingerprints.
-	//
 	// The calendar is not pre-sized: its slot arena grows on demand to the
 	// depth the model reaches (a pre-size from MPL would allocate for
 	// transactions the user population can never admit), and Reset keeps
 	// that capacity for later replications.
-	s := sim.New(sim.WithHeadSlot(os.Getenv("VOODB_NO_HEADSLOT") == ""))
+	s := sim.New()
 	r := &Run{
 		cfg:       cfg,
 		sim:       s,

@@ -80,16 +80,18 @@ func TestStreamBatchStatsIdentical(t *testing.T) {
 }
 
 // TestStreamTinyCacheSimulation pins the cache-thrash acceptance: a
-// materialization cache far smaller than the working set still yields the
-// identical simulation, only slower.
+// NO-20000 base has about five objects per line of the 4096-line
+// materialization cache, so the batch keeps evicting and re-deriving
+// objects, yet it simulates to the same BatchStats as the eager-v2 base.
 func TestStreamTinyCacheSimulation(t *testing.T) {
 	cfg := goldenO2Config()
-	p := streamLayoutParams(ocb.LayoutStream)
+	p := streamLayoutParams(ocb.LayoutEagerV2)
+	p.NO = 20000
 	want := runLayoutBatch(t, cfg, p, 42)
-	p.StreamCacheObjects = 16
+	p.Layout = ocb.LayoutStream
 	got := runLayoutBatch(t, cfg, p, 42)
 	if got != want {
-		t.Errorf("tiny-cache batch diverged:\n got  %s\n want %s", got, want)
+		t.Errorf("thrashing stream batch diverged from eager-v2:\n got  %s\n want %s", got, want)
 	}
 }
 

@@ -204,12 +204,10 @@ func dstcPoint(x float64, label string, mkCfg func() core.Config, memMB int) swe
 // protocol of comparing variants on identical bases.
 func dstcSpec(title string, points ...sweep.Point) sweep.Sweep {
 	return sweep.Sweep{
-		Title:        title,
-		Config:       systems.TexasDSTC(),
-		Params:       ocb.DSTCExperimentParams(),
-		Axes:         []sweep.Axis{{Name: "variant", Points: points}},
-		Protocol:     sweep.DSTCProtocol,
-		Transactions: 1000,
-		Depth:        3,
+		Title:    title,
+		Config:   systems.TexasDSTC(),
+		Params:   ocb.DSTCExperimentParams(),
+		Axes:     []sweep.Axis{{Name: "variant", Points: points}},
+		Protocol: sweep.DSTCProtocol,
 	}
 }

@@ -20,11 +20,12 @@ import (
 	"repro/internal/rng"
 )
 
-// defaultStreamCacheObjects is the materialization-cache bound when
-// Params.StreamCacheObjects is 0. At MaxNRef = 10 this is ≈ 256 KiB of
-// refs plus slot headers — comfortably above the working set of the
-// paper's workloads while staying O(hot-set), not O(objects).
-const defaultStreamCacheObjects = 4096
+// streamCacheLines bounds the materialization cache. At MaxNRef = 10 this
+// is ≈ 256 KiB of refs plus slot headers — comfortably above the working
+// set of the paper's workloads while staying O(hot-set), not O(objects).
+// The cache only trades recomputation for memory: simulation results are
+// identical at every size.
+const streamCacheLines = 4096
 
 // streamSlot is one direct-mapped cache line: the object whose references
 // are currently materialized in this slot, and the refs themselves (carved
@@ -48,18 +49,12 @@ type streamBase struct {
 	src       rng.Source
 }
 
-// streamSlotCount rounds the requested cache bound, capped at the base's
-// object count, up to a power of two. The cache is direct-mapped by
-// oid & mask, so slots beyond the first power of two ≥ objects would never
-// be used.
-func streamSlotCount(requested, objects int) int {
-	n := requested
-	if n <= 0 {
-		n = defaultStreamCacheObjects
-	}
-	if n > objects {
-		n = objects
-	}
+// streamSlotCount returns the cache's slot count for a base of the given
+// object count: min(streamCacheLines, objects) rounded up to a power of
+// two. The cache is direct-mapped by oid & mask, so slots beyond the first
+// power of two ≥ objects would never be used.
+func streamSlotCount(objects int) int {
+	n := min(streamCacheLines, objects)
 	slots := 1
 	for slots < n {
 		slots <<= 1
@@ -67,10 +62,10 @@ func streamSlotCount(requested, objects int) int {
 	return slots
 }
 
-// resetStream points db at a streaming backend for refBase, recycling the
-// cache storage when its geometry (slot count, per-slot ref capacity) fits.
-func (db *Database) resetStream(refBase uint64, p Params) {
-	slots := streamSlotCount(p.StreamCacheObjects, p.NO)
+// resetStream points db at a streaming backend for refBase with a cache of
+// slots lines (a power of two), recycling the cache storage when its
+// geometry (slot count, per-slot ref capacity) fits.
+func (db *Database) resetStream(refBase uint64, p Params, slots int) {
 	sb := db.stream
 	if sb == nil || len(sb.slots) != slots || cap(sb.refsArena) < slots*p.MaxNRef {
 		sb = &streamBase{
@@ -210,7 +205,7 @@ func generateV2(db *Database, p Params, seed uint64) error {
 		db.byClassArena = nil
 		db.refArena = nil
 		db.permScratch = nil
-		db.resetStream(refBase, p)
+		db.resetStream(refBase, p, streamSlotCount(p.NO))
 		return nil
 	}
 
@@ -328,7 +323,7 @@ func (db *Database) StreamView() *Database {
 	v.classZipf, v.objZipf = zipfCache{}, zipfCache{}
 	v.hotSet = nil
 	v.stream = nil
-	v.resetStream(db.stream.refBase, db.Params)
+	v.resetStream(db.stream.refBase, db.Params, len(db.stream.slots))
 	return v
 }
 

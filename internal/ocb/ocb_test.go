@@ -39,7 +39,6 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"HotN=0":        func(p *Params) { p.HotN = 0 },
 		"probs≠1":       func(p *Params) { p.PSet = 0.5 },
 		"WriteProb>1":   func(p *Params) { p.WriteProb = 1.5 },
-		"neg think":     func(p *Params) { p.ThinkTime = -1 },
 		"neg depth":     func(p *Params) { p.SetDepth = -1 },
 		"zero locality": func(p *Params) { p.ClassLocality = 0 },
 	}

@@ -147,11 +147,9 @@ type Params struct {
 	ClassLocality int
 	// ObjClassDist distributes instances among classes.
 	ObjClassDist Dist
-	// ObjRefDist distributes the target instance of each object reference
-	// within the target class.
-	ObjRefDist Dist
 	// ObjectLocality bounds how far (in within-class rank distance) an
-	// object reference may point (OCB OLOCREF; NO = unrestricted).
+	// object reference may point (OCB OLOCREF; NO = unrestricted). The
+	// target instance is drawn uniformly inside that window.
 	ObjectLocality int
 	// ZipfTheta is the skew used wherever a Dist is Zipf.
 	ZipfTheta float64
@@ -159,11 +157,6 @@ type Params struct {
 	// the Layout constants and layoutv2.go). The zero value is the legacy
 	// eager scheme, so existing parameter sets are unaffected.
 	Layout Layout
-	// StreamCacheObjects bounds the LayoutStream materialization cache to
-	// roughly this many objects (capped at NO and rounded up to a power of
-	// two; 0 = default). It only trades recomputation for memory —
-	// simulation results are identical at every cache size.
-	StreamCacheObjects int
 
 	// --- workload parameters (Table 5) ---
 
@@ -203,8 +196,6 @@ type Params struct {
 	// WriteProb is the probability that an individual object access is an
 	// update. The validation experiments are read-only (0).
 	WriteProb float64
-	// ThinkTime is the user think time between transactions in ms (0).
-	ThinkTime float64
 }
 
 // DefaultParams returns the OCB defaults as used by the VLDB paper's
@@ -220,7 +211,6 @@ func DefaultParams() Params {
 		ClassRefDist:   Uniform,
 		ClassLocality:  50,
 		ObjClassDist:   Uniform,
-		ObjRefDist:     Uniform,
 		ObjectLocality: 100, // OCB's OLOCREF-style reference locality
 		ZipfTheta:      1,
 
@@ -316,8 +306,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: ColdN = %d, HotN = %d", p.ColdN, p.HotN)
 	case p.WriteProb < 0 || p.WriteProb > 1:
 		return fmt.Errorf("ocb: WriteProb = %v outside [0,1]", p.WriteProb)
-	case p.ThinkTime < 0:
-		return fmt.Errorf("ocb: negative ThinkTime %v", p.ThinkTime)
 	case p.ClassLocality < 1 || p.ObjectLocality < 1:
 		return fmt.Errorf("ocb: localities must be ≥ 1")
 	case p.TypeZeroBias < 0 || p.TypeZeroBias > 1:
@@ -328,8 +316,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: negative traversal depth")
 	case p.Layout > LayoutStream:
 		return fmt.Errorf("ocb: unknown layout %d", p.Layout)
-	case p.StreamCacheObjects < 0:
-		return fmt.Errorf("ocb: StreamCacheObjects = %d, need ≥ 0", p.StreamCacheObjects)
 	}
 	total := p.PSet + p.PSimple + p.PHier + p.PStoch
 	if total <= 0 || math.Abs(total-1) > 1e-9 {

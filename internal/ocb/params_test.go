@@ -3,6 +3,7 @@ package ocb
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,6 +113,86 @@ func TestValidateRejectsNRefTBeyondUint8(t *testing.T) {
 		}
 		if top < MaxNRefT-16 {
 			t.Errorf("NRefT = MaxNRefT, bias %v: highest drawn type %d, want types near %d", bias, top, MaxNRefT-1)
+		}
+	}
+}
+
+// TestEveryParamsFieldMatters checks that generation reads every Params
+// field: from each entry's setup, its move must change the generated base
+// or its workload. A field that no code reads still enters every sweep
+// journal fingerprint, so it fails here, and so does a new field without
+// an entry.
+func TestEveryParamsFieldMatters(t *testing.T) {
+	// share gives one transaction type probability 0.4 and the other three
+	// 0.2 each. Their weights stay equal to each other, so only the picked
+	// field can change which types are drawn.
+	share := func(pick func(*Params) *float64) func(*Params) {
+		return func(p *Params) {
+			p.PSet, p.PSimple, p.PHier, p.PStoch = 0.2, 0.2, 0.2, 0.2
+			*pick(p) = 0.4
+		}
+	}
+	cases := map[string]struct{ setup, move func(*Params) }{
+		"NC":             {move: func(p *Params) { p.NC = 12 }},
+		"MaxNRef":        {move: func(p *Params) { p.MaxNRef = 4 }},
+		"BaseSize":       {move: func(p *Params) { p.BaseSize = 20 }},
+		"SizeMult":       {move: func(p *Params) { p.SizeMult = 5 }},
+		"NO":             {move: func(p *Params) { p.NO = 600 }},
+		"NRefT":          {move: func(p *Params) { p.NRefT = 2 }},
+		"TypeZeroBias":   {move: func(p *Params) { p.TypeZeroBias = 0.6 }},
+		"ClassRefDist":   {move: func(p *Params) { p.ClassRefDist = Zipf }},
+		"ClassLocality":  {move: func(p *Params) { p.ClassLocality = 2 }},
+		"ObjClassDist":   {move: func(p *Params) { p.ObjClassDist = Zipf }},
+		"ObjectLocality": {move: func(p *Params) { p.ObjectLocality = 5 }},
+		"ZipfTheta": {
+			setup: func(p *Params) { p.RootDist = Zipf },
+			move:  func(p *Params) { p.ZipfTheta = 0.5 },
+		},
+		"Layout":       {move: func(p *Params) { p.Layout = LayoutEagerV2 }},
+		"ColdN":        {move: func(p *Params) { p.ColdN = 5 }},
+		"HotN":         {move: func(p *Params) { p.HotN = 60 }},
+		"PSet":         {move: share(func(p *Params) *float64 { return &p.PSet })},
+		"SetDepth":     {move: func(p *Params) { p.SetDepth = 1 }},
+		"PSimple":      {move: share(func(p *Params) *float64 { return &p.PSimple })},
+		"SimDepth":     {move: func(p *Params) { p.SimDepth = 1 }},
+		"PHier":        {move: share(func(p *Params) *float64 { return &p.PHier })},
+		"HieDepth":     {move: func(p *Params) { p.HieDepth = 2 }},
+		"PStoch":       {move: share(func(p *Params) *float64 { return &p.PStoch })},
+		"StoDepth":     {move: func(p *Params) { p.StoDepth = 10 }},
+		"RootDist":     {move: func(p *Params) { p.RootDist = Zipf }},
+		"HotRootCount": {move: func(p *Params) { p.HotRootCount = 20 }},
+		"WriteProb":    {move: func(p *Params) { p.WriteProb = 0.3 }},
+	}
+	digest := func(p Params) string {
+		db, err := Generate(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := new(Workload)
+		w.GenerateInto(db, 8)
+		return baseDigest(db) + "/" + workloadDigest(w)
+	}
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		c, ok := cases[name]
+		if !ok {
+			t.Errorf("Params.%s has no entry: give it a setup and a move, or delete it if nothing reads it", name)
+			continue
+		}
+		p := smallParams()
+		if c.setup != nil {
+			c.setup(&p)
+		}
+		before := digest(p)
+		c.move(&p)
+		if digest(p) == before {
+			t.Errorf("moving Params.%s changed neither the base nor its workload", name)
+		}
+	}
+	for name := range cases {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("entry %q names no Params field", name)
 		}
 	}
 }

@@ -110,11 +110,8 @@ func TestStreamTinyCacheEquivalence(t *testing.T) {
 	p := streamTestParams()["base"]
 	const seed = 99
 	eager := generateLayout(t, p, LayoutEagerV2, seed)
-	p.StreamCacheObjects = 2
 	stream := generateLayout(t, p, LayoutStream, seed)
-	if n := len(stream.stream.slots); n != 2 {
-		t.Fatalf("cache slots = %d, want 2", n)
-	}
+	stream.resetStream(stream.stream.refBase, stream.Params, 2)
 	// Interleave two objects mapping to the same slot to force thrash.
 	for o := 0; o < p.NO; o++ {
 		if got, want := snapshotObject(stream, OID(o)), snapshotObject(eager, OID(o)); got != want {
@@ -234,22 +231,18 @@ func TestStreamResidencyScaling(t *testing.T) {
 	}
 }
 
-// TestStreamCacheCappedByObjects: the direct-mapped cache never uses more
-// slots than the base has objects, so a StreamCacheObjects far above NO
-// holds the same memory as one just above it, and derives the same base.
+// TestStreamCacheCappedByObjects: the direct-mapped cache holds
+// min(4096, NO) lines rounded up to a power of two, so it never uses more
+// slots than the base has objects, and never more than 4096.
 func TestStreamCacheCappedByObjects(t *testing.T) {
-	p := streamTestParams()["base"]
-	p.NO = 200
-	p.StreamCacheObjects = 256
-	fit := generateLayout(t, p, LayoutStream, 11)
-	p.StreamCacheObjects = 2_000_000_000
-	huge := generateLayout(t, p, LayoutStream, 11)
-	if fb, hb := fit.ResidentBytes(), huge.ResidentBytes(); hb != fb {
-		t.Errorf("StreamCacheObjects 2e9 holds %d resident bytes, 256 holds %d", hb, fb)
-	}
-	for o := 0; o < p.NO; o++ {
-		if got, want := snapshotObject(huge, OID(o)), snapshotObject(fit, OID(o)); got != want {
-			t.Fatalf("object %d: %s != %s", o, got, want)
+	for _, c := range []struct{ objects, slots int }{
+		{1, 1},
+		{200, 256},
+		{4097, 4096},
+		{MaxNO, 4096},
+	} {
+		if got := streamSlotCount(c.objects); got != c.slots {
+			t.Errorf("streamSlotCount(%d) = %d, want %d", c.objects, got, c.slots)
 		}
 	}
 }
@@ -265,10 +258,5 @@ func TestLayoutValidation(t *testing.T) {
 	p.Layout = Layout(9)
 	if err := p.Validate(); err == nil {
 		t.Error("invalid layout accepted")
-	}
-	p = DefaultParams()
-	p.StreamCacheObjects = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative StreamCacheObjects accepted")
 	}
 }

@@ -4,15 +4,23 @@ import (
 	"testing"
 )
 
+// newHeapOnly returns a simulation whose every event goes through the
+// heap: the dispatch path the head-slot register must match.
+func newHeapOnly() *Simulation {
+	s := New()
+	s.noBypass = true
+	return s
+}
+
 // bypassOnOff runs build twice — fast path on (the default) and forced off
-// via WithHeadSlot(false) — and fails unless both produced the exact same
-// firing record. This is the head-slot register's determinism contract:
-// the register only ever holds an event strictly earlier than everything
-// in the heap, so dispatch order cannot differ.
+// (newHeapOnly) — and fails unless both produced the exact same firing
+// record. This is the head-slot register's determinism contract: the
+// register only ever holds an event strictly earlier than everything in
+// the heap, so dispatch order cannot differ.
 func bypassOnOff(t *testing.T, run func(s *Simulation) []fired) {
 	t.Helper()
 	on := run(New())
-	off := run(New(WithHeadSlot(false)))
+	off := run(newHeapOnly())
 	if len(on) == 0 {
 		t.Fatal("scenario fired nothing")
 	}
@@ -119,7 +127,7 @@ func TestBypassChainEquivalence(t *testing.T) {
 	if r := s.BypassRate(); r < 0.99 {
 		t.Fatalf("chain bypass rate = %.3f, want ≥ 0.99", r)
 	}
-	s = New(WithHeadSlot(false))
+	s = newHeapOnly()
 	chain(s)
 	if r := s.BypassRate(); r != 0 {
 		t.Fatalf("disabled fast path reported bypass rate %.3f", r)

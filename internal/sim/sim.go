@@ -102,8 +102,8 @@ type Simulation struct {
 	// inequality is what keeps the fast path bit-identical: a strictly
 	// earlier event is the unique next pop, and ties (same-time FIFO)
 	// always route through the heap. noBypass forces every event through
-	// the heap — the register invariant then holds vacuously — so
-	// equivalence tests can run the two dispatch paths in lockstep.
+	// the heap — the register invariant then holds vacuously — so the
+	// package's lockstep tests can run the two dispatch paths side by side.
 	headSlot int32
 	bypass   uint64 // events dispatched through the register
 	noBypass bool
@@ -126,26 +126,9 @@ type Simulation struct {
 	Trace func(t Time)
 }
 
-// Option configures a Simulation at construction.
-type Option func(*Simulation)
-
-// WithHeadSlot enables or disables the head-slot dispatch register
-// (default enabled). Firing order — and therefore every simulation result —
-// is bit-identical either way: the register only ever holds an event
-// strictly earlier than everything in the heap, which is the unique next
-// pop regardless. The option exists so equivalence and golden tests can
-// run the two dispatch paths in lockstep.
-func WithHeadSlot(on bool) Option {
-	return func(s *Simulation) { s.noBypass = !on }
-}
-
 // New returns an empty simulation with the clock at zero.
-func New(opts ...Option) *Simulation {
-	s := &Simulation{headSlot: -1}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+func New() *Simulation {
+	return &Simulation{headSlot: -1}
 }
 
 // Reset returns the simulation to the state New produces — clock at zero,

@@ -73,26 +73,26 @@ func TestFingerprintPins(t *testing.T) {
 			Name: "pin-mpl", Config: cfg, Params: params,
 			Axes: []Axis{mpl}, Metrics: []Metric{IOs, RespMs},
 		}, Options{Replications: 2, Seed: 1},
-			"a1d39a572361cb4a4a1ebe655c973e7d4bca794e65484a65fad90fe4e986acaf"},
+			"8355d4e952c6f2b09a5af2af5cdc8da61f953dbf8d57ce78b464c5c4ece35513"},
 		{"2-D grid, shared bases", Sweep{
 			Name: "pin-grid", Config: cfg, Params: params,
 			Axes: []Axis{pgrep, buff}, Metrics: []Metric{IOs, HitPct},
 		}, Options{Replications: 3, Seed: 77, ShareBases: true},
-			"b85309b3e3d83399b444aae96d13f2f42b71cd6e12a46ac9ad11b2d2d61781a1"},
+			"a0f09c3e9314975357ab57237d073aae0ae19fed30872a0eea97dc2fc6f3d472"},
 		{"DSTC protocol", Sweep{
 			Name: "pin-dstc", Config: dstcCfg, Params: params,
 			Axes: []Axis{{Name: "variant", Points: []Point{
 				{X: 0, Label: "physical", Apply: func(c *core.Config, _ *ocb.Params) { *c = physical }},
 				{X: 1, Label: "logical", Apply: func(c *core.Config, _ *ocb.Params) { *c = dstcCfg }},
 			}}},
-			Protocol: DSTCProtocol, Transactions: 40, Depth: 3,
+			Protocol: DSTCProtocol,
 		}, Options{Replications: 2, Seed: 88},
-			"1867604f5d1ee528bc867b28d276b088c8ae1a9d6c428ce50b90cf98e5e74b3c"},
+			"4b3014a0a38d446fe38263cf9a2d9cae22b00feb2c032f575fea2ab5f3903bb8"},
 		{"stream base layout", Sweep{
 			Name: "pin-stream", Config: cfg, Params: streamParams,
 			Axes: []Axis{mpl}, Metrics: []Metric{IOs},
 		}, Options{Replications: 2, Seed: 5},
-			"6045f8f3eac9fc5e6e701c722830eeea87a406aa29e0df3116c9cc191ba987dc"},
+			"6fb26e1ffbad3743d70b2d420e84deb726203e65321dcd2234f0f35b5be1b163"},
 	} {
 		if got := journalFingerprint(t, c.s, c.o); got != c.want {
 			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)

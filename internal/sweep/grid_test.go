@@ -290,20 +290,20 @@ func TestEnumAxes(t *testing.T) {
 	}
 
 	// Bool axis.
-	dstc, err := BoolAxis("dstc")
+	physoids, err := BoolAxis("physoids")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dstc.Points) != 2 || dstc.Points[0].Label != "off" || dstc.Points[1].Label != "on" {
-		t.Fatalf("dstc axis: %+v", dstc.Points)
+	if len(physoids.Points) != 2 || physoids.Points[0].Label != "off" || physoids.Points[1].Label != "on" {
+		t.Fatalf("physoids axis: %+v", physoids.Points)
 	}
-	dstc.Points[1].Apply(&cfg, &p)
-	if cfg.Clustering != core.DSTC {
-		t.Errorf("Clustering = %v", cfg.Clustering)
+	physoids.Points[1].Apply(&cfg, &p)
+	if !cfg.PhysicalOIDs {
+		t.Errorf("PhysicalOIDs = %v", cfg.PhysicalOIDs)
 	}
-	dstc.Points[0].Apply(&cfg, &p)
-	if cfg.Clustering != core.NoClustering {
-		t.Errorf("Clustering = %v", cfg.Clustering)
+	physoids.Points[0].Apply(&cfg, &p)
+	if cfg.PhysicalOIDs {
+		t.Errorf("PhysicalOIDs = %v", cfg.PhysicalOIDs)
 	}
 
 	// Errors: bad choice, enum via ParamAxis, duplicate collapse.
@@ -340,8 +340,8 @@ func TestParseAxisTyped(t *testing.T) {
 	if axis, err = ParseAxis("sysclass=all"); err != nil || len(axis.Points) != 4 {
 		t.Fatalf("sysclass=all: %v %+v", err, axis.Points)
 	}
-	if axis, err = ParseAxis("dstc=on,off"); err != nil || len(axis.Points) != 2 || axis.Points[0].Label != "on" {
-		t.Fatalf("dstc=on,off: %v %+v", err, axis.Points)
+	if axis, err = ParseAxis("physoids=on,off"); err != nil || len(axis.Points) != 2 || axis.Points[0].Label != "on" {
+		t.Fatalf("physoids=on,off: %v %+v", err, axis.Points)
 	}
 	if axis, err = ParseAxis("physoids=all"); err != nil || len(axis.Points) != 2 {
 		t.Fatalf("physoids=all: %v %+v", err, axis.Points)
@@ -349,7 +349,7 @@ func TestParseAxisTyped(t *testing.T) {
 	for _, spec := range []string{
 		"pgrep=LRU,NOPE", // unknown choice
 		"pgrep=1:3:1",    // range form on an enum
-		"dstc=maybe",     // bad switch token
+		"physoids=maybe", // bad switch token
 		"pgrep=",         // empty list
 	} {
 		if _, err := ParseAxis(spec); err == nil {

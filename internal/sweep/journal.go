@@ -33,11 +33,13 @@ import (
 // anything else. Version 2 removed the sharded kernel's Config field and
 // load-balance metric, which changed every fingerprint and the core.Result
 // encoding. Version 3 removed core.Config's two event-calendar fields,
-// which again changed every fingerprint. Journals of older versions must
-// be rerun.
+// which again changed every fingerprint. Version 4 removed three unread
+// ocb.Params fields and the fingerprint's confidence and DSTC-phase terms,
+// which changed every fingerprint once more. Journals of older versions
+// must be rerun.
 const (
 	journalKind    = "voodb-sweep-journal"
-	journalVersion = 3
+	journalVersion = 4
 )
 
 // JournalHeader is the journal's first line: enough spec identity to
@@ -47,8 +49,8 @@ type JournalHeader struct {
 	Version int    `json:"version"`
 	Sweep   string `json:"sweep"`
 	// Fingerprint hashes the sweep spec and the result-affecting options
-	// (axes, points, seeds, metrics, replications, confidence, protocol,
-	// base config/params, ShareBases); see Sweep.fingerprint.
+	// (axes, points, seeds, metrics, replications, protocol, base
+	// config/params, ShareBases); see Sweep.fingerprint.
 	Fingerprint  string   `json:"fingerprint"`
 	Axes         []string `json:"axes"`
 	Shape        []int    `json:"shape"`

@@ -200,10 +200,10 @@ func TestFingerprintFieldNames(t *testing.T) {
 			"ReserveOnLoad ReserveCold SwizzleDirty Failures Failures.Enabled " +
 			"Failures.MTBFMs Failures.MeanRepairMs"},
 		{"ocb.Params", reflect.TypeOf(ocb.Params{}), "NC MaxNRef BaseSize SizeMult NO " +
-			"NRefT TypeZeroBias ClassRefDist ClassLocality ObjClassDist ObjRefDist " +
-			"ObjectLocality ZipfTheta Layout StreamCacheObjects ColdN HotN PSet " +
+			"NRefT TypeZeroBias ClassRefDist ClassLocality ObjClassDist " +
+			"ObjectLocality ZipfTheta Layout ColdN HotN PSet " +
 			"SetDepth PSimple SimDepth PHier HieDepth PStoch StoDepth RootDist " +
-			"HotRootCount WriteProb ThinkTime"},
+			"HotRootCount WriteProb"},
 	} {
 		if got := strings.Join(flatFieldNames(c.typ, ""), " "); got != c.want {
 			t.Errorf("%s fields changed, which changes every sweep journal fingerprint: "+

@@ -147,10 +147,10 @@ func (m Metric) ValidFor(p Protocol) bool {
 	return d.standard != nil
 }
 
-// interval extracts the metric's Student-t interval from whichever result
-// the protocol produced, applying the metric's display scale to both the
-// mean and the half-width.
-func (m Metric) interval(res *core.Result, dstc *core.DSTCResult, confidence float64) stats.Interval {
+// interval extracts the metric's Student-t interval at core.Confidence
+// from whichever result the protocol produced, applying the metric's
+// display scale to both the mean and the half-width.
+func (m Metric) interval(res *core.Result, dstc *core.DSTCResult) stats.Interval {
 	d := metricDefs[m]
 	var s *stats.Sample
 	if dstc != nil {
@@ -158,7 +158,7 @@ func (m Metric) interval(res *core.Result, dstc *core.DSTCResult, confidence flo
 	} else {
 		s = d.standard(res)
 	}
-	ci := stats.ConfidenceInterval(s, confidence)
+	ci := stats.ConfidenceInterval(s, core.Confidence)
 	ci.Mean *= d.scale
 	ci.HalfWidth *= d.scale
 	return ci

@@ -16,9 +16,9 @@ import (
 // Kind classifies a parameter's value domain. The paper's Table 3 mixes
 // continuous knobs (NETTHRU, disk times), integer counts (BUFFSIZE,
 // MULTILVL), categorical selectors (SYSCLASS, PGREP, INITPL, CLUSTP) and
-// switches (DSTC on/off); the kind drives parsing, axis construction and
-// display so every column of the table is sweepable through the same
-// registry.
+// switches (physical OIDs on/off); the kind drives parsing, axis
+// construction and display so every column of the table is sweepable
+// through the same registry.
 type Kind uint8
 
 const (
@@ -124,12 +124,6 @@ type Param struct {
 	// axes over them regenerate bases per point and are ineligible for
 	// base sharing.
 	Generative bool
-	// Conflicts names the configuration field this parameter writes when
-	// another registered parameter writes it too (e.g. both "dstc" and
-	// "clustp" set Config.Clustering). Grids refuse axes over conflicting
-	// parameters: the later axis would silently overwrite the earlier
-	// one's setting in every cell.
-	Conflicts string
 	// Apply writes value v into the configuration/parameters.
 	Apply func(cfg *core.Config, p *ocb.Params, v ParamValue)
 }
@@ -156,13 +150,6 @@ func enumParam(name, doc string, choices []string, apply func(*core.Config, *ocb
 func boolParam(name, doc string, apply func(*core.Config, *ocb.Params, bool)) Param {
 	return Param{Name: name, Doc: doc, Kind: KindBool,
 		Apply: func(cfg *core.Config, p *ocb.Params, v ParamValue) { apply(cfg, p, v.Bit) }}
-}
-
-// withConflict marks a parameter as writing the named configuration field
-// shared with other registered parameters.
-func withConflict(field string, p Param) Param {
-	p.Conflicts = field
-	return p
 }
 
 // asGenerative marks a parameter as feeding object-base generation (for
@@ -251,23 +238,14 @@ var paramTable = []Param{
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.BufferPolicy = v }),
 	enumParam("initpl", "initial object placement (INITPL)", placementChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Placement = placementByName[v] }),
-	withConflict("clustering", enumParam("clustp", "clustering policy module (CLUSTP)", clusteringChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Clustering = clusteringByName[v] })),
+	enumParam("clustp", "clustering policy module (CLUSTP)", clusteringChoices,
+		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Clustering = clusteringByName[v] }),
 	enumParam("prefetch", "prefetching policy (PREFETCH)", prefetchChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Prefetch = prefetchByName[v] }),
-	withConflict("clustering", boolParam("dstc", "DSTC clustering on/off (CLUSTP shorthand)",
-		func(cfg *core.Config, _ *ocb.Params, v bool) {
-			if v {
-				cfg.Clustering = core.DSTC
-			} else {
-				cfg.Clustering = core.NoClustering
-			}
-		})),
 	boolParam("physoids", "physical OIDs (Texas-style reference fixup on reorganization)",
 		func(cfg *core.Config, _ *ocb.Params, v bool) { cfg.PhysicalOIDs = v }),
-	// Failure-injection knobs (§5 extension module). mtbf and failures both
-	// write Failures.Enabled, so grids refuse axes over both at once.
-	withConflict("failures", numParam("mtbf", "server failure MTBF in ms (§5 extension; 0 = no failures)", false,
+	// Failure-injection knobs (§5 extension module).
+	numParam("mtbf", "server failure MTBF in ms (§5 extension; 0 = no failures)", false,
 		func(cfg *core.Config, _ *ocb.Params, v float64) {
 			if v > 0 {
 				cfg.Failures.Enabled = true
@@ -275,11 +253,9 @@ var paramTable = []Param{
 			} else {
 				cfg.Failures = core.FailureParams{}
 			}
-		})),
+		}),
 	numParam("repair", "mean failure repair time in ms (§5 extension)", false,
 		func(cfg *core.Config, _ *ocb.Params, v float64) { cfg.Failures.MeanRepairMs = v }),
-	withConflict("failures", boolParam("failures", "failure injection on/off (uses the configured MTBF/repair times)",
-		func(cfg *core.Config, _ *ocb.Params, v bool) { cfg.Failures.Enabled = v })),
 
 	intParam("no", "object-base instances (OCB NO)", true,
 		func(_ *core.Config, p *ocb.Params, v int) { p.NO = v }),
@@ -320,8 +296,6 @@ var paramTable = []Param{
 		}),
 	asGenerative(enumParam("dblayout", "object-base generation layout (eager/eagerv2/stream; v2 layouts are bit-identical to each other)", layoutChoices,
 		func(_ *core.Config, p *ocb.Params, v string) { p.Layout = layoutByName[v] })),
-	intParam("streamcache", "stream-layout materialization cache bound in objects (0 = default; results identical at every size)", true,
-		func(_ *core.Config, p *ocb.Params, v int) { p.StreamCacheObjects = v }),
 }
 
 // Params lists every sweepable parameter, sorted by name.

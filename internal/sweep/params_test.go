@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestParamsRegistry(t *testing.T) {
 		"mpl": KindInteger, "netthru": KindNumeric,
 		"sysclass": KindEnum, "pgrep": KindEnum, "initpl": KindEnum,
 		"clustp": KindEnum, "prefetch": KindEnum,
-		"dstc": KindBool, "physoids": KindBool,
+		"physoids": KindBool,
 	} {
 		p, ok := LookupParam(name)
 		if !ok {
@@ -193,33 +194,54 @@ func TestParamsRegistry(t *testing.T) {
 	}
 }
 
-// TestStreamCacheParam pins the streamcache knob: an integer generative
-// parameter (stream bases are built around the cache, so axes over it
-// regenerate per point) writing ocb.Params.StreamCacheObjects, addressable
-// from the CLI as -sweep streamcache=lo:hi:step.
-func TestStreamCacheParam(t *testing.T) {
-	p, ok := LookupParam("streamcache")
-	if !ok {
-		t.Fatal("streamcache missing from registry")
+// TestNoTwoParamsWriteOneField pins the registry invariant that lets a
+// grid combine any axes: no two parameters write the same Config or Params
+// field, so a later axis never overwrites an earlier one's setting in
+// every cell. Each parameter is applied to the defaults at several values,
+// and every field it changes counts as written.
+func TestNoTwoParamsWriteOneField(t *testing.T) {
+	owner := map[string]string{}
+	for _, p := range Params() {
+		var values []ParamValue
+		switch p.Kind {
+		case KindEnum:
+			for _, c := range p.Choices {
+				values = append(values, EnumValue(c))
+			}
+		case KindBool:
+			values = []ParamValue{BoolValue(false), BoolValue(true)}
+		default:
+			values = []ParamValue{NumValue(0), NumValue(1), NumValue(2)}
+		}
+		written := map[string]bool{}
+		for _, v := range values {
+			cfg, params := core.DefaultConfig(), ocb.DefaultParams()
+			p.Apply(&cfg, &params, v)
+			changedFields(reflect.ValueOf(core.DefaultConfig()), reflect.ValueOf(cfg), "Config", written)
+			changedFields(reflect.ValueOf(ocb.DefaultParams()), reflect.ValueOf(params), "Params", written)
+		}
+		if len(written) == 0 {
+			t.Errorf("parameter %q writes no field", p.Name)
+		}
+		for f := range written {
+			if prev, ok := owner[f]; ok {
+				t.Errorf("parameters %q and %q both write %s", prev, p.Name, f)
+			}
+			owner[f] = p.Name
+		}
 	}
-	if p.Kind != KindInteger {
-		t.Errorf("streamcache kind = %s, want %s", p.Kind, KindInteger)
-	}
-	if !p.Generative {
-		t.Error("streamcache must be generative: the cache bound is baked into the base")
-	}
-	cfg := core.DefaultConfig()
-	params := ocb.DefaultParams()
-	p.Apply(&cfg, &params, ParamValue{Num: 512})
-	if params.StreamCacheObjects != 512 {
-		t.Errorf("StreamCacheObjects = %d, want 512", params.StreamCacheObjects)
-	}
-	axis, err := ParseAxis("streamcache=64,512")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !axis.Generative || len(axis.Points) != 2 {
-		t.Fatalf("axis = %+v", axis)
+}
+
+// changedFields records in out every leaf field (nested structs flattened
+// to prefix.Field) whose value differs between structs a and b.
+func changedFields(a, b reflect.Value, prefix string, out map[string]bool) {
+	for i := 0; i < a.NumField(); i++ {
+		name := prefix + "." + a.Type().Field(i).Name
+		if a.Field(i).Kind() == reflect.Struct {
+			changedFields(a.Field(i), b.Field(i), name, out)
+		} else if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+			out[name] = true
+		}
 	}
 }
 

@@ -125,11 +125,6 @@ type Sweep struct {
 	Metrics []Metric
 	// Protocol selects the per-point experiment (standard or §4.4 DSTC).
 	Protocol Protocol
-	// Transactions and Depth parameterize the DSTC protocol's phases
-	// (defaults: the paper's 1000 transactions of depth-3 traversals).
-	// Ignored by the standard protocol.
-	Transactions int
-	Depth        int
 	// RunDescending executes points last-to-first while still reporting
 	// them in axis order. Sweeps whose object base grows along the axis
 	// (the instance-count figures) run largest-first so the pooled
@@ -152,9 +147,6 @@ type Options struct {
 	// 0 uses all available cores, 1 forces the sequential engine. Results
 	// are bit-identical for every worker count.
 	Workers int
-	// Confidence is the Student-t level of every reported interval
-	// (default 0.95).
-	Confidence float64
 	// ShareBases shares each replication's object base across the points
 	// of the non-generative axes (the swept parameters never reach
 	// ocb.Generate): replication r's base is generated once per
@@ -210,13 +202,6 @@ func (o Options) reps() int {
 		return DefaultReplications
 	}
 	return o.Replications
-}
-
-func (o Options) confidence() float64 {
-	if o.Confidence == 0 {
-		return 0.95
-	}
-	return o.Confidence
 }
 
 func (o Options) progress(format string, args ...interface{}) {
@@ -348,7 +333,6 @@ func (s *Sweep) Validate() error {
 	}
 	cells := 1
 	names := make(map[string]bool, len(s.Axes))
-	conflicts := make(map[string]string)
 	for i, ax := range s.Axes {
 		if len(ax.Points) == 0 {
 			return fmt.Errorf("sweep %q: axis %d (%s): empty axis", s.Name, i, ax.Name)
@@ -357,17 +341,6 @@ func (s *Sweep) Validate() error {
 			return fmt.Errorf("sweep %q: duplicate axis %q", s.Name, ax.Name)
 		}
 		names[ax.Name] = true
-		// Two axes over different parameters that write the same
-		// configuration field (dstc and clustp both set Clustering) would
-		// have the later axis silently overwrite the earlier one in every
-		// cell — refuse the grid instead of reporting misleading results.
-		if p, ok := LookupParam(ax.Name); ok && p.Conflicts != "" {
-			if prev, clash := conflicts[p.Conflicts]; clash {
-				return fmt.Errorf("sweep %q: axes %q and %q both set %s (use one)",
-					s.Name, prev, ax.Name, p.Conflicts)
-			}
-			conflicts[p.Conflicts] = ax.Name
-		}
 		cells *= len(ax.Points)
 		if cells > maxGridCells {
 			return fmt.Errorf("sweep %q: grid expands to more than %d cells", s.Name, maxGridCells)
@@ -397,21 +370,12 @@ func (s *Sweep) metrics() []Metric {
 	return Metrics(s.Protocol)
 }
 
-// transactions and depth apply the DSTC protocol defaults (§4.4: 1000
-// transactions, depth 3).
-func (s *Sweep) transactions() int {
-	if s.Transactions < 1 {
-		return 1000
-	}
-	return s.Transactions
-}
-
-func (s *Sweep) depth() int {
-	if s.Depth < 1 {
-		return 3
-	}
-	return s.Depth
-}
+// dstcTransactions and dstcDepth size each phase of the DSTC protocol:
+// the paper's 1000 depth-3 hierarchy traversals (§4.4).
+const (
+	dstcTransactions = 1000
+	dstcDepth        = 3
+)
 
 // cellSeed derives the replication seed of one grid cell: the legacy
 // additive offset of the first axis (keeping 1-D sweeps bit-identical to
@@ -582,7 +546,6 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 	}
 
-	conf := o.confidence()
 	attempts := 1 + o.retries()
 	for step := 0; step < cells; step++ {
 		i := step
@@ -624,7 +587,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 						s.Name, desc, res.Completed(), cells, err)
 				}
 			}
-			pr, cellErr = s.runCellOnce(ctx, o, coords, seed, metrics, conf, pool, bases)
+			pr, cellErr = s.runCellOnce(ctx, o, coords, seed, metrics, pool, bases)
 			if cellErr == nil {
 				break
 			}
@@ -667,7 +630,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 // engine), so a poisoned cell can be retried or skipped without crashing
 // the campaign.
 func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
-	seed uint64, metrics []Metric, conf float64, pool *core.ContextPool, bases *gridBases) (pr PointResult, err error) {
+	seed uint64, metrics []Metric, pool *core.ContextPool, bases *gridBases) (pr PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &cellPanic{value: r, stack: debug.Stack()}
@@ -695,8 +658,8 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 		e := core.DSTCExperiment{
 			Config:       cfg,
 			Params:       params,
-			Transactions: s.transactions(),
-			Depth:        s.depth(),
+			Transactions: dstcTransactions,
+			Depth:        dstcDepth,
 			Seed:         seed,
 			Replications: o.reps(),
 			Workers:      o.Workers,
@@ -708,7 +671,7 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 		}
 		pr.DSTC = dstc
 		for _, m := range metrics {
-			pr.Values = append(pr.Values, Value{Metric: m, Interval: m.interval(nil, dstc, conf)})
+			pr.Values = append(pr.Values, Value{Metric: m, Interval: m.interval(nil, dstc)})
 		}
 	default:
 		e := core.Experiment{
@@ -726,7 +689,7 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 		}
 		pr.Result = r
 		for _, m := range metrics {
-			pr.Values = append(pr.Values, Value{Metric: m, Interval: m.interval(r, nil, conf)})
+			pr.Values = append(pr.Values, Value{Metric: m, Interval: m.interval(r, nil)})
 		}
 	}
 	pr.Status = CellCompleted
@@ -736,7 +699,7 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 // fingerprint hashes everything that determines the sweep's numeric
 // results — the spec identity (name, protocol, axes, points with their
 // seed deltas, base Config/Params, the layout among them) and the
-// result-affecting options (replications, seed, confidence, ShareBases).
+// result-affecting options (replications, seed, ShareBases).
 // Workers and the fault-tolerance knobs are deliberately excluded: results
 // are bit-identical across them, so a journal written at -workers 4
 // resumes cleanly at -workers 1. Config and Params are hashed through %+v,
@@ -749,10 +712,10 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 func (s *Sweep) fingerprint(o Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s v%d\n", journalKind, journalVersion)
-	fmt.Fprintf(h, "name=%s proto=%d tx=%d depth=%d\n", s.Name, s.Protocol, s.transactions(), s.depth())
+	fmt.Fprintf(h, "name=%s proto=%d\n", s.Name, s.Protocol)
 	fmt.Fprintf(h, "cfg=%+v\n", s.Config)
 	fmt.Fprintf(h, "params=%+v\n", s.Params)
-	fmt.Fprintf(h, "reps=%d seed=%d conf=%g share=%t\n", o.reps(), o.Seed, o.confidence(), o.ShareBases)
+	fmt.Fprintf(h, "reps=%d seed=%d share=%t\n", o.reps(), o.Seed, o.ShareBases)
 	for _, ax := range s.Axes {
 		fmt.Fprintf(h, "axis=%s gen=%t\n", ax.Name, ax.Generative)
 		for _, pt := range ax.Points {

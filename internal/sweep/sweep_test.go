@@ -201,9 +201,7 @@ func TestDSTCProtocolSweep(t *testing.T) {
 			{X: 0, Label: "physical", Apply: func(c *core.Config, _ *ocb.Params) { *c = physical }},
 			{X: 1, Label: "logical", Apply: func(c *core.Config, _ *ocb.Params) { *c = logical }},
 		}}},
-		Protocol:     DSTCProtocol,
-		Transactions: 40,
-		Depth:        3,
+		Protocol: DSTCProtocol,
 	}
 	res, err := s.Run(Options{Replications: 2, Seed: 88})
 	if err != nil {
@@ -248,20 +246,6 @@ func TestSweepValidate(t *testing.T) {
 	s = Sweep{Name: "dup", Axes: []Axis{ax, ax}}
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "duplicate axis") {
 		t.Errorf("duplicate axes accepted: %v", err)
-	}
-	// dstc and clustp both write Config.Clustering: a grid over both would
-	// have the later axis silently overwrite the earlier one.
-	dstcAx, err := BoolAxis("dstc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustpAx, err := EnumAxis("clustp", "none", "dstc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = Sweep{Name: "alias", Axes: []Axis{dstcAx, clustpAx}}
-	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "both set clustering") {
-		t.Errorf("aliased axes accepted: %v", err)
 	}
 	s = Sweep{Name: "bad", Axes: []Axis{{Points: []Point{{X: 1}}}}, Metrics: []Metric{PreIOs}}
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "not collected") {
@@ -309,17 +293,17 @@ func TestProgressAndDefaults(t *testing.T) {
 	if (Options{Replications: 3}).reps() != 3 {
 		t.Error("explicit replications ignored")
 	}
-	if (Options{}).confidence() != 0.95 {
-		t.Error("default confidence wrong")
-	}
 	axis, _ := ParamAxis("mpl", []float64{1, 2})
 	cfg := core.DefaultConfig()
 	cfg.BufferPages = 64
 	s := Sweep{Name: "prog", Config: cfg, Params: matrixParams(), Axes: []Axis{axis}, Metrics: []Metric{IOs}}
 	var lines []string
-	_, err := s.Run(Options{Replications: 1, Seed: 3, Progress: func(l string) { lines = append(lines, l) }})
+	res, err := s.Run(Options{Replications: 1, Seed: 3, Progress: func(l string) { lines = append(lines, l) }})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := res.Points[0].Values[0].Interval.Confidence; got != core.Confidence {
+		t.Errorf("interval confidence %v, want %v", got, core.Confidence)
 	}
 	if len(lines) != 2 || !strings.Contains(lines[0], "prog mpl=1") {
 		t.Errorf("progress lines = %v", lines)

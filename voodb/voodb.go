@@ -447,8 +447,8 @@ func EnumAxis(name string, choices ...string) (Axis, error) {
 	return sweep.EnumAxis(name, choices...)
 }
 
-// BoolAxis builds an on/off axis over a switch parameter (dstc,
-// physoids); with no values it sweeps off then on.
+// BoolAxis builds an on/off axis over a switch parameter (physoids);
+// with no values it sweeps off then on.
 func BoolAxis(name string, values ...bool) (Axis, error) {
 	return sweep.BoolAxis(name, values...)
 }
@@ -461,7 +461,8 @@ func BoolAxis(name string, values ...bool) (Axis, error) {
 func Grid(axes ...Axis) []Axis { return sweep.Grid(axes...) }
 
 // ParseSweepAxis compiles a textual axis spec ("mpl=1:16:5",
-// "writeprob=0,0.05,0.2", "pgrep=LRU,FIFO", "dstc=on,off") into an Axis.
+// "writeprob=0,0.05,0.2", "pgrep=LRU,FIFO", "physoids=on,off") into an
+// Axis.
 func ParseSweepAxis(spec string) (Axis, error) { return sweep.ParseAxis(spec) }
 
 // ChartData is one named curve of a multi-series ASCII chart.
