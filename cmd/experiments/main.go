@@ -136,8 +136,16 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("-on-error: %w", err))
 	}
-	if (*journalPath != "" || *resumePath != "") && len(sweeps) == 0 {
-		fatal(fmt.Errorf("-journal/-resume checkpoint user sweeps; add at least one -sweep axis"))
+	// The -sweep base and checkpoint flags mean nothing to a -run figure
+	// or table, which fixes its own configuration; refuse them rather than
+	// print results the flags did not shape.
+	if len(sweeps) == 0 {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "system", "no", "nc", "hotn", "metrics", "journal", "resume":
+				fatal(fmt.Errorf("-%s applies only to -sweep runs; add a -sweep axis or drop the flag", f.Name))
+			}
+		})
 	}
 	if *journalPath != "" && *resumePath != "" {
 		fatal(fmt.Errorf("-resume already appends new cells to the journal it resumes; drop -journal"))

@@ -23,13 +23,13 @@ import (
 
 func main() {
 	var (
-		system  = flag.String("system", "", "preset: o2 | texas | texas-dstc (overrides -sysclass)")
+		system  = flag.String("system", "", "preset: o2 | texas | texas-dstc (sets what -sysclass, -netthru, -pgsize and -buffer would)")
 		sysc    = flag.String("sysclass", "pageserver", "centralized | objectserver | pageserver | dbserver")
 		netThru = flag.Float64("netthru", 1, "network throughput MB/s (0 = infinite)")
 		pgSize  = flag.Int("pgsize", 4096, "disk page size (bytes)")
 		bufPg   = flag.Int("buffer", 500, "buffer size (pages)")
-		memory  = flag.Int("memory", 0, "with -system texas: main memory in MB (overrides -buffer)")
-		cache   = flag.Int("cache", 0, "with -system o2: server cache in MB (overrides -buffer)")
+		memory  = flag.Int("memory", 0, "with -system texas or texas-dstc: main memory in MB")
+		cache   = flag.Int("cache", 0, "with -system o2: server cache in MB")
 		pgrep   = flag.String("pgrep", "LRU", "replacement policy: "+strings.Join(voodb.BufferPolicies(), "|"))
 		mpl     = flag.Int("mpl", 10, "multiprogramming level")
 		users   = flag.Int("users", 1, "number of users")
@@ -42,7 +42,7 @@ func main() {
 
 		clustering = flag.String("clustering", "none", "clustering module: none | dstc | greedy")
 		mtbf       = flag.Float64("failure-mtbf", 0, "mean time between failures in ms (0 = none)")
-		repair     = flag.Float64("failure-repair", 200, "mean repair time in ms")
+		repair     = flag.Float64("failure-repair", 200, "with -failure-mtbf: mean repair time in ms")
 
 		reps = flag.Int("reps", voodb.DefaultReplications,
 			fmt.Sprintf("replications (the paper used %d)", voodb.PaperReplications))
@@ -65,7 +65,8 @@ func main() {
 	}
 
 	cfg := voodb.DefaultConfig()
-	switch strings.ToLower(*system) {
+	preset := strings.ToLower(*system)
+	switch preset {
 	case "":
 		switch strings.ToLower(*sysc) {
 		case "centralized":
@@ -104,6 +105,21 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -system %q", *system))
 	}
+	// Refuse flags the chosen mode does not read: a preset fixes the
+	// architecture, page size and buffer; -memory and -cache size only
+	// their own presets; the repair time needs failures to repair.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case preset != "" && (f.Name == "sysclass" || f.Name == "netthru" || f.Name == "pgsize" || f.Name == "buffer"):
+			fatal(fmt.Errorf("-%s: the -system %s preset sets it; drop one of the two", f.Name, *system))
+		case f.Name == "memory" && preset != "texas" && preset != "texas-dstc":
+			fatal(fmt.Errorf("-memory sizes only the texas and texas-dstc presets (use -cache with o2, -buffer without a preset)"))
+		case f.Name == "cache" && preset != "o2":
+			fatal(fmt.Errorf("-cache sizes only the o2 preset (use -memory with texas, -buffer without a preset)"))
+		case f.Name == "failure-repair" && *mtbf <= 0:
+			fatal(fmt.Errorf("-failure-repair needs a positive -failure-mtbf (without one, no failure occurs)"))
+		}
+	})
 	cfg.BufferPolicy = *pgrep
 	cfg.MPL = *mpl
 	cfg.Users = *users
@@ -141,20 +157,17 @@ func main() {
 		fmt.Sprintf("VOODB — %s, %d classes, %d instances, %d transactions, %d replications",
 			cfg.System, *nc, *no, *hotn, *reps),
 		"metric", "mean", "±95%", "min", "max")
-	add := func(name string, s *voodb.Sample, ci voodb.Interval) {
+	add := func(name string, s *voodb.Sample) {
+		ci := voodb.ConfidenceInterval(s, res.Confidence)
 		t.Addf(name, ci.Mean, ci.HalfWidth, s.Min(), s.Max())
 	}
-	add("I/Os", &res.IOs, res.IOsCI())
-	add("reads", &res.Reads, ci(&res.Reads))
-	add("writes", &res.Writes, ci(&res.Writes))
-	add("hit ratio", &res.HitRatio, ci(&res.HitRatio))
-	add("response (ms)", &res.RespMs, ci(&res.RespMs))
-	add("throughput (tps)", &res.Throughput, ci(&res.Throughput))
+	add("I/Os", &res.IOs)
+	add("reads", &res.Reads)
+	add("writes", &res.Writes)
+	add("hit ratio", &res.HitRatio)
+	add("response (ms)", &res.RespMs)
+	add("throughput (tps)", &res.Throughput)
 	fmt.Println(t.String())
-}
-
-func ci(s *voodb.Sample) voodb.Interval {
-	return voodb.ConfidenceInterval(s, 0.95)
 }
 
 func fatal(err error) {
