@@ -122,8 +122,8 @@ func BenchmarkStreamGen1M(b *testing.B) {
 
 // BenchmarkStreamAccess tracks the on-demand derivation cost: RefsOf over
 // a streaming base, hitting the materialization cache (sequential scan of
-// a hot set that fits) versus missing on nearly every access (random walk
-// over 200,000 objects through the 4096-line cache).
+// a hot set that fits) versus missing on every access (a strided walk over
+// all 200,000 objects through the 4096-line cache).
 func BenchmarkStreamAccess(b *testing.B) {
 	p := DefaultParams()
 	p.NO = 200_000
@@ -135,8 +135,9 @@ func BenchmarkStreamAccess(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// An LCG stride visits objects far apart, defeating the
-			// direct-mapped cache in miss mode; hit mode cycles within a
+			// In miss mode a stride of 4099 visits all 200,000 objects
+			// before repeating one, so every access finds its line taken
+			// by another object and derives; hit mode cycles within a
 			// fraction of the cache.
 			o := OID(0)
 			b.ReportAllocs()
@@ -146,7 +147,7 @@ func BenchmarkStreamAccess(b *testing.B) {
 				if mode == "hit" {
 					o = (o + 1) % 1024
 				} else {
-					o = OID((uint64(o)*6364136223846793005 + 1442695040888963407) % uint64(pl.NO))
+					o = (o + 4099) % OID(pl.NO)
 				}
 			}
 		})
