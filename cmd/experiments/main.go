@@ -19,7 +19,12 @@
 // million-object -no values. -cpuprofile/-memprofile write pprof profiles
 // and -trace a runtime execution trace for the whole run (see
 // PERFORMANCE.md). Both forms run under the same options (-reps, -seed,
-// -workers, -share-bases, -on-error, -retries, -cell-timeout).
+// -workers, -share-bases, -on-error, -cell-timeout).
+//
+// Every cell of every selected spec is checked before the first one runs.
+// The exit status is 0 when every cell completed, 1 when the run was
+// refused or a cell failed at run time (a panic or a blown -cell-timeout,
+// under either -on-error policy), and 130 when a signal interrupted it.
 //
 // The -sweep form compiles a declarative voodb.Sweep from the flag set: a
 // base system configuration (-system, workload sizing via -no/-nc/-hotn),
@@ -89,9 +94,7 @@ func main() {
 	resumePath := flag.String("resume", "",
 		"resume an interrupted -sweep run from its checkpoint journal: completed cells replay, only the remainder executes, and the merged result is byte-identical to an uninterrupted run")
 	onError := flag.String("on-error", "fail",
-		"failed-cell policy: fail (abort the run), skip (record the failure and continue) or retry (exponential backoff, then skip)")
-	retries := flag.Int("retries", 0,
-		"per-cell retry budget under '-on-error retry' (0 = default)")
+		"policy for a cell that panics or times out: fail (stop the run) or skip (record the failure and continue); either way the exit status is 1")
 	cellTimeout := flag.Duration("cell-timeout", 0,
 		"wall-clock budget per sweep cell, e.g. 30s; a cell exceeding it fails under the -on-error policy (0 = unbounded)")
 
@@ -125,9 +128,6 @@ func main() {
 	}
 	if *no < 0 || *nc < 0 || *hotn < 0 {
 		fatal(fmt.Errorf("-no/-nc/-hotn must be ≥ 0 (0 keeps the Table 5 default)"))
-	}
-	if *retries < 0 {
-		fatal(fmt.Errorf("-retries %d: the retry budget must be ≥ 0", *retries))
 	}
 	if *cellTimeout < 0 {
 		fatal(fmt.Errorf("-cell-timeout %v: the per-cell budget must be ≥ 0", *cellTimeout))
@@ -182,7 +182,7 @@ func main() {
 
 	opts := voodb.SweepOptions{Replications: *reps, Seed: *seed, Workers: *workers,
 		ShareBases: *shareBases, Progress: progress,
-		Policy: policy, Retries: *retries, CellTimeout: *cellTimeout}
+		Policy: policy, CellTimeout: *cellTimeout}
 	if len(sweeps) > 0 {
 		runUserSweep(ctx, userSweepFlags{
 			axes: sweeps, metrics: *metrics, system: *system,
@@ -196,14 +196,22 @@ func main() {
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		s, err := experiments.Spec(id)
+	// Check every selected spec under the chosen layout before the first
+	// one runs (a clustering table cannot run on a streaming base).
+	specs := make([]voodb.Sweep, len(ids))
+	for i, id := range ids {
+		s, err := experiments.Spec(strings.TrimSpace(id))
 		if err != nil {
 			fatal(err)
 		}
 		s.Params.Layout = layout
-		if strings.HasPrefix(id, "fig") {
+		if err := s.Validate(); err != nil {
+			fatal(err)
+		}
+		specs[i] = s
+	}
+	for _, s := range specs {
+		if strings.HasPrefix(s.Name, "fig") {
 			fig, err := experiments.RunFigure(ctx, s, opts)
 			if err != nil {
 				if fig != nil && len(fig.Points) > 0 {
@@ -326,7 +334,8 @@ type userSweepFlags struct {
 // runUserSweep compiles and executes a declarative sweep from the flags —
 // entirely through the public voodb API. One -sweep flag runs the classic
 // 1-D study; several run the cross-product grid. Interruption (ctx) and
-// failed cells render whatever completed, annotated with the cell counts.
+// failed cells render whatever completed, annotated with the cell counts,
+// and set the exit status: 130 when interrupted, 1 when any cell failed.
 func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions) {
 	axes := make([]voodb.Axis, len(f.axes))
 	names := make([]string, len(f.axes))
@@ -436,16 +445,21 @@ func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions
 		for _, ce := range res.Failures {
 			fmt.Fprintln(os.Stderr, "experiments:", ce)
 		}
-		if path := firstNonEmpty(f.resume, f.journal); path != "" && res.Pending() > 0 {
+		if path := firstNonEmpty(f.resume, f.journal); path != "" {
 			fmt.Fprintf(os.Stderr, "experiments: rerun with -resume %s to finish the remaining cells\n", path)
 		}
 	}
-	if err != nil {
+	// A fail-fast stop returns the failed cell's error, listed above.
+	var ce *voodb.CellError
+	if err != nil && !errors.As(err, &ce) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+	}
+	switch {
+	case errors.Is(err, context.Canceled):
 		stopProfiles()
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130) // interrupted by signal
-		}
+		os.Exit(130) // interrupted by signal
+	case err != nil || res.Failed() > 0:
+		stopProfiles()
 		os.Exit(1)
 	}
 }

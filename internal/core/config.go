@@ -15,8 +15,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/ocb"
 	"repro/internal/storage"
 )
 
@@ -195,16 +197,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// validTime reports whether x is a usable duration: finite and ≥ 0. NaN
+// fails the comparison, so it is rejected too.
+func validTime(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate checks the configuration. Float checks are written as
 // !(x >= 0) rather than x < 0 so that NaN, for which every comparison is
-// false, is rejected too.
+// false, is rejected too. Times must also be finite; only the network
+// throughput may be +Inf, which models a free network.
 func (c Config) Validate() error {
 	switch {
 	case c.System > DBServer:
 		return fmt.Errorf("core: unknown system class %d", c.System)
 	case !(c.NetThroughputMBps > 0):
 		return fmt.Errorf("core: NetThroughputMBps = %v (use +Inf for a free network)", c.NetThroughputMBps)
-	case !(c.NetLatencyMs >= 0):
+	case !validTime(c.NetLatencyMs):
 		return fmt.Errorf("core: NetLatencyMs = %v", c.NetLatencyMs)
 	case c.PageSize < 64:
 		return fmt.Errorf("core: PageSize = %d", c.PageSize)
@@ -212,19 +219,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: BufferPages = %d", c.BufferPages)
 	case c.BufferPolicy == "":
 		return fmt.Errorf("core: empty BufferPolicy")
-	case !(c.DiskSeekMs >= 0) || !(c.DiskLatencyMs >= 0) || !(c.DiskTransferMs >= 0):
+	case !validTime(c.DiskSeekMs) || !validTime(c.DiskLatencyMs) || !validTime(c.DiskTransferMs):
 		return fmt.Errorf("core: disk times seek=%v latency=%v transfer=%v", c.DiskSeekMs, c.DiskLatencyMs, c.DiskTransferMs)
 	case c.MPL < 1:
 		return fmt.Errorf("core: MPL = %d", c.MPL)
-	case !(c.GetLockMs >= 0) || !(c.RelLockMs >= 0):
+	case !validTime(c.GetLockMs) || !validTime(c.RelLockMs):
 		return fmt.Errorf("core: lock times get=%v release=%v", c.GetLockMs, c.RelLockMs)
 	case c.Users < 1:
 		return fmt.Errorf("core: Users = %d", c.Users)
-	case !(c.ThinkTimeMs >= 0):
+	case !validTime(c.ThinkTimeMs):
 		return fmt.Errorf("core: ThinkTimeMs = %v", c.ThinkTimeMs)
 	case c.ServerCPUs < 1:
 		return fmt.Errorf("core: ServerCPUs = %d", c.ServerCPUs)
-	case !(c.ObjectCPUMs >= 0):
+	case !validTime(c.ObjectCPUMs):
 		return fmt.Errorf("core: ObjectCPUMs = %v", c.ObjectCPUMs)
 	case !(c.StorageOverhead >= 1):
 		return fmt.Errorf("core: StorageOverhead = %v", c.StorageOverhead)
@@ -244,4 +251,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown clustering kind %d", c.Clustering)
 	}
 	return c.Failures.Validate()
+}
+
+// ValidateRun reports whether cfg can run on an object base generated
+// from p: both must validate, and clustering needs an eager base (a
+// streaming base has no per-object directory for a reorganization to
+// rewrite). It is the one runnability check, before any run and in NewRun.
+func ValidateRun(cfg Config, p ocb.Params) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if p.Layout == ocb.LayoutStream && cfg.Clustering != NoClustering {
+		return fmt.Errorf("core: clustering (%v) requires an eager object base, got streaming layout", cfg.Clustering)
+	}
+	return nil
 }

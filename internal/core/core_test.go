@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := free.Validate(); err != nil {
 		t.Fatalf("free network (+Inf throughput) rejected: %v", err)
 	}
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := map[string]func(*Config){
 		"system":     func(c *Config) { c.System = SystemClass(9) },
 		"netthru":    func(c *Config) { c.NetThroughputMBps = 0 },
@@ -79,6 +79,17 @@ func TestConfigValidate(t *testing.T) {
 		"objcpu-nan":   func(c *Config) { c.ObjectCPUMs = nan },
 		"overhead-nan": func(c *Config) { c.StorageOverhead = nan },
 		"mtbf-nan":     func(c *Config) { c.Failures = FailureParams{Enabled: true, MTBFMs: nan} },
+		// Times must also be finite: an infinite one stalls the model
+		// into a NaN response time and zero throughput.
+		"netlat-inf":   func(c *Config) { c.NetLatencyMs = inf },
+		"seek-inf":     func(c *Config) { c.DiskSeekMs = inf },
+		"latency-inf":  func(c *Config) { c.DiskLatencyMs = inf },
+		"transfer-inf": func(c *Config) { c.DiskTransferMs = inf },
+		"getlock-inf":  func(c *Config) { c.GetLockMs = inf },
+		"rellock-inf":  func(c *Config) { c.RelLockMs = inf },
+		"think-inf":    func(c *Config) { c.ThinkTimeMs = inf },
+		"objcpu-inf":   func(c *Config) { c.ObjectCPUMs = inf },
+		"mtbf-inf":     func(c *Config) { c.Failures = FailureParams{Enabled: true, MTBFMs: inf} },
 	}
 	p := smallParams()
 	p.NO = 200

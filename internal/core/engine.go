@@ -292,7 +292,7 @@ func (e Experiment) RunContext(ctx context.Context) (*Result, error) {
 	if e.Replications < 1 {
 		return nil, fmt.Errorf("core: Replications = %d", e.Replications)
 	}
-	if err := e.Params.Validate(); err != nil {
+	if err := ValidateRun(e.Config, e.Params); err != nil {
 		return nil, err
 	}
 	rows, err := runReplications(ctx, e.Replications, e.Workers, e.Pool,
@@ -413,7 +413,7 @@ func (e DSTCExperiment) RunContext(ctx context.Context) (*DSTCResult, error) {
 	if e.Replications < 1 {
 		return nil, fmt.Errorf("core: Replications = %d", e.Replications)
 	}
-	if err := e.Params.Validate(); err != nil {
+	if err := ValidateRun(e.Config, e.Params); err != nil {
 		return nil, err
 	}
 	rows, err := runReplications(ctx, e.Replications, e.Workers, e.Pool,

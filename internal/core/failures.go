@@ -23,12 +23,10 @@ type FailureParams struct {
 	MeanRepairMs float64
 }
 
-// Validate checks the parameters. The negated comparisons reject NaN too.
+// Validate checks the parameters: both times are finite and ≥ 0, and an
+// enabled module needs a positive MTBF.
 func (f FailureParams) Validate() error {
-	if !f.Enabled {
-		return nil
-	}
-	if !(f.MTBFMs > 0) || !(f.MeanRepairMs >= 0) {
+	if !validTime(f.MTBFMs) || !validTime(f.MeanRepairMs) || (f.Enabled && f.MTBFMs == 0) {
 		return fmt.Errorf("core: failure params MTBF=%v repair=%v", f.MTBFMs, f.MeanRepairMs)
 	}
 	return nil

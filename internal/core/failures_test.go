@@ -26,6 +26,15 @@ func TestFailureParamsValidate(t *testing.T) {
 	if (FailureParams{Enabled: true, MTBFMs: 100, MeanRepairMs: math.NaN()}).Validate() == nil {
 		t.Error("NaN repair accepted")
 	}
+	if (FailureParams{Enabled: true, MTBFMs: 100, MeanRepairMs: math.Inf(1)}).Validate() == nil {
+		t.Error("infinite repair accepted")
+	}
+	// A disabled module's times are still times: a sweep that sets the
+	// repair time before enabling failures must not carry an impossible
+	// one.
+	if (FailureParams{MeanRepairMs: math.Inf(1)}).Validate() == nil {
+		t.Error("infinite repair accepted on a disabled module")
+	}
 	cfg := DefaultConfig()
 	cfg.Failures = FailureParams{Enabled: true, MTBFMs: -1}
 	if cfg.Validate() == nil {

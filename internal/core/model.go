@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/cluster"
 	"repro/internal/disk"
@@ -61,14 +59,9 @@ type Run struct {
 // stochastic policies (e.g. the RANDOM buffer policy); the workload's own
 // randomness lives in the transactions passed to ExecuteBatch.
 func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
-	if err := cfg.Validate(); err != nil {
+	// A Base supplier may hand over any layout, so check the base itself.
+	if err := ValidateRun(cfg, db.Params); err != nil {
 		return nil, err
-	}
-	if db.Streaming() && cfg.Clustering != NoClustering {
-		// A streaming base derives placement arithmetically from the class
-		// extents; there is no per-object directory for a reorganization to
-		// rewrite. Run clustering studies on an eager layout.
-		return nil, fmt.Errorf("core: clustering (%v) requires an eager object base, got streaming layout", cfg.Clustering)
 	}
 	st, err := storage.New(db, storage.Config{
 		PageSize:     cfg.PageSize,

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ocb"
@@ -111,6 +114,31 @@ func TestStreamClusteringRejected(t *testing.T) {
 	cfg.Clustering = NoClustering
 	if _, err := NewRun(cfg, db, 1); err != nil {
 		t.Errorf("NewRun rejected a clustering-free streaming run: %v", err)
+	}
+}
+
+// TestClusteringOnStreamRefusedUpFront: both experiment kinds refuse
+// clustering on a streaming layout before their first replication. A Base
+// supplier that fails the test shows that no base is asked for, and a
+// cancelled context shows that no replication started: one would have
+// returned context.Canceled first.
+func TestClusteringOnStreamRefusedUpFront(t *testing.T) {
+	cfg := goldenO2Config()
+	cfg.Clustering = DSTC
+	p := streamLayoutParams(ocb.LayoutStream)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := Experiment{Config: cfg, Params: p, Seed: 1, Replications: 2,
+		Base: func(rep int, seed uint64) (*ocb.Database, error) {
+			t.Error("Experiment asked for a base")
+			return nil, errors.New("no base")
+		}}
+	if _, err := e.RunContext(ctx); err == nil || !strings.Contains(err.Error(), "requires an eager object base") {
+		t.Errorf("Experiment: %v, want the eager-base refusal", err)
+	}
+	d := DSTCExperiment{Config: cfg, Params: p, Transactions: 10, Depth: 3, Seed: 1, Replications: 2}
+	if _, err := d.RunContext(ctx); err == nil || !strings.Contains(err.Error(), "requires an eager object base") {
+		t.Errorf("DSTCExperiment: %v, want the eager-base refusal", err)
 	}
 }
 

@@ -77,9 +77,10 @@ type TableResult struct {
 // RunFigure runs a figure spec (see Spec) and adapts the generic
 // multi-metric result onto the Figure shape: the I/O interval and the hit
 // percentage, next to the paper's digitized curves, found by s.Name. It
-// refuses a spec that names no figure. An interrupted run returns the
-// partially adapted figure alongside ctx's error (unreached points carry
-// zero intervals), so harnesses can render what completed.
+// refuses a spec that names no figure. An interrupted run, or one with a
+// failed point under either failure policy, returns the partially adapted
+// figure alongside ctx's error or the first failed cell's error (missing
+// points carry zero intervals), so harnesses can render what completed.
 func RunFigure(ctx context.Context, s sweep.Sweep, o sweep.Options) (*Figure, error) {
 	r := find(s.Name)
 	if r == nil || r.isTable() {
@@ -108,19 +109,26 @@ func RunFigure(ctx context.Context, s sweep.Sweep, o sweep.Options) (*Figure, er
 	if reached > 0 {
 		f.BypassRate /= float64(reached)
 	}
+	if err == nil && len(res.Failures) > 0 {
+		err = res.Failures[0]
+	}
 	return f, err
 }
 
 // RunTable runs a table spec (see Spec) and adapts its per-variant metric
 // vectors onto the TableResult rows, next to the published values found by
 // s.Name. It refuses a spec that names no table. Unlike figures, a table
-// needs every variant cell, so any interruption returns the error alone.
+// needs every variant cell, so an interruption returns the error alone,
+// and so does a failed cell under either failure policy.
 func RunTable(ctx context.Context, s sweep.Sweep, o sweep.Options) (*TableResult, error) {
 	r := find(s.Name)
 	if r == nil || !r.isTable() {
 		return nil, fmt.Errorf("experiments: %q is not a table", s.Name)
 	}
 	res, err := s.RunContext(ctx, o)
+	if err == nil && len(res.Failures) > 0 {
+		err = res.Failures[0]
+	}
 	if err != nil {
 		return nil, err
 	}

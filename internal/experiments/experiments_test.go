@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sweep"
@@ -115,5 +117,28 @@ func TestTable7EndToEnd(t *testing.T) {
 	}
 	if tbl.Rows[0].PaperBench != 82.23 {
 		t.Error("paper reference lost")
+	}
+}
+
+// TestFailedCellsFailTheRun: a failed cell fails RunFigure and RunTable
+// even under SkipFailed. The figure comes back with the error, and the
+// table returns the error alone instead of rows of zeros.
+func TestFailedCellsFailTheRun(t *testing.T) {
+	ctx := context.Background()
+	o := sweep.Options{Replications: 1, Seed: 1, Policy: sweep.SkipFailed, CellTimeout: time.Nanosecond}
+	var ce *sweep.CellError
+	fig, err := Spec("fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := RunFigure(ctx, fig, o); !errors.As(err, &ce) || f == nil {
+		t.Errorf("RunFigure = %v, %v; want the partial figure and a *CellError", f, err)
+	}
+	table, err := Spec("table7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := RunTable(ctx, table, o); !errors.As(err, &ce) || tr != nil {
+		t.Errorf("RunTable = %v, %v; want no table and a *CellError", tr, err)
 	}
 }

@@ -41,6 +41,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		"WriteProb>1":   func(p *Params) { p.WriteProb = 1.5 },
 		"neg depth":     func(p *Params) { p.SetDepth = -1 },
 		"zero locality": func(p *Params) { p.ClassLocality = 0 },
+		// NaN fails every comparison, so each float check must reject it
+		// explicitly rather than through x < 0.
+		"WriteProb NaN":    func(p *Params) { p.WriteProb = math.NaN() },
+		"TypeZeroBias NaN": func(p *Params) { p.TypeZeroBias = math.NaN() },
+		"PSet NaN":         func(p *Params) { p.PSet = math.NaN() },
+		"PStoch NaN":       func(p *Params) { p.PStoch = math.NaN() },
+		"ZipfTheta NaN":    func(p *Params) { p.ZipfTheta = math.NaN() },
+		"ZipfTheta Inf":    func(p *Params) { p.ZipfTheta = math.Inf(1) },
+		"ZipfTheta<0":      func(p *Params) { p.ZipfTheta = -1 },
 	}
 	for name, mutate := range cases {
 		p := DefaultParams()

@@ -283,7 +283,8 @@ func (e *NRefTLimitError) Error() string {
 	return fmt.Sprintf("ocb: NRefT = %d exceeds the reference-type limit MaxNRefT = %d (types are 8-bit)", e.NRefT, MaxNRefT)
 }
 
-// Validate checks parameter consistency.
+// Validate checks parameter consistency. Float checks are written as
+// !(x >= 0), which rejects NaN too.
 func (p Params) Validate() error {
 	switch {
 	case p.NC < 1:
@@ -304,12 +305,14 @@ func (p Params) Validate() error {
 		return &NRefTLimitError{NRefT: p.NRefT}
 	case p.ColdN < 0 || p.HotN < 1:
 		return fmt.Errorf("ocb: ColdN = %d, HotN = %d", p.ColdN, p.HotN)
-	case p.WriteProb < 0 || p.WriteProb > 1:
+	case !(p.WriteProb >= 0) || p.WriteProb > 1:
 		return fmt.Errorf("ocb: WriteProb = %v outside [0,1]", p.WriteProb)
 	case p.ClassLocality < 1 || p.ObjectLocality < 1:
 		return fmt.Errorf("ocb: localities must be ≥ 1")
-	case p.TypeZeroBias < 0 || p.TypeZeroBias > 1:
+	case !(p.TypeZeroBias >= 0) || p.TypeZeroBias > 1:
 		return fmt.Errorf("ocb: TypeZeroBias = %v outside [0,1]", p.TypeZeroBias)
+	case !(p.ZipfTheta >= 0) || math.IsInf(p.ZipfTheta, 1):
+		return fmt.Errorf("ocb: ZipfTheta = %v, need a finite value ≥ 0", p.ZipfTheta)
 	case p.HotRootCount < 0 || p.HotRootCount > p.NO:
 		return fmt.Errorf("ocb: HotRootCount = %d outside [0, NO]", p.HotRootCount)
 	case p.SetDepth < 0 || p.SimDepth < 0 || p.HieDepth < 0 || p.StoDepth < 0:
@@ -318,11 +321,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: unknown layout %d", p.Layout)
 	}
 	total := p.PSet + p.PSimple + p.PHier + p.PStoch
-	if total <= 0 || math.Abs(total-1) > 1e-9 {
+	if !(total > 0) || !(math.Abs(total-1) <= 1e-9) {
 		return fmt.Errorf("ocb: transaction probabilities sum to %v, want 1", total)
 	}
 	for _, pr := range []float64{p.PSet, p.PSimple, p.PHier, p.PStoch} {
-		if pr < 0 {
+		if !(pr >= 0) {
 			return fmt.Errorf("ocb: negative transaction probability")
 		}
 	}

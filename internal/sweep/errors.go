@@ -3,9 +3,51 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 )
+
+// FailurePolicy decides what the cell scheduler does after recording a
+// cell that failed at run time (a panic or a blown CellTimeout). A cell is
+// a pure function of the spec, the options and its coordinates, so it runs
+// once; resuming the journal, which records only completed cells, runs
+// failed cells again.
+type FailurePolicy uint8
+
+const (
+	// FailFast stops the sweep at the first failed cell and returns the
+	// partial Result alongside the cell's *CellError. It is the default.
+	FailFast FailurePolicy = iota
+	// SkipFailed continues with the remaining cells; the sweep returns a
+	// partial Result and no error.
+	SkipFailed
+)
+
+// String returns the policy name (the CLI's -on-error values).
+func (p FailurePolicy) String() string {
+	switch p {
+	case FailFast:
+		return "fail"
+	case SkipFailed:
+		return "skip"
+	default:
+		return fmt.Sprintf("FailurePolicy(%d)", uint8(p))
+	}
+}
+
+// ParseFailurePolicy reads a policy name: "fail" (or the empty string)
+// stops at the first failed cell, "skip" records it and continues.
+func ParseFailurePolicy(name string) (FailurePolicy, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "fail":
+		return FailFast, nil
+	case "skip":
+		return SkipFailed, nil
+	default:
+		return FailFast, fmt.Errorf("sweep: unknown failure policy %q (fail|skip)", name)
+	}
+}
 
 // CellStatus is the lifecycle state of one grid cell in a (possibly
 // interrupted or partially failed) sweep result.
@@ -19,8 +61,8 @@ const (
 	// CellCompleted: the cell ran (or was replayed from a journal) and its
 	// metric vector is valid.
 	CellCompleted
-	// CellFailed: the cell errored or panicked and the failure policy
-	// recorded it instead of aborting; PointResult.Err holds the CellError.
+	// CellFailed: the cell panicked or timed out at run time;
+	// PointResult.Err holds the CellError.
 	CellFailed
 )
 
@@ -40,9 +82,9 @@ func (s CellStatus) String() string {
 
 // CellError is one grid cell's failure, with everything needed to
 // reproduce it in isolation: the cell's position and axis values, the
-// derived replication seed, how many attempts were made, and — when the
-// failure was a panic — the recovered stack. It wraps the underlying
-// error, so errors.Is/As see through it.
+// derived replication seed, and — when the failure was a panic — the
+// recovered stack. It wraps the underlying error, so errors.Is/As see
+// through it.
 type CellError struct {
 	// Sweep is the spec's name.
 	Sweep string
@@ -53,9 +95,7 @@ type CellError struct {
 	Cell string
 	// Seed is the cell's derived replication seed (cellSeed).
 	Seed uint64
-	// Attempts is how many times the cell was tried (1 without retries).
-	Attempts int
-	// Err is the final attempt's underlying error.
+	// Err is the underlying error.
 	Err error
 	// Stack is the panic-site goroutine stack when the failure was a
 	// recovered panic, nil otherwise.
@@ -68,10 +108,6 @@ func (e *CellError) Error() string {
 	if e.Stack != nil {
 		kind = " (panic)"
 	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("sweep %q cell %s (seed %d): failed%s after %d attempts: %v",
-			e.Sweep, e.Cell, e.Seed, kind, e.Attempts, e.Err)
-	}
 	return fmt.Sprintf("sweep %q cell %s (seed %d): failed%s: %v",
 		e.Sweep, e.Cell, e.Seed, kind, e.Err)
 }
@@ -79,18 +115,17 @@ func (e *CellError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// newCellError builds a CellError for one exhausted cell, lifting the
-// panic stack out of a recovered core.PanicError (or a sweep-layer
-// cellPanic) so reports can print it.
-func newCellError(sweepName string, index int, coords []int, cell string, seed uint64, attempts int, err error) *CellError {
+// newCellError builds a CellError for one failed cell, lifting the panic
+// stack out of a recovered core.PanicError (or a sweep-layer cellPanic) so
+// reports can print it.
+func newCellError(sweepName string, index int, coords []int, cell string, seed uint64, err error) *CellError {
 	ce := &CellError{
-		Sweep:    sweepName,
-		Index:    index,
-		Coords:   append([]int(nil), coords...),
-		Cell:     cell,
-		Seed:     seed,
-		Attempts: attempts,
-		Err:      err,
+		Sweep:  sweepName,
+		Index:  index,
+		Coords: append([]int(nil), coords...),
+		Cell:   cell,
+		Seed:   seed,
+		Err:    err,
 	}
 	var pe *core.PanicError
 	if errors.As(err, &pe) {

@@ -332,7 +332,8 @@ func (p Param) canonicalChoice(tok string) (string, error) {
 // values — the general constructor behind ParamAxis (numeric values) and
 // EnumAxis (choice lists). Point i uses SeedDelta i, so points draw
 // decorrelated random streams regardless of the value scale; enum and bool
-// points take their axis position X from the value's index.
+// points take their axis position X from the value's index. NaN is refused
+// for every parameter, ±Inf for integer ones; Sweep.Validate judges +Inf.
 func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
 	param, ok := LookupParam(name)
 	if !ok {
@@ -345,6 +346,10 @@ func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
 	seen := make(map[ParamValue]bool, len(values))
 	for _, v := range values {
 		v := v
+		if (v.Kind == KindNumeric || v.Kind == KindInteger) &&
+			(math.IsNaN(v.Num) || param.Kind == KindInteger && math.IsInf(v.Num, 0)) {
+			return Axis{}, fmt.Errorf("sweep: parameter %q cannot take the value %v", param.Name, v.Num)
+		}
 		switch param.Kind {
 		case KindEnum:
 			if v.Kind != KindEnum {

@@ -181,18 +181,33 @@ func TestMidGridCancelAndResume(t *testing.T) {
 	}
 }
 
+// panicsWhenRun returns a mutator that panics from its second call on.
+// Validate applies every point's mutator once per cell before any cell
+// runs, and refuses the sweep if one panics there, so a fault reaches the
+// failure policy only if it first fires when its cell runs, like a panic
+// deep inside a replication.
+func panicsWhenRun() func(cfg *core.Config, p *ocb.Params) {
+	calls := 0
+	return func(cfg *core.Config, p *ocb.Params) {
+		calls++
+		if calls > 1 {
+			panic("injected fault")
+		}
+	}
+}
+
 // TestFailFastReturnsCellError pins the default policy: the first failed
-// cell aborts the sweep with a typed *CellError carrying the cell's
-// position, seed, and the recovered panic stack, alongside the partial
-// result.
+// cell is recorded like any failed cell, then stops the sweep with a typed
+// *CellError carrying the cell's position, seed, and the recovered panic
+// stack, alongside the partial result.
 func TestFailFastReturnsCellError(t *testing.T) {
-	s := faultSweep(func(cfg *core.Config, p *ocb.Params) { panic("injected fault") })
+	s := faultSweep(panicsWhenRun())
 	res, err := s.Run(Options{Replications: 2, Seed: 5})
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("error %T %v, want *CellError", err, err)
 	}
-	if ce.Index != 1 || ce.Cell != "variant=boom" || ce.Attempts != 1 {
+	if ce.Index != 1 || ce.Cell != "variant=boom" {
 		t.Fatalf("CellError = %+v", ce)
 	}
 	if ce.Seed != 5+1 {
@@ -204,8 +219,15 @@ func TestFailFastReturnsCellError(t *testing.T) {
 	if !strings.Contains(ce.Error(), "injected fault") {
 		t.Fatalf("CellError message %q lacks the panic value", ce.Error())
 	}
-	if res == nil || res.Completed() != 1 || res.Pending() != 2 {
-		t.Fatalf("partial result completed %d pending %d, want 1/2", res.Completed(), res.Pending())
+	if res == nil || res.Completed() != 1 || res.Failed() != 1 || res.Pending() != 1 {
+		t.Fatalf("partial result completed/failed/pending = %d/%d/%d, want 1/1/1",
+			res.Completed(), res.Failed(), res.Pending())
+	}
+	if len(res.Failures) != 1 || res.Failures[0] != ce {
+		t.Fatalf("Failures = %+v, want the returned CellError", res.Failures)
+	}
+	if res.Points[1].Status != CellFailed || res.Points[1].Err != ce {
+		t.Fatalf("failed cell not recorded: %+v", res.Points[1])
 	}
 }
 
@@ -214,7 +236,7 @@ func TestFailFastReturnsCellError(t *testing.T) {
 // sweep that never contained the poisoned point, proving the failure
 // could not leak through the shared replication-context pool.
 func TestSkipPolicyIsolatesFailure(t *testing.T) {
-	s := faultSweep(func(cfg *core.Config, p *ocb.Params) { panic("injected fault") })
+	s := faultSweep(panicsWhenRun())
 	res, err := s.Run(Options{Replications: 2, Seed: 5, Policy: SkipFailed})
 	if err != nil {
 		t.Fatal(err)
@@ -245,68 +267,6 @@ func TestSkipPolicyIsolatesFailure(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyRecoversTransientFailure pins RetryFailed: a cell that
-// panics on its first attempt and succeeds on the second completes the
-// sweep with no recorded failure, and the retried cell's numbers equal a
-// run where the fault never fired (fresh pooled contexts per attempt).
-func TestRetryPolicyRecoversTransientFailure(t *testing.T) {
-	tries := 0
-	s := faultSweep(func(cfg *core.Config, p *ocb.Params) {
-		tries++
-		if tries == 1 {
-			panic("transient fault")
-		}
-	})
-	res, err := s.Run(Options{
-		Replications: 2, Seed: 5,
-		Policy: RetryFailed, Retries: 2, RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tries != 2 {
-		t.Fatalf("fault point applied %d times, want 2 (one failure, one retry)", tries)
-	}
-	if res.Completed() != 3 || len(res.Failures) != 0 {
-		t.Fatalf("completed %d failures %d, want 3/0", res.Completed(), len(res.Failures))
-	}
-
-	cleanSweep := faultSweep(nil)
-	want, err := cleanSweep.Run(Options{Replications: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Points {
-		if !samePointResult(&res.Points[i], &want.Points[i]) {
-			t.Fatalf("cell %d diverged from fault-free run", i)
-		}
-	}
-}
-
-// TestRetryPolicyExhaustsBudget: a cell that always fails is recorded with
-// the full attempt count after the retry budget runs out.
-func TestRetryPolicyExhaustsBudget(t *testing.T) {
-	tries := 0
-	s := faultSweep(func(cfg *core.Config, p *ocb.Params) {
-		tries++
-		panic("permanent fault")
-	})
-	res, err := s.Run(Options{
-		Replications: 2, Seed: 5,
-		Policy: RetryFailed, Retries: 2, RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tries != 3 {
-		t.Fatalf("fault point applied %d times, want 3 (initial + 2 retries)", tries)
-	}
-	if res.Failed() != 1 || res.Failures[0].Attempts != 3 {
-		t.Fatalf("failed %d, attempts %d, want 1 cell after 3 attempts",
-			res.Failed(), res.Failures[0].Attempts)
-	}
-}
-
 // TestCellTimeoutFailsCell: an absurdly small per-cell deadline fails
 // every cell with context.DeadlineExceeded (cooperatively, at replication
 // boundaries) without aborting the campaign under SkipFailed — and
@@ -332,22 +292,37 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 	}
 }
 
-// TestBaseErrorSurfacesAsCellError: satellite regression for the base
-// cache — an ocb generation failure travels the cell-error path as a
-// typed failure instead of panicking the campaign.
-func TestBaseErrorSurfacesAsCellError(t *testing.T) {
-	s := faultSweep(func(cfg *core.Config, p *ocb.Params) {
-		p.NO = 0 // invalid workload: ocb.Generate must reject it
-	})
-	res, err := s.Run(Options{Replications: 2, Seed: 5, Policy: SkipFailed})
-	if err != nil {
-		t.Fatal(err)
+// TestImpossibleCellRefusedBeforeRun: a cell that cannot run — an invalid
+// Config or Params, clustering on a streaming base, or a mutator that
+// panics — refuses the whole sweep under either policy before any cell
+// runs: the error names the cell, no result comes back, and Progress never
+// fires.
+func TestImpossibleCellRefusedBeforeRun(t *testing.T) {
+	cases := []struct {
+		name string
+		boom func(cfg *core.Config, p *ocb.Params)
+		want string
+	}{
+		{"config", func(cfg *core.Config, p *ocb.Params) { cfg.MPL = 0 }, "core: MPL = 0"},
+		{"params", func(cfg *core.Config, p *ocb.Params) { p.NO = 0 }, "ocb: NO = 0"},
+		{"stream-clustering", func(cfg *core.Config, p *ocb.Params) {
+			p.Layout = ocb.LayoutStream
+			cfg.Clustering = core.DSTC
+		}, "requires an eager object base"},
+		{"panic", func(cfg *core.Config, p *ocb.Params) { panic("injected fault") }, "injected fault"},
 	}
-	if res.Failed() != 1 {
-		t.Fatalf("failed %d cells, want 1", res.Failed())
-	}
-	if ce := res.Points[1].Err; ce == nil || ce.Stack != nil {
-		t.Fatalf("base error cell: %+v (want non-panic CellError)", ce)
+	for _, tc := range cases {
+		for _, policy := range []FailurePolicy{FailFast, SkipFailed} {
+			s := faultSweep(tc.boom)
+			res, err := s.Run(Options{Replications: 2, Seed: 5, Policy: policy,
+				Progress: func(line string) { t.Errorf("%s/%v: a cell ran: %s", tc.name, policy, line) }})
+			if err == nil || !strings.Contains(err.Error(), "cell variant=boom") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%v: error %v, want one naming cell variant=boom and %q", tc.name, policy, err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("%s/%v: refused sweep returned a result", tc.name, policy)
+			}
+		}
 	}
 }
 

@@ -168,22 +168,14 @@ type Options struct {
 
 	// --- fault tolerance (see also FailurePolicy) ---
 
-	// Policy decides what happens when a cell fails — errors, panics, or
-	// hits its CellTimeout. The default FailFast aborts the sweep (the
-	// historical behavior); SkipFailed and RetryFailed record the failure
-	// on the cell and keep the campaign going.
+	// Policy decides what happens after a cell fails at run time — a
+	// panic or a blown CellTimeout. The default FailFast stops the sweep;
+	// SkipFailed keeps the campaign going.
 	Policy FailurePolicy
-	// Retries is the per-cell retry budget under RetryFailed (default
-	// DefaultRetries). Each retry waits exponential backoff and runs on
-	// fresh pooled contexts — failed attempts always discard theirs.
-	Retries int
-	// RetryBackoff is the first retry's delay (default
-	// DefaultRetryBackoff); attempt n waits 2ⁿ⁻¹ × RetryBackoff.
-	RetryBackoff time.Duration
-	// CellTimeout, when positive, bounds each cell attempt's wall-clock
-	// time: the cell's replications are cancelled cooperatively (at
-	// replication boundaries and the kernel's coarse stop check) and the
-	// cell fails with context.DeadlineExceeded, subject to Policy.
+	// CellTimeout, when positive, bounds each cell's wall-clock time: the
+	// cell's replications are cancelled cooperatively (at replication
+	// boundaries and the kernel's coarse stop check) and the cell fails
+	// with context.DeadlineExceeded, subject to Policy.
 	CellTimeout time.Duration
 	// Journal, when non-nil, receives every completed cell as a JSONL
 	// checkpoint record (see Sweep.StartJournal). Cells replayed from
@@ -236,9 +228,9 @@ type PointResult struct {
 	// DSTC is the DSTC-protocol aggregate (nil under Standard).
 	DSTC *core.DSTCResult
 	// Status is the cell's lifecycle state: CellCompleted for cells with
-	// valid values (including journal replays), CellFailed for cells a
-	// skip/retry policy gave up on, CellPending for cells an interrupted
-	// campaign never reached.
+	// valid values (including journal replays), CellFailed for cells that
+	// panicked or timed out, CellPending for cells a stopped campaign
+	// never reached.
 	Status CellStatus
 	// Err carries the failure of a CellFailed cell.
 	Err *CellError
@@ -269,9 +261,9 @@ type Result struct {
 	Shape   []int
 	Metrics []Metric
 	Points  []PointResult
-	// Failures lists every cell a skip/retry policy recorded instead of
-	// aborting on, in execution order. Empty for fully successful sweeps
-	// (and always under FailFast, which returns the CellError instead).
+	// Failures lists every failed cell, in execution order. It is empty
+	// when every cell completed, and holds at most one cell under
+	// FailFast, whose returned error is that cell's CellError.
 	Failures []*CellError
 }
 
@@ -281,7 +273,7 @@ func (r *Result) Dims() int { return len(r.Shape) }
 // Completed counts cells with valid values (run or replayed).
 func (r *Result) Completed() int { return r.countStatus(CellCompleted) }
 
-// Failed counts cells recorded as failed by a skip/retry policy.
+// Failed counts cells that failed at run time.
 func (r *Result) Failed() int { return r.countStatus(CellFailed) }
 
 // Pending counts cells an interrupted campaign never reached.
@@ -326,7 +318,10 @@ func (r *Result) At(coords ...int) *PointResult {
 	return &r.Points[idx]
 }
 
-// Validate checks the spec without running it.
+// Validate checks the spec without running it: the axes, protocol and
+// metrics, then every cell, whose point mutators it applies under a panic
+// guard for core.ValidateRun to check. So one impossible cell refuses the
+// whole sweep before any cell runs. Validate generates no object base.
 func (s *Sweep) Validate() error {
 	if len(s.Axes) == 0 {
 		return fmt.Errorf("sweep %q: no axes", s.Name)
@@ -354,7 +349,58 @@ func (s *Sweep) Validate() error {
 			return fmt.Errorf("sweep %q: metric %q not collected by the %s protocol", s.Name, m, s.Protocol)
 		}
 	}
+	axisNames, shape, _ := s.grid()
+	coords := make([]int, len(s.Axes))
+	for i := 0; i < cells; i++ {
+		decompose(i, shape, coords)
+		if err := s.checkCell(coords); err != nil {
+			return fmt.Errorf("sweep %q: cell %s: %w", s.Name, cellDesc(axisNames, s.labels(coords)), err)
+		}
+	}
 	return nil
+}
+
+// grid returns the axis names, the points per axis and the cell count.
+func (s *Sweep) grid() (names []string, shape []int, cells int) {
+	names, shape, cells = make([]string, len(s.Axes)), make([]int, len(s.Axes)), 1
+	for i, ax := range s.Axes {
+		names[i], shape[i] = ax.Name, len(ax.Points)
+		cells *= shape[i]
+	}
+	return names, shape, cells
+}
+
+// labels returns the display labels of the cell at coords, in axis order.
+func (s *Sweep) labels(coords []int) []string {
+	labels := make([]string, len(s.Axes))
+	for k, ax := range s.Axes {
+		labels[k] = ax.Points[coords[k]].label()
+	}
+	return labels
+}
+
+// checkCell reports whether one cell can run, turning a panic in its
+// point mutators into a *cellPanic error.
+func (s *Sweep) checkCell(coords []int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &cellPanic{value: r, stack: debug.Stack()}
+		}
+	}()
+	cfg, params := s.cellInputs(coords)
+	return core.ValidateRun(cfg, params)
+}
+
+// cellInputs applies one cell's point mutators, in axis order, to the base
+// Config and Params.
+func (s *Sweep) cellInputs(coords []int) (core.Config, ocb.Params) {
+	cfg, params := s.Config, s.Params
+	for k, ax := range s.Axes {
+		if apply := ax.Points[coords[k]].Apply; apply != nil {
+			apply(&cfg, &params)
+		}
+	}
+	return cfg, params
 }
 
 // maxGridCells bounds the cross-product size: one replicated experiment
@@ -466,8 +512,9 @@ func (s *Sweep) Run(o Options) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation and the fault-tolerance
-// options: cells check ctx between attempts and propagate it into every
-// replication (cancellation lands at replication boundaries and the
+// options. An invalid spec returns a nil Result and runs nothing; then
+// each cell runs once. ctx is checked between cells and propagated into
+// every replication (cancellation lands at replication boundaries and the
 // kernel's coarse stop check — never on the per-event hot path). On
 // cancellation the partial Result is returned alongside ctx's error, with
 // completed cells intact and unreached cells CellPending, so callers can
@@ -500,14 +547,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 			caches: make(map[string]*BaseCache)}
 	}
 
-	shape := make([]int, len(axes))
-	names := make([]string, len(axes))
-	cells := 1
-	for i, ax := range axes {
-		shape[i] = len(ax.Points)
-		names[i] = ax.Name
-		cells *= shape[i]
-	}
+	names, shape, cells := s.grid()
 	xlabel := names[0]
 	if len(names) > 1 {
 		xlabel = strings.Join(names, " × ")
@@ -526,10 +566,7 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	coords := make([]int, len(axes))
 	for i := 0; i < cells; i++ {
 		decompose(i, shape, coords)
-		labels := make([]string, len(axes))
-		for k, ax := range axes {
-			labels[k] = ax.Points[coords[k]].label()
-		}
+		labels := s.labels(coords)
 		res.Points[i] = PointResult{
 			X:      axes[0].Points[coords[0]].X,
 			Label:  strings.Join(labels, "/"),
@@ -546,7 +583,10 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 	}
 
-	attempts := 1 + o.retries()
+	interrupted := func(desc string, err error) error {
+		return fmt.Errorf("sweep %q interrupted at %s (%d/%d cells done): %w",
+			s.Name, desc, res.Completed(), cells, err)
+	}
 	for step := 0; step < cells; step++ {
 		i := step
 		if s.RunDescending {
@@ -573,40 +613,24 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 
 		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("sweep %q interrupted at %s (%d/%d cells done): %w",
-				s.Name, desc, res.Completed(), cells, err)
+			return res, interrupted(desc, err)
 		}
 
-		var pr PointResult
-		var cellErr error
-		for attempt := 1; attempt <= attempts; attempt++ {
-			if attempt > 1 {
-				o.progress("%s %s: attempt %d/%d after: %v", s.Name, desc, attempt, attempts, cellErr)
-				if err := backoffWait(ctx, o.retryBackoff(), attempt-1); err != nil {
-					return res, fmt.Errorf("sweep %q interrupted at %s (%d/%d cells done): %w",
-						s.Name, desc, res.Completed(), cells, err)
-				}
-			}
-			pr, cellErr = s.runCellOnce(ctx, o, coords, seed, metrics, pool, bases)
-			if cellErr == nil {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				// The campaign (not the cell) was cancelled mid-attempt:
-				// report interruption, not a cell failure.
-				return res, fmt.Errorf("sweep %q interrupted at %s (%d/%d cells done): %w",
-					s.Name, desc, res.Completed(), cells, err)
-			}
-		}
+		pr, cellErr := s.runCell(ctx, o, coords, seed, metrics, pool, bases)
 		if cellErr != nil {
-			ce := newCellError(s.Name, i, coords, desc, seed, attempts, cellErr)
-			if o.Policy == FailFast {
-				return res, ce
+			if err := ctx.Err(); err != nil {
+				// The campaign (not the cell) was cancelled mid-cell:
+				// report interruption, not a cell failure.
+				return res, interrupted(desc, err)
 			}
+			ce := newCellError(s.Name, i, coords, desc, seed, cellErr)
 			res.Points[i].Status = CellFailed
 			res.Points[i].Err = ce
 			res.Failures = append(res.Failures, ce)
 			o.progress("%s %s: FAILED (%v)", s.Name, desc, cellErr)
+			if o.Policy == FailFast {
+				return res, ce
+			}
 			continue
 		}
 		// Keep the pre-filled identity; adopt the computed payload.
@@ -623,13 +647,12 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	return res, nil
 }
 
-// runCellOnce executes one attempt of one grid cell — the point mutators,
-// the base lookup, and the replicated experiment — under a panic guard: a
-// panic anywhere in cell setup surfaces as a *cellPanic error
-// (replication-body panics already surface as *core.PanicError from the
-// engine), so a poisoned cell can be retried or skipped without crashing
-// the campaign.
-func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
+// runCell executes one grid cell — the point mutators, the base lookup,
+// and the replicated experiment — under a panic guard: a panic anywhere in
+// cell setup surfaces as a *cellPanic error (replication-body panics
+// already surface as *core.PanicError from the engine), so a poisoned cell
+// fails without crashing the campaign.
+func (s *Sweep) runCell(ctx context.Context, o Options, coords []int,
 	seed uint64, metrics []Metric, pool *core.ContextPool, bases *gridBases) (pr PointResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -641,12 +664,7 @@ func (s *Sweep) runCellOnce(ctx context.Context, o Options, coords []int,
 		ctx, cancel = context.WithTimeout(ctx, o.CellTimeout)
 		defer cancel()
 	}
-	cfg, params := s.Config, s.Params
-	for k, ax := range s.Axes {
-		if apply := ax.Points[coords[k]].Apply; apply != nil {
-			apply(&cfg, &params)
-		}
-	}
+	cfg, params := s.cellInputs(coords)
 	var base func(rep int, seed uint64) (*ocb.Database, error)
 	if bases != nil {
 		if base, err = bases.forCell(coords); err != nil {
@@ -736,14 +754,7 @@ func (s *Sweep) StartJournal(path string, o Options) (*Journal, error) {
 		return nil, err
 	}
 	metrics := s.metrics()
-	names := make([]string, len(s.Axes))
-	shape := make([]int, len(s.Axes))
-	cells := 1
-	for i, ax := range s.Axes {
-		names[i] = ax.Name
-		shape[i] = len(ax.Points)
-		cells *= shape[i]
-	}
+	names, shape, cells := s.grid()
 	metricNames := make([]string, len(metrics))
 	for i, m := range metrics {
 		metricNames[i] = string(m)

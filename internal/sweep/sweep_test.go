@@ -257,6 +257,20 @@ func TestSweepValidate(t *testing.T) {
 	if _, err := s.Run(Options{Replications: 1}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// One impossible cell anywhere in a grid refuses the sweep, naming the
+	// first such cell by its axis values.
+	pol, err := ParseAxis("pgrep=LRU,FIFO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpl, err := ParseAxis("mpl=1,2,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = Sweep{Name: "grid", Config: core.DefaultConfig(), Params: matrixParams(), Axes: []Axis{pol, mpl}}
+	if _, err := s.Run(Options{Replications: 1}); err == nil || !strings.Contains(err.Error(), "cell pgrep=LRU mpl=0: core: MPL = 0") {
+		t.Errorf("grid with an MPL 0 cell: %v, want it refused naming cell pgrep=LRU mpl=0", err)
+	}
 }
 
 // TestRunDescendingMatchesAscending: execution order is a pure

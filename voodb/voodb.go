@@ -364,26 +364,25 @@ func RunSweepContext(ctx context.Context, s Sweep, o SweepOptions) (*SweepResult
 	return s.RunContext(ctx, o)
 }
 
-// SweepFailurePolicy decides what a sweep does with a failed cell (error,
-// panic, or per-cell deadline): abort, record and skip, or retry with
-// exponential backoff on fresh pooled state.
+// SweepFailurePolicy decides what a sweep does after recording a cell that
+// failed at run time (a panic or a blown per-cell deadline): FailFast
+// stops, SkipFailed continues. Resuming the journal re-runs failed cells.
 type SweepFailurePolicy = sweep.FailurePolicy
 
 // Failure policies (SweepOptions.Policy).
 const (
-	FailFast    = sweep.FailFast
-	SkipFailed  = sweep.SkipFailed
-	RetryFailed = sweep.RetryFailed
+	FailFast   = sweep.FailFast
+	SkipFailed = sweep.SkipFailed
 )
 
-// ParseFailurePolicy reads a policy name: "fail", "skip" or "retry".
+// ParseFailurePolicy reads a policy name: "fail" (or "") or "skip".
 func ParseFailurePolicy(name string) (SweepFailurePolicy, error) {
 	return sweep.ParseFailurePolicy(name)
 }
 
-// CellError is one grid cell's failure: position, axis values, derived
-// seed, attempt count, and the recovered panic stack when applicable. It
-// wraps the underlying error for errors.Is/As.
+// CellError is one grid cell's run-time failure: position, axis values,
+// derived seed, and the recovered panic stack when applicable. It wraps
+// the underlying error for errors.Is/As.
 type CellError = sweep.CellError
 
 // CellStatus is a sweep cell's lifecycle state in a partial result.
