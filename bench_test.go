@@ -32,37 +32,55 @@ func opts() sweep.Options {
 	return o
 }
 
-func benchFigure(b *testing.B, id string) {
+// runReproduction runs experiment id b.N times and returns the last
+// result, logged beside the paper's values. Any failed cell fails the
+// benchmark.
+func runReproduction(b *testing.B, id string) *sweep.Result {
 	b.Helper()
-	var last *experiments.Figure
+	var res *sweep.Result
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Spec(id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fig, err := experiments.RunFigure(context.Background(), s, opts())
-		if err != nil {
+		if res, err = s.RunContext(context.Background(), opts()); err != nil {
 			b.Fatal(err)
 		}
-		last = fig
+		if len(res.Failures) > 0 {
+			b.Fatal(res.Failures[0])
+		}
 	}
-	logFigure(b, last)
+	tbl, err := experiments.Table(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Log("\n" + tbl.String())
+	return res
 }
 
-func logFigure(b *testing.B, fig *experiments.Figure) {
+// benchFigure reports the figure's headline I/O mean, the event-calendar
+// high-water mark over every point and replication (peakcal) and the mean
+// head-slot bypass rate over its points (bypass). Like peakcal, bypass
+// describes the execution schedule, never the simulated results.
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
-	ref := fig.Paper
-	for i, p := range fig.Points {
-		b.Logf("%s x=%-6d paper(bench)=%-8.0f paper(sim)=%-8.0f ours=%.0f",
-			fig.ID, p.X, ref.Benchmark[i], ref.Simulated[i], p.IOs.Mean)
+	res := runReproduction(b, id)
+	head := &res.Points[len(res.Points)-1]
+	if res.AxisNames[0] == "MB" {
+		head = &res.Points[0] // smallest memory is the headline point
 	}
-	head := fig.Points[len(fig.Points)-1]
-	if fig.XLabel == "MB" {
-		head = fig.Points[0] // smallest memory is the headline point
+	ios, _ := head.Get(sweep.IOs)
+	peak, bypass := 0, 0.0
+	for i := range res.Points {
+		r := res.Points[i].Result
+		if r.CalendarPeak > peak {
+			peak = r.CalendarPeak
+		}
+		bypass += r.BypassRate.Mean()
 	}
-	b.ReportMetric(head.IOs.Mean, "ios/point")
-	b.ReportMetric(float64(fig.CalendarPeak), "peakcal")
-	b.ReportMetric(fig.BypassRate, "bypass")
+	b.ReportMetric(ios.Mean, "ios/point")
+	b.ReportMetric(float64(peak), "peakcal")
+	b.ReportMetric(bypass/float64(len(res.Points)), "bypass")
 }
 
 // BenchmarkLargeMPL is the large-scenario benchmark: one replication of a
@@ -145,29 +163,13 @@ func BenchmarkFig9_TexasInstances20(b *testing.B)  { benchFigure(b, "fig9") }
 func BenchmarkFig10_TexasInstances50(b *testing.B) { benchFigure(b, "fig10") }
 func BenchmarkFig11_TexasMemory(b *testing.B)      { benchFigure(b, "fig11") }
 
+// benchTable reports the table's last row (its headline) for the first
+// variant.
 func benchTable(b *testing.B, id string) {
 	b.Helper()
-	var last *experiments.TableResult
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.Spec(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl, err := experiments.RunTable(context.Background(), s, opts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tbl
-	}
-	for _, r := range last.Rows {
-		line := fmt.Sprintf("%s %-26s paper(bench)=%-9.2f paper(sim)=%-9.2f ours=%.2f",
-			last.ID, r.Name, r.PaperBench, r.PaperSim, r.Ours.Mean)
-		if r.HasAlt {
-			line += fmt.Sprintf(" %s=%.2f", last.AltName, r.OursAlt.Mean)
-		}
-		b.Log(line)
-	}
-	b.ReportMetric(last.Rows[len(last.Rows)-1].Ours.Mean, "headline")
+	res := runReproduction(b, id)
+	headline, _ := res.Points[0].Get(res.Metrics[len(res.Metrics)-1])
+	b.ReportMetric(headline.Mean, "headline")
 }
 
 func BenchmarkTable6_DSTCMidBase(b *testing.B)   { benchTable(b, "table6") }

@@ -21,10 +21,14 @@
 // PERFORMANCE.md). Both forms run under the same options (-reps, -seed,
 // -workers, -share-bases, -on-error, -cell-timeout).
 //
-// Every cell of every selected spec is checked before the first one runs.
-// The exit status is 0 when every cell completed, 1 when the run was
-// refused or a cell failed at run time (a panic or a blown -cell-timeout,
-// under either -on-error policy), and 130 when a signal interrupted it.
+// Both forms run one loop: every cell of every spec is checked before the
+// first one runs, then each spec runs and renders, a cell that did not
+// complete showing "(failed)" or "(pending)", and an incomplete spec is
+// followed by its completed/failed/pending summary. Under -on-error skip
+// the next selected spec still runs. The exit status is 0 when every cell
+// completed, 1 when the run was refused or a cell failed at run time (a
+// panic or a blown -cell-timeout, under either -on-error policy), and 130
+// when a signal interrupted it.
 //
 // The -sweep form compiles a declarative voodb.Sweep from the flag set: a
 // base system configuration (-system, workload sizing via -no/-nc/-hotn),
@@ -163,8 +167,8 @@ func main() {
 
 	// Profiles are opened (and the CPU profile/execution trace started)
 	// before any simulation, so an unwritable path fails immediately; every
-	// exit path — normal return, fatal(), the explicit os.Exit calls after
-	// an interrupted sweep — flushes them through stopProfiles.
+	// exit path — normal return, fatal(), the explicit os.Exit after an
+	// incomplete run — flushes them through stopProfiles.
 	stop, err := startProfiles(*cpuprofile, *memprofile, *tracefile)
 	if err != nil {
 		fatal(err)
@@ -183,50 +187,88 @@ func main() {
 	opts := voodb.SweepOptions{Replications: *reps, Seed: *seed, Workers: *workers,
 		ShareBases: *shareBases, Progress: progress,
 		Policy: policy, CellTimeout: *cellTimeout}
+	var specs []voodb.Sweep
 	if len(sweeps) > 0 {
-		runUserSweep(ctx, userSweepFlags{
+		specs = []voodb.Sweep{userSweep(userSweepFlags{
 			axes: sweeps, metrics: *metrics, system: *system,
 			no: *no, nc: *nc, hotn: *hotn, layout: layout,
-			journal: *journalPath, resume: *resumePath, csv: *csv, chart: *chart,
-		}, opts)
-		return
-	}
-
-	ids := experiments.Names()
-	if *run != "all" {
-		ids = strings.Split(*run, ",")
-	}
-	// Check every selected spec under the chosen layout before the first
-	// one runs (a clustering table cannot run on a streaming base).
-	specs := make([]voodb.Sweep, len(ids))
-	for i, id := range ids {
-		s, err := experiments.Spec(strings.TrimSpace(id))
-		if err != nil {
-			fatal(err)
+		})}
+	} else {
+		ids := experiments.Names()
+		if *run != "all" {
+			ids = strings.Split(*run, ",")
 		}
-		s.Params.Layout = layout
+		for _, id := range ids {
+			s, err := experiments.Spec(strings.TrimSpace(id))
+			if err != nil {
+				fatal(err)
+			}
+			s.Params.Layout = layout
+			specs = append(specs, s)
+		}
+	}
+	// Check every cell of every spec before the first one runs (a
+	// clustering table cannot run on a streaming base, say).
+	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			fatal(err)
 		}
-		specs[i] = s
 	}
-	for _, s := range specs {
-		if strings.HasPrefix(s.Name, "fig") {
-			fig, err := experiments.RunFigure(ctx, s, opts)
-			if err != nil {
-				if fig != nil && len(fig.Points) > 0 {
-					printFigure(fig, *csv, *chart)
-				}
-				fatal(err)
-			}
-			printFigure(fig, *csv, *chart)
-			continue
-		}
-		tbl, err := experiments.RunTable(ctx, s, opts)
+	// Only a -sweep run journals: -journal and -resume are refused above
+	// without one, so specs holds that run's one spec.
+	var journal *voodb.SweepJournal
+	resumeHint := "" // the journal a rerun of an incomplete run resumes
+	switch {
+	case *resumePath != "":
+		j, data, err := specs[0].ResumeJournal(*resumePath, opts)
 		if err != nil {
 			fatal(err)
 		}
-		printTable(tbl, *csv)
+		journal, resumeHint = j, *resumePath
+		opts.Journal, opts.Resume = j, data
+		note := ""
+		if data.Truncated {
+			note = " (dropped a torn final record)"
+		}
+		fmt.Fprintf(os.Stderr, "experiments: resuming %s: replaying %d/%d cells%s\n",
+			*resumePath, data.Len(), data.Header.Cells, note)
+	case *journalPath != "":
+		j, err := specs[0].StartJournal(*journalPath, opts)
+		if err != nil {
+			fatal(err)
+		}
+		journal, resumeHint = j, *journalPath
+		opts.Journal = j
+	}
+
+	status := 0
+	for _, s := range specs {
+		res, err := voodb.RunSweepContext(ctx, s, opts)
+		if journal != nil {
+			// Flush the checkpoint before rendering: if rendering dies, the
+			// journal still resumes.
+			if cerr := journal.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", cerr)
+			}
+		}
+		if res == nil {
+			fatal(err)
+		}
+		if len(sweeps) > 0 {
+			renderSweep(res, *csv, *chart)
+		} else {
+			renderReproduction(res, *csv, *chart)
+		}
+		if st := summarize(res, err, resumeHint); st > status {
+			status = st
+		}
+		if err != nil {
+			break // interrupted, or a failed cell under -on-error fail
+		}
+	}
+	if status != 0 {
+		stopProfiles()
+		os.Exit(status)
 	}
 }
 
@@ -245,8 +287,8 @@ func parseLayout(name string) (voodb.Layout, error) {
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile/-trace outputs.
-// It is a package variable because fatal() and the post-sweep os.Exit calls
-// bypass main's defer; startProfiles makes it idempotent.
+// It is a package variable because fatal() and the os.Exit after an
+// incomplete run bypass main's defer; startProfiles makes it idempotent.
 var stopProfiles = func() {}
 
 // startProfiles opens the requested profile outputs and starts the CPU
@@ -321,22 +363,18 @@ func startProfiles(cpu, mem, trc string) (func(), error) {
 	}, nil
 }
 
-// userSweepFlags carries the -sweep mode's spec and output flags.
+// userSweepFlags carries the flags that build the -sweep spec.
 type userSweepFlags struct {
 	axes            []string
 	metrics, system string
 	no, nc, hotn    int
 	layout          voodb.Layout
-	journal, resume string
-	csv, chart      bool
 }
 
-// runUserSweep compiles and executes a declarative sweep from the flags —
-// entirely through the public voodb API. One -sweep flag runs the classic
-// 1-D study; several run the cross-product grid. Interruption (ctx) and
-// failed cells render whatever completed, annotated with the cell counts,
-// and set the exit status: 130 when interrupted, 1 when any cell failed.
-func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions) {
+// userSweep compiles a declarative sweep from the flags — entirely through
+// the public voodb API. One -sweep flag makes the classic 1-D study;
+// several make the cross-product grid.
+func userSweep(f userSweepFlags) voodb.Sweep {
 	axes := make([]voodb.Axis, len(f.axes))
 	names := make([]string, len(f.axes))
 	for i, spec := range f.axes {
@@ -373,7 +411,7 @@ func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions
 		params.HotN = f.hotn
 	}
 	params.Layout = f.layout
-	s := voodb.Sweep{
+	return voodb.Sweep{
 		Name:    "sweep-" + strings.Join(names, "-x-"),
 		Title:   fmt.Sprintf("%s sweep (%s system, NC=%d, NO=%d)", strings.Join(names, " × "), f.system, params.NC, params.NO),
 		Config:  cfg,
@@ -381,43 +419,31 @@ func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions
 		Axes:    axes,
 		Metrics: ms,
 	}
-	var journal *voodb.SweepJournal
-	switch {
-	case f.resume != "":
-		j, data, err := s.ResumeJournal(f.resume, opts)
-		if err != nil {
-			fatal(err)
-		}
-		journal = j
-		opts.Journal, opts.Resume = j, data
-		note := ""
-		if data.Truncated {
-			note = " (dropped a torn final record)"
-		}
-		fmt.Fprintf(os.Stderr, "experiments: resuming %s: replaying %d/%d cells%s\n",
-			f.resume, data.Len(), data.Header.Cells, note)
-	case f.journal != "":
-		j, err := s.StartJournal(f.journal, opts)
-		if err != nil {
-			fatal(err)
-		}
-		journal = j
-		opts.Journal = j
-	}
+}
 
-	res, err := voodb.RunSweepContext(ctx, s, opts)
-	if journal != nil {
-		// Flush the checkpoint before rendering: if rendering dies, the
-		// journal still resumes.
-		if cerr := journal.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", cerr)
-		}
-	}
-	if res == nil {
+// renderReproduction prints a figure or table beside the paper's values,
+// and under -chart a figure's chart.
+func renderReproduction(res *voodb.SweepResult, csv, chart bool) {
+	t, err := experiments.Table(res)
+	if err != nil {
 		fatal(err)
 	}
+	if csv {
+		fmt.Print(t.CSV())
+	} else {
+		fmt.Println(t.String())
+	}
+	if c := experiments.Chart(res, 12); chart && c != "" {
+		fmt.Println(c)
+	}
+}
+
+// renderSweep prints a user sweep: its CSV, its table (one per facet for a
+// grid), and under -chart a heatmap per metric for a 2-axis grid or the
+// curves otherwise.
+func renderSweep(res *voodb.SweepResult, csv, chart bool) {
 	switch {
-	case f.csv:
+	case csv:
 		fmt.Print(res.CSV())
 	case res.Dims() > 1:
 		for _, t := range res.FacetTables() {
@@ -426,27 +452,36 @@ func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions
 	default:
 		fmt.Println(res.Text())
 	}
-	if f.chart {
-		if res.Dims() == 2 {
-			for _, m := range ms {
-				hm, herr := res.Heatmap(m)
-				if herr != nil {
-					fatal(herr)
-				}
-				fmt.Println(hm)
-			}
-		} else {
-			fmt.Print(res.Chart(12))
-		}
+	if !chart {
+		return
 	}
+	if res.Dims() != 2 {
+		fmt.Print(res.Chart(12))
+		return
+	}
+	for _, m := range res.Metrics {
+		hm, err := res.Heatmap(m)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(hm)
+	}
+}
+
+// summarize prints what an incomplete result lacks: the cell counts, every
+// failed cell's error, the hint to resume the journal when there is one,
+// and any error that is no cell's own (an interruption, say). It returns
+// the exit status the result calls for: 0 when every cell completed, 130
+// when a signal interrupted the run, 1 otherwise.
+func summarize(res *voodb.SweepResult, err error, resumeHint string) int {
 	if res.Partial() {
 		fmt.Fprintf(os.Stderr, "experiments: sweep incomplete: %d completed, %d failed, %d pending of %d cells\n",
 			res.Completed(), res.Failed(), res.Pending(), len(res.Points))
 		for _, ce := range res.Failures {
 			fmt.Fprintln(os.Stderr, "experiments:", ce)
 		}
-		if path := firstNonEmpty(f.resume, f.journal); path != "" {
-			fmt.Fprintf(os.Stderr, "experiments: rerun with -resume %s to finish the remaining cells\n", path)
+		if resumeHint != "" {
+			fmt.Fprintf(os.Stderr, "experiments: rerun with -resume %s to finish the remaining cells\n", resumeHint)
 		}
 	}
 	// A fail-fast stop returns the failed cell's error, listed above.
@@ -456,19 +491,11 @@ func runUserSweep(ctx context.Context, f userSweepFlags, opts voodb.SweepOptions
 	}
 	switch {
 	case errors.Is(err, context.Canceled):
-		stopProfiles()
-		os.Exit(130) // interrupted by signal
+		return 130 // interrupted by signal
 	case err != nil || res.Failed() > 0:
-		stopProfiles()
-		os.Exit(1)
+		return 1
 	}
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
+	return 0
 }
 
 // printSweepParams lists the registry: each parameter's kind and, for
@@ -493,50 +520,6 @@ func printSweepParams() {
 	}
 	fmt.Println(t.String())
 	fmt.Println("generative parameters feed object-base/workload generation; sweeps over them regenerate bases per point and ignore -share-bases")
-}
-
-func printFigure(f *experiments.Figure, csv, chart bool) {
-	t := report.NewTable(
-		fmt.Sprintf("%s — %s (paper curves digitized, approximate)", f.ID, f.Title),
-		f.XLabel, "paper bench", "paper sim", "ours", "±95%", "hit%")
-	for i, p := range f.Points {
-		if p.IOs.N == 0 { // point never ran (interrupted mid-figure)
-			t.Addf(p.X, f.Paper.Benchmark[i], f.Paper.Simulated[i], "(pending)", "", "")
-			continue
-		}
-		t.Addf(p.X, f.Paper.Benchmark[i], f.Paper.Simulated[i], p.IOs.Mean, p.IOs.HalfWidth, p.HitPct)
-	}
-	emit(t, csv)
-	if chart {
-		fmt.Println(report.Chart(f.ID, f.Paper.X, map[string][]float64{
-			"paper": f.Paper.Benchmark,
-			"ours":  f.SimValues(),
-		}, 12))
-	}
-}
-
-func printTable(tbl *experiments.TableResult, csv bool) {
-	headers := []string{"metric", "paper bench", "paper sim", "ours", "±95%"}
-	if tbl.AltName != "" {
-		headers = append(headers, tbl.AltName, "±95%")
-	}
-	t := report.NewTable(fmt.Sprintf("%s — %s", tbl.ID, tbl.Title), headers...)
-	for _, r := range tbl.Rows {
-		cells := []interface{}{r.Name, r.PaperBench, r.PaperSim, r.Ours.Mean, r.Ours.HalfWidth}
-		if tbl.AltName != "" {
-			cells = append(cells, r.OursAlt.Mean, r.OursAlt.HalfWidth)
-		}
-		t.Addf(cells...)
-	}
-	emit(t, csv)
-}
-
-func emit(t *report.Table, csv bool) {
-	if csv {
-		fmt.Print(t.CSV())
-	} else {
-		fmt.Println(t.String())
-	}
 }
 
 func fatal(err error) {

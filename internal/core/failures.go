@@ -23,11 +23,15 @@ type FailureParams struct {
 	MeanRepairMs float64
 }
 
-// Validate checks the parameters: both times are finite and ≥ 0, and an
-// enabled module needs a positive MTBF.
+// Validate checks the parameters: both times are finite and ≥ 0, an
+// enabled module needs a positive MTBF, and a disabled one no repair time
+// (without failures there is nothing to repair).
 func (f FailureParams) Validate() error {
 	if !validTime(f.MTBFMs) || !validTime(f.MeanRepairMs) || (f.Enabled && f.MTBFMs == 0) {
 		return fmt.Errorf("core: failure params MTBF=%v repair=%v", f.MTBFMs, f.MeanRepairMs)
+	}
+	if !f.Enabled && f.MeanRepairMs != 0 {
+		return fmt.Errorf("core: failure repair time %v needs failures enabled (a positive MTBF)", f.MeanRepairMs)
 	}
 	return nil
 }

@@ -35,6 +35,11 @@ func TestFailureParamsValidate(t *testing.T) {
 	if (FailureParams{MeanRepairMs: math.Inf(1)}).Validate() == nil {
 		t.Error("infinite repair accepted on a disabled module")
 	}
+	// Without failures there is nothing to repair (cmd/voodb refuses
+	// -failure-repair without -failure-mtbf for the same reason).
+	if (FailureParams{MeanRepairMs: 200}).Validate() == nil {
+		t.Error("repair time accepted on a disabled module")
+	}
 	cfg := DefaultConfig()
 	cfg.Failures = FailureParams{Enabled: true, MTBFMs: -1}
 	if cfg.Validate() == nil {

@@ -4,148 +4,96 @@
 // the same code regenerates every published result.
 //
 // The reproductions are *data*: one registry (specs.go) holds each
-// figure's and table's sweep.Sweep spec, executed by the generic engine in
-// internal/sweep under sweep.Options, and the paper's published values.
-// RunFigure and RunTable map the generic multi-metric results back onto
-// the Figure/TableResult shapes, hex-identically to the pre-refactor
-// hardcoded loops.
+// figure's and table's sweep.Sweep spec and the paper's published values.
+// Spec returns a spec, which runs like any other sweep (Sweep.RunContext
+// under sweep.Options), and Table and Chart render its sweep.Result beside
+// the published values.
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"math"
+	"strconv"
 
-	"repro/internal/paper"
-	"repro/internal/stats"
+	"repro/internal/report"
 	"repro/internal/sweep"
 )
 
-// Point is one x position of a reproduced figure.
-type Point struct {
-	X      int
-	IOs    stats.Interval
-	HitPct float64
-}
-
-// Figure is a reproduced figure: our simulated curve next to the paper's
-// published (digitized) curves.
-type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	Points []Point
-	Paper  paper.Series
-	// CalendarPeak is the event-calendar depth high-water mark across every
-	// point and replication of the figure — the scheduling load the kernel's
-	// calendar actually carried (see sim.Simulation.PeakPending).
-	CalendarPeak int
-	// BypassRate is the mean fraction of executed events that dispatched
-	// through the kernel's head-slot register rather than the calendar
-	// heap, averaged over the figure's points (see
-	// sim.Simulation.BypassRate). Like CalendarPeak it describes the
-	// execution schedule, never the simulated results.
-	BypassRate float64
-}
-
-// SimValues returns our simulated means in x order.
-func (f *Figure) SimValues() []float64 {
-	out := make([]float64, len(f.Points))
-	for i, p := range f.Points {
-		out[i] = p.IOs.Mean
+// Table renders a reproduction's result beside the paper's published
+// values, found by res.Name. A figure has one row per x position: the
+// paper's benchmark and simulated values, then our mean I/O count, its 95%
+// half-width and the hit percentage. A table has one row per published
+// metric, with a second pair of columns for its alternate variant where
+// it has one. A cell that did not complete shows its status, "(failed)"
+// or "(pending)", in place of its values. Table refuses a result that
+// names no reproduction or does not have the reproduction's cells.
+func Table(res *sweep.Result) (*report.Table, error) {
+	r := find(res.Name)
+	if r == nil {
+		return nil, fmt.Errorf("experiments: %q names no reproduction", res.Name)
 	}
-	return out
-}
-
-// TableRow is one row of a reproduced table.
-type TableRow struct {
-	Name       string
-	PaperBench float64
-	PaperSim   float64
-	Ours       stats.Interval
-	OursAlt    stats.Interval // second mode where applicable (e.g. logical OIDs)
-	HasAlt     bool
-}
-
-// TableResult is a reproduced table.
-type TableResult struct {
-	ID      string
-	Title   string
-	AltName string // meaning of OursAlt (empty if unused)
-	Rows    []TableRow
-}
-
-// RunFigure runs a figure spec (see Spec) and adapts the generic
-// multi-metric result onto the Figure shape: the I/O interval and the hit
-// percentage, next to the paper's digitized curves, found by s.Name. It
-// refuses a spec that names no figure. An interrupted run, or one with a
-// failed point under either failure policy, returns the partially adapted
-// figure alongside ctx's error or the first failed cell's error (missing
-// points carry zero intervals), so harnesses can render what completed.
-func RunFigure(ctx context.Context, s sweep.Sweep, o sweep.Options) (*Figure, error) {
-	r := find(s.Name)
-	if r == nil || r.isTable() {
-		return nil, fmt.Errorf("experiments: %q is not a figure", s.Name)
+	if want := len(r.spec().Axes[0].Points); len(res.Points) != want {
+		return nil, fmt.Errorf("experiments: %s result has %d cells, want %d", res.Name, len(res.Points), want)
 	}
-	res, err := s.RunContext(ctx, o)
-	if res == nil {
-		return nil, err
-	}
-	f := &Figure{ID: res.Name, Title: res.Title, XLabel: res.XLabel, Paper: r.paper}
-	f.Points = make([]Point, len(res.Points))
-	reached := 0
-	for i := range res.Points {
-		pr := &res.Points[i]
-		ios, _ := pr.Get(sweep.IOs)
-		hit, _ := pr.Get(sweep.HitPct)
-		f.Points[i] = Point{X: int(pr.X), IOs: ios, HitPct: hit.Mean}
-		if pr.Result != nil && pr.Result.CalendarPeak > f.CalendarPeak {
-			f.CalendarPeak = pr.Result.CalendarPeak
+	if !r.isTable() {
+		t := report.NewTable(
+			fmt.Sprintf("%s — %s (paper curves digitized, approximate)", res.Name, res.Title),
+			res.AxisNames[0], "paper bench", "paper sim", "ours", "±95%", "hit%")
+		for i := range res.Points {
+			pr := &res.Points[i]
+			cells := interval([]interface{}{int(pr.X), r.paper.Benchmark[i], r.paper.Simulated[i]}, pr, sweep.IOs)
+			if hit, ok := pr.Get(sweep.HitPct); ok {
+				cells = append(cells, hit.Mean)
+			}
+			t.Addf(cells...)
 		}
-		if pr.Result != nil {
-			f.BypassRate += pr.Result.BypassRate.Mean()
-			reached++
-		}
+		return t, nil
 	}
-	if reached > 0 {
-		f.BypassRate /= float64(reached)
+	headers := []string{"metric", "paper bench", "paper sim", "ours", "±95%"}
+	if r.alt != "" {
+		headers = append(headers, r.alt, "±95%")
 	}
-	if err == nil && len(res.Failures) > 0 {
-		err = res.Failures[0]
-	}
-	return f, err
-}
-
-// RunTable runs a table spec (see Spec) and adapts its per-variant metric
-// vectors onto the TableResult rows, next to the published values found by
-// s.Name. It refuses a spec that names no table. Unlike figures, a table
-// needs every variant cell, so an interruption returns the error alone,
-// and so does a failed cell under either failure policy.
-func RunTable(ctx context.Context, s sweep.Sweep, o sweep.Options) (*TableResult, error) {
-	r := find(s.Name)
-	if r == nil || !r.isTable() {
-		return nil, fmt.Errorf("experiments: %q is not a table", s.Name)
-	}
-	res, err := s.RunContext(ctx, o)
-	if err == nil && len(res.Failures) > 0 {
-		err = res.Failures[0]
-	}
-	if err != nil {
-		return nil, err
-	}
-	t := &TableResult{ID: res.Name, Title: res.Title, AltName: r.alt}
+	t := report.NewTable(fmt.Sprintf("%s — %s", res.Name, res.Title), headers...)
 	for _, row := range r.rows {
-		ours, _ := res.Points[0].Get(row.metric)
-		tr := TableRow{
-			Name:       row.name,
-			PaperBench: row.paper.Benchmark,
-			PaperSim:   row.paper.Simulated,
-			Ours:       ours,
+		cells := []interface{}{row.name, row.paper.Benchmark, row.paper.Simulated}
+		for i := range res.Points {
+			cells = interval(cells, &res.Points[i], row.metric)
 		}
-		if r.alt != "" {
-			alt, _ := res.Points[1].Get(row.metric)
-			tr.OursAlt, tr.HasAlt = alt, true
-		}
-		t.Rows = append(t.Rows, tr)
+		t.Addf(cells...)
 	}
 	return t, nil
+}
+
+// interval appends the cell's mean and 95% half-width of m, or, for a
+// cell that did not complete, its status and an empty half-width.
+func interval(cells []interface{}, pr *sweep.PointResult, m sweep.Metric) []interface{} {
+	if pr.Status != sweep.CellCompleted {
+		return append(cells, "("+pr.Status.String()+")", "")
+	}
+	v, _ := pr.Get(m)
+	return append(cells, v.Mean, v.HalfWidth)
+}
+
+// Chart draws a figure's result as an ASCII chart of our mean I/O counts
+// ("ours") and the paper's benchmark curve ("paper") over the figure's x
+// positions; a cell that did not complete leaves a gap. It returns "" for
+// a table's result and for one that names no figure.
+func Chart(res *sweep.Result, height int) string {
+	r := find(res.Name)
+	if r == nil || r.isTable() {
+		return ""
+	}
+	labels := make([]string, len(r.paper.X))
+	for i, x := range r.paper.X {
+		labels[i] = strconv.Itoa(x)
+	}
+	ours := make([]float64, len(res.Points))
+	for i := range res.Points {
+		ours[i] = math.NaN()
+		if ios, ok := res.Points[i].Get(sweep.IOs); ok {
+			ours[i] = ios.Mean
+		}
+	}
+	return report.ChartSeries(res.Name, labels,
+		[]report.Series{{Name: "ours", Values: ours}, {Name: "paper", Values: r.paper.Benchmark}}, height)
 }

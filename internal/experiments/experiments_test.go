@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,34 +33,20 @@ func TestNamesCoverEveryTableAndFigure(t *testing.T) {
 	}
 }
 
-// TestDispatchErrors: unknown ids and specs of the wrong kind are refused
-// before anything runs.
+// TestDispatchErrors: unknown ids are refused before anything runs, and
+// Table refuses a result that names no reproduction or lacks its cells.
 func TestDispatchErrors(t *testing.T) {
 	if _, err := Spec("fig99"); err == nil {
 		t.Error("unknown id accepted")
 	}
-	ctx := context.Background()
-	fig, err := Spec("fig6")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Table(&sweep.Result{Name: "fig99"}); err == nil {
+		t.Error("result of no reproduction accepted")
 	}
-	table, err := Spec("table6")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Table(&sweep.Result{Name: "table6", Points: make([]sweep.PointResult, 1)}); err == nil {
+		t.Error("table6 result with one of its two cells accepted")
 	}
-	if _, err := RunFigure(ctx, table, sweep.Options{}); err == nil {
-		t.Error("table spec accepted as figure")
-	}
-	if _, err := RunTable(ctx, fig, sweep.Options{}); err == nil {
-		t.Error("figure spec accepted as table")
-	}
-	fig.Name = "fig99"
-	if _, err := RunFigure(ctx, fig, sweep.Options{}); err == nil {
-		t.Error("unregistered figure accepted")
-	}
-	table.Name = "table99"
-	if _, err := RunTable(ctx, table, sweep.Options{}); err == nil {
-		t.Error("unregistered table accepted")
+	if c := Chart(&sweep.Result{Name: "table7"}, 12); c != "" {
+		t.Errorf("table drawn as a chart:\n%s", c)
 	}
 }
 
@@ -100,45 +88,94 @@ func TestTable7EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := RunTable(context.Background(), s, sweep.Options{Replications: 1, Seed: 4})
+	res, err := s.Run(sweep.Options{Replications: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.ID != "table7" || len(tbl.Rows) != 2 {
-		t.Fatalf("table: %+v", tbl)
+	if res.Name != "table7" || len(res.Points) != 1 {
+		t.Fatalf("result: %+v", res)
 	}
-	clusters := tbl.Rows[0].Ours.Mean
-	objPer := tbl.Rows[1].Ours.Mean
-	if clusters < 40 || clusters > 200 {
-		t.Errorf("clusters = %v, want Table 7 ballpark (≈ 82)", clusters)
+	clusters, _ := res.Points[0].Get(sweep.Clusters)
+	objPer, _ := res.Points[0].Get(sweep.ObjPerCluster)
+	if clusters.Mean < 40 || clusters.Mean > 200 {
+		t.Errorf("clusters = %v, want Table 7 ballpark (≈ 82)", clusters.Mean)
 	}
-	if objPer < 6 || objPer > 26 {
-		t.Errorf("objects/cluster = %v, want ≈ 13", objPer)
+	if objPer.Mean < 6 || objPer.Mean > 26 {
+		t.Errorf("objects/cluster = %v, want ≈ 13", objPer.Mean)
 	}
-	if tbl.Rows[0].PaperBench != 82.23 {
-		t.Error("paper reference lost")
+	tbl, err := Table(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2 || tbl.Rows[0][1] != "82.23" {
+		t.Errorf("paper reference lost: %v", tbl.Rows)
 	}
 }
 
-// TestFailedCellsFailTheRun: a failed cell fails RunFigure and RunTable
-// even under SkipFailed. The figure comes back with the error, and the
-// table returns the error alone instead of rows of zeros.
-func TestFailedCellsFailTheRun(t *testing.T) {
-	ctx := context.Background()
+// TestFailedCellsRender: under SkipFailed a cell that times out renders as
+// "(failed)" in a figure and in a table, never as "(pending)", and the
+// result lists every failed cell.
+func TestFailedCellsRender(t *testing.T) {
 	o := sweep.Options{Replications: 1, Seed: 1, Policy: sweep.SkipFailed, CellTimeout: time.Nanosecond}
-	var ce *sweep.CellError
-	fig, err := Spec("fig6")
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"fig6", "table7"} {
+		s, err := Spec(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunContext(context.Background(), o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if res.Failed() != len(res.Points) || len(res.Failures) != len(res.Points) {
+			t.Fatalf("%s: %d of %d cells failed, %d failures listed", id, res.Failed(), len(res.Points), len(res.Failures))
+		}
+		tbl, err := Table(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tbl.String() + tbl.CSV()
+		if !strings.Contains(out, "(failed)") || strings.Contains(out, "(pending)") {
+			t.Errorf("%s renders failed cells wrongly:\n%s", id, out)
+		}
 	}
-	if f, err := RunFigure(ctx, fig, o); !errors.As(err, &ce) || f == nil {
-		t.Errorf("RunFigure = %v, %v; want the partial figure and a *CellError", f, err)
+}
+
+// TestRenderGolden pins Table and Chart against the output of the
+// pre-refactor renderers: testdata holds what cmd/experiments printed for
+// -run fig6,table6 -reps 2 with -csv and with -chart before reproductions
+// rendered from sweep.Result.
+func TestRenderGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure and table skipped in -short mode")
 	}
-	table, err := Spec("table7")
-	if err != nil {
-		t.Fatal(err)
+	o := sweep.Options{Replications: 2, Seed: 1999}
+	var csv, chart strings.Builder
+	for _, id := range []string{"fig6", "table6"} {
+		s, err := Spec(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Table(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csv.WriteString(tbl.CSV())
+		chart.WriteString(tbl.String() + "\n")
+		if c := Chart(res, 12); c != "" {
+			chart.WriteString(c + "\n")
+		}
 	}
-	if tr, err := RunTable(ctx, table, o); !errors.As(err, &ce) || tr != nil {
-		t.Errorf("RunTable = %v, %v; want no table and a *CellError", tr, err)
+	for file, got := range map[string]string{"fig6_table6.csv": csv.String(), "fig6_table6_chart.txt": chart.String()} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s diverged:\n got\n%s\n want\n%s", file, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strconv"
 	"testing"
 
@@ -22,16 +21,14 @@ func hexInterval(ci stats.Interval) string {
 }
 
 // legacyFig6 is a verbatim copy of the pre-refactor hardcoded Figure 6
-// loop (the instanceSweep function this PR replaced with a declarative
-// spec): one context pool for the sweep, points executed largest-NO-first,
-// per-point seed o.Seed + NO. It returns the legacy figure points plus the
-// underlying per-point aggregates so the multi-metric intervals can be
-// pinned too.
-func legacyFig6(t *testing.T, o sweep.Options) ([]Point, []*core.Result) {
+// loop (the instanceSweep function the declarative spec replaced): one
+// context pool for the sweep, points executed largest-NO-first, per-point
+// seed o.Seed + NO. It returns the per-point aggregates, whose samples pin
+// every metric interval of the spec's result.
+func legacyFig6(t *testing.T, o sweep.Options) []*core.Result {
 	t.Helper()
 	cfg := systems.O2()
 	pool := core.NewContextPool()
-	points := make([]Point, len(paper.InstanceCounts))
 	results := make([]*core.Result, len(paper.InstanceCounts))
 	for i := len(paper.InstanceCounts) - 1; i >= 0; i-- {
 		no := paper.InstanceCounts[i]
@@ -47,52 +44,29 @@ func legacyFig6(t *testing.T, o sweep.Options) ([]Point, []*core.Result) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points[i] = Point{X: no, IOs: res.IOsCI(), HitPct: res.HitRatio.Mean() * 100}
 		results[i] = res
 	}
-	return points, results
+	return results
 }
 
 // TestDeclarativeFig6MatchesLegacy is the golden contract of the
 // declarative refactor: the Fig6 spec run through the generic sweep engine
-// must reproduce the pre-refactor hardcoded loop hex-exactly — the legacy
-// figure points (I/O interval, hit percentage) and the full per-metric
-// interval vector alike.
+// must reproduce the pre-refactor hardcoded loop hex-exactly — every
+// interval of its full metric vector, the I/O and hit-percentage intervals
+// Table renders among them.
 func TestDeclarativeFig6MatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep skipped in -short mode")
 	}
 	o := sweep.Options{Replications: 2, Seed: 1999}
-	wantPoints, wantResults := legacyFig6(t, o)
+	wantResults := legacyFig6(t, o)
 
 	spec, err := Spec("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunFigure(context.Background(), spec, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig6" || fig.XLabel != "instances" || len(fig.Points) != len(wantPoints) {
-		t.Fatalf("figure shape changed: %+v", fig)
-	}
-	for i, want := range wantPoints {
-		got := fig.Points[i]
-		if got.X != want.X {
-			t.Errorf("point %d: X = %d, want %d", i, got.X, want.X)
-		}
-		if hexInterval(got.IOs) != hexInterval(want.IOs) {
-			t.Errorf("point %d: IOs interval diverged:\n got  %s\n want %s",
-				i, hexInterval(got.IOs), hexInterval(want.IOs))
-		}
-		if hexF(got.HitPct) != hexF(want.HitPct) {
-			t.Errorf("point %d: HitPct diverged: got %s want %s",
-				i, hexF(got.HitPct), hexF(want.HitPct))
-		}
-	}
-
-	// The spec's full metric vector: every interval of every point must
-	// equal the Student-t interval over the legacy run's samples.
+	// Every interval of every point must equal the Student-t interval over
+	// the legacy run's samples.
 	res, err := spec.Run(o)
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,9 @@ package experiments
 // sweep.Sweep spec that the generic engine in internal/sweep executes and
 // the paper's published values. Nothing below runs a simulation — the
 // specs only describe base configuration, axis mutations, and metric
-// selection. RunFigure and RunTable (experiments.go) adapt the generic
-// sweep results back to the Figure/TableResult shapes; their outputs are
-// hex-identical to the pre-refactor hardcoded loops (pinned by
-// TestDeclarativeFig6MatchesLegacy).
+// selection. Table and Chart (experiments.go) set a spec's sweep.Result
+// beside the published values; the results are hex-identical to the
+// pre-refactor hardcoded loops (pinned by TestDeclarativeFig6MatchesLegacy).
 
 import (
 	"fmt"
@@ -110,9 +109,9 @@ func Names() []string {
 }
 
 // Spec returns the declarative sweep spec behind experiment id. Run it
-// with RunFigure or RunTable for the paper's shapes, or through
-// sweep.Sweep.Run for the full metric vector; callers may mutate it (its
-// Params.Layout, say) for derived studies.
+// through sweep.Sweep.RunContext and render the result with Table and
+// Chart; callers may mutate it (its Params.Layout, say) for derived
+// studies.
 func Spec(id string) (sweep.Sweep, error) {
 	r := find(id)
 	if r == nil {

@@ -139,32 +139,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Chart renders a crude ASCII line chart of one or more named series over a
-// shared integer x-axis — enough to eyeball the shape of a figure in a
-// terminal. Series are legended in name order; ChartSeries gives callers
-// explicit ordering and non-integer x labels.
-func Chart(title string, x []int, series map[string][]float64, height int) string {
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	// Deterministic legend order.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	labels := make([]string, len(x))
-	for i, xv := range x {
-		labels[i] = fmt.Sprintf("%d", xv)
-	}
-	ordered := make([]Series, len(names))
-	for i, name := range names {
-		ordered[i] = Series{Name: name, Values: series[name]}
-	}
-	return ChartSeries(title, labels, ordered, height)
-}
-
 // Series is one named curve of a multi-series chart.
 type Series struct {
 	Name   string
@@ -259,10 +233,10 @@ func heatShade(v, lo, hi float64) byte {
 	return heatRamp[i]
 }
 
-// ChartSeries renders an ASCII chart of the given curves over a shared
-// labelled x-axis, with the legend in slice order — the multi-metric /
-// multi-variant form used by sweep reports, where the x positions may be
-// floats or named variants and series order is meaningful.
+// ChartSeries renders a crude ASCII line chart of the given curves over a
+// shared labelled x-axis, with the legend in slice order — enough to
+// eyeball the shape of a figure or a sweep in a terminal, where the x
+// positions may be numbers or named variants. A NaN value leaves a gap.
 func ChartSeries(title string, xLabels []string, series []Series, height int) string {
 	if height < 4 {
 		height = 4

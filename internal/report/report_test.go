@@ -74,9 +74,9 @@ func TestCSV(t *testing.T) {
 }
 
 func TestChart(t *testing.T) {
-	out := Chart("Fig", []int{1, 2, 3}, map[string][]float64{
-		"bench": {1, 2, 3},
-		"sim":   {1.2, 2.1, 2.9},
+	out := ChartSeries("Fig", []string{"1", "2", "3"}, []Series{
+		{Name: "bench", Values: []float64{1, 2, 3}},
+		{Name: "sim", Values: []float64{1.2, 2.1, 2.9}},
 	}, 8)
 	if !strings.Contains(out, "Fig") || !strings.Contains(out, "* = bench") || !strings.Contains(out, "o = sim") {
 		t.Fatalf("chart missing parts:\n%s", out)
@@ -87,7 +87,7 @@ func TestChart(t *testing.T) {
 }
 
 func TestChartDegenerate(t *testing.T) {
-	out := Chart("Zero", []int{1}, map[string][]float64{"z": {0}}, 2)
+	out := ChartSeries("Zero", []string{"1"}, []Series{{Name: "z", Values: []float64{0}}}, 2)
 	if out == "" {
 		t.Fatal("empty chart")
 	}

@@ -247,12 +247,8 @@ var paramTable = []Param{
 	// Failure-injection knobs (§5 extension module).
 	numParam("mtbf", "server failure MTBF in ms (§5 extension; 0 = no failures)", false,
 		func(cfg *core.Config, _ *ocb.Params, v float64) {
-			if v > 0 {
-				cfg.Failures.Enabled = true
-				cfg.Failures.MTBFMs = v
-			} else {
-				cfg.Failures = core.FailureParams{}
-			}
+			cfg.Failures.Enabled = v != 0
+			cfg.Failures.MTBFMs = v
 		}),
 	numParam("repair", "mean failure repair time in ms (§5 extension)", false,
 		func(cfg *core.Config, _ *ocb.Params, v float64) { cfg.Failures.MeanRepairMs = v }),
@@ -287,11 +283,11 @@ var paramTable = []Param{
 		func(_ *core.Config, p *ocb.Params, v int) { p.ClassLocality = v }),
 	numParam("hotskew", "Zipf skew of traversal-root draws over the hot set (0 = uniform)", true,
 		func(_ *core.Config, p *ocb.Params, v float64) {
-			if v > 0 {
+			if v == 0 {
+				p.RootDist = ocb.Uniform
+			} else {
 				p.RootDist = ocb.Zipf
 				p.ZipfTheta = v
-			} else {
-				p.RootDist = ocb.Uniform
 			}
 		}),
 	asGenerative(enumParam("dblayout", "object-base generation layout (eager/eagerv2/stream; v2 layouts are bit-identical to each other)", layoutChoices,
@@ -333,7 +329,8 @@ func (p Param) canonicalChoice(tok string) (string, error) {
 // EnumAxis (choice lists). Point i uses SeedDelta i, so points draw
 // decorrelated random streams regardless of the value scale; enum and bool
 // points take their axis position X from the value's index. NaN is refused
-// for every parameter, ±Inf for integer ones; Sweep.Validate judges +Inf.
+// for every parameter, and a value outside the int range (±Inf among them)
+// for integer ones; Sweep.Validate judges +Inf.
 func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
 	param, ok := LookupParam(name)
 	if !ok {
@@ -347,7 +344,7 @@ func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
 	for _, v := range values {
 		v := v
 		if (v.Kind == KindNumeric || v.Kind == KindInteger) &&
-			(math.IsNaN(v.Num) || param.Kind == KindInteger && math.IsInf(v.Num, 0)) {
+			(math.IsNaN(v.Num) || param.Kind == KindInteger && !inIntRange(math.Round(v.Num))) {
 			return Axis{}, fmt.Errorf("sweep: parameter %q cannot take the value %v", param.Name, v.Num)
 		}
 		switch param.Kind {
@@ -411,6 +408,12 @@ func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
 		})
 	}
 	return axis, nil
+}
+
+// inIntRange reports whether the whole number x converts to an int
+// exactly; ±2^(IntSize-1) are exact float64 values, and ±Inf lie outside.
+func inIntRange(x float64) bool {
+	return x >= -(1<<(strconv.IntSize-1)) && x < 1<<(strconv.IntSize-1)
 }
 
 // ParamAxis builds an axis sweeping the named parameter over the given

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,6 +135,29 @@ func TestParseAxisErrors(t *testing.T) {
 		if _, err := ParseAxis(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+}
+
+// TestIntegerValuePastIntRange: an integer parameter refuses a value the
+// int type cannot hold and names it as given, not as the value the
+// conversion would wrap it to; the largest float64 below the limit builds.
+func TestIntegerValuePastIntRange(t *testing.T) {
+	for spec, want := range map[string]string{
+		"mpl=1e19":       `sweep: parameter "mpl" cannot take the value 1e+19`,
+		"buffpages=1e19": `sweep: parameter "buffpages" cannot take the value 1e+19`,
+		"no=-1e19":       `sweep: parameter "no" cannot take the value -1e+19`,
+		"mpl=1,2,1e300":  `sweep: parameter "mpl" cannot take the value 1e+300`,
+	} {
+		if _, err := ParseAxis(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want %q", spec, err, want)
+		}
+	}
+	limit := math.Ldexp(1, strconv.IntSize-1)
+	if _, err := ParamAxis("mpl", []float64{limit}); err == nil {
+		t.Errorf("mpl=%g (the int limit) accepted", limit)
+	}
+	if _, err := ParamAxis("mpl", []float64{math.Nextafter(limit, 0), -limit}); err != nil {
+		t.Errorf("whole numbers inside the int range refused: %v", err)
 	}
 }
 

@@ -30,7 +30,7 @@ func (pr *PointResult) statusCells(cells []interface{}, metrics int) []interface
 // cell, one leading column per axis, then a mean and half-width column per
 // metric. (1-D sweeps keep their classic single key column.)
 func (r *Result) Table() *report.Table {
-	headers := append([]string(nil), r.axisNames()...)
+	headers := append([]string(nil), r.AxisNames...)
 	for _, m := range r.Metrics {
 		headers = append(headers, m.Label(), "±")
 	}
@@ -38,7 +38,7 @@ func (r *Result) Table() *report.Table {
 	for i := range r.Points {
 		pr := &r.Points[i]
 		cells := make([]interface{}, 0, len(headers))
-		for _, l := range r.cellLabels(pr) {
+		for _, l := range pr.Labels {
 			cells = append(cells, l)
 		}
 		if len(pr.Values) == 0 {
@@ -50,23 +50,6 @@ func (r *Result) Table() *report.Table {
 		t.Addf(cells...)
 	}
 	return t
-}
-
-// axisNames returns one key-column header per axis (falling back to the
-// legacy XLabel for hand-built 1-D results).
-func (r *Result) axisNames() []string {
-	if len(r.AxisNames) > 0 {
-		return r.AxisNames
-	}
-	return []string{r.XLabel}
-}
-
-// cellLabels returns the point's per-axis key cells.
-func (r *Result) cellLabels(pr *PointResult) []string {
-	if len(pr.Labels) > 0 {
-		return pr.Labels
-	}
-	return []string{pr.Label}
 }
 
 // Text renders the aligned table to a string.

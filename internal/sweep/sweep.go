@@ -252,9 +252,6 @@ func (pr *PointResult) Get(m Metric) (stats.Interval, bool) {
 type Result struct {
 	Name  string
 	Title string
-	// XLabel is the first axis's name (1-D) or the "×"-joined axis names
-	// (grids).
-	XLabel string
 	// AxisNames are the axes' names, in declaration order.
 	AxisNames []string
 	// Shape is the number of points per axis; len(Points) is its product.
@@ -548,14 +545,9 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	names, shape, cells := s.grid()
-	xlabel := names[0]
-	if len(names) > 1 {
-		xlabel = strings.Join(names, " × ")
-	}
 	res := &Result{
 		Name:      s.Name,
 		Title:     s.Title,
-		XLabel:    xlabel,
 		AxisNames: names,
 		Shape:     shape,
 		Metrics:   metrics,

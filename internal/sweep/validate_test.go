@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -16,8 +17,7 @@ func defaultBaseSweep(ax Axis) Sweep {
 
 // TestNonFiniteValuesRefused: NaN on any registry parameter, and +Inf on
 // any but netthru (documented as a free network), is refused before any
-// cell runs, by the axis constructor or by Sweep.Validate. Accepted, NaN
-// is misread (the mtbf and hotskew mutators take it for "off"), and an
+// cell runs, by the axis constructor or by Sweep.Validate. Accepted, an
 // infinite time yields a NaN response time.
 func TestNonFiniteValuesRefused(t *testing.T) {
 	check := func(name string, v float64) error {
@@ -38,6 +38,46 @@ func TestNonFiniteValuesRefused(t *testing.T) {
 			t.Errorf("netthru=+Inf (a free network) refused: %v", err)
 		case p.Name != "netthru" && err == nil:
 			t.Errorf("%s=+Inf accepted", p.Name)
+		}
+	}
+}
+
+// TestMeaninglessValuesRefused: the failure and skew parameters take 0 for
+// "off" and any other value as meant, so a negative MTBF or skew, and a
+// repair time without failures, reach the model's checks and Sweep.Validate
+// refuses them, naming the cell, whatever the axis order. The values that
+// mean something still pass.
+func TestMeaninglessValuesRefused(t *testing.T) {
+	sweepOf := func(specs ...string) Sweep {
+		s := Sweep{Name: "probe", Config: core.DefaultConfig(), Params: ocb.DefaultParams()}
+		for _, spec := range specs {
+			ax, err := ParseAxis(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Axes = append(s.Axes, ax)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		axes []string
+		cell string
+	}{
+		{[]string{"mtbf=-5,0"}, "cell mtbf=-5: "},
+		{[]string{"hotskew=-1,0"}, "cell hotskew=-1: "},
+		{[]string{"repair=5,50"}, "cell repair=5: "},
+		{[]string{"mtbf=0,1000", "repair=200"}, "cell mtbf=0 repair=200: "},
+		{[]string{"repair=200", "mtbf=0,1000"}, "cell repair=200 mtbf=0: "},
+	} {
+		s := sweepOf(c.axes...)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), c.cell) {
+			t.Errorf("%v: %v, want it refused naming %q", c.axes, err, c.cell)
+		}
+	}
+	for _, axes := range [][]string{{"mtbf=0,1000"}, {"mtbf=1000,5000", "repair=200"}, {"hotskew=0,0.86"}} {
+		s := sweepOf(axes...)
+		if err := s.Validate(); err != nil {
+			t.Errorf("%v refused: %v", axes, err)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 # it from the checkpoint journal, and require the final CSV to be
 # byte-identical to an uninterrupted run — the end-to-end proof of the
 # sweep engine's checkpoint/resume contract through the real binary and a
-# real signal.
+# real signal. Then interrupt a figure reproduction (-run) the same way:
+# it shares the sweep's exit statuses, so it must exit 130.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,3 +62,32 @@ for layout in eager stream; do
   cmp "$workdir/full.csv" "$workdir/resumed.csv"
   echo "resume smoke OK ($layout): resumed CSV is byte-identical"
 done
+
+# A -run reproduction runs the same loop as -sweep, so a signal must end it
+# with exit status 130 and its unreached points rendered as pending.
+echo "== -run fig6, SIGTERM after the first progress line"
+set +e
+"$workdir/experiments" -run fig6 -reps 60 -workers 1 -v \
+  > "$workdir/fig6.out" 2> "$workdir/fig6.log" &
+pid=$!
+for _ in $(seq 1 1200); do
+  if [ -s "$workdir/fig6.log" ]; then
+    kill -TERM "$pid"
+    break
+  fi
+  sleep 0.05
+done
+wait "$pid"
+rc=$?
+set -e
+cat "$workdir/fig6.log"
+if [ "$rc" -eq 130 ]; then
+  if ! grep -q '(pending)' "$workdir/fig6.out"; then
+    echo "interrupted -run rendered no pending point" >&2
+    exit 1
+  fi
+elif [ "$rc" -ne 0 ]; then
+  echo "interrupted -run exited $rc (want 130 on SIGTERM or 0 if it outran the signal)" >&2
+  exit 1
+fi
+echo "-run interrupt OK (exit $rc)"
