@@ -11,9 +11,10 @@ import (
 // txnState drives the Transaction Manager's per-transaction state machine.
 // Each state corresponds to one activity of the knowledge model (acquire
 // lock, extract object, extract pages, access disk, perform treatment
-// related to clustering); step() dispatches on it, so the kernel schedules
-// one reusable continuation per transaction instead of a fresh closure per
-// activity.
+// related to clustering); step() dispatches on it. A transaction goes back
+// to the kernel, through its one reusable continuation, only when another
+// event may fire before its next activity; otherwise it continues in place
+// (see step).
 type txnState uint8
 
 const (
@@ -114,12 +115,11 @@ type txnExec struct {
 
 	cpuRes *sim.Resource
 
-	// cont is the one reusable continuation scheduled on the kernel;
-	// lockGranted/lockDied are the pre-bound lock-table callbacks. All
-	// three are created once per executor lifetime.
+	// cont is the one reusable continuation scheduled on the kernel, and
+	// the only kernel entry; lockGranted is the pre-bound callback of a
+	// queued lock request. Both are created once per executor lifetime.
 	cont        func()
 	lockGranted func()
-	lockDied    func()
 }
 
 // getExec pops a recycled executor or builds one, binding its permanent
@@ -131,12 +131,11 @@ func (r *Run) getExec() *txnExec {
 		return e
 	}
 	e := &txnExec{r: r}
-	e.cont = e.step
+	e.cont = func() { e.step(true) }
 	e.lockGranted = func() {
 		e.state = stFetchObject
-		e.step()
+		e.step(false)
 	}
-	e.lockDied = e.restart
 	return e
 }
 
@@ -149,7 +148,9 @@ func (r *Run) submit(tx *ocb.Transaction, done func()) {
 	e.state = stBegin
 	// The database passive resource schedules transactions according to
 	// the multiprogramming level (Table 1).
-	r.admission.Request(e.cont)
+	if e.acquire(r.admission) {
+		e.step(false)
+	}
 }
 
 // restart aborts after a wait-die death: release everything, pause briefly,
@@ -163,21 +164,54 @@ func (e *txnExec) restart() {
 
 // diskIO acquires the disk controller, holds it for the transfer time of
 // one page op, releases, then resumes at next. Equivalent to Run.use with
-// a ReadTime or WriteTime service, without the per-call closures.
-func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) {
+// a ReadTime or WriteTime service, without the per-call closures. It
+// reports whether the controller was free, so the caller continues in
+// place.
+func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) bool {
 	e.diskPage = p
 	e.diskWrite = write
 	e.afterDisk = next
 	e.state = stDiskGrant
-	e.r.diskRes.Request(e.cont)
+	return e.acquire(e.r.diskRes)
 }
 
-// step executes states until the transaction hands off to the kernel (a
-// scheduled delay, a resource grant, or a lock decision). Pure transitions
-// loop in place; any call that may fire callbacks returns immediately so
-// re-entrant execution (inline grants, zero delays) never resumes a stale
-// frame.
-func (e *txnExec) step() {
+// acquire takes a token of res for the state already set. It reports true
+// when one was free, so the caller continues in place, and otherwise
+// queues the continuation, which a release grants through the kernel.
+func (e *txnExec) acquire(res *sim.Resource) bool {
+	if res.TryAcquire() {
+		return true
+	}
+	res.Request(e.cont)
+	return false
+}
+
+// wait charges d ms before the state already set. It reports true when the
+// caller continues in place: d is zero, or the kernel entry may advance
+// the clock because no other event can fire first (sim.Advance).
+// Otherwise it schedules the continuation and reports false.
+func (e *txnExec) wait(d float64, kernel bool) bool {
+	if d <= 0 || (kernel && e.r.sim.Advance(d)) {
+		return true
+	}
+	e.r.sim.Schedule(d, e.cont)
+	return false
+}
+
+// step executes states until the transaction hands off: a scheduled delay,
+// a queued resource or lock request, a restart, or commit. Everything else
+// loops in place — zero delays, free resources, immediate lock grants —
+// and so do delays when kernel is set, as long as no other event can fire
+// first.
+//
+// kernel is set only on the kernel entry, e.cont: its frame ends the
+// running event, so advancing the clock there is what returning to the
+// kernel would do. The synchronous entries never advance: submit, which
+// runs inside the previous transaction's commit (advancing there would
+// nest every later transaction of the batch in one stack), and
+// lockGranted, which runs inside another transaction's release while the
+// lock table goes on granting after it returns.
+func (e *txnExec) step(kernel bool) {
 	r := e.r
 	for {
 		switch e.state {
@@ -198,13 +232,16 @@ func (e *txnExec) step() {
 			if e.opIdx >= len(e.tx.Ops) {
 				held := r.locks.HeldCount(e.txid)
 				e.state = stCommit
-				r.after(float64(held)*r.cfg.RelLockMs, e.cont)
-				return
+				if !e.wait(float64(held)*r.cfg.RelLockMs, kernel) {
+					return
+				}
+				continue
 			}
 			// GETLOCK service time, then the lock table decides.
 			e.state = stGetLock
-			r.after(r.cfg.GetLockMs, e.cont)
-			return
+			if !e.wait(r.cfg.GetLockMs, kernel) {
+				return
+			}
 
 		case stGetLock:
 			op := e.tx.Ops[e.opIdx]
@@ -212,8 +249,15 @@ func (e *txnExec) step() {
 			if op.Write() {
 				mode = lock.Exclusive
 			}
-			r.locks.Acquire(e.txid, lock.Item(op.Object()), mode, e.lockGranted, e.lockDied)
-			return
+			switch r.locks.Acquire(e.txid, lock.Item(op.Object()), mode, e.lockGranted) {
+			case lock.Granted:
+				e.state = stFetchObject
+			case lock.Queued:
+				return
+			case lock.Died:
+				e.restart()
+				return
+			}
 
 		case stFetchObject:
 			first, span := r.store.Pages(e.tx.Ops[e.opIdx].Object())
@@ -255,12 +299,14 @@ func (e *txnExec) step() {
 			}
 			p := e.evs[e.evIdx].Page
 			e.evIdx++
-			e.diskIO(p, true, stEvict)
-			return
+			if !e.diskIO(p, true, stEvict) {
+				return
+			}
 
 		case stReadFault:
-			e.diskIO(e.faultPage, false, stFaultLoaded)
-			return
+			if !e.diskIO(e.faultPage, false, stFaultLoaded) {
+				return
+			}
 
 		case stFaultLoaded:
 			if r.cfg.SwizzleDirty {
@@ -286,8 +332,9 @@ func (e *txnExec) step() {
 			e.state = stPageDone
 
 		case stReadPrefetch:
-			e.diskIO(e.prefetchPage, false, stPageDone)
-			return
+			if !e.diskIO(e.prefetchPage, false, stPageDone) {
+				return
+			}
 
 		case stPageDone:
 			if e.loaded && r.cfg.ReserveOnLoad {
@@ -317,27 +364,27 @@ func (e *txnExec) step() {
 			// Page server systems ship the page to the client; object
 			// servers ship the object once found (charged in stTreatment);
 			// centralized and DB servers move nothing.
-			if r.cfg.System == PageServer && !r.net.IsFree() {
-				e.state = stFetchPage
-				r.after(r.net.TransferTime(r.cfg.PageSize), e.cont)
-				return
-			}
 			e.state = stFetchPage
+			if r.cfg.System == PageServer && !r.net.IsFree() {
+				if !e.wait(r.net.TransferTime(r.cfg.PageSize), kernel) {
+					return
+				}
+			}
 
 		case stTreatment:
+			e.state = stCPU
 			if r.cfg.System == ObjectServer && !r.net.IsFree() {
 				size := int(r.db.SizeOf(e.tx.Ops[e.opIdx].Object()))
-				e.state = stCPU
-				r.after(r.net.TransferTime(size), e.cont)
-				return
+				if !e.wait(r.net.TransferTime(size), kernel) {
+					return
+				}
 			}
 			if r.cfg.System == DBServer && !r.net.IsFree() {
 				// Ship a small per-operation result record.
-				e.state = stCPU
-				r.after(r.net.TransferTime(64), e.cont)
-				return
+				if !e.wait(r.net.TransferTime(64), kernel) {
+					return
+				}
 			}
-			e.state = stCPU
 
 		case stCPU:
 			cpu := r.serverCPU
@@ -346,17 +393,15 @@ func (e *txnExec) step() {
 			}
 			e.cpuRes = cpu
 			e.state = stCPUGranted
-			cpu.Request(e.cont)
-			return
-
-		case stCPUGranted:
-			if d := r.cfg.ObjectCPUMs; d > 0 {
-				e.state = stCPURelease
-				r.sim.Schedule(d, e.cont)
+			if !e.acquire(cpu) {
 				return
 			}
-			e.cpuRes.Release()
-			e.state = stOpDone
+
+		case stCPUGranted:
+			e.state = stCPURelease
+			if !e.wait(r.cfg.ObjectCPUMs, kernel) {
+				return
+			}
 
 		case stCPURelease:
 			e.cpuRes.Release()
@@ -378,14 +423,10 @@ func (e *txnExec) step() {
 			} else {
 				d = r.dsk.ReadTime(e.diskPage)
 			}
-			if d <= 0 {
-				r.diskRes.Release()
-				e.state = e.afterDisk
-				continue
-			}
 			e.state = stDiskRelease
-			r.sim.Schedule(d, e.cont)
-			return
+			if !e.wait(d, kernel) {
+				return
+			}
 
 		case stDiskRelease:
 			r.diskRes.Release()

@@ -9,11 +9,12 @@ import "testing"
 func BenchmarkAcquireReleaseCycle(b *testing.B) {
 	m := NewManager()
 	granted := func() {}
-	died := func() { b.Fatal("unexpected wait-die death") }
 	cycle := func() {
 		tx := m.Begin()
 		for item := Item(0); item < 16; item++ {
-			m.Acquire(tx, item, Shared, granted, died)
+			if m.Acquire(tx, item, Shared, granted) != Granted {
+				b.Fatal("uncontended request not granted")
+			}
 		}
 		m.End(tx)
 	}
@@ -32,15 +33,17 @@ func BenchmarkAcquireReleaseCycle(b *testing.B) {
 func BenchmarkAcquireConflictDispatch(b *testing.B) {
 	m := NewManager()
 	granted := func() {}
-	died := func() { b.Fatal("unexpected wait-die death") }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		older := m.Begin()
 		younger := m.Begin()
-		m.Acquire(younger, 1, Exclusive, granted, died)
-		m.Acquire(older, 1, Exclusive, granted, died) // queues behind younger
-		m.End(younger)                                // dispatch grants older
+		m.Acquire(younger, 1, Exclusive, granted)
+		// The older request queues behind younger.
+		if m.Acquire(older, 1, Exclusive, granted) != Queued {
+			b.Fatal("older request did not queue")
+		}
+		m.End(younger) // dispatch grants older
 		m.End(older)
 	}
 }
@@ -51,12 +54,13 @@ func BenchmarkAcquireConflictDispatch(b *testing.B) {
 func BenchmarkReleaseAllWide(b *testing.B) {
 	m := NewManager()
 	granted := func() {}
-	died := func() { b.Fatal("unexpected wait-die death") }
 	wide := func() {
 		tx := m.Begin()
 		// Acquire in a scrambled order so the sort does real work.
 		for k := 0; k < 256; k++ {
-			m.Acquire(tx, Item((k*167)%256), Shared, granted, died)
+			if m.Acquire(tx, Item((k*167)%256), Shared, granted) != Granted {
+				b.Fatal("uncontended request not granted")
+			}
 		}
 		m.End(tx)
 	}

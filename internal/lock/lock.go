@@ -9,6 +9,12 @@
 // read-only, so conflicts never arise there, but the substrate is complete
 // so that write mixes and MULTILVL > 1 behave correctly.
 //
+// Acquire returns its decision (Granted, Queued or Died), so the requester
+// goes on in its own frame. The one callback is a queued request's grant:
+// it runs later, inside the release (ReleaseAll or End) of another
+// transaction, which goes on granting further requests after the callback
+// returns.
+//
 // The table is allocation-free in steady state, following the DESP-C++
 // discipline of recycling rather than reallocating: each transaction's
 // held locks live in a dense list recycled through a free list (no
@@ -54,7 +60,34 @@ type request struct {
 	tx      TxID
 	mode    Mode
 	granted func()
-	died    func()
+}
+
+// Outcome is the lock table's decision on a request.
+type Outcome uint8
+
+const (
+	// Granted means the lock is held when Acquire returns.
+	Granted Outcome = iota
+	// Queued means the request waits behind conflicting holders or
+	// requests; its granted callback runs when a release grants it.
+	Queued
+	// Died means the transaction lost a wait-die conflict and must abort
+	// (release everything and retry).
+	Died
+)
+
+// String returns the outcome's name.
+func (o Outcome) String() string {
+	switch o {
+	case Granted:
+		return "granted"
+	case Queued:
+		return "queued"
+	case Died:
+		return "died"
+	default:
+		return fmt.Sprintf("Outcome(%d)", o)
+	}
 }
 
 // holderSlot records one holder of an item.
@@ -486,12 +519,14 @@ func (rec *txRec) updateHeld(item Item, e *entry, mode Mode) {
 	rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 }
 
-// Acquire requests item in the given mode for tx. Exactly one of granted or
-// died is invoked — possibly immediately (before Acquire returns), or later
-// when a conflicting holder releases. died means the transaction lost a
-// wait-die conflict and must abort (release everything and retry).
-func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
-	if granted == nil || died == nil {
+// Acquire requests item in the given mode for tx and returns the table's
+// decision: Granted and Died are final when Acquire returns, and granted is
+// not called for them. A Queued request is answered later, by a release
+// that grants it: granted then runs exactly once, inside that release (or
+// never, if tx ends first). A queued request never dies: wait-die decides
+// death when the request is made.
+func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome {
+	if granted == nil {
 		panic("lock: Acquire with nil callback")
 	}
 	rec := m.lookupTx(tx)
@@ -508,45 +543,29 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 		e.setHolder(tx, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 		m.acquisitions++
-		granted()
-		return
+		return Granted
 	}
 
 	// Re-entrant cases.
 	if have, ok := e.findHolder(tx); ok {
 		if have == Exclusive || mode == Shared {
 			m.acquisitions++
-			granted()
-			return
+			return Granted
 		}
 		// Upgrade S → X: immediate if sole holder.
 		if e.numHolders() == 1 {
 			e.setHolder(tx, Exclusive)
 			rec.updateHeld(item, e, Exclusive)
 			m.acquisitions++
-			granted()
-			return
+			return Granted
 		}
-		// Conflicting upgrade: wait-die against the other holders and the
-		// queue.
-		if m.youngerThanAnyBlocker(e, tx, Exclusive) {
-			m.deaths++
-			died()
-			return
-		}
-		m.waits++
-		m.queued++
-		e.queue = append(e.queue, request{tx: tx, mode: Exclusive, granted: granted, died: died})
-		rec.waits = append(rec.waits, item)
-		return
-	}
-
-	if m.compatible(e, tx, mode) && len(e.queue) == 0 {
+		// Conflicting upgrade: it waits or dies as an exclusive request.
+		mode = Exclusive
+	} else if m.compatible(e, tx, mode) && len(e.queue) == 0 {
 		e.setHolder(tx, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
 		m.acquisitions++
-		granted()
-		return
+		return Granted
 	}
 	// Wait-die: a transaction younger than anyone it would wait behind —
 	// current holders AND conflicting queued requesters (FIFO queuing
@@ -554,13 +573,13 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 	// through the queue) — dies.
 	if m.youngerThanAnyBlocker(e, tx, mode) {
 		m.deaths++
-		died()
-		return
+		return Died
 	}
 	m.waits++
 	m.queued++
-	e.queue = append(e.queue, request{tx: tx, mode: mode, granted: granted, died: died})
+	e.queue = append(e.queue, request{tx: tx, mode: mode, granted: granted})
 	rec.waits = append(rec.waits, item)
+	return Queued
 }
 
 // compatible reports whether tx may take item in mode alongside the current

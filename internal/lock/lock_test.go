@@ -6,15 +6,31 @@ import (
 	"testing"
 )
 
-func grantFlag(flag *bool) func() { return func() { *flag = true } }
+// count returns a granted callback that counts its calls in *n.
+func count(n *int) func() { return func() { *n++ } }
 
+// never returns a granted callback that fails the test if it runs.
+func never(t *testing.T, why string) func() { return func() { t.Fatal(why) } }
+
+// ask requests item and fails unless the table decides want.
+func ask(t *testing.T, m *Manager, tx TxID, item Item, mode Mode, want Outcome, granted func()) {
+	t.Helper()
+	if got := m.Acquire(tx, item, mode, granted); got != want {
+		t.Fatalf("tx %d, %v on %d: %v, want %v", tx, mode, item, got, want)
+	}
+}
+
+// mustGrant asks for item and fails unless it is granted at once; the
+// callback of a request decided at once never runs.
 func mustGrant(t *testing.T, m *Manager, tx TxID, item Item, mode Mode) {
 	t.Helper()
-	granted := false
-	m.Acquire(tx, item, mode, grantFlag(&granted), func() { t.Fatalf("tx %d died on %d", tx, item) })
-	if !granted {
-		t.Fatalf("tx %d not granted %v on %d", tx, mode, item)
-	}
+	ask(t, m, tx, item, mode, Granted, never(t, "granted callback ran for an immediate grant"))
+}
+
+// mustDie asks for item and fails unless the requester loses wait-die.
+func mustDie(t *testing.T, m *Manager, tx TxID, item Item, mode Mode) {
+	t.Helper()
+	ask(t, m, tx, item, mode, Died, never(t, "granted callback ran for a wait-die death"))
 }
 
 func TestSharedCompatible(t *testing.T) {
@@ -32,11 +48,7 @@ func TestExclusiveConflicts(t *testing.T) {
 	t1, t2 := m.Begin(), m.Begin()
 	mustGrant(t, m, t1, 1, Exclusive)
 	// t2 is younger → wait-die kills it.
-	died := false
-	m.Acquire(t2, 1, Shared, func() { t.Fatal("granted over X lock") }, grantFlag(&died))
-	if !died {
-		t.Fatal("younger conflicting transaction should die")
-	}
+	mustDie(t, m, t2, 1, Shared)
 	if m.Deaths() != 1 {
 		t.Errorf("deaths = %d", m.Deaths())
 	}
@@ -46,34 +58,53 @@ func TestOlderWaitsAndIsGranted(t *testing.T) {
 	m := NewManager()
 	t1, t2 := m.Begin(), m.Begin()
 	mustGrant(t, m, t2, 1, Exclusive) // younger holds
-	granted := false
-	m.Acquire(t1, 1, Exclusive, grantFlag(&granted), func() { t.Fatal("older tx died") })
-	if granted {
+	granted := 0
+	ask(t, m, t1, 1, Exclusive, Queued, count(&granted))
+	if granted != 0 {
 		t.Fatal("granted while conflicting holder exists")
 	}
 	if m.Waits() != 1 {
 		t.Errorf("waits = %d", m.Waits())
 	}
 	m.ReleaseAll(t2)
-	if !granted {
-		t.Fatal("queued request not granted on release")
+	if granted != 1 {
+		t.Fatalf("queued request's callback ran %d times on release, want 1", granted)
+	}
+}
+
+// TestQueuedGrantRunsOnce: a queued request's callback runs exactly once,
+// inside the release that grants it, and never again — not on a later
+// re-entrant request by its owner, nor at the owner's End.
+func TestQueuedGrantRunsOnce(t *testing.T) {
+	m := NewManager()
+	older, younger := m.Begin(), m.Begin()
+	mustGrant(t, m, younger, 1, Exclusive)
+	granted := 0
+	ask(t, m, older, 1, Exclusive, Queued, count(&granted))
+	m.End(younger)
+	if granted != 1 {
+		t.Fatalf("callback ran %d times at the granting release, want 1", granted)
+	}
+	if mode, ok := m.Holds(older, 1); !ok || mode != Exclusive {
+		t.Fatalf("Holds = %v %v after the queued grant, want X", mode, ok)
+	}
+	mustGrant(t, m, older, 1, Shared)
+	m.End(older)
+	if granted != 1 {
+		t.Fatalf("callback ran %d times, want 1", granted)
 	}
 }
 
 func TestFIFOGrantOnRelease(t *testing.T) {
+	// Waiters must be older than the holder, or wait-die kills them, so
+	// they begin first.
 	m := NewManager()
-	holder := m.Begin()
-	mustGrant(t, m, holder, 1, Exclusive)
-	// Two older… impossible: Begin order gives increasing IDs. Instead use
-	// shared waiters queued behind an exclusive holder — they cannot die
-	// only if older; so create waiters first. Rebuild scenario:
-	m2 := NewManager()
-	w1, w2, h := m2.Begin(), m2.Begin(), m2.Begin()
-	mustGrant(t, m2, h, 5, Exclusive) // youngest holds
+	w1, w2, h := m.Begin(), m.Begin(), m.Begin()
+	mustGrant(t, m, h, 5, Exclusive) // youngest holds
 	var order []int
-	m2.Acquire(w1, 5, Shared, func() { order = append(order, 1) }, func() { t.Fatal("w1 died") })
-	m2.Acquire(w2, 5, Shared, func() { order = append(order, 2) }, func() { t.Fatal("w2 died") })
-	m2.ReleaseAll(h)
+	ask(t, m, w1, 5, Shared, Queued, func() { order = append(order, 1) })
+	ask(t, m, w2, 5, Shared, Queued, func() { order = append(order, 2) })
+	m.ReleaseAll(h)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("grant order = %v, want [1 2]", order)
 	}
@@ -83,12 +114,12 @@ func TestSharedBatchGranted(t *testing.T) {
 	m := NewManager()
 	w1, w2, h := m.Begin(), m.Begin(), m.Begin()
 	mustGrant(t, m, h, 1, Exclusive)
-	g1, g2 := false, false
-	m.Acquire(w1, 1, Shared, grantFlag(&g1), func() { t.Fatal("died") })
-	m.Acquire(w2, 1, Shared, grantFlag(&g2), func() { t.Fatal("died") })
+	g1, g2 := 0, 0
+	ask(t, m, w1, 1, Shared, Queued, count(&g1))
+	ask(t, m, w2, 1, Shared, Queued, count(&g2))
 	m.ReleaseAll(h)
-	if !g1 || !g2 {
-		t.Fatal("both shared waiters should be granted together")
+	if g1 != 1 || g2 != 1 {
+		t.Fatalf("shared waiters granted %d and %d times, want both once", g1, g2)
 	}
 }
 
@@ -99,25 +130,18 @@ func TestQueuedExclusiveBlocksLaterShared(t *testing.T) {
 	m := NewManager()
 	sw, xw, h := m.Begin(), m.Begin(), m.Begin()
 	mustGrant(t, m, h, 1, Shared)
-	xGranted := false
-	m.Acquire(xw, 1, Exclusive, grantFlag(&xGranted), func() { t.Fatal("xw died") })
-	if xGranted {
-		t.Fatal("X granted alongside S")
-	}
-	sGranted := false
-	m.Acquire(sw, 1, Shared, grantFlag(&sGranted), func() { t.Fatal("sw died") })
-	if sGranted {
-		t.Fatal("S jumped over queued X")
-	}
+	xGranted, sGranted := 0, 0
+	ask(t, m, xw, 1, Exclusive, Queued, count(&xGranted))
+	ask(t, m, sw, 1, Shared, Queued, count(&sGranted))
 	m.ReleaseAll(h)
-	if !xGranted {
+	if xGranted != 1 {
 		t.Fatal("X not granted after release")
 	}
-	if sGranted {
+	if sGranted != 0 {
 		t.Fatal("S granted alongside X")
 	}
 	m.ReleaseAll(xw)
-	if !sGranted {
+	if sGranted != 1 {
 		t.Fatal("S not granted after X release")
 	}
 }
@@ -139,11 +163,7 @@ func TestUpgradeConflictYoungerDies(t *testing.T) {
 	older, younger := m.Begin(), m.Begin()
 	mustGrant(t, m, older, 1, Shared)
 	mustGrant(t, m, younger, 1, Shared)
-	died := false
-	m.Acquire(younger, 1, Exclusive, func() { t.Fatal("upgrade granted over S holder") }, grantFlag(&died))
-	if !died {
-		t.Fatal("younger upgrade over older S holder should die")
-	}
+	mustDie(t, m, younger, 1, Exclusive)
 }
 
 func TestUpgradeWaitsThenGranted(t *testing.T) {
@@ -151,14 +171,11 @@ func TestUpgradeWaitsThenGranted(t *testing.T) {
 	older, younger := m.Begin(), m.Begin()
 	mustGrant(t, m, older, 1, Shared)
 	mustGrant(t, m, younger, 1, Shared)
-	granted := false
-	m.Acquire(older, 1, Exclusive, grantFlag(&granted), func() { t.Fatal("older died") })
-	if granted {
-		t.Fatal("upgrade granted while another S holder exists")
-	}
+	granted := 0
+	ask(t, m, older, 1, Exclusive, Queued, count(&granted))
 	m.ReleaseAll(younger)
-	if !granted {
-		t.Fatal("upgrade not granted after other holder released")
+	if granted != 1 {
+		t.Fatalf("upgrade callback ran %d times after the other holder released, want 1", granted)
 	}
 	if mode, _ := m.Holds(older, 1); mode != Exclusive {
 		t.Fatalf("mode after upgrade = %v", mode)
@@ -188,9 +205,9 @@ func TestEndAbandonsQueuedRequests(t *testing.T) {
 	m := NewManager()
 	w, h := m.Begin(), m.Begin()
 	mustGrant(t, m, h, 1, Exclusive)
-	m.Acquire(w, 1, Exclusive, func() { t.Fatal("granted after End") }, func() { t.Fatal("died after End") })
+	ask(t, m, w, 1, Exclusive, Queued, never(t, "granted after End"))
 	m.End(w)
-	m.ReleaseAll(h) // must not fire w's callbacks
+	m.ReleaseAll(h) // must not fire w's callback
 }
 
 func TestWaitDiePreventsDeadlockCycle(t *testing.T) {
@@ -200,16 +217,12 @@ func TestWaitDiePreventsDeadlockCycle(t *testing.T) {
 	t1, t2 := m.Begin(), m.Begin()
 	mustGrant(t, m, t1, 'A', Exclusive)
 	mustGrant(t, m, t2, 'B', Exclusive)
-	t1got := false
-	m.Acquire(t1, 'B', Exclusive, grantFlag(&t1got), func() { t.Fatal("older died") })
-	died := false
-	m.Acquire(t2, 'A', Exclusive, func() { t.Fatal("cycle closed") }, grantFlag(&died))
-	if !died {
-		t.Fatal("younger must die in the cycle")
-	}
+	t1got := 0
+	ask(t, m, t1, 'B', Exclusive, Queued, count(&t1got))
+	mustDie(t, m, t2, 'A', Exclusive)
 	// t2 aborts: releases B → t1 proceeds.
 	m.End(t2)
-	if !t1got {
+	if t1got != 1 {
 		t.Fatal("t1 not granted after t2 aborted")
 	}
 }
@@ -221,12 +234,15 @@ func TestAcquireByUnknownTxPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	m.Acquire(999, 1, Shared, func() {}, func() {})
+	m.Acquire(999, 1, Shared, func() {})
 }
 
 func TestModeString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Error("Mode.String wrong")
+	}
+	if Granted.String() != "granted" || Queued.String() != "queued" || Died.String() != "died" {
+		t.Error("Outcome.String wrong")
 	}
 }
 
@@ -329,6 +345,29 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 		held := map[key]Mode{}
 		answered := 0
 		requested := 0
+		// grant records tx's grant and checks it against the other holders.
+		grant := func(tx TxID, item Item, mode Mode) {
+			answered++
+			held[key{tx, item}] = mode
+			for k, hm := range held {
+				if k.item != item || k.tx == tx {
+					continue
+				}
+				if mode == Exclusive || hm == Exclusive {
+					t.Fatalf("trial %d: incompatible grant %v with %v on %d",
+						trial, mode, hm, item)
+				}
+			}
+		}
+		// release forgets tx's grants and releases its locks.
+		release := func(tx TxID) {
+			for k := range held {
+				if k.tx == tx {
+					delete(held, k)
+				}
+			}
+			m.ReleaseAll(tx)
+		}
 		r := uint64(trial)*2654435761 + 12345
 		next := func(n int) int {
 			r = r*6364136223846793005 + 1442695040888963407
@@ -348,38 +387,27 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 					mode = Exclusive
 				}
 				requested++
-				m.Acquire(tx, item, mode,
-					func() {
-						answered++
-						held[key{tx, item}] = mode
-						// Validate compatibility against other holders.
-						for k, hm := range held {
-							if k.item != item || k.tx == tx {
-								continue
-							}
-							if mode == Exclusive || hm == Exclusive {
-								t.Fatalf("trial %d: incompatible grant %v with %v on %d",
-									trial, mode, hm, item)
-							}
-						}
-					},
-					func() {
-						answered++
-						// Wait-die abort: release everything.
-						for k := range held {
-							if k.tx == tx {
-								delete(held, k)
-							}
-						}
-						m.ReleaseAll(tx)
-					})
-			} else {
-				for k := range held {
-					if k.tx == tx {
-						delete(held, k)
+				// Only a queued request is answered through its callback,
+				// and only once.
+				var out Outcome
+				calls := 0
+				out = m.Acquire(tx, item, mode, func() {
+					calls++
+					if out != Queued || calls > 1 {
+						t.Fatalf("trial %d: callback call %d for a request that %v", trial, calls, out)
 					}
+					grant(tx, item, mode)
+				})
+				switch out {
+				case Granted:
+					grant(tx, item, mode)
+				case Died:
+					// Wait-die abort: release everything.
+					answered++
+					release(tx)
 				}
-				m.ReleaseAll(tx)
+			} else {
+				release(tx)
 			}
 			if isWide {
 				checkIndex(t, m, &cov)
@@ -398,9 +426,9 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 		// Reset with live locks and a queued request must empty it too.
 		older, younger := m.Begin(), m.Begin()
 		for k := 0; k < 40; k++ {
-			m.Acquire(younger, wide[next(len(wide))], Exclusive, func() {}, func() {})
+			m.Acquire(younger, wide[next(len(wide))], Exclusive, func() {})
 		}
-		m.Acquire(older, wide[0], Exclusive, func() {}, func() {})
+		m.Acquire(older, wide[0], Exclusive, func() {})
 		m.Reset()
 		checkIndexEmpty(t, m, "after Reset")
 	}
@@ -435,24 +463,19 @@ func TestYoungerDiesBehindQueuedConflict(t *testing.T) {
 	older, holder, younger := m.Begin(), m.Begin(), m.Begin()
 	mustGrant(t, m, holder, 1, Exclusive)
 	// The older transaction may wait behind the younger holder.
-	queued := false
-	m.Acquire(older, 1, Exclusive, grantFlag(&queued), func() { t.Fatal("older died") })
+	ask(t, m, older, 1, Exclusive, Queued, func() {})
 	// The youngest must die: it would otherwise wait behind `older`, an
 	// old→old wait edge that can close a cycle.
-	died := false
-	m.Acquire(younger, 1, Exclusive, func() { t.Fatal("granted") }, grantFlag(&died))
-	if !died {
-		t.Fatal("younger must die behind a conflicting queued request")
-	}
+	mustDie(t, m, younger, 1, Exclusive)
 	// Shared requests behind shared requests stay batched, not killed.
 	m2 := NewManager()
 	sOld, sYoung, h2 := m2.Begin(), m2.Begin(), m2.Begin()
 	mustGrant(t, m2, h2, 1, Exclusive)
-	g1, g2 := false, false
-	m2.Acquire(sOld, 1, Shared, grantFlag(&g1), func() { t.Fatal("sOld died") })
-	m2.Acquire(sYoung, 1, Shared, grantFlag(&g2), func() { t.Fatal("sYoung died behind compatible S") })
+	g1, g2 := 0, 0
+	ask(t, m2, sOld, 1, Shared, Queued, count(&g1))
+	ask(t, m2, sYoung, 1, Shared, Queued, count(&g2))
 	m2.ReleaseAll(h2)
-	if !g1 || !g2 {
+	if g1 != 1 || g2 != 1 {
 		t.Fatal("shared batch not granted")
 	}
 }
@@ -472,11 +495,7 @@ func TestHotConflictProgress(t *testing.T) {
 			tx := m.Begin()
 			granted := 0
 			for item := Item(0); item < 3; item++ {
-				ok := false
-				m.Acquire(tx, item, Exclusive,
-					func() { ok = true },
-					func() { ok = false })
-				if !ok {
+				if m.Acquire(tx, item, Exclusive, func() {}) != Granted {
 					deaths++
 					m.End(tx)
 					if deaths > 100000 {

@@ -11,14 +11,10 @@ func TestManagerReset(t *testing.T) {
 	m := NewManager()
 	t1 := m.Begin()
 	t2 := m.Begin()
-	m.Acquire(t1, 5, Exclusive, func() {}, func() { t.Fatal("t1 died") })
-	m.Acquire(t2, 6, Exclusive, func() {}, func() { t.Fatal("t2 died") })
+	mustGrant(t, m, t1, 5, Exclusive)
+	mustGrant(t, m, t2, 6, Exclusive)
 	// t1 is older than the holder t2, so wait-die queues it behind item 6.
-	granted6 := false
-	m.Acquire(t1, 6, Exclusive, func() { granted6 = true }, func() { t.Fatal("t1 died waiting") })
-	if granted6 {
-		t.Fatal("conflicting request granted")
-	}
+	ask(t, m, t1, 6, Exclusive, Queued, never(t, "queued request granted"))
 	if m.Waits() != 1 {
 		t.Fatalf("waits = %d, want 1 queued request", m.Waits())
 	}
@@ -32,11 +28,7 @@ func TestManagerReset(t *testing.T) {
 	if m.Acquisitions() != 0 && m.Waits() != 0 && m.Deaths() != 0 {
 		t.Fatal("counters survived Reset")
 	}
-	granted := false
-	m.Acquire(1, 5, Exclusive, func() { granted = true }, func() { t.Fatal("died on an empty table") })
-	if !granted {
-		t.Fatal("item 5 still blocked after Reset")
-	}
+	mustGrant(t, m, 1, 5, Exclusive) // item 5 no longer blocked
 	if _, held := m.Holds(1, 5); !held {
 		t.Fatal("grant not recorded after Reset")
 	}

@@ -32,12 +32,13 @@ func BenchmarkScheduleStep(b *testing.B) {
 }
 
 // BenchmarkScheduleStepChain measures the schedule-pop ping-pong on an
-// otherwise empty calendar — the transaction-pipeline shape: VOODB's state
-// machines schedule one continuation per activity step, so in the closed
-// single-user regime nearly every insert is immediately the next pop. This
-// is the head-slot register's target workload: the whole chain must
-// dispatch through the register (bypass rate 1) without touching the heap,
-// at 0 allocs/op.
+// otherwise empty calendar — the shape of a state machine that schedules
+// one continuation per activity step, so that in the closed single-user
+// regime nearly every insert is immediately the next pop (VOODB's
+// transaction pipeline now continues in place there instead; see
+// BenchmarkAdvanceChain). This is the head-slot register's target
+// workload: the whole chain must dispatch through the register (bypass
+// rate 1) without touching the heap, at 0 allocs/op.
 func BenchmarkScheduleStepChain(b *testing.B) {
 	s := New()
 	action := func() {}
@@ -53,6 +54,47 @@ func BenchmarkScheduleStepChain(b *testing.B) {
 	b.StopTimer()
 	if b.N > 1 && s.BypassRate() < 0.99 {
 		b.Fatalf("chain did not bypass: rate %.3f", s.BypassRate())
+	}
+}
+
+// advanceEvery is how often BenchmarkAdvanceChain's chain schedules
+// instead of advancing.
+const advanceEvery = 16
+
+// BenchmarkAdvanceChain measures a chain that continues in place through
+// Advance — the transaction pipeline's shape when no other event can fire
+// first — with every advanceEvery-th step scheduled through the calendar,
+// so both paths run. One op is one executed event, comparable with
+// BenchmarkScheduleStepChain's schedule-pop cycle. 0 allocs/op.
+func BenchmarkAdvanceChain(b *testing.B) {
+	s := New()
+	left := 0
+	var step func()
+	step = func() {
+		for {
+			if left--; left <= 0 {
+				return
+			}
+			if left%advanceEvery == 0 || !s.Advance(1) {
+				s.Schedule(1, step)
+				return
+			}
+		}
+	}
+	chain := func(n int) {
+		s.Reset()
+		left = n
+		s.Schedule(1, step)
+		s.Run()
+	}
+	// One warm chain so -benchtime 1x measures steady state.
+	chain(2 * advanceEvery)
+	b.ReportAllocs()
+	b.ResetTimer()
+	chain(b.N)
+	b.StopTimer()
+	if b.N > 2*advanceEvery && s.Executed() != uint64(b.N) {
+		b.Fatalf("chain executed %d events, want %d", s.Executed(), b.N)
 	}
 }
 

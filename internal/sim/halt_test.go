@@ -84,3 +84,16 @@ func TestStopCheckNeverTrips(t *testing.T) {
 		t.Fatalf("ran %d/100 events, halted=%v", ran, s.Halted())
 	}
 }
+
+// TestHaltInsideActionStopsRun: an action's Halt stops a hook-free Run
+// before its next event.
+func TestHaltInsideActionStopsRun(t *testing.T) {
+	s := New()
+	ran := 0
+	s.Schedule(1, func() { s.Halt() })
+	s.Schedule(2, func() { ran++ })
+	s.Run()
+	if ran != 0 || !s.Halted() {
+		t.Fatalf("the event after an action's Halt ran %d times (halted=%v)", ran, s.Halted())
+	}
+}

@@ -58,6 +58,11 @@ func (r *Resource) QueueLen() int { return len(r.queue) }
 // available: immediately (before Request returns) if capacity is free, or
 // later, in FIFO order, when another holder releases. The holder must call
 // Release exactly once when done.
+//
+// An immediate grant nests grant inside the caller's frame. A caller that
+// would rather go on in its own frame calls TryAcquire first, which books
+// exactly what an immediate grant books, and Request only when it fails:
+// grant then always runs from a kernel event.
 func (r *Resource) Request(grant func()) {
 	if grant == nil {
 		panic("sim: Resource.Request with nil grant")

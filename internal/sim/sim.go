@@ -115,15 +115,15 @@ type Simulation struct {
 
 	// Cooperative halting (see SetStopCheck/Halt). The check is polled at
 	// a coarse, masked interval inside Run, never per event, so an
-	// uninstalled hook costs one nil comparison per loop iteration and the
-	// kernel's 0 allocs/op hot paths are untouched.
+	// uninstalled hook costs one nil comparison per poll and the kernel's
+	// 0 allocs/op hot paths are untouched.
 	stopCheck func() bool
 	halted    bool
 
-	// Trace, when non-nil, is invoked for every executed event with the
-	// firing time. It exists for debugging models and is never set by the
-	// kernel itself.
-	Trace func(t Time)
+	// running is set while Run dispatches: Advance continues an action in
+	// place only there, so Step and RunUntil keep their one-event and
+	// horizon contracts.
+	running bool
 }
 
 // New returns an empty simulation with the clock at zero.
@@ -288,6 +288,63 @@ func (s *Simulation) place(idx int32, t Time) {
 	}
 }
 
+// Advance lets the running action go on as the event it would schedule d
+// from now, when that event would be the next to fire: every pending event
+// (the register occupant and the heap root) is strictly later than now+d.
+// It then moves the clock to now+d and reports true, and the caller
+// continues with what it would have scheduled. Otherwise it changes nothing
+// and reports false, and the caller schedules as usual. An equal time
+// refuses: same-time events fire in sequence order, so the pending one
+// goes first.
+//
+// Only the tail of the running action may call Advance: nothing the action
+// would still do after scheduling may run before the continuation. It
+// refuses outside Run's dispatch (so Step and RunUntil keep their
+// one-event and horizon contracts), on a heap-only kernel, and once halted.
+//
+// The books are kept as ScheduleAt, place and a register pop would keep
+// them: the continuation takes a sequence number, counts as scheduled,
+// executed and bypassed, and lifts the peak; a register occupant is
+// demoted into the heap, as place demotes it; and the stop check is polled
+// where Run would poll it, so a halt lands on the same executed count. So
+// Executed, Bypassed, BypassRate and PeakPending read the same whether a
+// model advances or schedules. Advance panics on a negative or NaN delay,
+// like Schedule.
+func (s *Simulation) Advance(d Time) bool {
+	if math.IsNaN(d) || d < 0 {
+		panic(fmt.Sprintf("sim: Advance with invalid delay %v", d))
+	}
+	if !s.running || s.noBypass || s.halted {
+		return false
+	}
+	t := s.now + d
+	h := s.headSlot
+	if h >= 0 && !(t < s.events[h].time) {
+		return false
+	}
+	if len(s.heap) > 0 && !(t < s.events[s.heap[0]].time) {
+		return false
+	}
+	// Run polls here, after the running event, before the next one.
+	if s.executed&(StopCheckInterval-1) == 0 && s.stopCheck != nil && s.stopCheck() {
+		s.halted = true
+		return false
+	}
+	if p := s.Pending() + 1; p > s.peak {
+		s.peak = p
+	}
+	if h >= 0 {
+		s.headSlot = -1
+		s.hPush(h)
+	}
+	s.seq++
+	s.scheduled++
+	s.now = t
+	s.executed++
+	s.bypass++
+	return true
+}
+
 // alloc takes a slot from the free list (normalizing a cancelled slot's odd
 // generation back to even) or extends the arena.
 func (s *Simulation) alloc() int32 {
@@ -352,9 +409,6 @@ func (s *Simulation) Step() bool {
 	slot.gen += 2 // stays even: fired
 	s.free = append(s.free, idx)
 	s.executed++
-	if s.Trace != nil {
-		s.Trace(s.now)
-	}
 	action()
 	return true
 }
@@ -386,46 +440,17 @@ func (s *Simulation) Halt() { s.halted = true }
 func (s *Simulation) Halted() bool { return s.halted }
 
 // Run executes events until the calendar is empty — or, with a stop check
-// installed, until the check reports the run should halt.
+// installed, until the check reports the run should halt, or until an
+// action calls Halt.
 func (s *Simulation) Run() {
-	if s.stopCheck == nil && !s.halted {
-		s.runFast()
-		return
-	}
+	s.running = true
+	defer func() { s.running = false }()
 	for !s.halted && s.Step() {
-		if s.executed&(StopCheckInterval-1) == 0 && s.stopCheck != nil && s.stopCheck() {
+		// A halted action skips the poll: Advance may have polled this
+		// executed count already and tripped.
+		if s.executed&(StopCheckInterval-1) == 0 && !s.halted && s.stopCheck != nil && s.stopCheck() {
 			s.halted = true
 		}
-	}
-}
-
-// runFast drains the calendar with the per-Step stop-check/halt branches
-// hoisted out of the loop: Run has already established that the engine is
-// hook-free, so each iteration is just the register check, the (rare)
-// heap pop, and the action dispatch.
-func (s *Simulation) runFast() {
-	for {
-		idx := s.headSlot
-		if idx >= 0 {
-			s.headSlot = -1
-			s.events[idx].heapIdx = notQueued
-			s.bypass++
-		} else if len(s.heap) > 0 {
-			idx = s.hPop()
-		} else {
-			return
-		}
-		slot := &s.events[idx]
-		s.now = slot.time
-		action := slot.action
-		slot.action = nil
-		slot.gen += 2 // stays even: fired
-		s.free = append(s.free, idx)
-		s.executed++
-		if s.Trace != nil {
-			s.Trace(s.now)
-		}
-		action()
 	}
 }
 

@@ -29,7 +29,7 @@ CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo unkn
 GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
 
 {
-  go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun' -benchmem ./internal/sim/
+  go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun|BenchmarkAdvanceChain' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem ./internal/core/
