@@ -17,6 +17,11 @@
 // (Event) carrying a generation counter, so cancelling a stale handle —
 // one whose event already fired, was already cancelled, or whose slot has
 // since been recycled — is always safe and a no-op.
+//
+// An action that would end by scheduling its own continuation may call
+// Advance instead: when nothing else can fire first, the clock moves and
+// the action goes on in the same dispatch. Firing order and every counter
+// read the same either way.
 package sim
 
 import (
