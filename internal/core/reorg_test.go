@@ -15,8 +15,8 @@ import (
 // accessed, and the 256-frame buffer makes every reorganization read. With
 // several users one of them can commit a new period's transactions and
 // start the next reorganization while the previous one's I/O is still
-// queued on the disk.
-func overlapRun(t *testing.T, users int, physical bool) *Run {
+// queued on the disk. failures, when enabled, adds repairs to that queue.
+func overlapRun(t *testing.T, users int, physical bool, failures FailureParams) *Run {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Clustering = DSTC
@@ -32,6 +32,7 @@ func overlapRun(t *testing.T, users int, physical bool) *Run {
 	cfg.Users = users
 	cfg.MPL = users
 	cfg.ThinkTimeMs = 100
+	cfg.Failures = failures
 	p := ocb.DefaultParams()
 	p.NO = 4000
 	p.NC = 20
@@ -55,7 +56,7 @@ func TestOverlappingReorganizations(t *testing.T) {
 	}
 	for _, physical := range []bool{false, true} {
 		for users := 1; users <= 3; users++ {
-			r := overlapRun(t, users, physical)
+			r := overlapRun(t, users, physical, FailureParams{})
 			w := ocb.GenerateWorkload(r.db, 4)
 			st := r.ExecuteBatch(w.Hot)
 			rep := r.LastReorgReport()
@@ -71,6 +72,83 @@ func TestOverlappingReorganizations(t *testing.T) {
 			if n := len(r.reorgPool); n != users {
 				t.Errorf("%s: %d reorganizations in flight at most, want %d", key, n, users)
 			}
+		}
+	}
+}
+
+// TestOverlappingReorganizationsWithFailures pins overlapRun's batches
+// with failures striking every 2,000 ms on average and 50 ms repairs, so
+// repairs, reorganization I/O and transaction I/O all queue on the one
+// disk controller.
+func TestOverlappingReorganizationsWithFailures(t *testing.T) {
+	want := map[string]string{
+		"physical=false users=1": "tx=300 ab=0 rd=37924 wr=6029 io=43953 hit=3362 miss=26143 hr=0x1.d2b9de2dd449bp-04 el=0x1.381e40687d604p+19 mean=0x1.8d55ec8ccd1b5p+10 med=0x1.e48fe7e418p+09 p95=0x1.2dab725c05dbfp+12 tps=0x1.e09653420df47p-02 du=0x1.6ee24d6374ca4p-01 cu=0x0p+00 mo=0x1.7de8aa8c47fa4p-01 reorg=17810 fail=305/0x1.dd6d2493668bdp+13/14367",
+		"physical=false users=2": "tx=300 ab=0 rd=33527 wr=4201 io=37728 hit=5723 miss=23782 hr=0x1.8d3ea2b8102c5p-03 el=0x1.b817e4fd2462ap+18 mean=0x1.f685170221293p+10 med=0x1.2ff4011f8828p+10 p95=0x1.8576e0029fe28p+12 tps=0x1.54d637c8d3459p-01 du=0x1.ef4e6176e8c72p-01 cu=0x0p+00 mo=0x1.568df568e4969p-01 reorg=23899 fail=208/0x1.2a7e5cde86428p+13/17445",
+		"physical=false users=3": "tx=300 ab=0 rd=22430 wr=459 io=22889 hit=7808 miss=21697 hr=0x1.0efbfb97a39cep-02 el=0x1.189ef14b1e6e9p+18 mean=0x1.4848992e4c75p+11 med=0x1.966e18643b12p+10 p95=0x1.0bf9fd102e5f2p+13 tps=0x1.0b43b720bc267p+00 du=0x1.f904335ecfe72p-01 cu=0x0p+00 mo=0x1.d3f05f067d373p-01 reorg=3163 fail=135/0x1.5c3165de3d42ap+12/17509",
+		"physical=true users=1":  "tx=300 ab=0 rd=1073935 wr=126846 io=1200781 hit=3412 miss=26093 hr=0x1.d9aad06d41227p-04 el=0x1.0b0c5e7d7e0a5p+21 mean=0x1.8d4f56bedda11p+10 med=0x1.eca32d755p+09 p95=0x1.2ab763e22558dp+12 tps=0x1.18d91a0aeb865p-03 du=0x1.d5270a7376df7p-01 cu=0x0p+00 mo=0x1.be55b9e7b9ff1p-03 reorg=1174688 fail=1007/0x1.8b2f297497805p+15/25417",
+		"physical=true users=2":  "tx=300 ab=0 rd=218846 wr=39752 io=258598 hit=5865 miss=23640 hr=0x1.9719e63b16415p-03 el=0x1.d2326cde8f1aap+19 mean=0x1.f6b367901d5acp+10 med=0x1.344b5f15c8d08p+10 p95=0x1.9436d112d5c1bp+12 tps=0x1.41c09df74cffcp-02 du=0x1.f828b0d9d7c8ap-01 cu=0x0p+00 mo=0x1.437d8a09bd4a1p-02 reorg=445217 fail=466/0x1.626004691928ep+14/20248",
+		"physical=true users=3":  "tx=300 ab=0 rd=23384 wr=1260 io=24644 hit=7658 miss=21847 hr=0x1.09c745e811fa5p-02 el=0x1.21c71febb25cp+18 mean=0x1.4b4d7f64d2bc6p+11 med=0x1.9b36f00804a4p+10 p95=0x1.02a8ce20d6c99p+13 tps=0x1.02d1a815d8092p+00 du=0x1.fb5f55166258ep-01 cu=0x0p+00 mo=0x1.c951d332d9695p-01 reorg=5959 fail=139/0x1.63a714091aa33p+12/17976",
+	}
+	for _, physical := range []bool{false, true} {
+		for users := 1; users <= 3; users++ {
+			r := overlapRun(t, users, physical, FailureParams{Enabled: true, MTBFMs: 2000, MeanRepairMs: 50})
+			w := ocb.GenerateWorkload(r.db, 4)
+			st := r.ExecuteBatch(w.Hot)
+			fs := r.FailureStats()
+			if fs.Failures == 0 || st.ReorgIOs == 0 {
+				t.Fatalf("physical=%v users=%d: %d failures, %d reorganization I/Os; want both", physical, users, fs.Failures, st.ReorgIOs)
+			}
+			got := fmt.Sprintf("%s reorg=%d fail=%d/%s/%d",
+				fingerprintBatch(st), st.ReorgIOs, fs.Failures, hexF(fs.DowntimeMs), fs.PagesDropped)
+			key := fmt.Sprintf("physical=%v users=%d", physical, users)
+			if got != want[key] {
+				t.Errorf("%s diverged:\n got  %s\n want %s", key, got, want[key])
+			}
+		}
+	}
+}
+
+// fixedClusters is a clustering policy whose every build returns the same
+// clusters.
+type fixedClusters struct {
+	cluster.None
+	clusters [][]ocb.OID
+}
+
+func (f fixedClusters) BuildClusters() [][]ocb.OID { return f.clusters }
+
+// TestReorganizationsInFlightKeepTheirPageLists starts two
+// reorganizations before the first has done any I/O and drains them
+// together. Each must perform its own page lists, so the disk counts the
+// I/Os of the same two reorganizations drained one after the other.
+func TestReorganizationsInFlightKeepTheirPageLists(t *testing.T) {
+	for _, physical := range []bool{false, true} {
+		ios := func(overlap bool) uint64 {
+			cfg := smallConfig()
+			cfg.PhysicalOIDs = physical
+			r, _ := mustRun(t, cfg, smallParams(), 5)
+			// Objects 37 apart lie on distinct pages, so the first
+			// reorganization reads more old pages than the second, which
+			// reads back the first one's new pages.
+			var cl []ocb.OID
+			for o := 0; o < 600; o += 37 {
+				cl = append(cl, ocb.OID(o))
+			}
+			r.clusterer = fixedClusters{clusters: [][]ocb.OID{cl}}
+			calls := [2]int{}
+			r.PerformClustering(func() { calls[0]++ })
+			if !overlap {
+				r.sim.Run()
+			}
+			r.PerformClustering(func() { calls[1]++ })
+			r.sim.Run()
+			if calls != [2]int{1, 1} {
+				t.Fatalf("physical=%v overlap=%v: then callbacks ran %v times, want once each", physical, overlap, calls)
+			}
+			return r.dsk.IOs()
+		}
+		if got, want := ios(true), ios(false); got != want {
+			t.Errorf("physical=%v: overlapping reorganizations did %d I/Os, one after the other %d", physical, got, want)
 		}
 	}
 }
