@@ -8,15 +8,19 @@ import (
 )
 
 // FailureParams injects the "random hazards" the paper's conclusion names
-// as a VOODB extension module (§5): benign system failures striking at
-// exponential intervals. A failure wipes the buffer (a restart loses the
-// cache) and holds the disk for the repair duration, so in-flight
-// transactions stall and subsequent ones re-read their working sets.
+// as a VOODB extension module (§5): benign system failures after
+// exponential up-times. A failure wipes the buffer at the moment it
+// strikes (a restart loses the cache); its repair then holds the disk
+// behind the I/O already queued there, so in-flight transactions stall and
+// subsequent ones re-read their working sets. The next failure is drawn
+// only when the repair ends, so failures never overlap.
 type FailureParams struct {
 	// Enabled switches the module on.
 	Enabled bool
-	// MTBFMs is the mean (simulated) time between failures in ms,
-	// exponentially distributed.
+	// MTBFMs is the mean (simulated) up-time in ms, exponentially
+	// distributed: from the end of one repair to the next strike. It is
+	// not the mean interval between strikes, which adds each repair and
+	// its wait for the disk.
 	MTBFMs float64
 	// MeanRepairMs is the mean repair time in ms, exponentially
 	// distributed.
@@ -54,12 +58,15 @@ type failureInjector struct {
 	// the event calendar can drain.
 	workRemaining func() bool
 
-	pending sim.Event
-	stats   FailureStats
+	pending  sim.Event
+	strikeFn func() // strike, bound once so arming allocates nothing
+	stats    FailureStats
 }
 
 func newFailureInjector(r *Run, params FailureParams, src *rng.Source) *failureInjector {
-	return &failureInjector{r: r, params: params, src: src}
+	f := &failureInjector{r: r, params: params, src: src}
+	f.strikeFn = f.strike
+	return f
 }
 
 // arm schedules the next hazard.
@@ -68,7 +75,7 @@ func (f *failureInjector) arm() {
 		return
 	}
 	delay := f.src.Exp(f.params.MTBFMs)
-	f.pending = f.r.sim.Schedule(delay, f.strike)
+	f.pending = f.r.sim.Schedule(delay, f.strikeFn)
 }
 
 // disarm cancels any pending hazard (end of batch). Cancelling a stale or
@@ -78,8 +85,10 @@ func (f *failureInjector) disarm() {
 	f.pending = sim.Event{}
 }
 
-// strike is one failure: the buffer content is lost and the disk is held
-// for the repair duration, stalling every queued I/O behind the recovery.
+// strike is one failure: the buffer content is lost at once, and the
+// repair holds the disk once the I/O already queued there is done,
+// stalling every later I/O behind it. Its executor's final state arms the
+// next failure.
 func (f *failureInjector) strike() {
 	f.pending = sim.Event{}
 	if f.workRemaining == nil || !f.workRemaining() {
@@ -98,11 +107,11 @@ func (f *failureInjector) strike() {
 		repair = f.src.Exp(f.params.MeanRepairMs)
 	}
 	f.stats.DowntimeMs += repair
-	f.r.use(f.r.diskRes, func() float64 { return repair }, func() {
-		if f.workRemaining() {
-			f.arm()
-		}
-	})
+	e := f.r.getExec()
+	e.hold = repair
+	e.io = append(e.io[:0], mkIO(ioHold, 0))
+	e.startIO(stRepairDone)
+	e.step(false)
 }
 
 // FailureStats returns the hazard statistics accumulated so far.

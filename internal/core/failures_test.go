@@ -139,3 +139,35 @@ func TestFailuresDeterministic(t *testing.T) {
 		t.Fatalf("failure injection not deterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestWarmFailureBatchAllocs gates the failure path's allocations: on a
+// warm model, a batch with failures striking allocates at most once more
+// than the same batch without them (the batch's workRemaining closure),
+// however many strikes land. Each strike re-arms through the injector's
+// bound strike, and each repair runs on a pooled executor.
+func TestWarmFailureBatchAllocs(t *testing.T) {
+	batch := func(fail bool) (allocs float64, strikes uint64) {
+		cfg := smallConfig()
+		if fail {
+			cfg.Failures = FailureParams{Enabled: true, MTBFMs: 500, MeanRepairMs: 20}
+		}
+		p := smallParams()
+		p.NO = 2000
+		p.HotN = 200
+		r, db := mustRun(t, cfg, p, 61)
+		w := ocb.GenerateWorkload(db, 62)
+		r.ExecuteBatch(w.Hot) // grow the pools and the calendar
+		strikes = r.FailureStats().Failures
+		allocs = testing.AllocsPerRun(4, func() { r.ExecuteBatch(w.Hot) })
+		return allocs, strikes
+	}
+	base, _ := batch(false)
+	allocs, strikes := batch(true)
+	t.Logf("warm batch: %v allocations without failures, %v with failures (%d strikes in one batch)", base, allocs, strikes)
+	if strikes < 100 {
+		t.Fatalf("only %d strikes landed in a batch; the test needs many", strikes)
+	}
+	if allocs > base+1 {
+		t.Errorf("a warm batch with %d strikes performed %v allocations, want ≤ %v (one more than without failures)", strikes, allocs, base+1)
+	}
+}

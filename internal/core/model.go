@@ -37,12 +37,10 @@ type Run struct {
 	clusterer cluster.Policy
 	failures  *failureInjector
 
-	// execPool recycles transaction executors (LIFO), so steady-state
-	// transaction execution performs no per-transaction allocation.
-	// reorgPool does the same for reorganization I/O executors; it holds
-	// as many as there were reorganizations in flight at once.
-	execPool  []*txnExec
-	reorgPool []*reorgExec
+	// execPool recycles executors (LIFO) — of transactions,
+	// reorganizations and repairs alike — so steady-state execution
+	// performs no per-transaction allocation.
+	execPool []*txnExec
 
 	// Counters (see also the substrate models' own counters).
 	txDone      uint64
@@ -196,36 +194,6 @@ func (r *Run) Halted() bool { return r.sim.Halted() }
 // reorganization.
 func (r *Run) LastClusterSummary() cluster.Summary { return r.lastSummary }
 
-// --- scheduling helpers ---
-
-// after runs fn after d simulated ms; zero-cost steps run inline to keep
-// the event count down.
-func (r *Run) after(d float64, fn func()) {
-	if d <= 0 {
-		fn()
-		return
-	}
-	r.sim.Schedule(d, fn)
-}
-
-// use acquires res, holds it for service() ms, releases, then continues.
-// service is evaluated at grant time (disk head position, for example,
-// depends on it).
-func (r *Run) use(res *sim.Resource, service func() float64, then func()) {
-	res.Request(func() {
-		d := service()
-		if d <= 0 {
-			res.Release()
-			then()
-			return
-		}
-		r.sim.Schedule(d, func() {
-			res.Release()
-			then()
-		})
-	})
-}
-
 // BatchStats reports what one ExecuteBatch did.
 type BatchStats struct {
 	Transactions  uint64
@@ -287,7 +255,13 @@ func (r *Run) ExecuteBatch(txs []ocb.Transaction) BatchStats {
 	// thinkThenNext is the commit continuation of every transaction,
 	// hoisted out of the user loop so submission allocates nothing per
 	// transaction.
-	thinkThenNext := func() { r.after(r.cfg.ThinkTimeMs, user) }
+	thinkThenNext := func() {
+		if r.cfg.ThinkTimeMs <= 0 {
+			user()
+			return
+		}
+		r.sim.Schedule(r.cfg.ThinkTimeMs, user)
+	}
 	user = func() {
 		if next >= len(txs) {
 			return

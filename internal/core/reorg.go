@@ -29,13 +29,10 @@ func (r ReorgReport) IOs() uint64 { return r.ReadIOs + r.WriteIOs }
 // drop the now-stale buffer contents. then runs when the database is
 // reorganized. The report is retrievable via LastReorgReport.
 //
-// The disk work runs on a pooled reorgExec that owns copies of the page
+// The disk work runs on an executor's I/O list, a copy of the store's page
 // lists, so a reorganization still in flight is unaffected when the next
 // one rebuilds the clusters and the store's scratch.
 func (r *Run) PerformClustering(then func()) {
-	start := r.sim.Now()
-	startReads, startWrites := r.dsk.Reads(), r.dsk.Writes()
-
 	clusters := r.clusterer.BuildClusters()
 	r.lastSummary = cluster.Summarize(clusters)
 	if len(clusters) == 0 {
@@ -45,157 +42,30 @@ func (r *Run) PerformClustering(then func()) {
 	}
 
 	// Reads happen against the pre-reorganization buffer state: pages
-	// that are resident need no physical read.
+	// that are resident need no physical read. Then the new pages are
+	// written and, with physical OIDs, the whole old database is scanned
+	// and the pages referencing moved objects rewritten.
 	st := r.store.Reorganize(clusters)
-	e := r.getReorg()
-	e.then = then
-	e.start, e.startReads, e.startWrites = start, startReads, startWrites
-	e.reads = e.reads[:0]
+	e := r.getExec()
+	e.done = then
+	e.start, e.startReads, e.startWrites = r.sim.Now(), r.dsk.Reads(), r.dsk.Writes()
+	e.io = e.io[:0]
 	for _, p := range st.OldPageList {
 		if !r.buf.Contains(p) {
-			e.reads = append(e.reads, p)
+			e.io = append(e.io, mkIO(ioRead, p))
 		}
 	}
-	e.writes = append(e.writes[:0], st.NewPageList...)
-	e.scanPages = st.ScanReads
-	e.fixups = append(e.fixups[:0], st.ScanWritePages...)
-	e.phase, e.idx = reorgRead, 0
-	e.next()
-}
-
-// reorgPhase is the disk work a reorganization is doing.
-type reorgPhase uint8
-
-const (
-	// reorgRead reads the non-resident old pages of moved objects.
-	reorgRead reorgPhase = iota
-	// reorgWrite writes the new pages of moved objects.
-	reorgWrite
-	// reorgScan reads the whole old database sequentially (physical OIDs).
-	reorgScan
-	// reorgFixup rewrites the pages the scan found referencing moved
-	// objects.
-	reorgFixup
-)
-
-// reorgExec performs one reorganization's disk I/O, one page at a time,
-// through the disk controller. Executors are recycled through the Run's
-// pool, and their two kernel continuations are bound once, so a warmed
-// reorganization allocates nothing.
-type reorgExec struct {
-	r    *Run
-	then func()
-
-	start                   float64
-	startReads, startWrites uint64
-
-	// The page lists, copied from the store's ReorgStats.
-	reads, writes, fixups []disk.PageID
-	scanPages             int // pages the fixup scan reads; 0 without physical OIDs
-
-	phase reorgPhase
-	idx   int // next page of the current phase's list
-
-	granted  func() // disk controller granted: start the transfer
-	released func() // transfer done: release the controller, go on
-}
-
-// getReorg pops a recycled executor or builds one, binding its
-// continuations.
-func (r *Run) getReorg() *reorgExec {
-	if n := len(r.reorgPool); n > 0 {
-		e := r.reorgPool[n-1]
-		r.reorgPool = r.reorgPool[:n-1]
-		return e
+	for _, p := range st.NewPageList {
+		e.io = append(e.io, mkIO(ioWrite, p))
 	}
-	e := &reorgExec{r: r}
-	e.granted = e.transfer
-	e.released = func() {
-		e.r.diskRes.Release()
-		e.next()
-	}
-	return e
-}
-
-// next requests the disk for the current phase's next I/O, moving through
-// the phases as each list runs out, and finishes after the last one.
-func (e *reorgExec) next() {
-	for {
-		switch e.phase {
-		case reorgRead:
-			if e.idx < len(e.reads) {
-				e.r.diskRes.Request(e.granted)
-				return
-			}
-			e.phase, e.idx = reorgWrite, 0
-		case reorgWrite:
-			if e.idx < len(e.writes) {
-				e.r.diskRes.Request(e.granted)
-				return
-			}
-			if e.scanPages == 0 {
-				e.finish()
-				return
-			}
-			e.phase = reorgScan
-			e.r.diskRes.Request(e.granted)
-			return
-		case reorgScan: // the scan is done
-			e.phase, e.idx = reorgFixup, 0
-		case reorgFixup:
-			if e.idx < len(e.fixups) {
-				e.r.diskRes.Request(e.granted)
-				return
-			}
-			e.finish()
-			return
+	if st.ScanReads > 0 {
+		e.io = append(e.io, mkIO(ioScan, disk.PageID(st.ScanReads)))
+		for _, p := range st.ScanWritePages {
+			e.io = append(e.io, mkIO(ioWrite, p))
 		}
 	}
-}
-
-// transfer runs once the controller is granted: the service time depends
-// on the disk head at that moment.
-func (e *reorgExec) transfer() {
-	r := e.r
-	var d float64
-	switch e.phase {
-	case reorgRead:
-		d = r.dsk.ReadTime(e.reads[e.idx])
-	case reorgWrite:
-		d = r.dsk.WriteTime(e.writes[e.idx])
-	case reorgScan:
-		d = r.dsk.SequentialReadTime(0, e.scanPages)
-	case reorgFixup:
-		d = r.dsk.WriteTime(e.fixups[e.idx])
-	}
-	e.idx++
-	if d <= 0 {
-		r.diskRes.Release()
-		e.next()
-		return
-	}
-	r.sim.Schedule(d, e.released)
-}
-
-// finish drops the stale buffer contents, records the report, recycles the
-// executor and continues.
-func (e *reorgExec) finish() {
-	r := e.r
-	// Placement changed: every cached page is stale. Dirty pages were
-	// re-written as part of the move, so they are dropped, not flushed.
-	r.buf.InvalidateAll()
-	r.dsk.ResetHead()
-	r.lastReorg = ReorgReport{
-		Summary:   r.lastSummary,
-		ReadIOs:   r.dsk.Reads() - e.startReads,
-		WriteIOs:  r.dsk.Writes() - e.startWrites,
-		ElapsedMs: r.sim.Now() - e.start,
-	}
-	r.reorgIOs += r.lastReorg.IOs()
-	then := e.then
-	e.then = nil
-	r.reorgPool = append(r.reorgPool, e)
-	then()
+	e.startIO(stReorgDone)
+	e.step(false)
 }
 
 // LastReorgReport returns the report of the most recent PerformClustering.

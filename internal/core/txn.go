@@ -8,13 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-// txnState drives the Transaction Manager's per-transaction state machine.
-// Each state corresponds to one activity of the knowledge model (acquire
-// lock, extract object, extract pages, access disk, perform treatment
-// related to clustering); step() dispatches on it. A transaction goes back
-// to the kernel, through its one reusable continuation, only when another
-// event may fire before its next activity; otherwise it continues in place
-// (see step).
+// txnState drives the executor's state machine. Each state corresponds to
+// one activity of the knowledge model (acquire lock, extract object,
+// extract pages, access disk, perform treatment related to clustering);
+// step() dispatches on it. An executor goes back to the kernel, through
+// its one reusable continuation, only when another event may fire before
+// its next activity; otherwise it continues in place (see step).
 type txnState uint8
 
 const (
@@ -34,16 +33,9 @@ const (
 	// stFetchPage drives the Buffering Manager for the next page of the
 	// current object.
 	stFetchPage
-	// stEvict writes back the dirty victims of the pending
-	// eviction list, one disk write at a time, then continues at evNext.
-	stEvict
-	// stReadFault performs the physical read of the faulted page.
-	stReadFault
 	// stFaultLoaded post-processes a completed fault: swizzle-dirty
 	// marking and the prefetch decision.
 	stFaultLoaded
-	// stReadPrefetch performs the one-ahead prefetch read.
-	stReadPrefetch
 	// stPageDone is the per-page continuation: Texas reservations, then
 	// page shipping.
 	stPageDone
@@ -71,47 +63,74 @@ const (
 	// stRestart runs after the wait-die abort pause: re-register and
 	// re-run from the first operation.
 	stRestart
-	// stDiskGrant computes the service time once the disk controller is
+	// stIO requests the disk controller for the next op of the I/O list,
+	// or continues at ioNext once the list is done.
+	stIO
+	// stDiskGrant computes the op's service time once the controller is
 	// granted.
 	stDiskGrant
-	// stDiskRelease releases the controller after the transfer and
-	// continues at afterDisk.
+	// stDiskRelease releases the controller after the op and returns to
+	// stIO.
 	stDiskRelease
+	// stReorgDone ends a reorganization: drop the stale buffer, report,
+	// recycle the executor and continue.
+	stReorgDone
+	// stRepairDone ends a failure's repair: recycle the executor and arm
+	// the next failure.
+	stRepairDone
 )
 
-// txnExec is the Transaction Manager's per-transaction state machine.
-// Executors are recycled through the Run's freelist, and every kernel
-// continuation is the single pre-bound step closure, so a steady-state
-// transaction allocates nothing.
+// ioOp is one disk operation of an executor's I/O list, packed like ocb.Op:
+// the low two bits hold the kind and the rest the page, or, for a scan, the
+// number of pages it reads from page 0. A hold's duration is the
+// executor's hold field.
+type ioOp uint64
+
+const (
+	ioRead ioOp = iota
+	ioWrite
+	ioScan // sequential read of the first pages
+	ioHold // the controller held for a repair
+
+	ioKindBits = 2
+	ioKindMask = 1<<ioKindBits - 1
+)
+
+// mkIO packs an op of kind on page p (a page count for ioScan).
+func mkIO(kind ioOp, p disk.PageID) ioOp { return ioOp(p)<<ioKindBits | kind }
+
+// txnExec runs transactions, reorganizations and failure repairs; all of
+// them reach the disk controller through its one I/O list. Executors are
+// recycled through the Run's freelist, and every kernel continuation is
+// the single pre-bound step closure, so a steady-state transaction,
+// reorganization or repair allocates nothing.
 type txnExec struct {
 	r    *Run
 	tx   *ocb.Transaction
 	txid lock.TxID
 
-	opIdx   int
-	prev    ocb.OID // previously accessed object (for clustering)
-	submitT float64
-	done    func()
+	opIdx int
+	prev  ocb.OID // previously accessed object (for clustering)
+	start float64 // submission time, or a reorganization's start
+	done  func()  // runs at commit, or once a reorganization is done
+
+	startReads, startWrites uint64 // a reorganization's disk counters at its start
 
 	state txnState
 
 	pages   []disk.PageID // pages of the current op (reused buffer)
 	pageIdx int
 
-	evs    []buffer.Eviction // pending evictions (reused buffer)
-	evIdx  int
-	evNext txnState // state to resume once evictions are written
-
-	faultPage    disk.PageID
-	prefetchPage disk.PageID
-	loaded       bool // whether the current page required a physical read
+	faultPage disk.PageID
+	loaded    bool // whether the current page required a physical read
 
 	reserve []disk.PageID // Texas reservation set (reused buffer)
 	resIdx  int
 
-	diskPage  disk.PageID
-	diskWrite bool
-	afterDisk txnState // state to resume once the disk op completes
+	io     []ioOp   // disk ops to perform, in order (reused buffer)
+	ioIdx  int      // next op of io
+	ioNext txnState // state to resume once every op is done
+	hold   float64  // an ioHold's duration
 
 	cpuRes *sim.Resource
 
@@ -143,7 +162,7 @@ func (r *Run) getExec() *txnExec {
 func (r *Run) submit(tx *ocb.Transaction, done func()) {
 	e := r.getExec()
 	e.tx = tx
-	e.submitT = r.sim.Now()
+	e.start = r.sim.Now()
 	e.done = done
 	e.state = stBegin
 	// The database passive resource schedules transactions according to
@@ -159,20 +178,38 @@ func (e *txnExec) restart() {
 	e.r.txAborted++
 	e.r.locks.End(e.txid)
 	e.state = stRestart
-	e.r.after(1.0, e.cont)
+	e.r.sim.Schedule(1.0, e.cont)
 }
 
-// diskIO acquires the disk controller, holds it for the transfer time of
-// one page op, releases, then resumes at next. Equivalent to Run.use with
-// a ReadTime or WriteTime service, without the per-call closures. It
-// reports whether the controller was free, so the caller continues in
-// place.
-func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) bool {
-	e.diskPage = p
-	e.diskWrite = write
-	e.afterDisk = next
-	e.state = stDiskGrant
-	return e.acquire(e.r.diskRes)
+// startIO runs the I/O list from its first op, continuing at next once
+// every op is done.
+func (e *txnExec) startIO(next txnState) {
+	e.ioIdx = 0
+	e.ioNext = next
+	e.state = stIO
+}
+
+// evictIO sets the I/O list to a write-back of each dirty victim in evs,
+// then a read of page read unless it is disk.None, and runs it.
+func (e *txnExec) evictIO(evs []buffer.Eviction, read disk.PageID, next txnState) {
+	e.io = e.io[:0]
+	for _, ev := range evs {
+		if ev.Dirty {
+			e.io = append(e.io, mkIO(ioWrite, ev.Page))
+		}
+	}
+	if read != disk.None {
+		e.io = append(e.io, mkIO(ioRead, read))
+	}
+	e.startIO(next)
+}
+
+// recycle returns the executor to the Run's freelist.
+func (e *txnExec) recycle() {
+	e.done = nil
+	e.tx = nil
+	e.state = stIdle
+	e.r.execPool = append(e.r.execPool, e)
 }
 
 // acquire takes a token of res for the state already set. It reports true
@@ -198,19 +235,21 @@ func (e *txnExec) wait(d float64, kernel bool) bool {
 	return false
 }
 
-// step executes states until the transaction hands off: a scheduled delay,
-// a queued resource or lock request, a restart, or commit. Everything else
-// loops in place — zero delays, free resources, immediate lock grants —
-// and so do delays when kernel is set, as long as no other event can fire
-// first.
+// step executes states until the executor hands off: a scheduled delay, a
+// queued resource or lock request, a restart, or its final state (commit,
+// or the end of a reorganization or repair). Everything else loops in
+// place — zero delays, free resources, immediate lock grants — and so do
+// delays when kernel is set, as long as no other event can fire first.
 //
 // kernel is set only on the kernel entry, e.cont: its frame ends the
 // running event, so advancing the clock there is what returning to the
 // kernel would do. The synchronous entries never advance: submit, which
 // runs inside the previous transaction's commit (advancing there would
-// nest every later transaction of the batch in one stack), and
-// lockGranted, which runs inside another transaction's release while the
-// lock table goes on granting after it returns.
+// nest every later transaction of the batch in one stack);
+// PerformClustering, which runs inside a user event or outside Run; a
+// failure's strike, which runs inside its own event; and lockGranted,
+// which runs inside another transaction's release while the lock table
+// goes on granting after it returns.
 func (e *txnExec) step(kernel bool) {
 	r := e.r
 	for {
@@ -284,29 +323,7 @@ func (e *txnExec) step(kernel bool) {
 			// Write back dirty victims, read the page, then post-process.
 			e.loaded = true
 			e.faultPage = p
-			e.evs = append(e.evs[:0], res.Evicted...)
-			e.evIdx = 0
-			e.evNext = stReadFault
-			e.state = stEvict
-
-		case stEvict:
-			for e.evIdx < len(e.evs) && !e.evs[e.evIdx].Dirty {
-				e.evIdx++
-			}
-			if e.evIdx >= len(e.evs) {
-				e.state = e.evNext
-				continue
-			}
-			p := e.evs[e.evIdx].Page
-			e.evIdx++
-			if !e.diskIO(p, true, stEvict) {
-				return
-			}
-
-		case stReadFault:
-			if !e.diskIO(e.faultPage, false, stFaultLoaded) {
-				return
-			}
+			e.evictIO(res.Evicted, p, stFaultLoaded)
 
 		case stFaultLoaded:
 			if r.cfg.SwizzleDirty {
@@ -321,20 +338,11 @@ func (e *txnExec) step(kernel bool) {
 						e.state = stPageDone
 						continue
 					}
-					e.prefetchPage = next
-					e.evs = append(e.evs[:0], res.Evicted...)
-					e.evIdx = 0
-					e.evNext = stReadPrefetch
-					e.state = stEvict
+					e.evictIO(res.Evicted, next, stPageDone)
 					continue
 				}
 			}
 			e.state = stPageDone
-
-		case stReadPrefetch:
-			if !e.diskIO(e.prefetchPage, false, stPageDone) {
-				return
-			}
 
 		case stPageDone:
 			if e.loaded && r.cfg.ReserveOnLoad {
@@ -354,11 +362,7 @@ func (e *txnExec) step(kernel bool) {
 			}
 			p := e.reserve[e.resIdx]
 			e.resIdx++
-			res := r.buf.Reserve(p)
-			e.evs = append(e.evs[:0], res.Evicted...)
-			e.evIdx = 0
-			e.evNext = stReserve
-			e.state = stEvict
+			e.evictIO(r.buf.Reserve(p).Evicted, disk.None, stReserve)
 
 		case stShip:
 			// Page server systems ship the page to the client; object
@@ -414,14 +418,32 @@ func (e *txnExec) step(kernel bool) {
 			e.opIdx++
 			e.state = stNextOp
 
+		case stIO:
+			if e.ioIdx >= len(e.io) {
+				e.state = e.ioNext
+				continue
+			}
+			e.state = stDiskGrant
+			if !e.acquire(r.diskRes) {
+				return
+			}
+
 		case stDiskGrant:
 			// The controller is granted: compute the service time now
 			// (disk head position depends on the grant moment).
+			op := e.io[e.ioIdx]
+			e.ioIdx++
+			p := disk.PageID(op >> ioKindBits)
 			var d float64
-			if e.diskWrite {
-				d = r.dsk.WriteTime(e.diskPage)
-			} else {
-				d = r.dsk.ReadTime(e.diskPage)
+			switch op & ioKindMask {
+			case ioRead:
+				d = r.dsk.ReadTime(p)
+			case ioWrite:
+				d = r.dsk.WriteTime(p)
+			case ioScan:
+				d = r.dsk.SequentialReadTime(0, int(p))
+			case ioHold:
+				d = e.hold
 			}
 			e.state = stDiskRelease
 			if !e.wait(d, kernel) {
@@ -430,22 +452,47 @@ func (e *txnExec) step(kernel bool) {
 
 		case stDiskRelease:
 			r.diskRes.Release()
-			e.state = e.afterDisk
+			e.state = stIO
+
+		case stReorgDone:
+			// Placement changed: every cached page is stale. Dirty pages
+			// were re-written as part of the move, so they are dropped,
+			// not flushed.
+			r.buf.InvalidateAll()
+			r.dsk.ResetHead()
+			r.lastReorg = ReorgReport{
+				Summary:   r.lastSummary,
+				ReadIOs:   r.dsk.Reads() - e.startReads,
+				WriteIOs:  r.dsk.Writes() - e.startWrites,
+				ElapsedMs: r.sim.Now() - e.start,
+			}
+			r.reorgIOs += r.lastReorg.IOs()
+			then := e.done
+			e.recycle()
+			then()
+			return
+
+		case stRepairDone:
+			// The next failure is drawn only now, when the repair ends, so
+			// failures never overlap (see FailureParams.MTBFMs). Once the
+			// batch has no work left none is drawn, so the calendar drains.
+			e.recycle()
+			if f := r.failures; f.workRemaining() {
+				f.arm()
+			}
+			return
 
 		case stCommit:
 			r.locks.End(e.txid)
 			r.clusterer.EndTransaction()
 			r.activeTx--
 			r.txDone++
-			resp := r.sim.Now() - e.submitT
+			resp := r.sim.Now() - e.start
 			r.respTotal += resp
 			r.respDist.Add(resp)
 			r.admission.Release()
 			done := e.done
-			e.done = nil
-			e.tx = nil
-			e.state = stIdle
-			r.execPool = append(r.execPool, e)
+			e.recycle()
 			done()
 			return
 
