@@ -134,35 +134,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 			}
 		}
 	}
-	cur := -1
-	fill := s.cfg.PageSize
-	newPage := func() {
-		starts = append(starts, int32(len(arena)))
-		cur = len(starts) - 1
-		fill = 0
-	}
-	for _, o := range order {
-		sz := s.effectiveSize(o)
-		if sz > s.cfg.PageSize {
-			n := (sz + s.cfg.PageSize - 1) / s.cfg.PageSize
-			newPage()
-			s.firstPage[o] = disk.PageID(cur)
-			s.span[o] = int32(n)
-			arena = append(arena, o)
-			for i := 1; i < n; i++ {
-				newPage()
-			}
-			fill = s.cfg.PageSize
-			continue
-		}
-		if fill+sz > s.cfg.PageSize {
-			newPage()
-		}
-		s.firstPage[o] = disk.PageID(cur)
-		s.span[o] = 1
-		arena = append(arena, o)
-		fill += sz
-	}
+	starts, arena = s.pack(starts, arena, order)
 	s.numPages = len(starts)
 	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena

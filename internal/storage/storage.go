@@ -192,48 +192,43 @@ func (s *Store) effectiveSize(o ocb.OID) int {
 	return s.effSize(int(s.db.SizeOf(o)))
 }
 
-// place lays objects out in the given order, first-fit into consecutive
-// pages; an object larger than a page spans dedicated consecutive pages.
-// The directory buffers are recycled, so repeated placements allocate only
-// when the page space outgrows its high-water mark. Placement order means
-// the current page is always the last directory entry, which is what lets
-// a flat arena replace per-page lists.
+// place lays objects out in the given order (see pack). The directory
+// buffers are recycled, so repeated placements allocate only when the page
+// space outgrows its high-water mark.
 func (s *Store) place(order []ocb.OID) {
-	starts := s.pageStart[:0]
-	arena := s.pageObjArena[:0]
-	cur := -1 // current page index
-	fill := 0 // bytes used on current page
-	newPage := func() {
-		starts = append(starts, int32(len(arena)))
-		cur = len(starts) - 1
-		fill = 0
-	}
-	for _, o := range order {
-		sz := s.effectiveSize(o)
-		if sz > s.cfg.PageSize {
-			// Spanning object: dedicated consecutive pages.
-			n := (sz + s.cfg.PageSize - 1) / s.cfg.PageSize
-			newPage()
-			s.firstPage[o] = disk.PageID(cur)
-			s.span[o] = int32(n)
-			arena = append(arena, o)
-			for i := 1; i < n; i++ {
-				newPage()
-			}
-			fill = s.cfg.PageSize // force a fresh page next
-			continue
-		}
-		if cur < 0 || fill+sz > s.cfg.PageSize {
-			newPage()
-		}
-		s.firstPage[o] = disk.PageID(cur)
-		s.span[o] = 1
-		arena = append(arena, o)
-		fill += sz
-	}
+	starts, arena := s.pack(s.pageStart[:0], s.pageObjArena[:0], order)
 	s.numPages = len(starts)
 	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStart, s.pageObjArena = starts, arena
+}
+
+// pack appends order's objects to the page directory (starts, arena)
+// first-fit onto fresh pages: each object joins the last page while it
+// fits, and one larger than a page spans dedicated consecutive pages. It
+// records each object's first page and span. Packing in order means the
+// current page is always the last directory entry, which is what lets a
+// flat arena replace per-page lists.
+func (s *Store) pack(starts []int32, arena, order []ocb.OID) ([]int32, []ocb.OID) {
+	size := s.cfg.PageSize
+	fill := size // no open page: the first object (effSize ≥ 1) opens one
+	for _, o := range order {
+		sz := s.effectiveSize(o)
+		if fill+sz > size {
+			starts = append(starts, int32(len(arena)))
+			fill = 0
+		}
+		s.firstPage[o] = disk.PageID(len(starts) - 1)
+		arena = append(arena, o)
+		// A spanning object's tail pages hold no object, and its fill,
+		// past the page size, makes the next object open a fresh page.
+		fill += sz
+		span := (sz + size - 1) / size
+		s.span[o] = int32(span)
+		for i := 1; i < span; i++ {
+			starts = append(starts, int32(len(arena)))
+		}
+	}
+	return starts, arena
 }
 
 // Database returns the underlying object base.

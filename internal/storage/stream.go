@@ -9,7 +9,7 @@ import (
 
 // Streaming placement: a streaming object base (ocb.LayoutStream) has
 // class-contiguous OIDs and one instance size per class, so the first-fit
-// layout that place() computes object by object is fully determined by
+// layout that pack() computes object by object is fully determined by
 // O(classes) arithmetic. Each class gets a classExtent — where its head
 // objects share the predecessor's last page, where its fresh pages start,
 // and how many objects pack per page — replacing the O(objects) firstPage/
@@ -18,7 +18,7 @@ import (
 //
 // Equivalence with the eager layout is exact: under class-contiguous OIDs
 // the Sequential and OptimizedSequential orders coincide (both are OID
-// order), and the head/perPage arithmetic below replicates place()'s
+// order), and the head/perPage arithmetic below replicates pack()'s
 // "fill+sz > PageSize ⇒ new page" rule, so every object lands on the same
 // page a materialized store would put it on (pinned by stream tests).
 
@@ -50,7 +50,7 @@ func (s *Store) effSize(size int) int {
 }
 
 // placeStream computes the per-class extents for a streaming base in
-// O(classes), replicating place()'s first-fit state machine.
+// O(classes), replicating pack()'s first-fit state machine.
 func (s *Store) placeStream() {
 	db := s.db
 	nc := len(db.Classes)
@@ -74,7 +74,7 @@ func (s *Store) placeStream() {
 			continue
 		}
 		if sz > s.cfg.PageSize {
-			// Spanning objects: place() starts a fresh page per object
+			// Spanning objects: pack() starts a fresh page per object
 			// unconditionally and leaves the last page "full".
 			span := (sz + s.cfg.PageSize - 1) / s.cfg.PageSize
 			e.span = int32(span)
