@@ -232,9 +232,9 @@ func TestAdvanceStopCheck(t *testing.T) {
 	}
 }
 
-// TestAdvanceRefusals: outside Run's dispatch (Step, RunUntil, no action
-// at all), on the heap-only kernel, and once halted, Advance changes
-// nothing and reports false.
+// TestAdvanceRefusals: outside Run's dispatch (Step, no action at all), on
+// the heap-only kernel, and once halted, Advance changes nothing and
+// reports false.
 func TestAdvanceRefusals(t *testing.T) {
 	s := New()
 	var got []bool
@@ -242,12 +242,12 @@ func TestAdvanceRefusals(t *testing.T) {
 	s.Schedule(1, try)
 	s.Schedule(5, try)
 	s.Step()
-	s.RunUntil(10)
+	s.Step()
 	try()
 	if len(got) != 3 || got[0] || got[1] || got[2] {
-		t.Fatalf("Advance from Step, RunUntil and outside any action: %v, want all false", got)
+		t.Fatalf("Advance from Step and outside any action: %v, want all false", got)
 	}
-	if s.Now() != 10 || s.Executed() != 2 || s.Scheduled() != 2 {
+	if s.Now() != 5 || s.Executed() != 2 || s.Scheduled() != 2 {
 		t.Fatalf("refused Advance moved the books: now %v, executed %d, scheduled %d", s.Now(), s.Executed(), s.Scheduled())
 	}
 

@@ -127,7 +127,6 @@ func BenchmarkCalendarScale(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("pending%d", n), func(b *testing.B) {
 			s := New()
-			s.Grow(n + 1)
 			rng := lcg(2026)
 			var hold func()
 			hold = func() {

@@ -135,8 +135,8 @@ func TestBypassChainEquivalence(t *testing.T) {
 }
 
 // TestBypassStepHaltEquivalence drives the halting and stepping paths —
-// Step, RunUntil mid-calendar, a Halt honored through a stop check, then a
-// resumed Run — with the fast path on and off.
+// Step mid-calendar, a Halt honored through a stop check, then a resumed
+// Run — with the fast path on and off.
 func TestBypassStepHaltEquivalence(t *testing.T) {
 	bypassOnOff(t, func(s *Simulation) []fired {
 		rng := lcg(99)
@@ -157,10 +157,9 @@ func TestBypassStepHaltEquivalence(t *testing.T) {
 				}
 			})
 		}
-		for i := 0; i < 20; i++ {
+		for i := 0; i < 50; i++ {
 			s.Step()
 		}
-		s.RunUntil(5)
 		s.SetStopCheck(func() bool { return false })
 		s.Run()
 		if !s.Halted() {

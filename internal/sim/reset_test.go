@@ -25,7 +25,9 @@ func TestResetRestoresFreshState(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Schedule(float64(i), func() {})
 	}
-	s.RunUntil(10)
+	for i := 0; i <= 10; i++ {
+		s.Step()
+	}
 	s.Reset()
 
 	if s.Now() != 0 || s.Pending() != 0 || s.Scheduled() != 0 || s.Executed() != 0 {
@@ -67,23 +69,6 @@ func TestResetStaleHandles(t *testing.T) {
 	}
 }
 
-// TestGrowPreSizes: after Grow(n), scheduling n events allocates nothing.
-func TestGrowPreSizes(t *testing.T) {
-	s := New()
-	s.Grow(256)
-	action := func() {}
-	allocs := testing.AllocsPerRun(10, func() {
-		s.Reset()
-		for i := 0; i < 256; i++ {
-			s.Schedule(float64(i%7), action)
-		}
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("grown calendar allocated %v times per cycle, want 0", allocs)
-	}
-}
-
 // TestResourceReset pins Resource.Reset: held tokens, queued waiters, and
 // statistics all vanish; the resource then serves grants like new.
 func TestResourceReset(t *testing.T) {
@@ -95,7 +80,8 @@ func TestResourceReset(t *testing.T) {
 	if r.InUse() != 1 || r.QueueLen() != 1 {
 		t.Fatalf("setup: inUse=%d queue=%d", r.InUse(), r.QueueLen())
 	}
-	s.RunFor(3) // accumulate some busy integral
+	s.Schedule(3, func() {})
+	s.Run() // accumulate some busy integral
 	r.Reset()
 	s.Reset()
 	if r.InUse() != 0 || r.QueueLen() != 0 || r.Grants() != 0 {

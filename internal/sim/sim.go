@@ -126,8 +126,7 @@ type Simulation struct {
 	halted    bool
 
 	// running is set while Run dispatches: Advance continues an action in
-	// place only there, so Step and RunUntil keep their one-event and
-	// horizon contracts.
+	// place only there, so Step keeps its one-event contract.
 	running bool
 }
 
@@ -169,28 +168,6 @@ func (s *Simulation) Reset() {
 	s.peak = 0
 	s.stopCheck = nil
 	s.halted = false
-}
-
-// Grow pre-sizes the calendar so at least n events can be pending at once
-// without growing the arena or the heap — the capacity hint for callers
-// whose peak calendar depth is known up front. Without it the storage
-// grows on demand, and Reset keeps whatever capacity was reached.
-func (s *Simulation) Grow(n int) {
-	if cap(s.events) < n {
-		events := make([]eventSlot, len(s.events), n)
-		copy(events, s.events)
-		s.events = events
-	}
-	if cap(s.free) < n {
-		free := make([]int32, len(s.free), n)
-		copy(free, s.free)
-		s.free = free
-	}
-	if cap(s.heap) < n {
-		heap := make([]int32, len(s.heap), n)
-		copy(heap, s.heap)
-		s.heap = heap
-	}
 }
 
 // Now returns the current simulated time.
@@ -304,8 +281,8 @@ func (s *Simulation) place(idx int32, t Time) {
 //
 // Only the tail of the running action may call Advance: nothing the action
 // would still do after scheduling may run before the continuation. It
-// refuses outside Run's dispatch (so Step and RunUntil keep their
-// one-event and horizon contracts), on a heap-only kernel, and once halted.
+// refuses outside Run's dispatch (so Step keeps its one-event contract), on
+// a heap-only kernel, and once halted.
 //
 // The books are kept as ScheduleAt, place and a register pop would keep
 // them: the continuation takes a sequence number, counts as scheduled,
@@ -458,31 +435,6 @@ func (s *Simulation) Run() {
 		}
 	}
 }
-
-// RunUntil executes events whose time is ≤ horizon, then advances the clock
-// to horizon. Events scheduled beyond the horizon remain in the calendar.
-func (s *Simulation) RunUntil(horizon Time) {
-	for {
-		var t Time
-		if s.headSlot >= 0 {
-			t = s.events[s.headSlot].time
-		} else if len(s.heap) > 0 {
-			t = s.events[s.heap[0]].time
-		} else {
-			break
-		}
-		if t > horizon {
-			break
-		}
-		s.Step()
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// RunFor executes events for d units of simulated time from now.
-func (s *Simulation) RunFor(d Time) { s.RunUntil(s.now + d) }
 
 // --- event calendar: a binary min-heap of slot indices, ordered (time, seq) ---
 //

@@ -185,41 +185,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var got []float64
-	for _, d := range []float64{1, 2, 3, 4, 5} {
-		d := d
-		s.Schedule(d, func() { got = append(got, d) })
-	}
-	s.RunUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("len(got) = %d, want 3", len(got))
-	}
-	if s.Now() != 3 {
-		t.Fatalf("Now() = %v, want 3", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if len(got) != 5 || s.Now() != 5 {
-		t.Fatalf("after Run: got %v now %v", got, s.Now())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	s := New()
-	s.RunUntil(42)
-	if s.Now() != 42 {
-		t.Fatalf("Now() = %v, want 42", s.Now())
-	}
-	s.RunFor(8)
-	if s.Now() != 50 {
-		t.Fatalf("Now() = %v, want 50", s.Now())
-	}
-}
-
 func TestSchedulePanics(t *testing.T) {
 	s := New()
 	assertPanics(t, "negative delay", func() { s.Schedule(-1, func() {}) })
@@ -334,13 +299,12 @@ func TestHugeTimes(t *testing.T) {
 
 // BenchmarkScheduleRun measures a whole calendar lifecycle — fill with
 // 1000 events, drain, reset — on a long-lived simulation, the way a
-// replication context uses the kernel. Reset recycles the slot arena and
-// Grow pre-sizes it, so after the warm-up pass this runs at 0 allocs/op
-// (CI-guarded); the pre-Reset version of this benchmark rebuilt the
-// calendar each iteration and paid 33 allocs/96 KB per op.
+// replication context uses the kernel. Reset recycles the slot arena, so
+// after the warm-up pass grows it this runs at 0 allocs/op (CI-guarded);
+// the pre-Reset version of this benchmark rebuilt the calendar each
+// iteration and paid 33 allocs/96 KB per op.
 func BenchmarkScheduleRun(b *testing.B) {
 	s := New()
-	s.Grow(1000)
 	action := func() {}
 	cycle := func() {
 		s.Reset()
