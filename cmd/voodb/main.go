@@ -41,7 +41,7 @@ func main() {
 		writeProb = flag.Float64("write-prob", 0, "OCB: per-access update probability")
 
 		clustering = flag.String("clustering", "none", "clustering module: none | dstc | greedy")
-		mtbf       = flag.Float64("failure-mtbf", 0, "mean time between failures in ms (0 = none)")
+		mtbf       = flag.Float64("failure-mtbf", 0, "mean up-time in ms before a failure, from the batch start or the last repair (0 = none)")
 		repair     = flag.Float64("failure-repair", 200, "with -failure-mtbf: mean repair time in ms")
 
 		reps = flag.Int("reps", voodb.DefaultReplications,

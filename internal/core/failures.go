@@ -17,10 +17,10 @@ import (
 type FailureParams struct {
 	// Enabled switches the module on.
 	Enabled bool
-	// MTBFMs is the mean (simulated) up-time in ms, exponentially
-	// distributed: from the end of one repair to the next strike. It is
-	// not the mean interval between strikes, which adds each repair and
-	// its wait for the disk.
+	// MTBFMs is the mean (simulated) up-time in ms before a failure
+	// strikes, exponentially distributed, counted from the start of the
+	// batch or the end of the previous repair. It is not the mean interval
+	// between strikes, which adds each repair and its wait for the disk.
 	MTBFMs float64
 	// MeanRepairMs is the mean repair time in ms, exponentially
 	// distributed.
@@ -110,7 +110,7 @@ func (f *failureInjector) strike() {
 	e := f.r.getExec()
 	e.hold = repair
 	e.io = append(e.io[:0], mkIO(ioHold, 0))
-	e.startIO(stRepairDone)
+	e.ioIdx, e.ioNext, e.state = 0, stRepairDone, stIO
 	e.step(false)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/disk"
 )
@@ -42,9 +44,7 @@ func (r *Run) PerformClustering(then func()) {
 	}
 
 	// Reads happen against the pre-reorganization buffer state: pages
-	// that are resident need no physical read. Then the new pages are
-	// written and, with physical OIDs, the whole old database is scanned
-	// and the pages referencing moved objects rewritten.
+	// that are resident need no physical read.
 	st := r.store.Reorganize(clusters)
 	e := r.getExec()
 	e.done = then
@@ -55,6 +55,8 @@ func (r *Run) PerformClustering(then func()) {
 			e.io = append(e.io, mkIO(ioRead, p))
 		}
 	}
+	// The rest has a known count: grow the list once, not op by op.
+	e.io = slices.Grow(e.io, len(st.NewPageList)+1+len(st.ScanWritePages))
 	for _, p := range st.NewPageList {
 		e.io = append(e.io, mkIO(ioWrite, p))
 	}
@@ -64,7 +66,7 @@ func (r *Run) PerformClustering(then func()) {
 			e.io = append(e.io, mkIO(ioWrite, p))
 		}
 	}
-	e.startIO(stReorgDone)
+	e.ioIdx, e.ioNext, e.state = 0, stReorgDone, stIO
 	e.step(false)
 }
 

@@ -89,7 +89,7 @@ type ioOp uint64
 const (
 	ioRead ioOp = iota
 	ioWrite
-	ioScan // sequential read of the first pages
+	ioScan // sequential read from page 0
 	ioHold // the controller held for a repair
 
 	ioKindBits = 2
@@ -181,16 +181,8 @@ func (e *txnExec) restart() {
 	e.r.sim.Schedule(1.0, e.cont)
 }
 
-// startIO runs the I/O list from its first op, continuing at next once
-// every op is done.
-func (e *txnExec) startIO(next txnState) {
-	e.ioIdx = 0
-	e.ioNext = next
-	e.state = stIO
-}
-
 // evictIO sets the I/O list to a write-back of each dirty victim in evs,
-// then a read of page read unless it is disk.None, and runs it.
+// then a read of page read unless it is disk.None, and starts it.
 func (e *txnExec) evictIO(evs []buffer.Eviction, read disk.PageID, next txnState) {
 	e.io = e.io[:0]
 	for _, ev := range evs {
@@ -201,7 +193,7 @@ func (e *txnExec) evictIO(evs []buffer.Eviction, read disk.PageID, next txnState
 	if read != disk.None {
 		e.io = append(e.io, mkIO(ioRead, read))
 	}
-	e.startIO(next)
+	e.ioIdx, e.ioNext, e.state = 0, next, stIO
 }
 
 // recycle returns the executor to the Run's freelist.
