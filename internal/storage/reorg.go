@@ -134,11 +134,8 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 			}
 		}
 	}
-	starts, arena = s.pack(starts, arena, order)
-	s.numPages = len(starts)
-	starts = append(starts, int32(len(arena))) // sentinel
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena
-	s.pageStart, s.pageObjArena = starts, arena
+	s.pageStart, s.pageObjArena = s.pack(starts, arena, order)
 	s.reorgs++
 
 	// Mark the new pages and clear the object marks.

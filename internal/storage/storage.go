@@ -196,18 +196,16 @@ func (s *Store) effectiveSize(o ocb.OID) int {
 // buffers are recycled, so repeated placements allocate only when the page
 // space outgrows its high-water mark.
 func (s *Store) place(order []ocb.OID) {
-	starts, arena := s.pack(s.pageStart[:0], s.pageObjArena[:0], order)
-	s.numPages = len(starts)
-	starts = append(starts, int32(len(arena))) // sentinel
-	s.pageStart, s.pageObjArena = starts, arena
+	s.pageStart, s.pageObjArena = s.pack(s.pageStart[:0], s.pageObjArena[:0], order)
 }
 
 // pack appends order's objects to the page directory (starts, arena)
 // first-fit onto fresh pages: each object joins the last page while it
 // fits, and one larger than a page spans dedicated consecutive pages. It
-// records each object's first page and span. Packing in order means the
-// current page is always the last directory entry, which is what lets a
-// flat arena replace per-page lists.
+// records each object's first page and span, sets the page count and
+// returns the directory closed by its sentinel. Packing in order means
+// the current page is always the last directory entry, which is what lets
+// a flat arena replace per-page lists.
 func (s *Store) pack(starts []int32, arena, order []ocb.OID) ([]int32, []ocb.OID) {
 	size := s.cfg.PageSize
 	fill := size // no open page: the first object (effSize ≥ 1) opens one
@@ -228,7 +226,8 @@ func (s *Store) pack(starts []int32, arena, order []ocb.OID) ([]int32, []ocb.OID
 			starts = append(starts, int32(len(arena)))
 		}
 	}
-	return starts, arena
+	s.numPages = len(starts)
+	return append(starts, int32(len(arena))), arena // sentinel
 }
 
 // Database returns the underlying object base.
