@@ -175,9 +175,9 @@ func texasDSTCConfig() Config {
 // warm §4.4 replication (regenerate the base, reset the model, 1000
 // depth-3 traversals, a reorganization drained to completion, then 1000
 // more) recycles the link table, the cluster scratch, the store's
-// reorganization scratch and the pooled I/O executor. What remains is
-// ExecuteBatch's per-batch closures and occasional high-water growth when
-// a replication's base outgrows every earlier one.
+// reorganization scratch and the pooled executor's I/O list. What remains
+// is ExecuteBatch's per-batch closures and occasional high-water growth
+// when a replication's base outgrows every earlier one.
 func TestWarmDSTCReplicationAllocs(t *testing.T) {
 	e := DSTCExperiment{
 		Config:       texasDSTCConfig(),
