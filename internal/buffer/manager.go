@@ -54,11 +54,14 @@ type Manager struct {
 	frames   []frame // resident pages in fill order, grown on demand
 	frameOf  []int32 // indexed by PageID: frame + 1, 0 when not resident
 
-	// reserveCold inserts reserved frames at the eviction end (when the
-	// policy supports it) instead of the hot end. Hot insertion models a
-	// VM that treats freshly reserved pages like any fault-in (Texas);
-	// cold insertion models an OS that reclaims never-touched pages first.
-	reserveCold bool
+	// coldIns inserts reserved frames at the eviction end instead of the
+	// hot end. It is the policy itself when SetReserveCold selected cold
+	// insertion and the policy supports it, nil otherwise. Hot insertion
+	// models a VM that treats freshly reserved pages like any fault-in
+	// (Texas); cold insertion models an OS that reclaims never-touched
+	// pages first. It is resolved once, not asserted per reservation: the
+	// runtime's cache of an interface assertion allocates when it grows.
+	coldIns ColdInserter
 
 	hits       uint64
 	misses     uint64
@@ -70,8 +73,14 @@ type Manager struct {
 	evScratch []Eviction
 }
 
-// SetReserveCold selects cold insertion for reserved frames.
-func (m *Manager) SetReserveCold(cold bool) { m.reserveCold = cold }
+// SetReserveCold selects cold insertion for reserved frames, when the
+// policy supports it.
+func (m *Manager) SetReserveCold(cold bool) {
+	m.coldIns = nil
+	if cold {
+		m.coldIns, _ = m.policy.(ColdInserter)
+	}
+}
 
 // New returns a Manager holding at most capacity pages. It panics if
 // capacity < 1 or policy is nil.
@@ -183,8 +192,8 @@ func (m *Manager) Reserve(p PageID) AccessResult {
 		return AccessResult{Hit: true}
 	}
 	f, res := m.place(p, reserved, false)
-	if ci, ok := m.policy.(ColdInserter); ok && m.reserveCold {
-		ci.InsertedCold(f, p)
+	if m.coldIns != nil {
+		m.coldIns.InsertedCold(f, p)
 	} else {
 		m.policy.Inserted(f, p)
 	}

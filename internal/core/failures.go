@@ -51,7 +51,7 @@ type FailureStats struct {
 type failureInjector struct {
 	r      *Run
 	params FailureParams
-	src    *rng.Source
+	src    rng.Source
 
 	// workRemaining reports whether the current batch still has work; a
 	// hazard striking an idle system is ignored, and none is re-armed, so
@@ -63,10 +63,23 @@ type failureInjector struct {
 	stats    FailureStats
 }
 
-func newFailureInjector(r *Run, params FailureParams, src *rng.Source) *failureInjector {
-	f := &failureInjector{r: r, params: params, src: src}
+// newFailureInjector returns r's injector, its hazards drawn from the
+// stream of seed.
+func newFailureInjector(r *Run, params FailureParams, seed uint64) *failureInjector {
+	f := &failureInjector{r: r, params: params}
 	f.strikeFn = f.strike
+	f.reset(seed)
 	return f
+}
+
+// reset restores the injector in place to the state newFailureInjector
+// gives it for seed: its stream re-seeded, no hazard pending and no
+// statistics.
+func (f *failureInjector) reset(seed uint64) {
+	f.src.Reinit(seed)
+	f.workRemaining = nil
+	f.pending = sim.Event{}
+	f.stats = FailureStats{}
 }
 
 // arm schedules the next hazard.

@@ -140,6 +140,36 @@ func TestFailuresDeterministic(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewRun: a Run reset after a replication in which
+// failures struck replays the next replication exactly as a freshly built
+// Run does, batch and failure statistics alike, so Reset re-seeds the
+// injector's stream and clears what it counted. RANDOM replacement covers
+// the policy's re-seeding too.
+func TestResetMatchesNewRun(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BufferPolicy = "RANDOM"
+	cfg.Failures = FailureParams{Enabled: true, MTBFMs: 500, MeanRepairMs: 20}
+	p := smallParams()
+	p.HotN = 200
+	r, db := mustRun(t, cfg, p, 71)
+	r.ExecuteBatch(ocb.GenerateWorkload(db, 72).Hot)
+	if r.FailureStats().Failures == 0 {
+		t.Fatal("no failure struck in the first replication; the test needs some")
+	}
+
+	fresh, db2 := mustRun(t, cfg, p, 73)
+	w := ocb.GenerateWorkload(db2, 74)
+	want, wantFail := fresh.ExecuteBatch(w.Hot), fresh.FailureStats()
+	r.Reset(db2, 73)
+	got, gotFail := r.ExecuteBatch(w.Hot), r.FailureStats()
+	if got != want {
+		t.Errorf("batch after Reset diverged from a fresh Run:\n%+v\n%+v", got, want)
+	}
+	if gotFail != wantFail {
+		t.Errorf("failure stats after Reset = %+v, fresh Run %+v", gotFail, wantFail)
+	}
+}
+
 // TestWarmFailureBatchAllocs gates the failure path's allocations: on a
 // warm model, a batch with failures striking allocates at most once more
 // than the same batch without them (the batch's workRemaining closure),
@@ -169,5 +199,40 @@ func TestWarmFailureBatchAllocs(t *testing.T) {
 	}
 	if allocs > base+1 {
 		t.Errorf("a warm batch with %d strikes performed %v allocations, want ≤ %v (one more than without failures)", strikes, allocs, base+1)
+	}
+}
+
+// TestWarmFailureReplicationAllocs extends that gate to a whole warm
+// replication: Reset re-seeds the failure injector in place, so a Reset
+// plus one batch with failures striking allocates at most once more than
+// the same replication without them (the batch's workRemaining closure).
+func TestWarmFailureReplicationAllocs(t *testing.T) {
+	replication := func(fail bool) (allocs float64, strikes uint64) {
+		cfg := smallConfig()
+		if fail {
+			cfg.Failures = FailureParams{Enabled: true, MTBFMs: 500, MeanRepairMs: 20}
+		}
+		p := smallParams()
+		p.NO = 2000
+		p.HotN = 200
+		r, db := mustRun(t, cfg, p, 61)
+		w := ocb.GenerateWorkload(db, 62)
+		rep := func() {
+			r.Reset(db, 63)
+			r.ExecuteBatch(w.Hot)
+		}
+		rep() // grow the pools and the calendar
+		strikes = r.FailureStats().Failures
+		allocs = testing.AllocsPerRun(4, rep)
+		return allocs, strikes
+	}
+	base, _ := replication(false)
+	allocs, strikes := replication(true)
+	t.Logf("warm replication: %v allocations without failures, %v with failures (%d strikes)", base, allocs, strikes)
+	if strikes < 100 {
+		t.Fatalf("only %d strikes landed in a replication; the test needs many", strikes)
+	}
+	if allocs > base+1 {
+		t.Errorf("a warm replication with %d strikes performed %v allocations, want ≤ %v (one more than without failures)", strikes, allocs, base+1)
 	}
 }

@@ -37,6 +37,12 @@ type Run struct {
 	clusterer cluster.Policy
 	failures  *failureInjector
 
+	// reseeder and fullReset are the buffer policy and the clusterer when
+	// they implement these optional Reset hooks, nil otherwise. NewRun
+	// resolves them once, so Reset asserts no interface per replication.
+	reseeder  buffer.Reseeder
+	fullReset cluster.FullResetter
+
 	// execPool recycles executors (LIFO) — of transactions,
 	// reorganizations and repairs alike — so steady-state execution
 	// performs no per-transaction allocation.
@@ -95,7 +101,7 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	}
 	r.buf.SetReserveCold(cfg.ReserveCold)
 	if cfg.Failures.Enabled {
-		r.failures = newFailureInjector(r, cfg.Failures, rng.NewStream(seed, 21))
+		r.failures = newFailureInjector(r, cfg.Failures, rng.SubSeed(seed, 21))
 	}
 	switch cfg.Clustering {
 	case DSTC:
@@ -105,6 +111,8 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	default:
 		r.clusterer = cluster.None{}
 	}
+	r.reseeder, _ = pol.(buffer.Reseeder)
+	r.fullReset, _ = r.clusterer.(cluster.FullResetter)
 	return r, nil
 }
 
@@ -125,10 +133,10 @@ func (r *Run) Reset(db *ocb.Database, seed uint64) {
 	r.db = db
 	r.store.Reset(db)
 	r.buf.Reset()
-	if rs, ok := r.buf.Policy().(buffer.Reseeder); ok {
+	if r.reseeder != nil {
 		// RANDOM's eviction draws must replay from the same stream a fresh
 		// model would use (NewRun passes rng.NewStream(seed, 20)).
-		rs.Reseed(rng.SubSeed(seed, 20))
+		r.reseeder.Reseed(rng.SubSeed(seed, 20))
 	}
 	r.dsk.Reset()
 	r.net.ResetStats()
@@ -137,14 +145,13 @@ func (r *Run) Reset(db *ocb.Database, seed uint64) {
 	r.serverCPU.Reset()
 	r.clientCPU.Reset()
 	r.admission.Reset()
-	if fr, ok := r.clusterer.(cluster.FullResetter); ok {
-		fr.FullReset() // lifetime counters too, not just the observation cycle
+	if r.fullReset != nil {
+		r.fullReset.FullReset() // lifetime counters too, not just the observation cycle
 	} else {
 		r.clusterer.Reset()
 	}
-	r.failures = nil
-	if r.cfg.Failures.Enabled {
-		r.failures = newFailureInjector(r, r.cfg.Failures, rng.NewStream(seed, 21))
+	if r.failures != nil {
+		r.failures.reset(rng.SubSeed(seed, 21))
 	}
 	r.txDone, r.txAborted = 0, 0
 	r.respTotal = 0

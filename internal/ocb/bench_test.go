@@ -45,6 +45,29 @@ func BenchmarkOCBGenerateInto(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamGenerateInto is BenchmarkOCBGenerateInto on stream-1m's
+// base (NO 1,000,000, HotRootCount 1000, LayoutStream): the class-population
+// pass, the index and the hot roots, rebuilt into a warmed Database for two
+// alternating seeds, so even -benchtime 1x (the CI 0-allocs/op guard)
+// measures steady state.
+func BenchmarkStreamGenerateInto(b *testing.B) {
+	p := DefaultParams()
+	p.NO, p.HotRootCount, p.Layout = 1_000_000, 1000, LayoutStream
+	db := new(Database)
+	for seed := uint64(1); seed <= 2; seed++ {
+		if err := GenerateInto(db, p, seed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := GenerateInto(db, p, uint64(i%2)+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorkloadGenerateInto is the workload half of a replication's
 // set-up: refill a recycled Workload over a generated base, as a
 // replication context does. It covers the mixed fill over an eager and over

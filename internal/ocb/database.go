@@ -72,11 +72,15 @@ type Database struct {
 
 	// Layout v2 state (see layoutv2.go): classStart holds the prefix-sum
 	// OID ranges of the class-contiguous assignment (len NC+1, empty on a
-	// v1 base), hotSet is the Floyd-sampling scratch, and stream is the
-	// on-demand backend — non-nil exactly for LayoutStream bases.
-	classStart []OID
-	hotSet     map[OID]struct{}
-	stream     *streamBase
+	// v1 base), bucketClass holds the class of every 2^bucketShift-th OID
+	// (classIndexOf's start), hotSet is the Floyd-sampling scratch, and
+	// stream is the on-demand backend — non-nil exactly for LayoutStream
+	// bases.
+	classStart  []OID
+	bucketClass []int32
+	bucketShift uint
+	hotSet      map[OID]struct{}
+	stream      *streamBase
 }
 
 // zipfCache memoizes a Zipf sampler keyed by its support and skew. The cdf

@@ -15,6 +15,7 @@
 package ocb
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -104,18 +105,37 @@ func (sb *streamBase) materialize(db *Database, o OID) []OID {
 }
 
 // classIndexOf returns the class owning OID o under the v2 class-contiguous
-// assignment: the largest c with classStart[c] ≤ o.
+// assignment: the largest c with classStart[c] ≤ o. It starts from the
+// class of o's bucket's first OID and steps over the class boundaries
+// between that OID and o.
 func (db *Database) classIndexOf(o OID) int {
-	lo, hi := 0, len(db.classStart)-1
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if db.classStart[mid] <= o {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	c := int(db.bucketClass[uint32(o)>>db.bucketShift])
+	for db.classStart[c+1] <= o {
+		c++
 	}
-	return lo
+	return c
+}
+
+// indexBuckets builds classIndexOf's bucket table over the NO OIDs from
+// classStart. A bucket is 2^bucketShift OIDs wide, the largest power of two
+// no wider than NO/(4·NC), so the table has at most 8·NC entries, and a
+// lookup steps over NC·width/NO ≤ 1/4 class boundaries on average over all
+// OIDs, whatever the class sizes.
+func (db *Database) indexBuckets(no, nc int) {
+	shift := 0
+	if w := no / (4 * nc); w > 1 {
+		shift = bits.Len(uint(w)) - 1
+	}
+	db.bucketShift = uint(shift)
+	db.bucketClass = grown(db.bucketClass, (no-1)>>shift+1)
+	c := 0
+	for b := range db.bucketClass {
+		first := OID(b << shift)
+		for db.classStart[c+1] <= first {
+			c++
+		}
+		db.bucketClass[b] = int32(c)
+	}
 }
 
 // pickRef draws the target of a reference from the instance of rank
@@ -145,24 +165,21 @@ func generateV2(db *Database, p Params, seed uint64) error {
 	// Class population: the same objSrc draws as the v1 instance loop, but
 	// only per-class counts are retained; the prefix sums assign class c
 	// the OID range [classStart[c], classStart[c+1]). This pass is O(NO)
-	// time but O(classes) memory.
+	// time but O(classes) memory. Object o < NC takes class o, which
+	// guarantees every class an instance; the uniform draws of the rest
+	// run in one TallyIntn loop.
 	db.counts = grown(db.counts, p.NC)
 	counts := db.counts
-	clear(counts)
-	var objClassZipf *rng.Zipf
-	if p.ObjClassDist == Zipf {
-		objClassZipf = db.objZipf.get(objSrc, p.NC, p.ZipfTheta)
+	for c := range counts {
+		counts[c] = 1
 	}
-	for o := 0; o < p.NO; o++ {
-		var cls int
-		if o < p.NC {
-			cls = o // guarantee every class at least one instance
-		} else if objClassZipf != nil {
-			cls = objClassZipf.Next()
-		} else {
-			cls = objSrc.Intn(p.NC)
+	if p.ObjClassDist == Zipf {
+		objClassZipf := db.objZipf.get(objSrc, p.NC, p.ZipfTheta)
+		for o := p.NC; o < p.NO; o++ {
+			counts[objClassZipf.Next()]++
 		}
-		counts[cls]++
+	} else {
+		objSrc.TallyIntn(counts, p.NO-p.NC)
 	}
 	db.classStart = grown(db.classStart, p.NC+1)
 	off := OID(0)
@@ -171,6 +188,7 @@ func generateV2(db *Database, p Params, seed uint64) error {
 		off += OID(counts[c])
 	}
 	db.classStart[p.NC] = off
+	db.indexBuckets(p.NO, p.NC)
 
 	// Hot roots: Floyd's distinct sampling replaces the v1 full
 	// permutation, so the root draw is O(HotRootCount) in both time and
@@ -310,7 +328,7 @@ func (db *Database) ClassRange(c int) (lo, hi OID, ok bool) {
 }
 
 // StreamView returns a read-only view of db sharing its immutable index
-// (schema, prefix sums, hot roots) but owning a private materialization
+// (schema, prefix sums and their bucket table, hot roots) but owning a private materialization
 // cache, so concurrent replications can derive objects without contending
 // on cache slots. For an eager base — already safe to share — it returns db
 // itself. Views must never be passed to GenerateInto.
@@ -340,6 +358,7 @@ func (db *Database) ResidentBytes() int64 {
 	n += int64(cap(db.ByClass)) * int64(unsafe.Sizeof([]OID{}))
 	oidSize := int64(unsafe.Sizeof(OID(0)))
 	n += int64(cap(db.byClassArena)+cap(db.refArena)+cap(db.HotRoots)+cap(db.classStart)) * oidSize
+	n += int64(cap(db.bucketClass)) * int64(unsafe.Sizeof(int32(0)))
 	n += int64(cap(db.counts)+cap(db.permScratch)) * int64(unsafe.Sizeof(int(0)))
 	if db.stream != nil {
 		n += int64(cap(db.stream.slots)) * int64(unsafe.Sizeof(streamSlot{}))

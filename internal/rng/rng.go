@@ -76,17 +76,27 @@ func NewStream(seed uint64, idx uint64) *Source {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step: it returns the output of state s0…s3 and
+// the advanced state. It is the package's one copy of the generator, small
+// enough to inline, so Uint64 updates the Source in place and TallyIntn
+// keeps the state in registers across its whole loop.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**).
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Float64 returns a uniform variate in [0, 1).
@@ -108,6 +118,33 @@ func (r *Source) Intn(n int) int {
 			return int(hi)
 		}
 	}
+}
+
+// TallyIntn makes n draws of Intn(len(counts)) and adds one to counts[v]
+// for each value v drawn. The draws, and the state it leaves r in, are
+// those of n Intn calls; the loop only keeps the state in registers. It
+// panics if counts is empty.
+func (r *Source) TallyIntn(counts []int, n int) {
+	if len(counts) == 0 {
+		panic("rng: TallyIntn with no counts")
+	}
+	bound := uint64(len(counts))
+	// Intn's rejection test, lo < bound && lo < (-bound)%bound, is
+	// lo < (-bound)%bound alone, since (-bound)%bound < bound.
+	reject := (-bound) % bound
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; n > 0; n-- {
+		for {
+			var x uint64
+			x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			hi, lo := bits.Mul64(x, bound)
+			if lo >= reject {
+				counts[hi]++
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive. It panics if

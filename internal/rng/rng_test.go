@@ -255,6 +255,72 @@ func TestDiscretePanics(t *testing.T) {
 	}
 }
 
+// TestTallyIntnMatchesIntn: TallyIntn(counts, n) adds the same counts as n
+// Intn(len(counts)) calls and leaves the Source in the same state, for
+// bounds with and without a rejection zone and for several draw counts.
+func TestTallyIntnMatchesIntn(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 50, 1000} {
+		for _, n := range []int{0, 1, 2, 7, 1000, 100_003} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				want, got := make([]int, k), make([]int, k)
+				for i := range want {
+					want[i], got[i] = i, i // TallyIntn adds to what is there
+				}
+				a, b := New(seed), New(seed)
+				for i := 0; i < n; i++ {
+					want[a.Intn(k)]++
+				}
+				b.TallyIntn(got, n)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("k=%d n=%d seed=%d: counts[%d] = %d, want %d", k, n, seed, i, got[i], want[i])
+					}
+				}
+				if a.s != b.s {
+					t.Fatalf("k=%d n=%d seed=%d: state %x after TallyIntn, want %x", k, n, seed, b.s, a.s)
+				}
+			}
+		}
+	}
+}
+
+// TestTallyIntnRejects runs the rejection branch: with s[1] = 0 the next
+// raw output is 0, whose product with any bound is 0, below (-k)%k for a
+// k that is not a power of two. Intn then draws twice, and TallyIntn must
+// too.
+func TestTallyIntnRejects(t *testing.T) {
+	for _, k := range []int{3, 50, 1000} {
+		start := Source{s: [4]uint64{0x9e3779b97f4a7c15, 0, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}}
+		a, b, raw := start, start, start
+		want := make([]int, k)
+		want[a.Intn(k)]++
+		raw.Uint64()
+		raw.Uint64()
+		if a.s != raw.s {
+			t.Fatalf("k=%d: Intn did not reject the zero output", k)
+		}
+		got := make([]int, k)
+		b.TallyIntn(got, 1)
+		if b.s != a.s {
+			t.Fatalf("k=%d: state %x after TallyIntn, want %x", k, b.s, a.s)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: counts[%d] = %d, want %d", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestTallyIntnPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TallyIntn with no counts did not panic")
+		}
+	}()
+	New(1).TallyIntn(nil, 1)
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

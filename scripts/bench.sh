@@ -34,7 +34,7 @@ GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem ./internal/core/
   go test -run '^$' -bench 'BenchmarkOCBGenerate' -benchmem ./internal/ocb/
-  go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamAccess' -benchmem ./internal/ocb/
+  go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamGenerateInto|BenchmarkStreamAccess' -benchmem ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPL|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .
 } | tee "$TMP"
 

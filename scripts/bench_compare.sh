@@ -29,8 +29,8 @@ BenchmarkAcquireReleaseCycle BenchmarkReleaseAllWide BenchmarkTxnSubmitCommit}"
 GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel BenchmarkScheduleRun \
 BenchmarkReleaseAllWide \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireConflictDispatch BenchmarkTxnSubmitCommit \
-BenchmarkOCBGenerate BenchmarkOCBGenerateInto BenchmarkFig6_O2Instances20 \
-BenchmarkStreamAccess/hit BenchmarkStreamAccess/miss}"
+BenchmarkOCBGenerate BenchmarkOCBGenerateInto BenchmarkStreamGenerateInto \
+BenchmarkFig6_O2Instances20 BenchmarkStreamAccess/hit BenchmarkStreamAccess/miss}"
 
 # Residency gate: the streaming layout's whole point is O(hot-set + classes)
 # resident memory — fail if the 1M-object streaming base's resident bytes
