@@ -328,9 +328,9 @@ func (db *Database) ClassRange(c int) (lo, hi OID, ok bool) {
 }
 
 // StreamView returns a read-only view of db sharing its immutable index
-// (schema, prefix sums and their bucket table, hot roots) but owning a private materialization
-// cache, so concurrent replications can derive objects without contending
-// on cache slots. For an eager base — already safe to share — it returns db
+// (schema, prefix sums and their bucket table, hot roots) but owning a
+// private materialization cache, so concurrent replications can derive
+// objects without contending on cache slots. For an eager base — already safe to share — it returns db
 // itself. Views must never be passed to GenerateInto.
 func (db *Database) StreamView() *Database {
 	if db.stream == nil {

@@ -80,8 +80,8 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 // the advanced state. It is the package's one copy of the generator, small
 // enough to inline, so Uint64 updates the Source in place and TallyIntn
 // keeps the state in registers across its whole loop.
-func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
-	out = rotl(s1*5, 7) * 9
+func step(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	out := rotl(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
