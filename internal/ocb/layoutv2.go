@@ -118,9 +118,11 @@ func (db *Database) classIndexOf(o OID) int {
 
 // indexBuckets builds classIndexOf's bucket table over the NO OIDs from
 // classStart. A bucket is 2^bucketShift OIDs wide, the largest power of two
-// no wider than NO/(4·NC), so the table has at most 8·NC entries, and a
-// lookup steps over NC·width/NO ≤ 1/4 class boundaries on average over all
-// OIDs, whatever the class sizes.
+// no wider than NO/(4·NC), or 1 if none is, so the table has at most 8·NC
+// entries. Only a class boundary inside a bucket costs steps, one for each
+// of the fewer than width OIDs after it in the bucket, so over all OIDs a
+// lookup steps over at most NC·(width−1)/NO < 1/4 boundaries on average,
+// whatever the class sizes.
 func (db *Database) indexBuckets(no, nc int) {
 	shift := 0
 	if w := no / (4 * nc); w > 1 {
