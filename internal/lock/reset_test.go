@@ -25,7 +25,7 @@ func TestManagerReset(t *testing.T) {
 	if got := m.Begin(); got != 1 {
 		t.Fatalf("first TxID after Reset = %d, want 1", got)
 	}
-	if m.Acquisitions() != 0 && m.Waits() != 0 && m.Deaths() != 0 {
+	if m.Acquisitions() != 0 || m.Waits() != 0 || m.Deaths() != 0 {
 		t.Fatal("counters survived Reset")
 	}
 	mustGrant(t, m, 1, 5, Exclusive) // item 5 no longer blocked
