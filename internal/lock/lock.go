@@ -18,12 +18,17 @@
 // The table is allocation-free in steady state, following the DESP-C++
 // discipline of recycling rather than reallocating: each transaction's
 // held locks live in a dense list recycled through a free list (no
-// per-transaction maps), lock-table entries carry a small inline holder
-// array (most items have at most two holders under wait-die) and are
-// themselves recycled, and a release visits only the items the transaction
-// queued on instead of sweeping the whole table. The item table holds only
-// the items currently locked or queued on, so its size does not depend on
-// the range of Items (OIDs) the workload touches.
+// per-transaction maps), and a release visits only the items the
+// transaction queued on instead of sweeping the whole table. The item
+// table holds only the items currently locked or queued on, so its size
+// does not depend on the range of Items (OIDs) the workload touches.
+//
+// An uncontended lock costs one slot of that table, which keeps the item's
+// sole holder inline. An entry (holders and FIFO queue) is attached only
+// when a second transaction requests the item, and is recycled when the
+// item goes idle. A transaction that is the only locker — no entry
+// attached, nothing queued, every locked item its own — releases
+// everything in one step, by starting a new generation of the table.
 package lock
 
 import (
@@ -100,9 +105,10 @@ type holderSlot struct {
 // to the overflow slice. Under wait-die most items have ≤ 2 holders.
 const inlineHolders = 2
 
-// entry is the per-item lock state: holders (inline array plus overflow)
-// and a FIFO queue of waiting requests. Entries are recycled through the
-// Manager's pool when their item becomes idle.
+// entry is the lock state of an item that a second transaction requested:
+// holders (inline array plus overflow) and a FIFO queue of waiting
+// requests. Entries are recycled through the Manager's pool when their
+// item becomes idle.
 type entry struct {
 	inline   [inlineHolders]holderSlot
 	nInline  int32
@@ -215,12 +221,9 @@ func (e *entry) reset() {
 	e.queue = e.queue[:0]
 }
 
-// heldLock is one item a transaction holds, with the item's entry: a held
-// item is never idle, so the entry stays filed under it until the release,
-// and ReleaseAll needs no index lookup.
+// heldLock is one item a transaction holds.
 type heldLock struct {
 	item Item
-	e    *entry
 	mode Mode
 }
 
@@ -235,32 +238,40 @@ type txRec struct {
 	waits []Item
 }
 
-// itemSlot is one slot of the item index; e is nil in an empty slot.
+// itemSlot is one slot of the item index. It is live while gen equals the
+// index's generation. A live slot without an entry holds its item's sole
+// holder inline (tx, mode); once an entry is attached, the entry keeps
+// every holder and tx and mode go unused. Only a live slot has an entry.
 type itemSlot struct {
 	item Item
+	tx   TxID
 	e    *entry
+	gen  uint32
+	mode Mode
 }
 
 // itemIndexInit is the item index's initial slot count (a power of two).
 const itemIndexInit = 64
 
-// itemIndex files the entries of the items currently locked or queued on.
-// It is open-addressed: linear probing from a Fibonacci-hashed home slot
-// over a power-of-two slot array that doubles at half load and never
-// shrinks. Deletion back-shifts the rest of the probe run into the hole, so
-// no tombstones build up. Its size follows the live items (a few thousand
-// at most under admission control), not the largest Item, so a
-// million-object base costs the table nothing and Reset sweeps only the
-// live high-water mark.
+// itemIndex files the items currently locked or queued on. It is
+// open-addressed: linear probing from a Fibonacci-hashed home slot over a
+// power-of-two slot array that doubles at half load and never shrinks.
+// Deletion back-shifts the rest of the probe run into the hole, so no
+// tombstones build up, and empty drops every item at once by bumping the
+// generation. Its size follows the live items (a few thousand at most
+// under admission control), not the largest Item, so a million-object
+// base costs the table nothing and Reset sweeps only the live high-water
+// mark.
 type itemIndex struct {
 	slots []itemSlot
-	shift uint // 64 − log2(len(slots))
-	n     int  // occupied slots
+	shift uint   // 64 − log2(len(slots))
+	n     int    // live slots
+	gen   uint32 // generation of the live slots; never 0
 }
 
 // newItemIndex returns an empty index of size slots (a power of two).
 func newItemIndex(size int) itemIndex {
-	return itemIndex{slots: make([]itemSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	return itemIndex{slots: make([]itemSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size))), gen: 1}
 }
 
 // home returns item's first probe slot.
@@ -268,37 +279,59 @@ func (x *itemIndex) home(item Item) int {
 	return int(uint64(item) * 0x9E3779B97F4A7C15 >> x.shift)
 }
 
+// live reports whether slot i holds an item.
+func (x *itemIndex) live(i int) bool { return x.slots[i].gen == x.gen }
+
 // find returns the slot holding item, or the empty slot that ends item's
 // probe run, where an insert would file it.
 func (x *itemIndex) find(item Item) int {
-	mask := len(x.slots) - 1
+	slots, gen := x.slots, x.gen
+	mask := len(slots) - 1
 	for i := x.home(item); ; i = (i + 1) & mask {
-		if s := &x.slots[i]; s.e == nil || s.item == item {
+		if s := &slots[i]; s.gen != gen || s.item == item {
 			return i
 		}
 	}
 }
 
-// insert files e under item in slot i, the empty slot find(item) returned,
-// doubling the table first if the insert would pass half load.
-func (x *itemIndex) insert(i int, item Item, e *entry) {
+// insert files item, with tx as its sole holder in mode, in slot i, the
+// empty slot find(item) returned, doubling the table first if the insert
+// would pass half load. The fields are stored one at a time: building the
+// slot as one value and copying it in stalls the loads that follow it.
+func (x *itemIndex) insert(i int, item Item, tx TxID, mode Mode) {
 	if 2*(x.n+1) > len(x.slots) {
 		x.grow()
 		i = x.find(item)
 	}
-	x.slots[i] = itemSlot{item: item, e: e}
+	s := &x.slots[i]
+	s.item = item
+	s.tx = tx
+	s.mode = mode
+	s.e = nil
+	s.gen = x.gen
 	x.n++
 }
 
 // grow doubles the slot array and re-files every item.
 func (x *itemIndex) grow() {
-	old, n := x.slots, x.n
-	*x = newItemIndex(2 * len(old))
-	x.n = n
-	for _, s := range old {
-		if s.e != nil {
-			x.slots[x.find(s.item)] = s
+	old := x.slots
+	x.slots = make([]itemSlot, 2*len(old))
+	x.shift--
+	for i := range old {
+		if old[i].gen == x.gen {
+			x.slots[x.find(old[i].item)] = old[i]
 		}
+	}
+}
+
+// empty drops every item in one step: a new generation leaves every slot
+// stale. When the counter wraps, a stale slot may carry the new number, so
+// every slot is zeroed and the count restarts.
+func (x *itemIndex) empty() {
+	x.n = 0
+	if x.gen++; x.gen == 0 {
+		clear(x.slots)
+		x.gen = 1
 	}
 }
 
@@ -308,7 +341,7 @@ func (x *itemIndex) grow() {
 // home.
 func (x *itemIndex) removeAt(hole int) {
 	mask := len(x.slots) - 1
-	for j := (hole + 1) & mask; x.slots[j].e != nil; j = (j + 1) & mask {
+	for j := (hole + 1) & mask; x.live(j); j = (j + 1) & mask {
 		if (j-x.home(x.slots[j].item))&mask >= (j-hole)&mask {
 			x.slots[hole] = x.slots[j]
 			hole = j
@@ -323,18 +356,20 @@ func (x *itemIndex) removeAt(hole int) {
 const ringInit = 64
 
 // Manager is the lock table. Both index structures are map-free: per-item
-// state lives in the open-addressed item index, and active transactions
+// state lives in the open-addressed item index (an entry only for items a
+// second transaction requested), and active transactions
 // live in a power-of-two ring indexed by the TxID's low bits (validated
 // against txRec.owner). Maps churn internal buckets under the steady
 // begin/lock/commit cycle — a residual byte per operation that plain
 // slices do not have.
 type Manager struct {
 	nextTx TxID
-	items  itemIndex // entries of the items locked or queued on
+	items  itemIndex // the items locked or queued on
 	ring   []*txRec  // active transactions; index = TxID & (len-1)
 
 	entryPool []*entry
 	recPool   []*txRec
+	entries   int // entries out of the pool, each attached to a live slot
 
 	acquisitions uint64
 	waits        uint64
@@ -431,13 +466,15 @@ func (m *Manager) putRec(rec *txRec) {
 // TxIDs, so the ID restart matters) without reallocating. Any leftover
 // entries and records are recycled into the pools rather than dropped.
 func (m *Manager) Reset() {
-	for i, s := range m.items.slots {
-		if s.e != nil {
-			m.items.slots[i] = itemSlot{}
-			m.putEntry(s.e)
+	x := &m.items
+	for i := range x.slots {
+		if e := x.slots[i].e; e != nil {
+			m.putEntry(e)
 		}
 	}
-	m.items.n = 0
+	// Zero every slot, so no stale one keeps an entry pointer.
+	clear(x.slots)
+	x.n, x.gen = 0, 1
 	for i, rec := range m.ring {
 		if rec != nil {
 			m.ring[i] = nil
@@ -450,6 +487,7 @@ func (m *Manager) Reset() {
 }
 
 func (m *Manager) getEntry() *entry {
+	m.entries++
 	if n := len(m.entryPool); n > 0 {
 		e := m.entryPool[n-1]
 		m.entryPool = m.entryPool[:n-1]
@@ -459,6 +497,7 @@ func (m *Manager) getEntry() *entry {
 }
 
 func (m *Manager) putEntry(e *entry) {
+	m.entries--
 	e.reset()
 	m.entryPool = append(m.entryPool, e)
 }
@@ -509,14 +548,14 @@ func (m *Manager) HeldCount(tx TxID) int {
 // entry or appending. Fresh grants (where the caller knows tx does not
 // hold item) append directly instead; this path serves upgrades and
 // queued grants, which are rare.
-func (rec *txRec) updateHeld(item Item, e *entry, mode Mode) {
+func (rec *txRec) updateHeld(item Item, mode Mode) {
 	for i := range rec.locks {
 		if rec.locks[i].item == item {
 			rec.locks[i].mode = mode
 			return
 		}
 	}
-	rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
+	rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 }
 
 // Acquire requests item in the given mode for tx and returns the table's
@@ -533,17 +572,33 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 	if rec == nil {
 		panic(fmt.Sprintf("lock: Acquire by unknown transaction %d", tx))
 	}
-	slot := m.items.find(item)
-	e := m.items.slots[slot].e
-	if e == nil {
-		// A fresh entry has no holders and no queue: the request is
-		// always granted immediately.
-		e = m.getEntry()
-		m.items.insert(slot, item, e)
-		e.setHolder(tx, mode)
-		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
+	x := &m.items
+	i := x.find(item)
+	if !x.live(i) {
+		// An idle item: the request is granted, and tx becomes the sole
+		// holder, inline in the slot.
+		x.insert(i, item, tx, mode)
+		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
 		return Granted
+	}
+	s := &x.slots[i]
+	e := s.e
+	if e == nil {
+		if s.tx == tx {
+			// Re-entrant request by the sole holder; an upgrade S → X
+			// is immediate.
+			if s.mode == Shared && mode == Exclusive {
+				s.mode = Exclusive
+				rec.updateHeld(item, Exclusive)
+			}
+			m.acquisitions++
+			return Granted
+		}
+		// A second transaction: attach an entry, holding the sole holder.
+		e = m.getEntry()
+		e.setHolder(s.tx, s.mode)
+		s.e = e
 	}
 
 	// Re-entrant cases.
@@ -555,7 +610,7 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 		// Upgrade S → X: immediate if sole holder.
 		if e.numHolders() == 1 {
 			e.setHolder(tx, Exclusive)
-			rec.updateHeld(item, e, Exclusive)
+			rec.updateHeld(item, Exclusive)
 			m.acquisitions++
 			return Granted
 		}
@@ -563,7 +618,7 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 		mode = Exclusive
 	} else if m.compatible(e, tx, mode) && len(e.queue) == 0 {
 		e.setHolder(tx, mode)
-		rec.locks = append(rec.locks, heldLock{item: item, e: e, mode: mode})
+		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
 		return Granted
 	}
@@ -629,16 +684,29 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		return
 	}
 	m.abandonQueued(tx, rec)
+	x := &m.items
+	if m.entries == 0 && x.n == len(rec.locks) {
+		// tx is the only locker: with no entry nothing is queued, so every
+		// live slot holds one of its items inline and no grant can follow —
+		// the common case in the paper's closed single-user figures.
+		x.empty()
+		rec.locks = rec.locks[:0]
+		return
+	}
 	if m.queued > 0 {
 		// With no queued request anywhere, no release can dispatch a grant,
-		// so the release order is unobservable and the sort is skipped —
-		// the common case in the paper's closed single-user figures.
+		// so the release order is unobservable and the sort is skipped.
 		sortHeldLocks(rec.locks)
 	}
-	for i := range rec.locks {
-		h := &rec.locks[i]
-		h.e.delHolder(tx)
-		m.dispatch(h.item, h.e)
+	for k := range rec.locks {
+		item := rec.locks[k].item
+		i := x.find(item)
+		if e := x.slots[i].e; e != nil {
+			e.delHolder(tx)
+			m.dispatch(item, e)
+		} else {
+			x.removeAt(i) // tx was the sole holder
+		}
 	}
 	rec.locks = rec.locks[:0]
 }
@@ -679,7 +747,9 @@ func (m *Manager) End(tx TxID) {
 	}
 }
 
-// dispatch grants queued compatible requests at the head of item's queue.
+// dispatch grants queued compatible requests at the head of item's queue,
+// and recycles the entry if the item is left idle. It looks the item's slot
+// up again at the end, since a grant callback may move slots.
 func (m *Manager) dispatch(item Item, e *entry) {
 	for len(e.queue) > 0 {
 		head := e.queue[0]
@@ -691,7 +761,7 @@ func (m *Manager) dispatch(item Item, e *entry) {
 				e.popHead()
 				m.queued--
 				e.setHolder(head.tx, Exclusive)
-				m.lookupTx(head.tx).updateHeld(item, e, Exclusive)
+				m.lookupTx(head.tx).updateHeld(item, Exclusive)
 				m.acquisitions++
 				head.granted()
 				continue
@@ -701,7 +771,7 @@ func (m *Manager) dispatch(item Item, e *entry) {
 		e.popHead()
 		m.queued--
 		e.setHolder(head.tx, head.mode)
-		m.lookupTx(head.tx).updateHeld(item, e, head.mode)
+		m.lookupTx(head.tx).updateHeld(item, head.mode)
 		m.acquisitions++
 		head.granted()
 	}

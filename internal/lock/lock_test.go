@@ -268,19 +268,29 @@ type indexCoverage struct {
 }
 
 // checkIndex asserts the item index's invariants: its count matches its
-// occupied slots, it is at most half full, and every item is found from
-// its home slot. It also updates cov; a wrapped item that moved to a
-// higher slot without the table growing was back-shifted across the wrap.
+// live slots, it is at most half full, every item is found from its home
+// slot, only live slots have entries, and the Manager counts them. It also
+// updates cov; a wrapped item that moved to a higher slot without the
+// table growing was back-shifted across the wrap.
 func checkIndex(t *testing.T, m *Manager, cov *indexCoverage) {
 	t.Helper()
 	x := &m.items
 	wrapped := map[Item]int{}
-	n := 0
+	n, entries := 0, 0
 	for i, s := range x.slots {
-		if s.e == nil {
+		if !x.live(i) {
+			if s.e != nil {
+				t.Fatalf("stale slot %d keeps an entry", i)
+			}
 			continue
 		}
 		n++
+		if s.e != nil {
+			entries++
+		} else if mode, ok := m.Holds(s.tx, s.item); !ok || mode != s.mode {
+			t.Fatalf("slot %d holds item %d for tx %d in %v, but Holds reads %v %v",
+				i, s.item, s.tx, s.mode, mode, ok)
+		}
 		if got := x.find(s.item); got != i {
 			t.Fatalf("item %d in slot %d, but find returns slot %d", s.item, i, got)
 		}
@@ -298,20 +308,24 @@ func checkIndex(t *testing.T, m *Manager, cov *indexCoverage) {
 	if n != x.n || 2*n > len(x.slots) {
 		t.Fatalf("index holds %d items, counts %d, in %d slots", n, x.n, len(x.slots))
 	}
+	if entries != m.entries {
+		t.Fatalf("%d slots have entries, the Manager counts %d", entries, m.entries)
+	}
 	if len(x.slots) > itemIndexInit {
 		cov.grew = true
 	}
 	cov.wrapped, cov.size = wrapped, len(x.slots)
 }
 
-// checkIndexEmpty asserts the item index holds no item.
+// checkIndexEmpty asserts the item index holds no item, no slot keeps an
+// entry and every entry is back in the pool.
 func checkIndexEmpty(t *testing.T, m *Manager, when string) {
 	t.Helper()
-	if m.items.n != 0 {
-		t.Fatalf("%s: index counts %d items", when, m.items.n)
+	if m.items.n != 0 || m.entries != 0 {
+		t.Fatalf("%s: index counts %d items, %d entries attached", when, m.items.n, m.entries)
 	}
 	for i, s := range m.items.slots {
-		if s.e != nil {
+		if m.items.live(i) || s.e != nil {
 			t.Fatalf("%s: slot %d still holds item %d", when, i, s.item)
 		}
 	}
@@ -436,6 +450,116 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 		t.Fatalf("item index paths not exercised: grew %v, collided %v, back-shift across wrap %v",
 			cov.grew, cov.collided, cov.wrapShift)
 	}
+}
+
+// TestLoneLockerReleasesInOneStep: a transaction that is the only locker
+// releases by starting a new generation of the item index. No slot stays
+// live, and later transactions, older or younger than it, see no stale
+// holder. A transaction that is not the only locker releases item by item.
+func TestLoneLockerReleasesInOneStep(t *testing.T) {
+	m := NewManager()
+	older, tx := m.Begin(), m.Begin()
+	wide := wideItems()
+	for _, item := range wide {
+		mustGrant(t, m, tx, item, Exclusive)
+	}
+	gen := m.items.gen
+	m.ReleaseAll(tx)
+	if m.items.gen == gen {
+		t.Fatal("the only locker's release did not start a new generation")
+	}
+	checkIndexEmpty(t, m, "after the only locker's release")
+	if m.HeldCount(tx) != 0 {
+		t.Fatalf("HeldCount = %d after the release", m.HeldCount(tx))
+	}
+	// A stale exclusive holder would queue the older transaction and kill
+	// the younger one.
+	younger := m.Begin()
+	for k, item := range wide {
+		if k%2 == 0 {
+			mustGrant(t, m, older, item, Exclusive)
+		} else {
+			mustGrant(t, m, younger, item, Exclusive)
+		}
+	}
+	checkIndex(t, m, &indexCoverage{})
+	gen = m.items.gen
+	m.End(older)
+	if m.items.gen != gen {
+		t.Fatal("a release with another locker left started a new generation")
+	}
+	checkIndex(t, m, &indexCoverage{})
+	m.End(younger)
+	checkIndexEmpty(t, m, "after both released")
+}
+
+// TestEntryOnlyWhileContended: an item's sole holder lives in its slot; a
+// second requester attaches an entry, which is recycled when the item goes
+// idle, and the item's next request is inline again.
+func TestEntryOnlyWhileContended(t *testing.T) {
+	m := NewManager()
+	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
+	entry := func() *entry { return m.items.slots[m.items.find(7)].e }
+	mustGrant(t, m, t1, 7, Shared)
+	mustGrant(t, m, t1, 7, Exclusive) // a sole holder's upgrade stays inline
+	if entry() != nil || m.entries != 0 {
+		t.Fatal("a sole holder has an entry")
+	}
+	if mode, ok := m.Holds(t1, 7); !ok || mode != Exclusive {
+		t.Fatalf("Holds = %v %v after the upgrade, want X", mode, ok)
+	}
+	// t3 is younger than the exclusive holder: it dies, and the item keeps
+	// the entry its request attached.
+	mustDie(t, m, t3, 7, Shared)
+	if entry() == nil || m.entries != 1 {
+		t.Fatal("no entry after a second requester")
+	}
+	m.End(t1)
+	if m.entries != 0 || len(m.entryPool) != 1 {
+		t.Fatalf("%d entries attached, %d pooled after the item went idle", m.entries, len(m.entryPool))
+	}
+	checkIndexEmpty(t, m, "after the item went idle")
+	mustGrant(t, m, t2, 7, Shared)
+	if entry() != nil {
+		t.Fatal("the item's next request after going idle is not inline")
+	}
+	mustGrant(t, m, t3, 7, Shared)
+	if entry() == nil {
+		t.Fatal("no entry for two shared holders")
+	}
+	m.End(t2)
+	if entry() == nil {
+		t.Fatal("the entry was recycled while t3 still holds the item")
+	}
+	m.End(t3)
+	checkIndexEmpty(t, m, "after every holder ended")
+}
+
+// TestGenerationWraps: when the item index's generation counter wraps, a
+// slot stale since generation 1 must not come back to life, nor may a
+// never-used slot (generation 0).
+func TestGenerationWraps(t *testing.T) {
+	m := NewManager()
+	stale := m.Begin()
+	mustGrant(t, m, stale, 1, Exclusive)
+	m.End(stale) // item 1's slot stays at generation 1
+	m.items.gen = math.MaxUint32 - 1
+	for _, item := range []Item{2, 3} {
+		tx := m.Begin()
+		mustGrant(t, m, tx, item, Exclusive)
+		m.End(tx)
+	}
+	if m.items.gen != 1 {
+		t.Fatalf("generation %d after the wrap, want 1", m.items.gen)
+	}
+	checkIndexEmpty(t, m, "after the wrap")
+	tx := m.Begin() // younger than every stale holder
+	for _, item := range []Item{1, 2, 3} {
+		mustGrant(t, m, tx, item, Exclusive)
+	}
+	checkIndex(t, m, &indexCoverage{})
+	m.End(tx)
+	checkIndexEmpty(t, m, "after the last release")
 }
 
 // TestItemTableSizedByLiveItems pins that the lock table is sized by the
