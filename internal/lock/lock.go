@@ -296,8 +296,9 @@ func (x *itemIndex) find(item Item) int {
 
 // insert files item, with tx as its sole holder in mode, in slot i, the
 // empty slot find(item) returned, doubling the table first if the insert
-// would pass half load. The fields are stored one at a time: building the
-// slot as one value and copying it in stalls the loads that follow it.
+// would pass half load. The fields are stored one at a time: a five-field
+// struct literal is built on the stack and copied in with wide moves,
+// whose loads stall on the narrow stores just made.
 func (x *itemIndex) insert(i int, item Item, tx TxID, mode Mode) {
 	if 2*(x.n+1) > len(x.slots) {
 		x.grow()
