@@ -499,10 +499,10 @@ func TestLoneLockerReleasesInOneStep(t *testing.T) {
 func TestEntryOnlyWhileContended(t *testing.T) {
 	m := NewManager()
 	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
-	entry := func() *entry { return m.items.slots[m.items.find(7)].e }
+	attached := func() *entry { return m.items.slots[m.items.find(7)].e }
 	mustGrant(t, m, t1, 7, Shared)
 	mustGrant(t, m, t1, 7, Exclusive) // a sole holder's upgrade stays inline
-	if entry() != nil || m.entries != 0 {
+	if attached() != nil || m.entries != 0 {
 		t.Fatal("a sole holder has an entry")
 	}
 	if mode, ok := m.Holds(t1, 7); !ok || mode != Exclusive {
@@ -511,7 +511,7 @@ func TestEntryOnlyWhileContended(t *testing.T) {
 	// t3 is younger than the exclusive holder: it dies, and the item keeps
 	// the entry its request attached.
 	mustDie(t, m, t3, 7, Shared)
-	if entry() == nil || m.entries != 1 {
+	if attached() == nil || m.entries != 1 {
 		t.Fatal("no entry after a second requester")
 	}
 	m.End(t1)
@@ -520,15 +520,15 @@ func TestEntryOnlyWhileContended(t *testing.T) {
 	}
 	checkIndexEmpty(t, m, "after the item went idle")
 	mustGrant(t, m, t2, 7, Shared)
-	if entry() != nil {
+	if attached() != nil {
 		t.Fatal("the item's next request after going idle is not inline")
 	}
 	mustGrant(t, m, t3, 7, Shared)
-	if entry() == nil {
+	if attached() == nil {
 		t.Fatal("no entry for two shared holders")
 	}
 	m.End(t2)
-	if entry() == nil {
+	if attached() == nil {
 		t.Fatal("the entry was recycled while t3 still holds the item")
 	}
 	m.End(t3)
