@@ -97,6 +97,18 @@ func New(capacity int, policy Policy) *Manager {
 	}
 }
 
+// SizePages sizes the page table for pages 0…n−1 in one allocation, so a
+// fresh model does not grow it by append as its pages first appear. The
+// model passes its store's page count; pages past it (those a
+// reorganization appends) still grow the table on demand.
+func (m *Manager) SizePages(n int) {
+	if n > len(m.frameOf) {
+		t := make([]int32, n)
+		copy(t, m.frameOf)
+		m.frameOf = t
+	}
+}
+
 // lookup returns the frame holding p, or -1 when p is not resident.
 func (m *Manager) lookup(p PageID) int32 {
 	if p >= 0 && int(p) < len(m.frameOf) {

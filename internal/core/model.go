@@ -100,6 +100,7 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 		admission: sim.NewResource(s, "database", cfg.MPL),
 	}
 	r.buf.SetReserveCold(cfg.ReserveCold)
+	r.buf.SizePages(st.NumPages())
 	if cfg.Failures.Enabled {
 		r.failures = newFailureInjector(r, cfg.Failures, rng.SubSeed(seed, 21))
 	}
@@ -133,6 +134,7 @@ func (r *Run) Reset(db *ocb.Database, seed uint64) {
 	r.db = db
 	r.store.Reset(db)
 	r.buf.Reset()
+	r.buf.SizePages(r.store.NumPages())
 	if r.reseeder != nil {
 		// RANDOM's eviction draws must replay from the same stream a fresh
 		// model would use (NewRun passes rng.NewStream(seed, 20)).

@@ -348,13 +348,17 @@ func (e *txnExec) step(kernel bool) {
 			e.state = stShip
 
 		case stReserve:
-			if e.resIdx >= len(e.reserve) {
-				e.state = stShip
-				continue
+			// A reservation evicts at most one page, and only a dirty one
+			// costs I/O: the rest go on in place.
+			e.state = stShip
+			for e.resIdx < len(e.reserve) {
+				p := e.reserve[e.resIdx]
+				e.resIdx++
+				if evs := r.buf.Reserve(p).Evicted; len(evs) > 0 && evs[0].Dirty {
+					e.evictIO(evs, disk.None, stReserve)
+					break
+				}
 			}
-			p := e.reserve[e.resIdx]
-			e.resIdx++
-			e.evictIO(r.buf.Reserve(p).Evicted, disk.None, stReserve)
 
 		case stShip:
 			// Page server systems ship the page to the client; object

@@ -227,7 +227,7 @@ type heldLock struct {
 	mode Mode
 }
 
-// txRec is a transaction's dense lock state: the owning TxID (validating
+// txRec is a transaction's dense lock state: the owning TxID (the key of
 // its transaction-ring slot), the distinct items it holds (append order;
 // sorted at release) and the items it queued on since its last release, so
 // ReleaseAll can abandon its queued requests without sweeping the whole
@@ -352,21 +352,22 @@ func (x *itemIndex) removeAt(hole int) {
 	x.n--
 }
 
-// ringInit is the transaction ring's initial size; it doubles whenever the
-// window of concurrently active TxIDs no longer fits collision-free.
+// ringInit is the transaction ring's initial size; it doubles when the
+// live transactions would fill half of it.
 const ringInit = 64
 
 // Manager is the lock table. Both index structures are map-free: per-item
 // state lives in the open-addressed item index (an entry only for items a
-// second transaction requested), and active transactions
-// live in a power-of-two ring indexed by the TxID's low bits (validated
-// against txRec.owner). Maps churn internal buckets under the steady
+// second transaction requested), and active transactions live in a
+// power-of-two ring, open-addressed like the item index but probing from
+// the TxID's low bits. Maps churn internal buckets under the steady
 // begin/lock/commit cycle — a residual byte per operation that plain
 // slices do not have.
 type Manager struct {
 	nextTx TxID
 	items  itemIndex // the items locked or queued on
-	ring   []*txRec  // active transactions; index = TxID & (len-1)
+	ring   []*txRec  // active transactions; home slot = TxID & (len-1)
+	txLive int       // transactions in the ring
 
 	entryPool []*entry
 	recPool   []*txRec
@@ -385,71 +386,73 @@ type Manager struct {
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
-	return &Manager{items: newItemIndex(itemIndexInit)}
+	return &Manager{items: newItemIndex(itemIndexInit), ring: make([]*txRec, ringInit)}
 }
 
 // lookupTx returns tx's record, or nil for unknown/finished transactions.
+// The ring is at most half full, so every probe run ends at a nil.
 func (m *Manager) lookupTx(tx TxID) *txRec {
-	if len(m.ring) == 0 {
-		return nil
+	mask := len(m.ring) - 1
+	for i := int(uint64(tx)) & mask; ; i = (i + 1) & mask {
+		if rec := m.ring[i]; rec == nil || rec.owner == tx {
+			return rec
+		}
 	}
-	rec := m.ring[uint64(tx)&uint64(len(m.ring)-1)]
-	if rec == nil || rec.owner != tx {
-		return nil
-	}
-	return rec
 }
 
-// storeTx files rec (owner already set) into the ring, doubling it until
-// the active-TxID window fits collision-free. Active transactions are
-// bounded by the admission scheduler, and their ID span by the batch, so
-// the ring stays small and growth stops after the first batches.
+// storeTx files rec (owner already set) into the ring at the first free
+// slot from its home, doubling the ring first if the live transactions
+// would fill more than half of it. The ring's size thus follows the live
+// transactions — bounded by the admission scheduler — and not the span of
+// TxIDs issued while one of them stays live.
 func (m *Manager) storeTx(rec *txRec) {
-	if m.ring == nil {
-		m.ring = make([]*txRec, ringInit)
-	}
-	for {
-		i := uint64(rec.owner) & uint64(len(m.ring)-1)
-		if m.ring[i] == nil {
-			m.ring[i] = rec
-			return
-		}
+	if 2*(m.txLive+1) > len(m.ring) {
 		m.growRing()
 	}
+	mask := len(m.ring) - 1
+	i := int(uint64(rec.owner)) & mask
+	for m.ring[i] != nil {
+		i = (i + 1) & mask
+	}
+	m.ring[i] = rec
+	m.txLive++
 }
 
-// growRing rehashes the active transactions into a ring doubled until they
-// place collision-free.
+// growRing doubles the ring and re-files every live transaction.
 func (m *Manager) growRing() {
-	size := 2 * len(m.ring)
-retry:
-	for {
-		next := make([]*txRec, size)
-		for _, r := range m.ring {
-			if r == nil {
-				continue
-			}
-			j := uint64(r.owner) & uint64(size-1)
-			if next[j] != nil {
-				size *= 2
-				continue retry
-			}
-			next[j] = r
+	old := m.ring
+	m.ring = make([]*txRec, 2*len(old))
+	m.txLive = 0
+	for _, rec := range old {
+		if rec != nil {
+			m.storeTx(rec)
 		}
-		m.ring = next
-		return
 	}
 }
 
-// clearTx removes tx from the ring.
-func (m *Manager) clearTx(tx TxID) {
-	if len(m.ring) == 0 {
-		return
+// takeTx removes tx from the ring and returns its record, or nil for an
+// unknown transaction. Like the item index, it back-shifts the rest of the
+// probe run into the hole, moving each record j whose home does not lie
+// cyclically in (hole, j].
+func (m *Manager) takeTx(tx TxID) *txRec {
+	mask := len(m.ring) - 1
+	hole := int(uint64(tx)) & mask
+	for ; m.ring[hole] == nil || m.ring[hole].owner != tx; hole = (hole + 1) & mask {
+		if m.ring[hole] == nil {
+			return nil
+		}
 	}
-	i := uint64(tx) & uint64(len(m.ring)-1)
-	if rec := m.ring[i]; rec != nil && rec.owner == tx {
-		m.ring[i] = nil
+	rec := m.ring[hole]
+	for j := (hole + 1) & mask; m.ring[j] != nil; j = (j + 1) & mask {
+		home := int(uint64(m.ring[j].owner)) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			m.ring[hole] = m.ring[j]
+			hole = j
+		}
 	}
+	m.ring[hole] = nil
+	m.txLive--
+	return rec
 }
 
 // putRec recycles a transaction record.
@@ -482,6 +485,7 @@ func (m *Manager) Reset() {
 			m.putRec(rec)
 		}
 	}
+	m.txLive = 0
 	m.nextTx = 0
 	m.acquisitions, m.waits, m.deaths = 0, 0, 0
 	m.queued = 0
@@ -742,8 +746,7 @@ func (m *Manager) abandonQueued(tx TxID, rec *txRec) {
 // and abandoning its queued requests.
 func (m *Manager) End(tx TxID) {
 	m.ReleaseAll(tx)
-	if rec := m.lookupTx(tx); rec != nil {
-		m.clearTx(tx)
+	if rec := m.takeTx(tx); rec != nil {
 		m.putRec(rec)
 	}
 }

@@ -34,3 +34,61 @@ func TestManagerReset(t *testing.T) {
 	}
 	m.End(1)
 }
+
+// TestRingFollowsLiveTransactions pins the transaction ring's size to the
+// live transactions, not to the span of TxIDs issued while one of them
+// stays live: one transaction holds a lock over 200,000 short ones, so
+// their TxIDs wrap onto its ring slot again and again, and the ring must
+// stay at its initial 64 slots.
+func TestRingFollowsLiveTransactions(t *testing.T) {
+	m := NewManager()
+	long := m.Begin()
+	mustGrant(t, m, long, 1, Shared)
+	for i := 0; i < 200000; i++ {
+		tx := m.Begin()
+		mustGrant(t, m, tx, 2, Exclusive)
+		if m.HeldCount(tx) != 1 || m.HeldCount(long) != 1 {
+			t.Fatalf("after %d Begins: held counts %d and %d, want 1 and 1", i, m.HeldCount(tx), m.HeldCount(long))
+		}
+		m.End(tx)
+	}
+	if len(m.ring) != ringInit {
+		t.Errorf("ring has %d slots, want %d", len(m.ring), ringInit)
+	}
+	if _, held := m.Holds(long, 1); !held {
+		t.Error("the long transaction lost its lock")
+	}
+	m.End(long)
+	if m.txLive != 0 {
+		t.Errorf("%d transactions left in the ring after every End", m.txLive)
+	}
+}
+
+// TestRingGrowsWithLiveTransactions keeps 100 transactions live, more than
+// half of the initial ring, and ends them out of begin order, so probe runs
+// wrap and back-shift: every record must stay reachable until it ends.
+func TestRingGrowsWithLiveTransactions(t *testing.T) {
+	m := NewManager()
+	var txs []TxID
+	for i := 0; i < 100; i++ {
+		tx := m.Begin()
+		mustGrant(t, m, tx, Item(i), Exclusive)
+		txs = append(txs, tx)
+	}
+	if len(m.ring) != 256 {
+		t.Errorf("ring has %d slots for 100 live transactions, want 256", len(m.ring))
+	}
+	for k := 0; k < len(txs); k++ {
+		i := (k * 37) % len(txs)
+		m.End(txs[i])
+		for _, tx := range txs {
+			_, held := m.Holds(tx, Item(tx-1))
+			if ended := m.lookupTx(tx) == nil; held == ended {
+				t.Fatalf("after ending %d of them: transaction %d held=%v ended=%v", k+1, tx, held, ended)
+			}
+		}
+	}
+	if m.txLive != 0 {
+		t.Errorf("%d transactions left in the ring after every End", m.txLive)
+	}
+}

@@ -123,9 +123,10 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// its unclustered objects (same page indices), then the clustered
 	// objects pack onto fresh pages appended at the end, in cluster order.
 	// The previous directory's buffers become the scratch for the next
-	// reorganization.
-	starts := s.pageStartScratch[:0]
-	arena := s.pageObjArenaSwap[:0]
+	// reorganization. The reservation sets of the old placement go.
+	pages := s.pack(order, oldPages)
+	starts := sized(s.pageStartScratch, pages+1)
+	arena := sized(s.pageObjArenaSwap, len(s.db.Objects))
 	for p := 0; p < oldPages; p++ {
 		starts = append(starts, int32(len(arena)))
 		for _, o := range s.ObjectsOn(disk.PageID(p)) {
@@ -135,8 +136,11 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 		}
 	}
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena
-	s.pageStart, s.pageObjArena = s.pack(starts, arena, order)
+	s.pageStart, s.pageObjArena = s.file(starts, arena, order, pages)
 	s.reorgs++
+	if len(order) > 0 {
+		s.sets.clear()
+	}
 
 	// Mark the new pages and clear the object marks.
 	marks = resized(marks, s.numPages)

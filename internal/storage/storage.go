@@ -111,6 +111,10 @@ type Store struct {
 	// recycled across calls.
 	orderScratch []ocb.OID
 
+	// sets holds the reservation sets computed under the current
+	// placement (eager stores only).
+	sets refSets
+
 	// Streaming mode (see stream.go): when the database is a streaming
 	// base, placement is the O(classes) extent table instead of the
 	// per-object tables above, and objsScratch backs ObjectsOn results.
@@ -192,42 +196,68 @@ func (s *Store) effectiveSize(o ocb.OID) int {
 	return s.effSize(int(s.db.SizeOf(o)))
 }
 
-// place lays objects out in the given order (see pack). The directory
-// buffers are recycled, so repeated placements allocate only when the page
-// space outgrows its high-water mark.
+// place lays objects out in the given order (see pack) and drops the
+// reservation sets of the previous placement. The directory buffers are
+// recycled, so repeated placements allocate only when the page space
+// outgrows its high-water mark.
 func (s *Store) place(order []ocb.OID) {
-	s.pageStart, s.pageObjArena = s.pack(s.pageStart[:0], s.pageObjArena[:0], order)
+	pages := s.pack(order, 0)
+	s.pageStart, s.pageObjArena = s.file(sized(s.pageStart, pages+1), sized(s.pageObjArena, len(order)), order, pages)
+	s.sets.clear()
 }
 
-// pack appends order's objects to the page directory (starts, arena)
-// first-fit onto fresh pages: each object joins the last page while it
-// fits, and one larger than a page spans dedicated consecutive pages. It
-// records each object's first page and span, sets the page count and
-// returns the directory closed by its sentinel. Packing in order means
-// the current page is always the last directory entry, which is what lets
-// a flat arena replace per-page lists.
-func (s *Store) pack(starts []int32, arena, order []ocb.OID) ([]int32, []ocb.OID) {
+// pack lays order's objects out first-fit onto fresh pages from page first
+// on: each object joins the last page while it fits, and one larger than a
+// page spans dedicated consecutive pages. It records each object's first
+// page and span and returns the page count after the last object.
+func (s *Store) pack(order []ocb.OID, first int) int {
 	size := s.cfg.PageSize
 	fill := size // no open page: the first object (effSize ≥ 1) opens one
+	pages := first
 	for _, o := range order {
 		sz := s.effectiveSize(o)
 		if fill+sz > size {
-			starts = append(starts, int32(len(arena)))
+			pages++
 			fill = 0
 		}
-		s.firstPage[o] = disk.PageID(len(starts) - 1)
-		arena = append(arena, o)
+		s.firstPage[o] = disk.PageID(pages - 1)
 		// A spanning object's tail pages hold no object, and its fill,
 		// past the page size, makes the next object open a fresh page.
 		fill += sz
 		span := (sz + size - 1) / size
 		s.span[o] = int32(span)
-		for i := 1; i < span; i++ {
+		pages += span - 1
+	}
+	return pages
+}
+
+// file appends order's objects, placed by pack, to the page directory
+// (starts, arena), which ends at pack's first page, sets the page count
+// and returns the directory closed by its sentinel. Packing in order means
+// each object's page is the last one opened so far, which is what lets a
+// flat arena replace per-page lists.
+func (s *Store) file(starts []int32, arena, order []ocb.OID, pages int) ([]int32, []ocb.OID) {
+	for _, o := range order {
+		for len(starts) <= int(s.firstPage[o]) {
 			starts = append(starts, int32(len(arena)))
 		}
+		arena = append(arena, o)
 	}
-	s.numPages = len(starts)
+	for len(starts) < pages { // the last spanning object's tail pages
+		starts = append(starts, int32(len(arena)))
+	}
+	s.numPages = pages
 	return append(starts, int32(len(arena))), arena // sentinel
+}
+
+// sized returns s emptied with room for n elements, reallocating to
+// exactly n only past its capacity, so a fresh store builds its directory
+// in one allocation per slice instead of growing it by append.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Database returns the underlying object base.
@@ -287,8 +317,29 @@ func (s *Store) ObjectRefPages(o ocb.OID) []disk.PageID {
 
 // ObjectRefPagesInto is ObjectRefPages appending into buf (usually a
 // recycled scratch sliced to length zero), so the per-object hot path of
-// the Texas reservation mechanism allocates nothing in steady state.
+// the Texas reservation mechanism allocates nothing in steady state. An
+// eager store computes each object's set once per placement and answers
+// later calls from the stored copy (see refSets); a streaming store, which
+// keeps no per-object tables, computes it on every call.
 func (s *Store) ObjectRefPagesInto(o ocb.OID, buf []disk.PageID) []disk.PageID {
+	if s.stream {
+		return s.refPagesInto(o, buf)
+	}
+	if set, ok := s.sets.get(o); ok {
+		for _, p := range set {
+			buf = append(buf, disk.PageID(p))
+		}
+		return buf
+	}
+	start := len(buf)
+	buf = s.refPagesInto(o, buf)
+	s.sets.put(o, buf[start:], len(s.db.Objects))
+	return buf
+}
+
+// refPagesInto computes o's reservation set under the current placement
+// and appends it to buf.
+func (s *Store) refPagesInto(o ocb.OID, buf []disk.PageID) []disk.PageID {
 	own := s.PageOf(o)
 	start := len(buf)
 	for _, t := range s.db.RefsOf(o) {
