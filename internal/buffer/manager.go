@@ -1,6 +1,9 @@
 package buffer
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // frameState distinguishes loaded pages from reserved ones. Reserved frames
 // model Texas's virtual-memory behaviour: address space (and a physical
@@ -103,9 +106,7 @@ func New(capacity int, policy Policy) *Manager {
 // reorganization appends) still grow the table on demand.
 func (m *Manager) SizePages(n int) {
 	if n > len(m.frameOf) {
-		t := make([]int32, n)
-		copy(t, m.frameOf)
-		m.frameOf = t
+		m.frameOf = slices.Grow(m.frameOf, n-len(m.frameOf))[:n]
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -92,5 +94,38 @@ func TestTexasFaultPathDigests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmTexasReplicationAllocs gates the Texas fault path's
+// allocations: a warm replication (regenerate the base, reset the model,
+// run the batches) reuses the stored reservation sets' index and blocks,
+// the buffer's page table and the store's page directory, so what remains
+// is ExecuteBatch's per-batch closures, as on every other configuration.
+func TestWarmTexasReplicationAllocs(t *testing.T) {
+	p := ocb.DefaultParams()
+	p.NC = 20
+	p.NO = 3000
+	p.HotN = 150
+	e := Experiment{Config: texasFaultConfig(true, true, false), Params: p, Seed: 31, Replications: 64, Workers: 1}
+	c := &repContext{}
+	for rep := 0; rep < 4; rep++ { // warm every arena and pool to its high-water mark
+		if _, err := e.runRep(context.Background(), c, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(8, func() {
+		if _, err := e.runRep(context.Background(), c, rep); err != nil {
+			t.Fatal(err)
+		}
+		rep++
+	})
+	runtime.ReadMemStats(&after)
+	t.Logf("warm Texas replication: %v allocations, %d bytes", allocs, (after.TotalAlloc-before.TotalAlloc)/9)
+	if allocs > 32 {
+		t.Errorf("warm Texas replication performed %v allocations, want ≤ 32", allocs)
 	}
 }

@@ -125,8 +125,8 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// The previous directory's buffers become the scratch for the next
 	// reorganization. The reservation sets of the old placement go.
 	pages := s.pack(order, oldPages)
-	starts := sized(s.pageStartScratch, pages+1)
-	arena := sized(s.pageObjArenaSwap, len(s.db.Objects))
+	starts := slices.Grow(s.pageStartScratch[:0], pages+1)
+	arena := slices.Grow(s.pageObjArenaSwap[:0], len(s.db.Objects))
 	for p := 0; p < oldPages; p++ {
 		starts = append(starts, int32(len(arena)))
 		for _, o := range s.ObjectsOn(disk.PageID(p)) {

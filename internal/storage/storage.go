@@ -199,10 +199,12 @@ func (s *Store) effectiveSize(o ocb.OID) int {
 // place lays objects out in the given order (see pack) and drops the
 // reservation sets of the previous placement. The directory buffers are
 // recycled, so repeated placements allocate only when the page space
-// outgrows its high-water mark.
+// outgrows its high-water mark; a fresh store sizes each in one
+// allocation instead of growing it by append.
 func (s *Store) place(order []ocb.OID) {
 	pages := s.pack(order, 0)
-	s.pageStart, s.pageObjArena = s.file(sized(s.pageStart, pages+1), sized(s.pageObjArena, len(order)), order, pages)
+	starts, arena := slices.Grow(s.pageStart[:0], pages+1), slices.Grow(s.pageObjArena[:0], len(order))
+	s.pageStart, s.pageObjArena = s.file(starts, arena, order, pages)
 	s.sets.clear()
 }
 
@@ -248,16 +250,6 @@ func (s *Store) file(starts []int32, arena, order []ocb.OID, pages int) ([]int32
 	}
 	s.numPages = pages
 	return append(starts, int32(len(arena))), arena // sentinel
-}
-
-// sized returns s emptied with room for n elements, reallocating to
-// exactly n only past its capacity, so a fresh store builds its directory
-// in one allocation per slice instead of growing it by append.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
 }
 
 // Database returns the underlying object base.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the kernel, lock-table, transaction-pipeline, and OCB
-# microbenchmarks plus the headline figure benchmark with -benchmem and
-# write a BENCH_<date>.json summary, so successive PRs accumulate a
-# comparable performance trajectory.
+# bench.sh — run the kernel, lock-table, transaction-pipeline (the Texas
+# fault path included) and OCB microbenchmarks plus the headline figure
+# benchmark with -benchmem and write a BENCH_<date>.json summary, so
+# successive PRs accumulate a comparable performance trajectory.
 #
 # Each microbenchmark runs COUNT times; the summary records the median
 # ns/op (and that run's iteration count) and the largest B/op and
@@ -39,7 +39,7 @@ COUNT=5
   go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun|BenchmarkAdvanceChain' -benchmem -count "$COUNT" ./internal/sim/
   go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem -count "$COUNT" ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireReleaseInterleaved|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem -count "$COUNT" ./internal/lock/
-  go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem -count "$COUNT" ./internal/core/
+  go test -run '^$' -bench 'BenchmarkTxnSubmitCommit|BenchmarkTxnTexasReserve' -benchmem -count "$COUNT" ./internal/core/
   go test -run '^$' -bench 'BenchmarkOCBGenerate' -benchmem -count "$COUNT" ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamGenerateInto|BenchmarkStreamAccess' -benchmem -count "$COUNT" ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPL|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .

@@ -28,11 +28,11 @@ NS_GATE_PCT="${NS_GATE_PCT:-}"
 NS_GUARDED="${NS_GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel \
 BenchmarkScheduleStepChain \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireReleaseInterleaved BenchmarkReleaseAllWide \
-BenchmarkTxnSubmitCommit}"
+BenchmarkTxnSubmitCommit BenchmarkTxnTexasReserve}"
 GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel BenchmarkScheduleRun \
 BenchmarkReleaseAllWide \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireReleaseInterleaved BenchmarkAcquireConflictDispatch \
-BenchmarkTxnSubmitCommit \
+BenchmarkTxnSubmitCommit BenchmarkTxnTexasReserve \
 BenchmarkOCBGenerate BenchmarkOCBGenerateInto BenchmarkStreamGenerateInto \
 BenchmarkFig6_O2Instances20 BenchmarkStreamAccess/hit BenchmarkStreamAccess/miss}"
 
