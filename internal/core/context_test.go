@@ -32,31 +32,35 @@ func foldRows(rows []repRow) *Result {
 // TestContextReuseMatchesFreshContexts is the determinism contract of the
 // replication-context engine: running every replication on one warmed,
 // repeatedly reset context must equal running each on a brand-new context
-// (the rebuild-everything engine), bit for bit, at every worker count.
+// (the rebuild-everything engine), bit for bit, at every worker count. The
+// Texas configuration adds what a reset must drop besides the buffer: the
+// reservation sets the store kept for the previous base.
 func TestContextReuseMatchesFreshContexts(t *testing.T) {
-	e := Experiment{Config: smallConfig(), Params: smallParams(), Seed: 301, Replications: 6}
+	for _, cfg := range []Config{smallConfig(), texasFaultConfig(true, true, false)} {
+		e := Experiment{Config: cfg, Params: smallParams(), Seed: 301, Replications: 6}
 
-	// Rebuild-everything reference: a fresh context per replication.
-	rows := make([]repRow, e.Replications)
-	for rep := range rows {
-		row, err := e.runRep(context.Background(), &repContext{}, rep)
-		if err != nil {
-			t.Fatal(err)
+		// Rebuild-everything reference: a fresh context per replication.
+		rows := make([]repRow, e.Replications)
+		for rep := range rows {
+			row, err := e.runRep(context.Background(), &repContext{}, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[rep] = row
 		}
-		rows[rep] = row
-	}
-	want := foldRows(rows)
+		want := foldRows(rows)
 
-	for _, workers := range []int{1, 3} {
-		reused := e
-		reused.Workers = workers
-		got, err := reused.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("Workers=%d context reuse diverged from fresh contexts:\n%+v\n%+v",
-				workers, *got, *want)
+		for _, workers := range []int{1, 3} {
+			reused := e
+			reused.Workers = workers
+			got, err := reused.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("ReserveOnLoad=%v Workers=%d context reuse diverged from fresh contexts:\n%+v\n%+v",
+					cfg.ReserveOnLoad, workers, *got, *want)
+			}
 		}
 	}
 }

@@ -437,12 +437,13 @@ func (m *Manager) growRing() {
 func (m *Manager) takeTx(tx TxID) *txRec {
 	mask := len(m.ring) - 1
 	hole := int(uint64(tx)) & mask
-	for ; m.ring[hole] == nil || m.ring[hole].owner != tx; hole = (hole + 1) & mask {
-		if m.ring[hole] == nil {
-			return nil
-		}
+	for m.ring[hole] != nil && m.ring[hole].owner != tx {
+		hole = (hole + 1) & mask
 	}
 	rec := m.ring[hole]
+	if rec == nil {
+		return nil
+	}
 	for j := (hole + 1) & mask; m.ring[j] != nil; j = (j + 1) & mask {
 		home := int(uint64(m.ring[j].owner)) & mask
 		if (j-home)&mask >= (j-hole)&mask {

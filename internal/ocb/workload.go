@@ -39,9 +39,9 @@ type Transaction struct {
 	Ops  []Op
 }
 
-// opBlockLen is the capacity of one Op block (256 KiB). Workload op
-// sequences are carved out of such blocks instead of one allocation per
-// transaction.
+// opBlockLen is the capacity of one Op block (128 KiB of 4-byte ops).
+// Workload op sequences are carved out of such blocks instead of one
+// allocation per transaction.
 const opBlockLen = 1 << 15
 
 // opArena carves transaction op sequences out of blocks it owns, so a

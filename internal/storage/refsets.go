@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"math"
-
 	"repro/internal/disk"
 	"repro/internal/ocb"
 )
@@ -11,20 +9,21 @@ import (
 // int32 entries (32 KiB).
 const refBlockLen = 1 << 13
 
-// maxRefBlocks keeps every arena position, plus one, within an int32.
-const maxRefBlocks = math.MaxInt32 / refBlockLen
-
 // refSets stores the reservation sets an eager store computed under its
 // current placement. Texas asks for the set of every object it loads, and
 // most loads repeat an object whose set has not changed since its first
 // load, so the set is computed once and copied out after that.
 //
 // at[o] is 0 until o's set is stored, then 1 + the position of its run in
-// the block arena: the set's length, then its pages (a page number fits an
-// int32, since the page directory holds an int32 per page). A run never
-// straddles two blocks. at is allocated at the first stored set, so a store
-// that never reserves pays nothing for it; clear drops every set when the
-// placement changes and retires the blocks in place for the next one.
+// the block arena: the set's length, then its pages. A run never straddles
+// two blocks. Both numbers fit an int32: past 2^31 pages the page
+// directory alone (an int32 per page) would take 8 GiB, and a position
+// stays below twice the entries stored (a block's unused tail is shorter
+// than the run that opened the next block), at most one per object and
+// one per reference of the base.
+// at is allocated at the first stored set, so a store that never reserves
+// pays nothing for it; clear drops every set when the placement changes
+// and retires the blocks in place for the next one.
 type refSets struct {
 	at     []int32
 	blocks [][]int32 // fixed-capacity blocks; [0, used) hold runs
@@ -43,8 +42,8 @@ func (r *refSets) get(o ocb.OID) ([]int32, bool) {
 }
 
 // put stores pages as o's set, sizing at for objects objects at the first
-// set after a clear. A set too long for one block is not stored (it is
-// recomputed on every call), and neither is one past the int32 positions.
+// set after a clear. A set too long for one block is not stored: it is
+// recomputed on every call.
 func (r *refSets) put(o ocb.OID, pages []disk.PageID, objects int) {
 	if len(r.at) == 0 {
 		if cap(r.at) < objects {
@@ -60,9 +59,6 @@ func (r *refSets) put(o ocb.OID, pages []disk.PageID, objects int) {
 	}
 	if r.used == 0 || len(r.blocks[r.used-1])+n > refBlockLen {
 		if r.used == len(r.blocks) {
-			if r.used == maxRefBlocks {
-				return
-			}
 			r.blocks = append(r.blocks, make([]int32, 0, refBlockLen))
 		}
 		r.used++

@@ -123,7 +123,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// its unclustered objects (same page indices), then the clustered
 	// objects pack onto fresh pages appended at the end, in cluster order.
 	// The previous directory's buffers become the scratch for the next
-	// reorganization. The reservation sets of the old placement go.
+	// reorganization.
 	pages := s.pack(order, oldPages)
 	starts := slices.Grow(s.pageStartScratch[:0], pages+1)
 	arena := slices.Grow(s.pageObjArenaSwap[:0], len(s.db.Objects))
@@ -138,7 +138,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	s.pageStartScratch, s.pageObjArenaSwap = s.pageStart, s.pageObjArena
 	s.pageStart, s.pageObjArena = s.file(starts, arena, order, pages)
 	s.reorgs++
-	if len(order) > 0 {
+	if len(order) > 0 { // objects moved: the stored reservation sets are stale
 		s.sets.clear()
 	}
 

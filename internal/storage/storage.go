@@ -203,7 +203,8 @@ func (s *Store) effectiveSize(o ocb.OID) int {
 // allocation instead of growing it by append.
 func (s *Store) place(order []ocb.OID) {
 	pages := s.pack(order, 0)
-	starts, arena := slices.Grow(s.pageStart[:0], pages+1), slices.Grow(s.pageObjArena[:0], len(order))
+	starts := slices.Grow(s.pageStart[:0], pages+1)
+	arena := slices.Grow(s.pageObjArena[:0], len(order))
 	s.pageStart, s.pageObjArena = s.file(starts, arena, order, pages)
 	s.sets.clear()
 }
@@ -233,11 +234,11 @@ func (s *Store) pack(order []ocb.OID, first int) int {
 	return pages
 }
 
-// file appends order's objects, placed by pack, to the page directory
-// (starts, arena), which ends at pack's first page, sets the page count
-// and returns the directory closed by its sentinel. Packing in order means
-// each object's page is the last one opened so far, which is what lets a
-// flat arena replace per-page lists.
+// file appends order's objects, laid out by pack, to the page directory
+// (starts, arena), which already holds every page before pack's first one.
+// It sets the page count and returns the directory closed by its
+// sentinel. Packing in order means each object's page is the last one
+// opened so far, which is what lets a flat arena replace per-page lists.
 func (s *Store) file(starts []int32, arena, order []ocb.OID, pages int) ([]int32, []ocb.OID) {
 	for _, o := range order {
 		for len(starts) <= int(s.firstPage[o]) {
