@@ -30,18 +30,10 @@ type Policy interface {
 	// the policy's recycled scratch: it stays valid until the next
 	// BuildClusters or Reset, so a caller that keeps it must copy it.
 	BuildClusters() [][]ocb.OID
-	// Reset drops all gathered statistics.
+	// Reset restores the freshly-constructed policy: it drops all
+	// gathered statistics and zeroes every counter, keeping recycled
+	// storage.
 	Reset()
-}
-
-// FullResetter is implemented by policies that can restore themselves to
-// their freshly-constructed state — lifetime counters included, recycled
-// storage kept. Policy.Reset deliberately preserves lifetime counters
-// (ObservedTransactions, Builds) because it also marks in-run observation
-// cycle boundaries; a replication context starting a new replication needs
-// the stronger reset.
-type FullResetter interface {
-	FullReset()
 }
 
 // None is the no-clustering policy.

@@ -118,17 +118,18 @@ func (d *DSTC) Name() string { return "DSTC" }
 // Params returns the tuning in effect.
 func (d *DSTC) Params() DSTCParams { return d.params }
 
-// FullReset restores the policy to its freshly-constructed state: all
-// statistics and the lifetime counters (ObservedTransactions, Builds),
-// keeping the recycled backing storage (see cluster.FullResetter).
-func (d *DSTC) FullReset() {
-	d.Reset()
+// Reset restores the freshly-constructed policy: all statistics and the
+// counters (ObservedTransactions, Builds), keeping the recycled backing
+// storage.
+func (d *DSTC) Reset() {
+	d.resetStats()
 	d.observedTx = 0
 	d.builds = 0
 }
 
-// Reset drops all statistics, keeping the recycled backing storage.
-func (d *DSTC) Reset() {
+// resetStats drops all statistics, ending an observation cycle; the
+// counters and the recycled backing storage stay.
+func (d *DSTC) resetStats() {
 	for _, o := range d.periodTouched {
 		d.periodUsage[o] = 0
 	}
@@ -291,7 +292,7 @@ func (d *DSTC) BuildClusters() [][]ocb.OID {
 	}
 	d.linked = linked
 	d.builds++
-	d.Reset()
+	d.resetStats()
 	return d.units.clusters()
 }
 

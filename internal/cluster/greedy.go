@@ -16,7 +16,6 @@ type GreedyGraph struct {
 	minLink int
 	maxSize int
 	links   linkTable
-	txSeen  uint64
 
 	// Cluster-construction scratch, recycled across builds. Each cluster
 	// is a linked list of its members, so a merge relinks instead of
@@ -54,22 +53,16 @@ func (g *GreedyGraph) Observe(o, prev ocb.OID, _ bool) {
 	}
 }
 
-// EndTransaction counts transactions.
-func (g *GreedyGraph) EndTransaction() { g.txSeen++ }
+// EndTransaction is a no-op: the baseline ignores transaction boundaries.
+func (g *GreedyGraph) EndTransaction() {}
 
 // ShouldTrigger never triggers automatically; the baseline is run on
 // demand.
 func (g *GreedyGraph) ShouldTrigger() bool { return false }
 
-// Reset drops the statistics, keeping the link table's slots.
+// Reset restores the freshly-constructed policy: it drops the statistics,
+// keeping the link table's slots.
 func (g *GreedyGraph) Reset() { g.links.reset() }
-
-// FullReset additionally zeroes the transaction counter (see
-// cluster.FullResetter).
-func (g *GreedyGraph) FullReset() {
-	g.Reset()
-	g.txSeen = 0
-}
 
 // BuildClusters merges links strongest-first into bounded clusters, in
 // the order the clusters were started. The clusters stay valid until the
@@ -113,7 +106,7 @@ func (g *GreedyGraph) BuildClusters() [][]ocb.OID {
 		}
 	}
 	g.lists = lists
-	g.Reset()
+	g.links.reset()
 
 	// Emit the surviving clusters, dropping merged-away husks, and clear
 	// the membership marks on the way.

@@ -86,7 +86,7 @@ func traceDigest(p Policy) string {
 		case tx%buildGap == buildGap-1:
 			build()
 		case tx%5003 == 5002:
-			p.Reset() // drop a cycle's statistics without building
+			p.Reset() // drop the statistics without building
 			put(2)
 		}
 	}
@@ -114,10 +114,10 @@ func TestDSTCTraceDigests(t *testing.T) {
 		if got := traceDigest(d); got != c.want {
 			t.Errorf("%+v: digest %s, want %s", c.p, got, c.want)
 		}
-		// FullReset must restore the fresh policy: a replay hashes the same.
-		d.FullReset()
+		// Reset must restore the fresh policy: a replay hashes the same.
+		d.Reset()
 		if got := traceDigest(d); got != c.want {
-			t.Errorf("%+v after FullReset: digest %s, want %s", c.p, got, c.want)
+			t.Errorf("%+v after Reset: digest %s, want %s", c.p, got, c.want)
 		}
 	}
 }
@@ -138,9 +138,9 @@ func TestGreedyGraphTraceDigests(t *testing.T) {
 		if got := traceDigest(g); got != c.want {
 			t.Errorf("minLink %d maxSize %d: digest %s, want %s", c.minLink, c.maxSize, got, c.want)
 		}
-		g.FullReset()
+		g.Reset()
 		if got := traceDigest(g); got != c.want {
-			t.Errorf("minLink %d maxSize %d after FullReset: digest %s, want %s", c.minLink, c.maxSize, got, c.want)
+			t.Errorf("minLink %d maxSize %d after Reset: digest %s, want %s", c.minLink, c.maxSize, got, c.want)
 		}
 	}
 }

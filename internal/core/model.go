@@ -37,11 +37,10 @@ type Run struct {
 	clusterer cluster.Policy
 	failures  *failureInjector
 
-	// reseeder and fullReset are the buffer policy and the clusterer when
-	// they implement these optional Reset hooks, nil otherwise. NewRun
-	// resolves them once, so Reset asserts no interface per replication.
-	reseeder  buffer.Reseeder
-	fullReset cluster.FullResetter
+	// reseeder is the buffer policy when it implements the optional
+	// Reseed hook, nil otherwise. NewRun resolves it once, so Reset
+	// asserts no interface per replication.
+	reseeder buffer.Reseeder
 
 	// execPool recycles executors (LIFO) — of transactions,
 	// reorganizations and repairs alike — so steady-state execution
@@ -113,7 +112,6 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 		r.clusterer = cluster.None{}
 	}
 	r.reseeder, _ = pol.(buffer.Reseeder)
-	r.fullReset, _ = r.clusterer.(cluster.FullResetter)
 	return r, nil
 }
 
@@ -147,11 +145,7 @@ func (r *Run) Reset(db *ocb.Database, seed uint64) {
 	r.serverCPU.Reset()
 	r.clientCPU.Reset()
 	r.admission.Reset()
-	if r.fullReset != nil {
-		r.fullReset.FullReset() // lifetime counters too, not just the observation cycle
-	} else {
-		r.clusterer.Reset()
-	}
+	r.clusterer.Reset()
 	if r.failures != nil {
 		r.failures.reset(rng.SubSeed(seed, 21))
 	}

@@ -84,30 +84,9 @@ func safeRep[T any](c *repContext, rep int, body func(ctx *repContext, rep int) 
 // at replication boundaries only (zero cost inside the simulation hot
 // loop); bodies additionally install the kernel's coarse stop check so a
 // cancelled cell does not have to finish a multi-second replication first.
-//
-// workers == 1 runs the legacy sequential path in the calling goroutine
-// (and, like the pre-parallel engine, stops at the first error instead of
-// finishing the remaining replications).
 func runReplications[T any](ctx context.Context, reps, workers int, pool *ContextPool, body func(ctx *repContext, rep int) (T, error)) ([]T, error) {
 	rows := make([]T, reps)
 	workers = resolveWorkers(workers, reps)
-	if workers == 1 {
-		c := pool.get()
-		for rep := 0; rep < reps; rep++ {
-			if err := ctx.Err(); err != nil {
-				pool.put(c) // boundary cancellation: the context is pristine
-				return nil, err
-			}
-			row, err := safeRep(c, rep, body)
-			if err != nil {
-				return nil, err // failed body: discard c, don't re-pool
-			}
-			rows[rep] = row
-		}
-		pool.put(c)
-		return rows, nil
-	}
-
 	errs := make([]error, reps)
 	var next atomic.Int64
 	var failed atomic.Bool

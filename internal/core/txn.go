@@ -105,9 +105,9 @@ func mkIO(kind ioOp, p disk.PageID) ioOp { return ioOp(p)<<ioKindBits | kind }
 // the single pre-bound step closure, so a steady-state transaction,
 // reorganization or repair allocates nothing.
 type txnExec struct {
-	r    *Run
-	tx   *ocb.Transaction
-	txid lock.TxID
+	r      *Run
+	tx     *ocb.Transaction
+	lockTx lock.Tx
 
 	opIdx int
 	prev  ocb.OID // previously accessed object (for clustering)
@@ -176,7 +176,7 @@ func (r *Run) submit(tx *ocb.Transaction, done func()) {
 // and re-run from the first operation.
 func (e *txnExec) restart() {
 	e.r.txAborted++
-	e.r.locks.End(e.txid)
+	e.r.locks.End(e.lockTx)
 	e.state = stRestart
 	e.r.sim.Schedule(1.0, e.cont)
 }
@@ -248,20 +248,20 @@ func (e *txnExec) step(kernel bool) {
 		switch e.state {
 		case stBegin:
 			r.activeTx++
-			e.txid = r.locks.Begin()
+			e.lockTx = r.locks.Begin()
 			e.opIdx = 0
 			e.prev = ocb.NilRef
 			e.state = stNextOp
 
 		case stRestart:
-			e.txid = r.locks.Begin()
+			e.lockTx = r.locks.Begin()
 			e.opIdx = 0
 			e.prev = ocb.NilRef
 			e.state = stNextOp
 
 		case stNextOp:
 			if e.opIdx >= len(e.tx.Ops) {
-				held := r.locks.HeldCount(e.txid)
+				held := r.locks.HeldCount(e.lockTx)
 				e.state = stCommit
 				if !e.wait(float64(held)*r.cfg.RelLockMs, kernel) {
 					return
@@ -280,7 +280,7 @@ func (e *txnExec) step(kernel bool) {
 			if op.Write() {
 				mode = lock.Exclusive
 			}
-			switch r.locks.Acquire(e.txid, lock.Item(op.Object()), mode, e.lockGranted) {
+			switch r.locks.Acquire(e.lockTx, lock.Item(op.Object()), mode, e.lockGranted) {
 			case lock.Granted:
 				e.state = stFetchObject
 			case lock.Queued:
@@ -479,7 +479,7 @@ func (e *txnExec) step(kernel bool) {
 			return
 
 		case stCommit:
-			r.locks.End(e.txid)
+			r.locks.End(e.lockTx)
 			r.clusterer.EndTransaction()
 			r.activeTx--
 			r.txDone++

@@ -9,6 +9,8 @@
 // read-only, so conflicts never arise there, but the substrate is complete
 // so that write mixes and MULTILVL > 1 behave correctly.
 //
+// Begin returns a handle (Tx) on the transaction's record, and every later
+// call takes that handle, so the table keeps no index of transactions.
 // Acquire returns its decision (Granted, Queued or Died), so the requester
 // goes on in its own frame. The one callback is a queued request's grant:
 // it runs later, inside the release (ReleaseAll or End) of another
@@ -17,11 +19,12 @@
 //
 // The table is allocation-free in steady state, following the DESP-C++
 // discipline of recycling rather than reallocating: each transaction's
-// held locks live in a dense list recycled through a free list (no
-// per-transaction maps), and a release visits only the items the
-// transaction queued on instead of sweeping the whole table. The item
-// table holds only the items currently locked or queued on, so its size
-// does not depend on the range of Items (OIDs) the workload touches.
+// record keeps its held locks and the items it queued on in dense lists,
+// and records go back to the Manager's free list when their transaction
+// ends (no per-transaction maps). A release visits only the items the
+// transaction holds or queued on instead of sweeping the whole table. The
+// item table holds only the items currently locked or queued on, so its
+// size does not depend on the range of Items (OIDs) the workload touches.
 //
 // An uncontended lock costs one slot of that table, which keeps the item's
 // sole holder inline. An entry (holders and FIFO queue) is attached only
@@ -32,8 +35,10 @@
 package lock
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Mode is a lock mode.
@@ -61,8 +66,10 @@ type TxID int64
 // Item is a lockable unit (the VOODB model locks objects by OID).
 type Item int64
 
+// request is a queued lock request. It carries its transaction's record,
+// so a grant updates the held list without a lookup.
 type request struct {
-	tx      TxID
+	rec     *txRec
 	mode    Mode
 	granted func()
 }
@@ -101,113 +108,87 @@ type holderSlot struct {
 	mode Mode
 }
 
-// inlineHolders is the number of holders an entry stores without spilling
-// to the overflow slice. Under wait-die most items have ≤ 2 holders.
-const inlineHolders = 2
-
 // entry is the lock state of an item that a second transaction requested:
-// holders (inline array plus overflow) and a FIFO queue of waiting
-// requests. Entries are recycled through the Manager's pool when their
-// item becomes idle.
+// its holders and a FIFO queue of waiting requests. Entries are recycled
+// through the Manager's pool, with their slices' capacity, when their item
+// becomes idle.
 type entry struct {
-	inline   [inlineHolders]holderSlot
-	nInline  int32
-	overflow []holderSlot
-	queue    []request
+	holders []holderSlot
+	queue   []request
 }
 
-// numHolders returns the number of transactions holding the item.
-func (e *entry) numHolders() int { return int(e.nInline) + len(e.overflow) }
+// holder returns the index of tx's slot among the holders, or -1.
+func (e *entry) holder(tx TxID) int {
+	for i := range e.holders {
+		if e.holders[i].tx == tx {
+			return i
+		}
+	}
+	return -1
+}
 
 // findHolder returns the mode tx holds, and whether tx is a holder.
 func (e *entry) findHolder(tx TxID) (Mode, bool) {
-	for i := int32(0); i < e.nInline; i++ {
-		if e.inline[i].tx == tx {
-			return e.inline[i].mode, true
-		}
-	}
-	for i := range e.overflow {
-		if e.overflow[i].tx == tx {
-			return e.overflow[i].mode, true
-		}
+	if i := e.holder(tx); i >= 0 {
+		return e.holders[i].mode, true
 	}
 	return Shared, false
 }
 
-// setHolder records tx as holding in mode, updating an existing slot or
-// appending a new one (inline first, spilling to overflow).
+// setHolder records tx as holding in mode, updating its slot or appending
+// one.
 func (e *entry) setHolder(tx TxID, mode Mode) {
-	for i := int32(0); i < e.nInline; i++ {
-		if e.inline[i].tx == tx {
-			e.inline[i].mode = mode
-			return
-		}
-	}
-	for i := range e.overflow {
-		if e.overflow[i].tx == tx {
-			e.overflow[i].mode = mode
-			return
-		}
-	}
-	if e.nInline < inlineHolders {
-		e.inline[e.nInline] = holderSlot{tx: tx, mode: mode}
-		e.nInline++
+	if i := e.holder(tx); i >= 0 {
+		e.holders[i].mode = mode
 		return
 	}
-	e.overflow = append(e.overflow, holderSlot{tx: tx, mode: mode})
+	e.holders = append(e.holders, holderSlot{tx: tx, mode: mode})
 }
 
 // delHolder removes tx from the holders if present. Holder order is not
 // observable (compatibility and wait-die checks are order-independent), so
 // the hole is filled by the last slot.
 func (e *entry) delHolder(tx TxID) {
-	for i := int32(0); i < e.nInline; i++ {
-		if e.inline[i].tx != tx {
-			continue
-		}
-		if n := len(e.overflow); n > 0 {
-			e.inline[i] = e.overflow[n-1]
-			e.overflow = e.overflow[:n-1]
-		} else {
-			e.nInline--
-			e.inline[i] = e.inline[e.nInline]
-		}
-		return
-	}
-	for i := range e.overflow {
-		if e.overflow[i].tx == tx {
-			n := len(e.overflow)
-			e.overflow[i] = e.overflow[n-1]
-			e.overflow = e.overflow[:n-1]
-			return
-		}
+	if i := e.holder(tx); i >= 0 {
+		last := len(e.holders) - 1
+		e.holders[i] = e.holders[last]
+		e.holders = e.holders[:last]
 	}
 }
 
-// anyExclusiveHolder reports whether any holder is exclusive.
-func (e *entry) anyExclusiveHolder() bool {
-	for i := int32(0); i < e.nInline; i++ {
-		if e.inline[i].mode == Exclusive {
-			return true
+// compatible reports whether a request in mode may join the current
+// holders.
+func (e *entry) compatible(mode Mode) bool {
+	if len(e.holders) == 0 {
+		return true
+	}
+	if mode == Exclusive {
+		return false
+	}
+	for i := range e.holders {
+		if e.holders[i].mode == Exclusive {
+			return false
 		}
 	}
-	for i := range e.overflow {
-		if e.overflow[i].mode == Exclusive {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
-// anyOlderHolder reports whether some other holder began before tx.
-func (e *entry) anyOlderHolder(tx TxID) bool {
-	for i := int32(0); i < e.nInline; i++ {
-		if h := e.inline[i].tx; h != tx && h < tx {
+// youngerThanAnyBlocker reports whether tx began after at least one
+// transaction it would wait behind: a current holder, or a queued
+// requester whose mode conflicts with the new request (compatible shared
+// requests are granted as a batch and never block each other). Waiting is
+// only permitted behind strictly younger transactions, which makes every
+// wait-for edge point old→young and rules out cycles — the wait-die
+// guarantee, extended to FIFO queues.
+func (e *entry) youngerThanAnyBlocker(tx TxID, mode Mode) bool {
+	for i := range e.holders {
+		if e.holders[i].tx < tx {
 			return true
 		}
 	}
-	for i := range e.overflow {
-		if h := e.overflow[i].tx; h != tx && h < tx {
+	for i := range e.queue {
+		r := &e.queue[i]
+		if r.rec.id < tx && (mode == Exclusive || r.mode == Exclusive) {
 			return true
 		}
 	}
@@ -216,8 +197,7 @@ func (e *entry) anyOlderHolder(tx TxID) bool {
 
 // reset clears the entry for reuse, keeping slice capacity.
 func (e *entry) reset() {
-	e.nInline = 0
-	e.overflow = e.overflow[:0]
+	e.holders = e.holders[:0]
 	e.queue = e.queue[:0]
 }
 
@@ -227,15 +207,37 @@ type heldLock struct {
 	mode Mode
 }
 
-// txRec is a transaction's dense lock state: the owning TxID (the key of
-// its transaction-ring slot), the distinct items it holds (append order;
-// sorted at release) and the items it queued on since its last release, so
-// ReleaseAll can abandon its queued requests without sweeping the whole
-// table. Records are recycled through the Manager's pool.
+// txRec is a transaction's dense lock state: its TxID, the distinct items
+// it holds (append order; sorted at release) and the items it queued on
+// since its last release, so ReleaseAll can abandon its queued requests
+// without sweeping the whole table. Records are recycled through the
+// Manager's free list.
 type txRec struct {
-	owner TxID // 0 when the record is pooled (TxIDs start at 1)
+	id    TxID // 0 while the record is free (TxIDs start at 1)
 	locks []heldLock
 	waits []Item
+}
+
+// Tx is a handle on a begun transaction: its record and its TxID. A handle
+// is stale once its transaction has ended or the Manager has been Reset,
+// which shows as its record holding another TxID. (TxIDs restart at Reset,
+// so a record begun again may carry a stale handle's TxID, and the handle
+// then names that transaction.) A stale or zero handle holds nothing:
+// Acquire panics on it, and the other calls ignore it.
+type Tx struct {
+	rec *txRec
+	id  TxID
+}
+
+// ID returns the transaction's ID, its wait-die timestamp.
+func (t Tx) ID() TxID { return t.id }
+
+// record returns t's record, or nil when t is stale or zero.
+func (t Tx) record() *txRec {
+	if t.rec == nil || t.rec.id != t.id {
+		return nil
+	}
+	return t.rec
 }
 
 // itemSlot is one slot of the item index. It is live while gen equals the
@@ -352,25 +354,19 @@ func (x *itemIndex) removeAt(hole int) {
 	x.n--
 }
 
-// ringInit is the transaction ring's initial size; it doubles when the
-// live transactions would fill half of it.
-const ringInit = 64
-
-// Manager is the lock table. Both index structures are map-free: per-item
-// state lives in the open-addressed item index (an entry only for items a
-// second transaction requested), and active transactions live in a
-// power-of-two ring, open-addressed like the item index but probing from
-// the TxID's low bits. Maps churn internal buckets under the steady
+// Manager is the lock table. Per-item state lives in the open-addressed
+// item index (an entry only for items a second transaction requested), and
+// per-transaction state in records that the callers' handles point to.
+// Neither is a Go map: maps churn internal buckets under the steady
 // begin/lock/commit cycle — a residual byte per operation that plain
 // slices do not have.
 type Manager struct {
 	nextTx TxID
 	items  itemIndex // the items locked or queued on
-	ring   []*txRec  // active transactions; home slot = TxID & (len-1)
-	txLive int       // transactions in the ring
 
+	recs      []*txRec // every record made, live or free
+	freeRecs  []*txRec // the records of no live transaction
 	entryPool []*entry
-	recPool   []*txRec
 	entries   int // entries out of the pool, each attached to a live slot
 
 	acquisitions uint64
@@ -386,90 +382,16 @@ type Manager struct {
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
-	return &Manager{items: newItemIndex(itemIndexInit), ring: make([]*txRec, ringInit)}
-}
-
-// lookupTx returns tx's record, or nil for unknown/finished transactions.
-// The ring is at most half full, so every probe run ends at a nil.
-func (m *Manager) lookupTx(tx TxID) *txRec {
-	mask := len(m.ring) - 1
-	for i := int(uint64(tx)) & mask; ; i = (i + 1) & mask {
-		if rec := m.ring[i]; rec == nil || rec.owner == tx {
-			return rec
-		}
-	}
-}
-
-// storeTx files rec (owner already set) into the ring at the first free
-// slot from its home, doubling the ring first if the live transactions
-// would fill more than half of it. The ring's size thus follows the live
-// transactions — bounded by the admission scheduler — and not the span of
-// TxIDs issued while one of them stays live.
-func (m *Manager) storeTx(rec *txRec) {
-	if 2*(m.txLive+1) > len(m.ring) {
-		m.growRing()
-	}
-	mask := len(m.ring) - 1
-	i := int(uint64(rec.owner)) & mask
-	for m.ring[i] != nil {
-		i = (i + 1) & mask
-	}
-	m.ring[i] = rec
-	m.txLive++
-}
-
-// growRing doubles the ring and re-files every live transaction.
-func (m *Manager) growRing() {
-	old := m.ring
-	m.ring = make([]*txRec, 2*len(old))
-	m.txLive = 0
-	for _, rec := range old {
-		if rec != nil {
-			m.storeTx(rec)
-		}
-	}
-}
-
-// takeTx removes tx from the ring and returns its record, or nil for an
-// unknown transaction. Like the item index, it back-shifts the rest of the
-// probe run into the hole, moving each record j whose home does not lie
-// cyclically in (hole, j].
-func (m *Manager) takeTx(tx TxID) *txRec {
-	mask := len(m.ring) - 1
-	hole := int(uint64(tx)) & mask
-	for m.ring[hole] != nil && m.ring[hole].owner != tx {
-		hole = (hole + 1) & mask
-	}
-	rec := m.ring[hole]
-	if rec == nil {
-		return nil
-	}
-	for j := (hole + 1) & mask; m.ring[j] != nil; j = (j + 1) & mask {
-		home := int(uint64(m.ring[j].owner)) & mask
-		if (j-home)&mask >= (j-hole)&mask {
-			m.ring[hole] = m.ring[j]
-			hole = j
-		}
-	}
-	m.ring[hole] = nil
-	m.txLive--
-	return rec
-}
-
-// putRec recycles a transaction record.
-func (m *Manager) putRec(rec *txRec) {
-	rec.owner = 0
-	rec.locks = rec.locks[:0]
-	rec.waits = rec.waits[:0]
-	m.recPool = append(m.recPool, rec)
+	return &Manager{items: newItemIndex(itemIndexInit)}
 }
 
 // Reset restores the table to its freshly-constructed state — no items, no
 // transactions, TxIDs restarting from 1, zeroed counters — while keeping
-// the entry and record pools, the item index, and the transaction ring, so
-// a recycled table behaves bit-for-bit like a new one (wait-die compares
-// TxIDs, so the ID restart matters) without reallocating. Any leftover
-// entries and records are recycled into the pools rather than dropped.
+// the entry pool, the records and the item index, so a recycled table
+// behaves bit-for-bit like a new one (wait-die compares TxIDs, so the ID
+// restart matters) without reallocating. Leftover entries go back to the
+// pool, and every record to the free list, which makes every handle
+// stale.
 func (m *Manager) Reset() {
 	x := &m.items
 	for i := range x.slots {
@@ -480,13 +402,12 @@ func (m *Manager) Reset() {
 	// Zero every slot, so no stale one keeps an entry pointer.
 	clear(x.slots)
 	x.n, x.gen = 0, 1
-	for i, rec := range m.ring {
-		if rec != nil {
-			m.ring[i] = nil
-			m.putRec(rec)
-		}
+	for _, rec := range m.recs {
+		rec.id = 0
+		rec.locks = rec.locks[:0]
+		rec.waits = rec.waits[:0]
 	}
-	m.txLive = 0
+	m.freeRecs = append(m.freeRecs[:0], m.recs...)
 	m.nextTx = 0
 	m.acquisitions, m.waits, m.deaths = 0, 0, 0
 	m.queued = 0
@@ -508,46 +429,40 @@ func (m *Manager) putEntry(e *entry) {
 	m.entryPool = append(m.entryPool, e)
 }
 
-// Begin registers a new transaction and returns its ID; IDs are assigned in
-// begin order and double as wait-die timestamps.
-func (m *Manager) Begin() TxID {
+// Begin starts a new transaction and returns its handle. TxIDs are
+// assigned in begin order and double as wait-die timestamps.
+func (m *Manager) Begin() Tx {
 	m.nextTx++
-	tx := m.nextTx
 	var rec *txRec
-	if n := len(m.recPool); n > 0 {
-		rec = m.recPool[n-1]
-		m.recPool = m.recPool[:n-1]
+	if n := len(m.freeRecs); n > 0 {
+		rec = m.freeRecs[n-1]
+		m.freeRecs = m.freeRecs[:n-1]
 	} else {
 		rec = &txRec{}
+		m.recs = append(m.recs, rec)
 	}
-	rec.owner = tx
-	rec.locks = rec.locks[:0]
-	rec.waits = rec.waits[:0]
-	m.storeTx(rec)
-	return tx
+	rec.id = m.nextTx
+	return Tx{rec: rec, id: m.nextTx}
 }
 
 // Holds returns the mode tx holds on item, and whether it holds it at all.
-func (m *Manager) Holds(tx TxID, item Item) (Mode, bool) {
-	rec := m.lookupTx(tx)
-	if rec == nil {
-		return Shared, false
-	}
-	for i := range rec.locks {
-		if rec.locks[i].item == item {
-			return rec.locks[i].mode, true
+func (m *Manager) Holds(tx Tx, item Item) (Mode, bool) {
+	if rec := tx.record(); rec != nil {
+		for i := range rec.locks {
+			if rec.locks[i].item == item {
+				return rec.locks[i].mode, true
+			}
 		}
 	}
 	return Shared, false
 }
 
 // HeldCount returns the number of items tx currently holds.
-func (m *Manager) HeldCount(tx TxID) int {
-	rec := m.lookupTx(tx)
-	if rec == nil {
-		return 0
+func (m *Manager) HeldCount(tx Tx) int {
+	if rec := tx.record(); rec != nil {
+		return len(rec.locks)
 	}
-	return len(rec.locks)
+	return 0
 }
 
 // updateHeld records item/mode in tx's held list, updating an existing
@@ -570,20 +485,21 @@ func (rec *txRec) updateHeld(item Item, mode Mode) {
 // that grants it: granted then runs exactly once, inside that release (or
 // never, if tx ends first). A queued request never dies: wait-die decides
 // death when the request is made.
-func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome {
+func (m *Manager) Acquire(tx Tx, item Item, mode Mode, granted func()) Outcome {
 	if granted == nil {
 		panic("lock: Acquire with nil callback")
 	}
-	rec := m.lookupTx(tx)
+	rec := tx.record()
 	if rec == nil {
-		panic(fmt.Sprintf("lock: Acquire by unknown transaction %d", tx))
+		panic(fmt.Sprintf("lock: Acquire by ended or unknown transaction %d", tx.id))
 	}
+	id := rec.id
 	x := &m.items
 	i := x.find(item)
 	if !x.live(i) {
 		// An idle item: the request is granted, and tx becomes the sole
 		// holder, inline in the slot.
-		x.insert(i, item, tx, mode)
+		x.insert(i, item, id, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
 		return Granted
@@ -591,7 +507,7 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 	s := &x.slots[i]
 	e := s.e
 	if e == nil {
-		if s.tx == tx {
+		if s.tx == id {
 			// Re-entrant request by the sole holder; an upgrade S → X
 			// is immediate.
 			if s.mode == Shared && mode == Exclusive {
@@ -608,22 +524,22 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 	}
 
 	// Re-entrant cases.
-	if have, ok := e.findHolder(tx); ok {
+	if have, ok := e.findHolder(id); ok {
 		if have == Exclusive || mode == Shared {
 			m.acquisitions++
 			return Granted
 		}
 		// Upgrade S → X: immediate if sole holder.
-		if e.numHolders() == 1 {
-			e.setHolder(tx, Exclusive)
+		if len(e.holders) == 1 {
+			e.setHolder(id, Exclusive)
 			rec.updateHeld(item, Exclusive)
 			m.acquisitions++
 			return Granted
 		}
 		// Conflicting upgrade: it waits or dies as an exclusive request.
 		mode = Exclusive
-	} else if m.compatible(e, tx, mode) && len(e.queue) == 0 {
-		e.setHolder(tx, mode)
+	} else if e.compatible(mode) && len(e.queue) == 0 {
+		e.setHolder(id, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
 		return Granted
@@ -632,50 +548,15 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted func()) Outcome
 	// current holders AND conflicting queued requesters (FIFO queuing
 	// makes those blockers too; checking holders alone admits wait cycles
 	// through the queue) — dies.
-	if m.youngerThanAnyBlocker(e, tx, mode) {
+	if e.youngerThanAnyBlocker(id, mode) {
 		m.deaths++
 		return Died
 	}
 	m.waits++
 	m.queued++
-	e.queue = append(e.queue, request{tx: tx, mode: mode, granted: granted})
+	e.queue = append(e.queue, request{rec: rec, mode: mode, granted: granted})
 	rec.waits = append(rec.waits, item)
 	return Queued
-}
-
-// compatible reports whether tx may take item in mode alongside the current
-// holders.
-func (m *Manager) compatible(e *entry, _ TxID, mode Mode) bool {
-	if e.numHolders() == 0 {
-		return true
-	}
-	if mode == Exclusive {
-		return false
-	}
-	return !e.anyExclusiveHolder()
-}
-
-// youngerThanAnyBlocker reports whether tx began after at least one
-// transaction it would wait behind: a current holder, or a queued
-// requester whose mode conflicts with the new request (compatible shared
-// requests are granted as a batch and never block each other). Waiting is
-// only permitted behind strictly younger transactions, which makes every
-// wait-for edge point old→young and rules out cycles — the wait-die
-// guarantee, extended to FIFO queues.
-func (m *Manager) youngerThanAnyBlocker(e *entry, tx TxID, mode Mode) bool {
-	if e.anyOlderHolder(tx) {
-		return true
-	}
-	for i := range e.queue {
-		r := &e.queue[i]
-		if r.tx == tx || r.tx >= tx {
-			continue
-		}
-		if mode == Exclusive || r.mode == Exclusive {
-			return true
-		}
-	}
-	return false
 }
 
 // ReleaseAll drops every lock tx holds (strict 2PL commit/abort) and grants
@@ -684,15 +565,30 @@ func (m *Manager) youngerThanAnyBlocker(e *entry, tx TxID, mode Mode) bool {
 // never be answered otherwise), so a release never grants tx a lock that
 // its record then drops. Items are released in sorted order so the
 // dispatch sequence — and hence the whole simulation — is deterministic.
-func (m *Manager) ReleaseAll(tx TxID) {
-	rec := m.lookupTx(tx)
+func (m *Manager) ReleaseAll(tx Tx) {
+	if rec := tx.record(); rec != nil {
+		m.release(rec)
+	}
+}
+
+// End forgets a finished transaction entirely, after releasing its locks
+// and abandoning its queued requests; its handle goes stale.
+func (m *Manager) End(tx Tx) {
+	rec := tx.record()
 	if rec == nil {
 		return
 	}
-	m.abandonQueued(tx, rec)
+	m.release(rec)
+	rec.id = 0
+	m.freeRecs = append(m.freeRecs, rec)
+}
+
+// release is ReleaseAll on a live record.
+func (m *Manager) release(rec *txRec) {
+	m.abandonQueued(rec)
 	x := &m.items
 	if m.entries == 0 && x.n == len(rec.locks) {
-		// tx is the only locker: with no entry nothing is queued, so every
+		// rec is the only locker: with no entry nothing is queued, so every
 		// live slot holds one of its items inline and no grant can follow —
 		// the common case in the paper's closed single-user figures.
 		x.empty()
@@ -702,24 +598,25 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	if m.queued > 0 {
 		// With no queued request anywhere, no release can dispatch a grant,
 		// so the release order is unobservable and the sort is skipped.
-		sortHeldLocks(rec.locks)
+		// Items are distinct, so any sort yields the same order.
+		slices.SortFunc(rec.locks, func(a, b heldLock) int { return cmp.Compare(a.item, b.item) })
 	}
 	for k := range rec.locks {
 		item := rec.locks[k].item
 		i := x.find(item)
 		if e := x.slots[i].e; e != nil {
-			e.delHolder(tx)
+			e.delHolder(rec.id)
 			m.dispatch(item, e)
 		} else {
-			x.removeAt(i) // tx was the sole holder
+			x.removeAt(i) // rec was the sole holder
 		}
 	}
 	rec.locks = rec.locks[:0]
 }
 
-// abandonQueued drops tx's queued requests. Only the items tx queued on
+// abandonQueued drops rec's queued requests. Only the items rec queued on
 // since its last release are visited.
-func (m *Manager) abandonQueued(tx TxID, rec *txRec) {
+func (m *Manager) abandonQueued(rec *txRec) {
 	for _, item := range rec.waits {
 		slot := m.items.find(item)
 		e := m.items.slots[slot].e
@@ -728,28 +625,19 @@ func (m *Manager) abandonQueued(tx TxID, rec *txRec) {
 		}
 		filtered := e.queue[:0]
 		for _, r := range e.queue {
-			if r.tx != tx {
+			if r.rec != rec {
 				filtered = append(filtered, r)
 			} else {
 				m.queued--
 			}
 		}
 		e.queue = filtered
-		if e.numHolders() == 0 && len(e.queue) == 0 {
+		if len(e.holders) == 0 && len(e.queue) == 0 {
 			m.items.removeAt(slot)
 			m.putEntry(e)
 		}
 	}
 	rec.waits = rec.waits[:0]
-}
-
-// End forgets a finished transaction entirely, after releasing its locks
-// and abandoning its queued requests.
-func (m *Manager) End(tx TxID) {
-	m.ReleaseAll(tx)
-	if rec := m.takeTx(tx); rec != nil {
-		m.putRec(rec)
-	}
 }
 
 // dispatch grants queued compatible requests at the head of item's queue,
@@ -758,29 +646,23 @@ func (m *Manager) End(tx TxID) {
 func (m *Manager) dispatch(item Item, e *entry) {
 	for len(e.queue) > 0 {
 		head := e.queue[0]
-		if !m.compatible(e, head.tx, head.mode) {
+		mode := head.mode
+		if !e.compatible(mode) {
 			// An upgrade request whose owner is now the sole holder can
 			// proceed even though "compatible" says no.
-			if have, ok := e.findHolder(head.tx); ok && have == Shared &&
-				head.mode == Exclusive && e.numHolders() == 1 {
-				e.popHead()
-				m.queued--
-				e.setHolder(head.tx, Exclusive)
-				m.lookupTx(head.tx).updateHeld(item, Exclusive)
-				m.acquisitions++
-				head.granted()
-				continue
+			have, ok := e.findHolder(head.rec.id)
+			if !ok || have != Shared || mode != Exclusive || len(e.holders) != 1 {
+				return
 			}
-			return
 		}
 		e.popHead()
 		m.queued--
-		e.setHolder(head.tx, head.mode)
-		m.lookupTx(head.tx).updateHeld(item, head.mode)
+		e.setHolder(head.rec.id, mode)
+		head.rec.updateHeld(item, mode)
 		m.acquisitions++
 		head.granted()
 	}
-	if e.numHolders() == 0 && len(e.queue) == 0 {
+	if len(e.holders) == 0 && len(e.queue) == 0 {
 		m.items.removeAt(m.items.find(item))
 		m.putEntry(e)
 	}
@@ -792,60 +674,6 @@ func (e *entry) popHead() {
 	copy(e.queue, e.queue[1:])
 	e.queue[len(e.queue)-1] = request{}
 	e.queue = e.queue[:len(e.queue)-1]
-}
-
-// sortHeldLocks orders locks ascending by item. Items are distinct, so any
-// correct sort yields the same array and the release order stays
-// deterministic. It is a hand-specialized hybrid — median-of-three Hoare
-// quicksort recursing into the smaller half, insertion sort below 24
-// entries — because the generic slices.SortFunc's per-comparison closure
-// dispatch dominated commit cost in the transaction-pipeline profile
-// (deep traversals hold hundreds of locks, released every commit).
-func sortHeldLocks(a []heldLock) {
-	for len(a) > 24 {
-		m, hi := len(a)/2, len(a)-1
-		if a[m].item < a[0].item {
-			a[0], a[m] = a[m], a[0]
-		}
-		if a[hi].item < a[0].item {
-			a[0], a[hi] = a[hi], a[0]
-		}
-		if a[hi].item < a[m].item {
-			a[m], a[hi] = a[hi], a[m]
-		}
-		p := a[m].item
-		i, j := 0, hi
-		for {
-			for a[i].item < p {
-				i++
-			}
-			for a[j].item > p {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-		if j+1 < len(a)-(j+1) {
-			sortHeldLocks(a[:j+1])
-			a = a[j+1:]
-		} else {
-			sortHeldLocks(a[j+1:])
-			a = a[:j+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j].item > x.item {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
 }
 
 // Acquisitions returns the number of granted requests.

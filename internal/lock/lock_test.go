@@ -13,22 +13,22 @@ func count(n *int) func() { return func() { *n++ } }
 func never(t *testing.T, why string) func() { return func() { t.Fatal(why) } }
 
 // ask requests item and fails unless the table decides want.
-func ask(t *testing.T, m *Manager, tx TxID, item Item, mode Mode, want Outcome, granted func()) {
+func ask(t *testing.T, m *Manager, tx Tx, item Item, mode Mode, want Outcome, granted func()) {
 	t.Helper()
 	if got := m.Acquire(tx, item, mode, granted); got != want {
-		t.Fatalf("tx %d, %v on %d: %v, want %v", tx, mode, item, got, want)
+		t.Fatalf("tx %d, %v on %d: %v, want %v", tx.ID(), mode, item, got, want)
 	}
 }
 
 // mustGrant asks for item and fails unless it is granted at once; the
 // callback of a request decided at once never runs.
-func mustGrant(t *testing.T, m *Manager, tx TxID, item Item, mode Mode) {
+func mustGrant(t *testing.T, m *Manager, tx Tx, item Item, mode Mode) {
 	t.Helper()
 	ask(t, m, tx, item, mode, Granted, never(t, "granted callback ran for an immediate grant"))
 }
 
 // mustDie asks for item and fails unless the requester loses wait-die.
-func mustDie(t *testing.T, m *Manager, tx TxID, item Item, mode Mode) {
+func mustDie(t *testing.T, m *Manager, tx Tx, item Item, mode Mode) {
 	t.Helper()
 	ask(t, m, tx, item, mode, Died, never(t, "granted callback ran for a wait-die death"))
 }
@@ -227,14 +227,49 @@ func TestWaitDiePreventsDeadlockCycle(t *testing.T) {
 	}
 }
 
+// TestAcquireByUnknownTxPanics: Acquire panics on the zero handle and on
+// the handle of an ended transaction, whose record is free or begun again
+// under a new TxID; the other calls ignore such a handle.
 func TestAcquireByUnknownTxPanics(t *testing.T) {
 	m := NewManager()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
+	ended := m.Begin()
+	mustGrant(t, m, ended, 1, Exclusive)
+	m.End(ended)
+	for _, c := range []struct {
+		name string
+		tx   Tx
+	}{{"zero", Tx{}}, {"ended, record free", ended}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s handle: no panic", c.name)
+				}
+			}()
+			m.Acquire(c.tx, 1, Shared, func() {})
+		}()
+	}
+	next := m.Begin() // reuses ended's record
+	if next.rec != ended.rec {
+		t.Fatal("the ended transaction's record was not reused")
+	}
+	mustGrant(t, m, next, 1, Exclusive)
+	if _, ok := m.Holds(ended, 1); ok || m.HeldCount(ended) != 0 {
+		t.Fatal("an ended handle sees its record's new transaction")
+	}
+	m.ReleaseAll(ended)
+	m.End(ended)
+	if m.HeldCount(next) != 1 {
+		t.Fatal("ReleaseAll or End on an ended handle released its record's new transaction")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ended handle, record begun again: no panic")
+			}
+		}()
+		m.Acquire(ended, 2, Shared, func() {})
 	}()
-	m.Acquire(999, 1, Shared, func() {})
+	m.End(next)
 }
 
 func TestModeString(t *testing.T) {
@@ -267,6 +302,16 @@ type indexCoverage struct {
 	size    int
 }
 
+// txByID returns the handle of the live transaction id.
+func txByID(m *Manager, id TxID) Tx {
+	for _, rec := range m.recs {
+		if rec.id == id {
+			return Tx{rec: rec, id: id}
+		}
+	}
+	return Tx{}
+}
+
 // checkIndex asserts the item index's invariants: its count matches its
 // live slots, it is at most half full, every item is found from its home
 // slot, only live slots have entries, and the Manager counts them. It also
@@ -287,7 +332,7 @@ func checkIndex(t *testing.T, m *Manager, cov *indexCoverage) {
 		n++
 		if s.e != nil {
 			entries++
-		} else if mode, ok := m.Holds(s.tx, s.item); !ok || mode != s.mode {
+		} else if mode, ok := m.Holds(txByID(m, s.tx), s.item); !ok || mode != s.mode {
 			t.Fatalf("slot %d holds item %d for tx %d in %v, but Holds reads %v %v",
 				i, s.item, s.tx, s.mode, mode, ok)
 		}
@@ -340,7 +385,7 @@ func checkIndexEmpty(t *testing.T, m *Manager, when string) {
 // index must be empty after every trial's End calls and after a Reset.
 func TestPropertyNoIncompatibleGrants(t *testing.T) {
 	type key struct {
-		tx   TxID
+		tx   Tx
 		item Item
 	}
 	wide := wideItems()
@@ -352,7 +397,7 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 			nTx, steps, releaseOdds = 8, 600, 12
 		}
 		m := NewManager()
-		var txs []TxID
+		var txs []Tx
 		for i := 0; i < nTx; i++ {
 			txs = append(txs, m.Begin())
 		}
@@ -360,7 +405,7 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 		answered := 0
 		requested := 0
 		// grant records tx's grant and checks it against the other holders.
-		grant := func(tx TxID, item Item, mode Mode) {
+		grant := func(tx Tx, item Item, mode Mode) {
 			answered++
 			held[key{tx, item}] = mode
 			for k, hm := range held {
@@ -374,7 +419,7 @@ func TestPropertyNoIncompatibleGrants(t *testing.T) {
 			}
 		}
 		// release forgets tx's grants and releases its locks.
-		release := func(tx TxID) {
+		release := func(tx Tx) {
 			for k := range held {
 				if k.tx == tx {
 					delete(held, k)

@@ -22,25 +22,31 @@ func TestManagerReset(t *testing.T) {
 	// Reset must clean it all up.
 	m.Reset()
 
-	if got := m.Begin(); got != 1 {
+	if _, held := m.Holds(t1, 5); held || m.HeldCount(t2) != 0 {
+		t.Fatal("a handle from before Reset still holds its locks")
+	}
+	tx := m.Begin()
+	if got := tx.ID(); got != 1 {
 		t.Fatalf("first TxID after Reset = %d, want 1", got)
 	}
 	if m.Acquisitions() != 0 || m.Waits() != 0 || m.Deaths() != 0 {
 		t.Fatal("counters survived Reset")
 	}
-	mustGrant(t, m, 1, 5, Exclusive) // item 5 no longer blocked
-	if _, held := m.Holds(1, 5); !held {
+	mustGrant(t, m, tx, 5, Exclusive) // item 5 no longer blocked
+	if _, held := m.Holds(tx, 5); !held {
 		t.Fatal("grant not recorded after Reset")
 	}
-	m.End(1)
+	m.End(tx)
+	if len(m.recs) != 2 || len(m.freeRecs) != 2 {
+		t.Fatalf("%d records, %d free after Reset and one transaction, want 2 and 2", len(m.recs), len(m.freeRecs))
+	}
 }
 
-// TestRingFollowsLiveTransactions pins the transaction ring's size to the
-// live transactions, not to the span of TxIDs issued while one of them
-// stays live: one transaction holds a lock over 200,000 short ones, so
-// their TxIDs wrap onto its ring slot again and again, and the ring must
-// stay at its initial 64 slots.
-func TestRingFollowsLiveTransactions(t *testing.T) {
+// TestRecordPoolFollowsLiveTransactions bounds the Manager's records by
+// the transactions live at once, not by those begun: one transaction
+// holds a lock over 200,000 short ones, and the Manager must end with at
+// most 2 records.
+func TestRecordPoolFollowsLiveTransactions(t *testing.T) {
 	m := NewManager()
 	long := m.Begin()
 	mustGrant(t, m, long, 1, Shared)
@@ -52,43 +58,14 @@ func TestRingFollowsLiveTransactions(t *testing.T) {
 		}
 		m.End(tx)
 	}
-	if len(m.ring) != ringInit {
-		t.Errorf("ring has %d slots, want %d", len(m.ring), ringInit)
+	if len(m.recs) > 2 {
+		t.Errorf("%d records after one live and 200,000 short transactions, want at most 2", len(m.recs))
 	}
 	if _, held := m.Holds(long, 1); !held {
 		t.Error("the long transaction lost its lock")
 	}
 	m.End(long)
-	if m.txLive != 0 {
-		t.Errorf("%d transactions left in the ring after every End", m.txLive)
-	}
-}
-
-// TestRingGrowsWithLiveTransactions keeps 100 transactions live, more than
-// half of the initial ring, and ends them out of begin order, so probe runs
-// wrap and back-shift: every record must stay reachable until it ends.
-func TestRingGrowsWithLiveTransactions(t *testing.T) {
-	m := NewManager()
-	var txs []TxID
-	for i := 0; i < 100; i++ {
-		tx := m.Begin()
-		mustGrant(t, m, tx, Item(i), Exclusive)
-		txs = append(txs, tx)
-	}
-	if len(m.ring) != 256 {
-		t.Errorf("ring has %d slots for 100 live transactions, want 256", len(m.ring))
-	}
-	for k := 0; k < len(txs); k++ {
-		i := (k * 37) % len(txs)
-		m.End(txs[i])
-		for _, tx := range txs {
-			_, held := m.Holds(tx, Item(tx-1))
-			if ended := m.lookupTx(tx) == nil; held == ended {
-				t.Fatalf("after ending %d of them: transaction %d held=%v ended=%v", k+1, tx, held, ended)
-			}
-		}
-	}
-	if m.txLive != 0 {
-		t.Errorf("%d transactions left in the ring after every End", m.txLive)
+	if len(m.freeRecs) != len(m.recs) {
+		t.Errorf("%d of %d records free after every End", len(m.freeRecs), len(m.recs))
 	}
 }

@@ -17,10 +17,10 @@ type transcript struct {
 	h     hash.Hash64
 	buf   [8]byte
 	r     uint64
-	txs   []TxID
+	txs   []Tx
 	// waiting marks the transactions with a queued request; like the
 	// model's transactions, they make no further request until granted.
-	waiting map[TxID]bool
+	waiting map[Tx]bool
 }
 
 func (s *transcript) word(v int64) {
@@ -37,7 +37,7 @@ func (s *transcript) next(n int) int {
 func (s *transcript) begin(k int) {
 	tx := s.m.Begin()
 	s.txs[k] = tx
-	s.word(int64(tx))
+	s.word(int64(tx.ID()))
 }
 
 // end ends the transaction in slot k and begins its replacement.
@@ -71,7 +71,7 @@ func (s *transcript) acquire(k int) {
 	out := s.m.Acquire(tx, item, mode, func() {
 		delete(s.waiting, tx)
 		s.word(-1)
-		s.word(int64(tx))
+		s.word(int64(tx.ID()))
 		s.word(int64(item))
 		s.word(int64(mode))
 	})
@@ -106,14 +106,14 @@ func (s *transcript) observe() {
 // resetting the table halfway through. A step ends or releases a
 // transaction with odds of one in releaseOdds each.
 func (s *transcript) run(nTx, steps, releaseOdds int) {
-	s.txs = make([]TxID, nTx)
+	s.txs = make([]Tx, nTx)
 	for k := range s.txs {
 		s.begin(k)
 	}
 	for step := 0; step < steps; step++ {
 		if step == steps/2 {
 			s.m.Reset()
-			s.waiting = map[TxID]bool{}
+			s.waiting = map[Tx]bool{}
 			for k := range s.txs {
 				s.begin(k)
 			}
@@ -170,7 +170,7 @@ func TestLockTranscriptDigests(t *testing.T) {
 			s := &transcript{
 				m: m, items: items, h: h,
 				r:       uint64(trial)*2654435761 + uint64(c.nTx),
-				waiting: map[TxID]bool{},
+				waiting: map[Tx]bool{},
 			}
 			s.run(c.nTx, c.steps, c.releaseOdds)
 		}

@@ -242,6 +242,67 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsCellWithoutSpecMetrics: a journal cell whose checksum,
+// index and seed are valid but whose values do not name the spec's
+// metrics, in order, is refused with an error naming the cell, and no
+// result. Rendering reads Values by metric position, so replaying such a
+// cell would panic (no values) or mis-merge.
+func TestResumeRejectsCellWithoutSpecMetrics(t *testing.T) {
+	s := robustGrid(t)
+	o := Options{Replications: 2, Seed: 31}
+	metrics := s.metrics()
+	if len(metrics) < 2 {
+		t.Fatalf("the grid selects %d metrics, want at least 2", len(metrics))
+	}
+	values := func(ms ...Metric) []Value {
+		vs := make([]Value, len(ms))
+		for k, m := range ms {
+			vs[k] = Value{Metric: m}
+		}
+		return vs
+	}
+	renamed := append([]Metric(nil), metrics...)
+	renamed[1] = "renamed"
+	for _, c := range []struct {
+		name   string
+		values []Value
+	}{
+		{"no values", nil},
+		{"one value fewer", values(metrics[:len(metrics)-1]...)},
+		{"renamed metric", values(renamed...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "grid.jsonl")
+			j, err := s.StartJournal(path, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coords := []int{0, 0}
+			pr := &PointResult{Coords: coords, Values: c.values}
+			if err := j.RecordCell(0, cellSeed(o.Seed, s.Axes, coords), pr); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rj, d, err := s.ResumeJournal(path, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rj.Close()
+			ro := o
+			ro.Journal, ro.Resume = rj, d
+			res, err := s.RunContext(context.Background(), ro)
+			if err == nil || !strings.Contains(err.Error(), "journal cell buffpages=48 mpl=1") {
+				t.Fatalf("err = %v, want a refusal naming the cell", err)
+			}
+			if res != nil {
+				t.Fatal("a refused journal returned a result")
+			}
+		})
+	}
+}
+
 // TestResumeAfterResume: a resumed run appends to the same journal, so an
 // interrupted resume resumes again (the append path writes records the
 // reader accepts).
@@ -289,4 +350,27 @@ func TestResumeAfterResume(t *testing.T) {
 			t.Fatalf("cell %d diverged after resume-append", i)
 		}
 	}
+}
+
+// FuzzReadJournal: ReadJournal never panics, whatever the file holds, and
+// every cell it returns has a non-negative index, below Header.Cells when
+// the header counts cells. The committed seeds are a clean journal, a torn
+// last line, a corrupt line mid-file, a wrong version, and a cell without
+// values.
+func FuzzReadJournal(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "journal.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ReadJournal(path)
+		if err != nil {
+			return
+		}
+		for i := range d.Cells {
+			if i < 0 || (d.Header.Cells > 0 && i >= d.Header.Cells) {
+				t.Fatalf("cell index %d outside [0, %d)", i, d.Header.Cells)
+			}
+		}
+	})
 }

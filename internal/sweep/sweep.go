@@ -31,6 +31,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -593,6 +594,12 @@ func (s *Sweep) RunContext(ctx context.Context, o Options) (*Result, error) {
 				if jseed := o.Resume.Seeds[i]; jseed != seed {
 					return nil, fmt.Errorf("sweep %q: journal cell %s carries seed %d, spec derives %d (journal does not match)",
 						s.Name, desc, jseed, seed)
+				}
+				// Rendering reads Values by metric position, so a cell
+				// must carry exactly the spec's metrics, in order.
+				if !slices.EqualFunc(replay.Values, metrics, func(v Value, m Metric) bool { return v.Metric == m }) {
+					return nil, fmt.Errorf("sweep %q: journal cell %s carries %d values, not the spec's metrics %v (journal does not match)",
+						s.Name, desc, len(replay.Values), metrics)
 				}
 				pr := *replay
 				// Trust the spec (not the journal) for cell identity.
