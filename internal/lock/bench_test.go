@@ -91,7 +91,6 @@ func BenchmarkReleaseAllWide(b *testing.B) {
 	granted := func() {}
 	wide := func() {
 		tx := m.Begin()
-		// Acquire in a scrambled order.
 		for k := 0; k < 256; k++ {
 			if m.Acquire(tx, Item((k*167)%256), Shared, granted) != Granted {
 				b.Fatal("uncontended request not granted")

@@ -465,8 +465,8 @@ func (m *Manager) HeldCount(tx Tx) int {
 	return 0
 }
 
-// updateHeld records item/mode in tx's held list, updating an existing
-// entry or appending. Fresh grants (where the caller knows tx does not
+// updateHeld records item/mode in rec's held list, updating an existing
+// entry or appending. Fresh grants (where the caller knows rec does not
 // hold item) append directly instead; this path serves upgrades and
 // queued grants, which are rare.
 func (rec *txRec) updateHeld(item Item, mode Mode) {

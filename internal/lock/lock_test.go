@@ -232,23 +232,21 @@ func TestWaitDiePreventsDeadlockCycle(t *testing.T) {
 // under a new TxID; the other calls ignore such a handle.
 func TestAcquireByUnknownTxPanics(t *testing.T) {
 	m := NewManager()
+	mustPanic := func(what string, tx Tx) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Acquire on %s: no panic", what)
+			}
+		}()
+		m.Acquire(tx, 2, Shared, func() {})
+	}
 	ended := m.Begin()
 	mustGrant(t, m, ended, 1, Exclusive)
 	m.End(ended)
-	for _, c := range []struct {
-		name string
-		tx   Tx
-	}{{"zero", Tx{}}, {"ended, record free", ended}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s handle: no panic", c.name)
-				}
-			}()
-			m.Acquire(c.tx, 1, Shared, func() {})
-		}()
-	}
-	next := m.Begin() // reuses ended's record
+	mustPanic("the zero handle", Tx{})
+	mustPanic("an ended handle", ended)
+	next := m.Begin()
 	if next.rec != ended.rec {
 		t.Fatal("the ended transaction's record was not reused")
 	}
@@ -261,14 +259,7 @@ func TestAcquireByUnknownTxPanics(t *testing.T) {
 	if m.HeldCount(next) != 1 {
 		t.Fatal("ReleaseAll or End on an ended handle released its record's new transaction")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ended handle, record begun again: no panic")
-			}
-		}()
-		m.Acquire(ended, 2, Shared, func() {})
-	}()
+	mustPanic("an ended handle whose record was begun again", ended)
 	m.End(next)
 }
 
