@@ -390,8 +390,7 @@ func NewManager() *Manager {
 // the entry pool, the records and the item index, so a recycled table
 // behaves bit-for-bit like a new one (wait-die compares TxIDs, so the ID
 // restart matters) without reallocating. Leftover entries go back to the
-// pool, and every record to the free list, which makes every handle
-// stale.
+// pool, and every record to the free list (see Tx for the handles then).
 func (m *Manager) Reset() {
 	x := &m.items
 	for i := range x.slots {
