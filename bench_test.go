@@ -60,8 +60,9 @@ func runReproduction(b *testing.B, id string) *sweep.Result {
 
 // benchFigure reports the figure's headline I/O mean, the event-calendar
 // high-water mark over every point and replication (peakcal) and the mean
-// head-slot bypass rate over its points (bypass). Like peakcal, bypass
-// describes the execution schedule, never the simulated results.
+// bypass rate over its points (bypass: the share of events continued in
+// place instead of through the calendar). Like peakcal, bypass describes
+// the execution schedule, never the simulated results.
 func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	res := runReproduction(b, id)
@@ -88,7 +89,7 @@ func benchFigure(b *testing.B, id string) {
 // beyond the paper's protocol. MPL never binds here: the 64 users bound
 // the in-flight transactions, so the calendar peaks at 64 pending events
 // (peakcal), the same depth as the benchmark module's mpl-contend
-// workload, and the head-slot register absorbs part of the dispatch
+// workload, and transactions continue in place for part of the dispatch
 // (bypass). It measures a large object base under a multi-user load, not
 // a deep calendar.
 func BenchmarkLargeMPL(b *testing.B) {

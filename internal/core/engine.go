@@ -138,10 +138,10 @@ type Result struct {
 	// exercised (see PERFORMANCE.md).
 	CalendarPeak int
 
-	// BypassRate samples the fraction of executed events dispatched through
-	// the head-slot register (the bit-identical next-event fast path) across
-	// replications. Like CalendarPeak it describes the execution schedule,
-	// not the simulated results, so it never enters golden fingerprints.
+	// BypassRate samples the fraction of executed events that bypassed the
+	// calendar, continued in place by sim.Advance, across replications. Like
+	// CalendarPeak it describes the execution schedule, not the simulated
+	// results, so it never enters golden fingerprints.
 	BypassRate stats.Sample
 }
 

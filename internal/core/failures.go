@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // FailureParams injects the "random hazards" the paper's conclusion names
@@ -58,7 +57,6 @@ type failureInjector struct {
 	// the event calendar can drain.
 	workRemaining func() bool
 
-	pending  sim.Event
 	strikeFn func() // strike, bound once so arming allocates nothing
 	stats    FailureStats
 }
@@ -73,12 +71,11 @@ func newFailureInjector(r *Run, params FailureParams, seed uint64) *failureInjec
 }
 
 // reset restores the injector in place to the state newFailureInjector
-// gives it for seed: its stream re-seeded, no hazard pending and no
-// statistics.
+// gives it for seed: its stream re-seeded and no statistics. A hazard
+// still pending goes with the calendar, which Run.Reset resets alongside.
 func (f *failureInjector) reset(seed uint64) {
 	f.src.Reinit(seed)
 	f.workRemaining = nil
-	f.pending = sim.Event{}
 	f.stats = FailureStats{}
 }
 
@@ -87,15 +84,7 @@ func (f *failureInjector) arm() {
 	if !f.params.Enabled {
 		return
 	}
-	delay := f.src.Exp(f.params.MTBFMs)
-	f.pending = f.r.sim.Schedule(delay, f.strikeFn)
-}
-
-// disarm cancels any pending hazard (end of batch). Cancelling a stale or
-// zero handle is a kernel no-op, so no liveness check is needed.
-func (f *failureInjector) disarm() {
-	f.r.sim.Cancel(f.pending)
-	f.pending = sim.Event{}
+	f.r.sim.Schedule(f.src.Exp(f.params.MTBFMs), f.strikeFn)
 }
 
 // strike is one failure: the buffer content is lost at once, and the
@@ -103,7 +92,6 @@ func (f *failureInjector) disarm() {
 // stalling every later I/O behind it. Its executor's final state arms the
 // next failure.
 func (f *failureInjector) strike() {
-	f.pending = sim.Event{}
 	if f.workRemaining == nil || !f.workRemaining() {
 		return
 	}

@@ -79,7 +79,7 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The calendar is not pre-sized: its slot arena grows on demand to the
+	// The calendar is not pre-sized: its heap grows on demand to the
 	// depth the model reaches (a pre-size from MPL would allocate for
 	// transactions the user population can never admit), and Reset keeps
 	// that capacity for later replications.
@@ -117,7 +117,7 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 
 // Reset restores the Run to the state NewRun(r.Config(), db, seed) would
 // produce, recycling every substrate's backing storage in place: the event
-// calendar's slot arena, the passive resources, the buffer's frame table
+// calendar's heap, the passive resources, the buffer's frame table
 // and policy structures, the lock table's pools, the store's placement
 // tables, and the pooled transaction executors all keep their capacity.
 // Following DESP-C++'s recycle-never-reallocate discipline, a second and
@@ -227,11 +227,11 @@ type BatchStats struct {
 	LockWaits   uint64
 	ReorgIOs    uint64
 
-	// BypassRate is the fraction of executed events that dispatched through
-	// the kernel's head-slot register rather than the calendar heap,
-	// accumulated over the replication so far. It describes the execution
-	// schedule (the fast path is bit-identical by construction), so it is
-	// excluded from golden fingerprints.
+	// BypassRate is the fraction of executed events that bypassed the
+	// kernel's calendar, continued in place by sim.Advance, accumulated
+	// over the replication so far. It describes the execution schedule
+	// (firing order is the same either way), so it is excluded from golden
+	// fingerprints.
 	BypassRate float64
 }
 
@@ -293,9 +293,6 @@ func (r *Run) ExecuteBatch(txs []ocb.Transaction) BatchStats {
 		r.failures.arm()
 	}
 	r.sim.Run()
-	if r.failures != nil {
-		r.failures.disarm()
-	}
 
 	done := r.txDone - startDone
 	elapsed := r.sim.Now() - startTime

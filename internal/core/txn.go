@@ -208,11 +208,7 @@ func (e *txnExec) recycle() {
 // when one was free, so the caller continues in place, and otherwise
 // queues the continuation, which a release grants through the kernel.
 func (e *txnExec) acquire(res *sim.Resource) bool {
-	if res.TryAcquire() {
-		return true
-	}
-	res.Request(e.cont)
-	return false
+	return res.Acquire(e.cont)
 }
 
 // wait charges d ms before the state already set. It reports true when the

@@ -7,7 +7,7 @@ import (
 
 // advanceStats counts how a model's Advance calls went.
 type advanceStats struct {
-	advanced, demoted, tieRefused int
+	advanced, tieRefused int
 }
 
 // tryAdvance is the tail of a model action that continues after d: with
@@ -17,14 +17,9 @@ type advanceStats struct {
 // before Advance touches it.
 func tryAdvance(s *Simulation, advance bool, d Time, next func(), st *advanceStats) bool {
 	if advance {
-		t := s.now + d
-		h := s.headSlot
-		tie := (h >= 0 && s.events[h].time == t) || (len(s.heap) > 0 && s.events[s.heap[0]].time == t)
+		tie := len(s.heap) > 0 && s.heap[0].time == s.now+d
 		if s.Advance(d) {
 			st.advanced++
-			if h >= 0 {
-				st.demoted++
-			}
 			return true
 		}
 		if tie {
@@ -36,15 +31,14 @@ func tryAdvance(s *Simulation, advance bool, d Time, next func(), st *advanceSta
 }
 
 // runChains drives chains of steps over a calendar they share with one-shot
-// side events. Every step records itself, may schedule a side event or
-// cancel one, and continues after a delay on a half-unit grid, so
-// continuations often land exactly on a pending event's time. Side events
-// reach further than a step's delay, so the register often holds one that
-// a continuation demotes.
+// side events. Every step records itself, may schedule a side event, and
+// continues after a delay on a half-unit grid, so continuations often land
+// exactly on a pending event's time. Side events reach further than a
+// step's delay, so a continuation often goes on in front of one.
 func runChains(s *Simulation, advance bool, chains, steps int, seed lcg, st *advanceStats) []fired {
 	rng := seed
 	var record []fired
-	var side []Event
+	side := 0
 	grid := func(n uint64) Time { return Time(rng.next()%n) * 0.5 }
 	for c := 0; c < chains; c++ {
 		id, left := c, steps
@@ -56,13 +50,11 @@ func runChains(s *Simulation, advance bool, chains, steps int, seed lcg, st *adv
 					return
 				}
 				if rng.float() < 0.3 {
-					sid := -1 - len(side)
-					side = append(side, s.Schedule(grid(9), func() {
+					side++
+					sid := -side
+					s.Schedule(grid(9), func() {
 						record = append(record, fired{id: sid, now: s.Now()})
-					}))
-				}
-				if len(side) > 0 && rng.float() < 0.1 {
-					s.Cancel(side[int(rng.next()%uint64(len(side)))])
+					})
 				}
 				if !tryAdvance(s, advance, grid(5), step, st) {
 					return
@@ -77,7 +69,8 @@ func runChains(s *Simulation, advance bool, chains, steps int, seed lcg, st *adv
 
 // sameRun fails unless two runs of one model — advancing in place and
 // always scheduling — fired the same (id, time) record and kept the same
-// books.
+// books. Only Bypassed tells them apart: the scheduling model never
+// bypasses the calendar.
 func sameRun(t *testing.T, adv, sch *Simulation, advRec, schRec []fired) {
 	t.Helper()
 	if len(advRec) == 0 {
@@ -92,37 +85,46 @@ func sameRun(t *testing.T, adv, sch *Simulation, advRec, schRec []fired) {
 		}
 	}
 	type books struct {
-		scheduled, executed, bypassed uint64
-		peak, pending                 int
-		now                           Time
-		halted                        bool
+		scheduled, executed uint64
+		peak, pending       int
+		now                 Time
+		halted              bool
 	}
 	read := func(s *Simulation) books {
-		return books{s.Scheduled(), s.Executed(), s.Bypassed(), s.PeakPending(), s.Pending(), s.Now(), s.Halted()}
+		return books{s.Scheduled(), s.Executed(), s.PeakPending(), s.Pending(), s.Now(), s.Halted()}
 	}
 	if a, b := read(adv), read(sch); a != b {
 		t.Fatalf("books differ:\n advancing  %+v\n scheduling %+v", a, b)
 	}
+	if sch.Bypassed() != 0 {
+		t.Fatalf("the scheduling model bypassed %d events", sch.Bypassed())
+	}
 }
 
 // TestAdvanceLockstep runs the random chain model advancing in place and
-// always scheduling: the records and the books must match. Across the
-// runs, the model must have advanced, demoted a register occupant, refused
-// a continuation that landed exactly on a pending event, and fired events
-// from the heap as well as from the register.
+// always scheduling: the records and the books must match, and Bypassed
+// must count the advances. Across the runs, the model must have advanced,
+// refused a continuation that landed exactly on a pending event, and fired
+// events from the calendar as well as in place.
 func TestAdvanceLockstep(t *testing.T) {
-	var st advanceStats
+	var total advanceStats
 	for _, chains := range []int{1, 3, 12} {
+		var st advanceStats
 		adv, sch := New(), New()
 		advRec := runChains(adv, true, chains, 400, lcg(2026+chains), &st)
 		schRec := runChains(sch, false, chains, 400, lcg(2026+chains), &advanceStats{})
 		sameRun(t, adv, sch, advRec, schRec)
-		if adv.Bypassed() == adv.Executed() {
-			t.Fatalf("%d chains: every event bypassed the heap", chains)
+		if adv.Bypassed() != uint64(st.advanced) {
+			t.Fatalf("%d chains: bypassed %d, advanced %d", chains, adv.Bypassed(), st.advanced)
 		}
+		if adv.Bypassed() == adv.Executed() {
+			t.Fatalf("%d chains: every event continued in place", chains)
+		}
+		total.advanced += st.advanced
+		total.tieRefused += st.tieRefused
 	}
-	if st.advanced == 0 || st.demoted == 0 || st.tieRefused == 0 {
-		t.Fatalf("paths not exercised: %+v", st)
+	if total.advanced == 0 || total.tieRefused == 0 {
+		t.Fatalf("paths not exercised: %+v", total)
 	}
 }
 
@@ -146,45 +148,9 @@ func TestAdvanceRefusesTie(t *testing.T) {
 	if len(at) != 2 || at[0] != 2.5 || at[1] != 3 {
 		t.Fatalf("clock after the advance, then at the pending event: %v, want [2.5 3]", at)
 	}
-	if s.Executed() != 3 || s.Scheduled() != 3 || s.Bypassed() != 2 {
-		t.Fatalf("books: executed %d, scheduled %d, bypassed %d; want 3, 3, 2",
+	if s.Executed() != 3 || s.Scheduled() != 3 || s.Bypassed() != 1 {
+		t.Fatalf("books: executed %d, scheduled %d, bypassed %d; want 3, 3, 1",
 			s.Executed(), s.Scheduled(), s.Bypassed())
-	}
-}
-
-// TestAdvanceDemotesOccupant pins the demotion: a register occupant later
-// than the continuation moves into the heap, as place would move it, so
-// it fires from the heap, uncounted by the bypass, in both models.
-func TestAdvanceDemotesOccupant(t *testing.T) {
-	model := func(s *Simulation, advance bool) []fired {
-		var record []fired
-		var st advanceStats
-		var step func()
-		step = func() {
-			record = append(record, fired{id: 0, now: s.Now()})
-			if len(record) > 1 {
-				return
-			}
-			// The heap is empty, so the side event takes the register.
-			s.Schedule(10, func() { record = append(record, fired{id: 1, now: s.Now()}) })
-			if tryAdvance(s, advance, 1, step, &st) {
-				if s.headSlot != -1 || len(s.heap) != 1 {
-					t.Fatalf("occupant not demoted: register %d, heap %d", s.headSlot, len(s.heap))
-				}
-				step()
-			}
-		}
-		s.Schedule(1, step)
-		s.Run()
-		if advance && st.demoted != 1 {
-			t.Fatalf("demotions = %d, want 1", st.demoted)
-		}
-		return record
-	}
-	adv, sch := New(), New()
-	sameRun(t, adv, sch, model(adv, true), model(sch, false))
-	if adv.Bypassed() != 2 {
-		t.Fatalf("bypassed %d, want 2: the demoted occupant fires from the heap", adv.Bypassed())
 	}
 }
 
@@ -227,14 +193,15 @@ func TestAdvanceStopCheck(t *testing.T) {
 	if advPolls != 2 || schPolls != 2 {
 		t.Fatalf("polls: advancing %d, scheduling %d; want 2 each", advPolls, schPolls)
 	}
-	if adv.Bypassed() != adv.Executed() {
-		t.Fatalf("a lone chain bypassed %d of %d events", adv.Bypassed(), adv.Executed())
+	// Only the first step and the continuation pending at the halt fire
+	// from the calendar.
+	if adv.Bypassed() != adv.Executed()-2 {
+		t.Fatalf("a lone chain bypassed %d of %d events, want all but 2", adv.Bypassed(), adv.Executed())
 	}
 }
 
-// TestAdvanceRefusals: outside Run's dispatch (Step, no action at all), on
-// the heap-only kernel, and once halted, Advance changes nothing and
-// reports false.
+// TestAdvanceRefusals: outside Run's dispatch (Step, no action at all) and
+// once halted, Advance changes nothing and reports false.
 func TestAdvanceRefusals(t *testing.T) {
 	s := New()
 	var got []bool
@@ -251,18 +218,10 @@ func TestAdvanceRefusals(t *testing.T) {
 		t.Fatalf("refused Advance moved the books: now %v, executed %d, scheduled %d", s.Now(), s.Executed(), s.Scheduled())
 	}
 
-	h := newHeapOnly()
-	got = got[:0]
-	h.Schedule(1, func() { got = append(got, h.Advance(1)) })
-	h.Run()
-	if len(got) != 1 || got[0] || h.Now() != 1 {
-		t.Fatalf("heap-only kernel: Advance %v at now %v, want false at 1", got, h.Now())
-	}
-
 	s = New()
 	got = got[:0]
 	s.Schedule(1, func() {
-		s.Halt()
+		s.halted = true
 		got = append(got, s.Advance(1))
 	})
 	s.Run()

@@ -29,17 +29,23 @@ func TestStopCheckHaltsRun(t *testing.T) {
 	}
 }
 
-// TestHaltStopsBeforeNextEvent: an explicit Halt prevents any further
-// event execution even with no stop check installed.
+// TestHaltStopsBeforeNextEvent: a halted simulation runs no further event,
+// even with no stop check installed, until SetStopCheck or Reset clears
+// the flag.
 func TestHaltStopsBeforeNextEvent(t *testing.T) {
 	s := New()
 	ran := 0
 	s.Schedule(1, func() { ran++ })
 	s.Schedule(2, func() { ran++ })
-	s.Halt()
+	s.halted = true
 	s.Run()
 	if ran != 0 || !s.Halted() {
 		t.Fatalf("halted simulation executed %d events (halted=%v)", ran, s.Halted())
+	}
+	s.SetStopCheck(nil)
+	s.Run()
+	if ran != 2 || s.Halted() {
+		t.Fatalf("after SetStopCheck cleared the halt: ran %d events (halted=%v), want 2", ran, s.Halted())
 	}
 }
 
@@ -50,7 +56,7 @@ func TestResetClearsHalt(t *testing.T) {
 	s := New()
 	s.SetStopCheck(func() bool { return true })
 	s.Schedule(1, func() {})
-	s.Halt()
+	s.halted = true
 	s.Run()
 	if !s.Halted() {
 		t.Fatal("precondition: simulation should be halted")
@@ -85,15 +91,16 @@ func TestStopCheckNeverTrips(t *testing.T) {
 	}
 }
 
-// TestHaltInsideActionStopsRun: an action's Halt stops a hook-free Run
-// before its next event.
+// TestHaltInsideActionStopsRun: a halt raised inside an action, as
+// Advance raises one when its poll trips, stops a hook-free Run before its
+// next event.
 func TestHaltInsideActionStopsRun(t *testing.T) {
 	s := New()
 	ran := 0
-	s.Schedule(1, func() { s.Halt() })
+	s.Schedule(1, func() { s.halted = true })
 	s.Schedule(2, func() { ran++ })
 	s.Run()
 	if ran != 0 || !s.Halted() {
-		t.Fatalf("the event after an action's Halt ran %d times (halted=%v)", ran, s.Halted())
+		t.Fatalf("the event after an action's halt ran %d times (halted=%v)", ran, s.Halted())
 	}
 }

@@ -7,9 +7,8 @@ func traceScenario(s *Simulation) []int {
 	var fired []int
 	s.Schedule(2, func() { fired = append(fired, 2) })
 	s.Schedule(1, func() { fired = append(fired, 1) })
-	e := s.Schedule(3, func() { fired = append(fired, 3) })
+	s.Schedule(3, func() { fired = append(fired, 3) })
 	s.Schedule(1, func() { fired = append(fired, 10) })
-	s.Cancel(e)
 	s.Run()
 	return fired
 }
@@ -34,6 +33,12 @@ func TestResetRestoresFreshState(t *testing.T) {
 		t.Fatalf("after Reset: now=%v pending=%d scheduled=%d executed=%d",
 			s.Now(), s.Pending(), s.Scheduled(), s.Executed())
 	}
+	// The kept storage holds no action, fired or dropped, for the collector.
+	for _, e := range s.heap[:cap(s.heap)] {
+		if e.action != nil {
+			t.Fatal("Reset kept an action alive in the heap's storage")
+		}
+	}
 	got := traceScenario(s)
 	if len(got) != len(want) {
 		t.Fatalf("firing order after Reset = %v, want %v", got, want)
@@ -45,38 +50,16 @@ func TestResetRestoresFreshState(t *testing.T) {
 	}
 }
 
-// TestResetStaleHandles: handles minted before a Reset must be inert —
-// Cancel is a no-op and the predicates report false — not a panic or a
-// cancellation of the slot's new occupant.
-func TestResetStaleHandles(t *testing.T) {
-	s := New()
-	stale := s.Schedule(5, func() {})
-	s.Reset()
-	if stale.Pending() {
-		t.Fatal("stale handle reports pending after Reset")
-	}
-	s.Cancel(stale) // must be a no-op
-
-	fired := 0
-	fresh := s.Schedule(1, func() { fired++ })
-	s.Cancel(stale) // stale slot now reallocated; generation check must protect it
-	if !fresh.Pending() {
-		t.Fatal("cancelling a stale handle hit the recycled slot's new occupant")
-	}
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
 // TestResourceReset pins Resource.Reset: held tokens, queued waiters, and
 // statistics all vanish; the resource then serves grants like new.
 func TestResourceReset(t *testing.T) {
 	s := New()
 	r := NewResource(s, "r", 1)
-	r.Request(func() {}) // holds the token
+	if !r.Acquire(func() {}) {
+		t.Fatal("setup: idle resource did not grant")
+	}
 	queued := false
-	r.Request(func() { queued = true }) // must queue
+	r.Acquire(func() { queued = true }) // must queue
 	if r.InUse() != 1 || r.QueueLen() != 1 {
 		t.Fatalf("setup: inUse=%d queue=%d", r.InUse(), r.QueueLen())
 	}
@@ -93,9 +76,7 @@ func TestResourceReset(t *testing.T) {
 	if u := r.Utilization(); u != 0 {
 		t.Fatalf("utilization after Reset = %v, want 0", u)
 	}
-	granted := false
-	r.Request(func() { granted = true })
-	if !granted || r.InUse() != 1 {
+	if !r.Acquire(func() {}) || r.InUse() != 1 {
 		t.Fatal("reset resource does not grant like a fresh one")
 	}
 }

@@ -54,40 +54,24 @@ func (r *Resource) InUse() int { return r.inUse }
 // QueueLen returns the number of waiters queued.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
-// Request asks for one capacity token. grant runs as soon as the token is
-// available: immediately (before Request returns) if capacity is free, or
-// later, in FIFO order, when another holder releases. The holder must call
-// Release exactly once when done.
-//
-// An immediate grant nests grant inside the caller's frame. A caller that
-// would rather go on in its own frame calls TryAcquire first, which books
-// exactly what an immediate grant books, and Request only when it fails:
-// grant then always runs from a kernel event.
-func (r *Resource) Request(grant func()) {
+// Acquire asks for one capacity token for a holder that goes on with
+// grant once it has the token. It reports true when a token was free: the
+// token is taken and the caller runs grant itself, typically by going on
+// in its own frame. Otherwise it queues grant and reports false, and a
+// later Release grants the waiters in FIFO order through the kernel. The
+// holder must call Release exactly once when done.
+func (r *Resource) Acquire(grant func()) bool {
 	if grant == nil {
-		panic("sim: Resource.Request with nil grant")
+		panic("sim: Resource.Acquire with nil grant")
 	}
 	r.accumulate()
 	if r.inUse < r.capacity {
 		r.inUse++
 		r.grants++
 		r.waitCount++
-		grant()
-		return
-	}
-	r.queue = append(r.queue, waiter{since: r.sim.Now(), grant: grant})
-}
-
-// TryAcquire takes a token if one is immediately available and reports
-// whether it did. It never queues.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.accumulate()
-		r.inUse++
-		r.grants++
-		r.waitCount++
 		return true
 	}
+	r.queue = append(r.queue, waiter{since: r.sim.Now(), grant: grant})
 	return false
 }
 

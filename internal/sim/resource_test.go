@@ -5,12 +5,20 @@ import (
 	"testing/quick"
 )
 
+// request is a holder's whole request: Acquire, and run grant at once
+// when a token was free.
+func request(r *Resource, grant func()) {
+	if r.Acquire(grant) {
+		grant()
+	}
+}
+
 func TestResourceImmediateGrant(t *testing.T) {
 	s := New()
 	r := NewResource(s, "cpu", 2)
 	granted := 0
-	r.Request(func() { granted++ })
-	r.Request(func() { granted++ })
+	request(r, func() { granted++ })
+	request(r, func() { granted++ })
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2 (immediate)", granted)
 	}
@@ -18,7 +26,7 @@ func TestResourceImmediateGrant(t *testing.T) {
 		t.Fatalf("InUse = %d, want 2", r.InUse())
 	}
 	queued := false
-	r.Request(func() { queued = true })
+	request(r, func() { queued = true })
 	if queued {
 		t.Fatal("third request granted beyond capacity")
 	}
@@ -31,10 +39,10 @@ func TestResourceFIFOGrantOrder(t *testing.T) {
 	s := New()
 	r := NewResource(s, "disk", 1)
 	var order []int
-	r.Request(func() {}) // occupy
+	request(r, func() {}) // occupy
 	for i := 1; i <= 5; i++ {
 		i := i
-		r.Request(func() {
+		request(r, func() {
 			order = append(order, i)
 			r.Release()
 		})
@@ -66,7 +74,7 @@ func TestResourceStatistics(t *testing.T) {
 	s := New()
 	r := NewResource(s, "srv", 1)
 	serve := func() {
-		r.Request(func() {
+		request(r, func() {
 			s.Schedule(2, r.Release)
 		})
 	}
@@ -93,7 +101,7 @@ func TestResourceStatistics(t *testing.T) {
 func TestResourceResetStats(t *testing.T) {
 	s := New()
 	r := NewResource(s, "srv", 1)
-	r.Request(func() { s.Schedule(10, r.Release) })
+	request(r, func() { s.Schedule(10, r.Release) })
 	s.Run()
 	r.ResetStats()
 	if u := r.Utilization(); u != 0 {
@@ -104,19 +112,34 @@ func TestResourceResetStats(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
+// TestAcquire: a free token is taken at once and the grant is left to the
+// caller; a busy resource queues the grant, and the release hands it the
+// token through a kernel event at the release time.
+func TestAcquire(t *testing.T) {
 	s := New()
 	r := NewResource(s, "x", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
+	granted := 0
+	grant := func() { granted++ }
+	if !r.Acquire(grant) || granted != 0 || r.InUse() != 1 {
+		t.Fatalf("Acquire on an idle resource: granted %d, InUse %d; want taken, grant left to the caller", granted, r.InUse())
 	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire succeeded beyond capacity")
+	if r.Acquire(grant) || r.QueueLen() != 1 {
+		t.Fatalf("Acquire beyond capacity did not queue: QueueLen %d", r.QueueLen())
+	}
+	s.Schedule(2, r.Release)
+	s.Run()
+	if granted != 1 || r.InUse() != 1 || r.QueueLen() != 0 || s.Now() != 2 {
+		t.Fatalf("after the release: granted %d, InUse %d, QueueLen %d at %v; want 1, 1, 0 at 2",
+			granted, r.InUse(), r.QueueLen(), s.Now())
+	}
+	if r.Grants() != 2 || r.MeanWait() != 1 {
+		t.Fatalf("grants %d, mean wait %v; want 2 and 1", r.Grants(), r.MeanWait())
 	}
 	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
+	if !r.Acquire(grant) {
+		t.Fatal("Acquire after release failed")
 	}
+	assertPanics(t, "nil grant", func() { r.Acquire(nil) })
 }
 
 // Property: for any pattern of request/hold durations on a capacity-c
@@ -131,7 +154,7 @@ func TestPropertyResourceNeverOverCommits(t *testing.T) {
 		maxInUse := 0
 		for _, h := range holds {
 			h := float64(h%16) + 0.5
-			r.Request(func() {
+			request(r, func() {
 				granted++
 				if r.InUse() > maxInUse {
 					maxInUse = r.InUse()

@@ -25,7 +25,7 @@ func simulateMMC(seed uint64, ia, sv float64, c, customers int) (wq, w float64) 
 			s.Schedule(arrivals.Exp(ia), arrive)
 		}
 		t0 := s.Now()
-		srv.Request(func() {
+		request(srv, func() {
 			totalWq += s.Now() - t0
 			s.Schedule(services.Exp(sv), func() {
 				totalW += s.Now() - t0
@@ -108,7 +108,7 @@ func TestKernelReproducesMD1(t *testing.T) {
 			s.Schedule(arrivals.Exp(ia), arrive)
 		}
 		t0 := s.Now()
-		srv.Request(func() {
+		request(srv, func() {
 			totalWq += s.Now() - t0
 			s.Schedule(service, func() {
 				done++
@@ -141,7 +141,7 @@ func TestKernelUtilizationMatchesRho(t *testing.T) {
 		if done+srv.QueueLen()+srv.InUse() < customers {
 			s.Schedule(arrivals.Exp(1/0.6), arrive)
 		}
-		srv.Request(func() {
+		request(srv, func() {
 			s.Schedule(services.Exp(1), func() {
 				done++
 				srv.Release()

@@ -73,12 +73,12 @@ func TestFingerprintPins(t *testing.T) {
 			Name: "pin-mpl", Config: cfg, Params: params,
 			Axes: []Axis{mpl}, Metrics: []Metric{IOs, RespMs},
 		}, Options{Replications: 2, Seed: 1},
-			"8355d4e952c6f2b09a5af2af5cdc8da61f953dbf8d57ce78b464c5c4ece35513"},
+			"c1c948974c85697bd28763819a3aa239f9f6e0b53da129faf0a1137f48fa37fc"},
 		{"2-D grid, shared bases", Sweep{
 			Name: "pin-grid", Config: cfg, Params: params,
 			Axes: []Axis{pgrep, buff}, Metrics: []Metric{IOs, HitPct},
 		}, Options{Replications: 3, Seed: 77, ShareBases: true},
-			"a0f09c3e9314975357ab57237d073aae0ae19fed30872a0eea97dc2fc6f3d472"},
+			"6bf5e4364e76fb2447d3033efac11cc0d9965606ec38e934ca044ee063a425a2"},
 		{"DSTC protocol", Sweep{
 			Name: "pin-dstc", Config: dstcCfg, Params: params,
 			Axes: []Axis{{Name: "variant", Points: []Point{
@@ -87,12 +87,12 @@ func TestFingerprintPins(t *testing.T) {
 			}}},
 			Protocol: DSTCProtocol,
 		}, Options{Replications: 2, Seed: 88},
-			"4b3014a0a38d446fe38263cf9a2d9cae22b00feb2c032f575fea2ab5f3903bb8"},
+			"ae8df26aad7cd7a6ed78c79922a210ec9eb618f0956c3927e7cab8fbab13d4db"},
 		{"stream base layout", Sweep{
 			Name: "pin-stream", Config: cfg, Params: streamParams,
 			Axes: []Axis{mpl}, Metrics: []Metric{IOs},
 		}, Options{Replications: 2, Seed: 5},
-			"6fb26e1ffbad3743d70b2d420e84deb726203e65321dcd2234f0f35b5be1b163"},
+			"99c386b8176115f87bf3360bf4686e5eb5c2ab9afbbe8df89c3133cd8ff82425"},
 	} {
 		if got := journalFingerprint(t, c.s, c.o); got != c.want {
 			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)

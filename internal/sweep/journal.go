@@ -35,11 +35,15 @@ import (
 // encoding. Version 3 removed core.Config's two event-calendar fields,
 // which again changed every fingerprint. Version 4 removed three unread
 // ocb.Params fields and the fingerprint's confidence and DSTC-phase terms,
-// which changed every fingerprint once more. Journals of older versions
-// must be rerun.
+// which changed every fingerprint once more. Version 5 changed what the
+// bypass metric counts: the events the kernel continued in place, where
+// version 4 counted dispatches from a since-removed next-event register.
+// The fingerprint cannot see the kernel, so without the bump a resumed
+// journal would mix the two definitions in one CSV. Journals of older
+// versions must be rerun.
 const (
 	journalKind    = "voodb-sweep-journal"
-	journalVersion = 4
+	journalVersion = 5
 )
 
 // JournalHeader is the journal's first line: enough spec identity to

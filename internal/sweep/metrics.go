@@ -58,10 +58,10 @@ const (
 	LockWaits Metric = "lockwaits"
 	// ReorgIOs is the I/O count of reorganizations triggered mid-batch.
 	ReorgIOs Metric = "reorgios"
-	// BypassRate is the fraction of executed events dispatched through the
-	// kernel's head-slot register instead of the calendar heap. It
-	// describes the execution schedule (the fast path is bit-identical by
-	// construction), not the simulated system.
+	// BypassRate is the fraction of executed events that bypassed the
+	// kernel's calendar, continued in place by sim.Advance. It describes
+	// the execution schedule (firing order is the same either way), not
+	// the simulated system.
 	BypassRate Metric = "bypass"
 )
 

@@ -36,7 +36,7 @@ GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
 
 COUNT=5
 {
-  go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleCancel|BenchmarkScheduleRun|BenchmarkAdvanceChain' -benchmem -count "$COUNT" ./internal/sim/
+  go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleRun|BenchmarkAdvanceChain' -benchmem -count "$COUNT" ./internal/sim/
   go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem -count "$COUNT" ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireReleaseInterleaved|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem -count "$COUNT" ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit|BenchmarkTxnTexasReserve' -benchmem -count "$COUNT" ./internal/core/

@@ -25,11 +25,10 @@ NS_GATE_PCT="${NS_GATE_PCT:-}"
 # ns/op-gated benchmarks: the steady-state microbenchmarks whose iteration
 # counts are high enough for stable timing (figure-level benches run 1-3
 # iterations and stay alloc-gated only).
-NS_GUARDED="${NS_GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel \
-BenchmarkScheduleStepChain \
+NS_GUARDED="${NS_GUARDED:-BenchmarkScheduleStep BenchmarkScheduleStepChain \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireReleaseInterleaved BenchmarkReleaseAllWide \
 BenchmarkTxnSubmitCommit BenchmarkTxnTexasReserve}"
-GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleCancel BenchmarkScheduleRun \
+GUARDED="${GUARDED:-BenchmarkScheduleStep BenchmarkScheduleRun \
 BenchmarkReleaseAllWide \
 BenchmarkAcquireReleaseCycle BenchmarkAcquireReleaseInterleaved BenchmarkAcquireConflictDispatch \
 BenchmarkTxnSubmitCommit BenchmarkTxnTexasReserve \

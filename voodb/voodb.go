@@ -310,9 +310,9 @@ const (
 	MetricNetBytes    = sweep.NetBytes
 	MetricLockWaits   = sweep.LockWaits
 	MetricReorgIOs    = sweep.ReorgIOs
-	// MetricBypassRate charts the fraction of executed events dispatched
-	// through the kernel's head-slot register instead of the backing
-	// calendar (the bit-identical next-event fast path).
+	// MetricBypassRate charts the fraction of executed events that
+	// bypassed the kernel's calendar, continued in place when no other
+	// event could fire first (firing order is the same either way).
 	MetricBypassRate = sweep.BypassRate
 
 	MetricPreIOs        = sweep.PreIOs
