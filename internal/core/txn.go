@@ -167,7 +167,7 @@ func (r *Run) submit(tx *ocb.Transaction, done func()) {
 	e.state = stBegin
 	// The database passive resource schedules transactions according to
 	// the multiprogramming level (Table 1).
-	if e.acquire(r.admission) {
+	if r.admission.Acquire(e.cont) {
 		e.step(false)
 	}
 }
@@ -202,13 +202,6 @@ func (e *txnExec) recycle() {
 	e.tx = nil
 	e.state = stIdle
 	e.r.execPool = append(e.r.execPool, e)
-}
-
-// acquire takes a token of res for the state already set. It reports true
-// when one was free, so the caller continues in place, and otherwise
-// queues the continuation, which a release grants through the kernel.
-func (e *txnExec) acquire(res *sim.Resource) bool {
-	return res.Acquire(e.cont)
 }
 
 // wait charges d ms before the state already set. It reports true when the
@@ -389,7 +382,7 @@ func (e *txnExec) step(kernel bool) {
 			}
 			e.cpuRes = cpu
 			e.state = stCPUGranted
-			if !e.acquire(cpu) {
+			if !cpu.Acquire(e.cont) {
 				return
 			}
 
@@ -416,7 +409,7 @@ func (e *txnExec) step(kernel bool) {
 				continue
 			}
 			e.state = stDiskGrant
-			if !e.acquire(r.diskRes) {
+			if !r.diskRes.Acquire(e.cont) {
 				return
 			}
 
