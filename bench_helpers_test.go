@@ -12,13 +12,6 @@ func systemsTexas8MB() voodb.Config {
 	return voodb.TexasWithMemory(8)
 }
 
-// systemsO2Small returns an O₂ configuration for placement ablations.
-func systemsO2Small() voodb.Config {
-	cfg := voodb.O2()
-	cfg.BufferPages = 512
-	return cfg
-}
-
 // runOnce executes a single-replication reduced workload and returns the
 // mean I/O count.
 func runOnce(b *testing.B, cfg voodb.Config) float64 {

@@ -1,9 +1,8 @@
-// Package repro_bench is the benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation section. Each benchmark
-// regenerates its experiment (with a reduced replication count so the suite
-// stays tractable — cmd/experiments runs the full protocol) and logs the
-// series next to the paper's published values. The ios/point metric is the
-// mean simulated I/O count at the experiment's headline point.
+// Package repro_bench holds the figure-level benchmarks that
+// scripts/bench.sh records (Fig. 6, a large multi-user base, a
+// million-object streaming base) and the ablations of the switches no
+// registry row sets. BenchmarkFig6 regenerates its figure with a reduced
+// replication count; cmd/experiments -run runs every figure and table.
 package repro_bench
 
 import (
@@ -32,14 +31,18 @@ func opts() sweep.Options {
 	return o
 }
 
-// runReproduction runs experiment id b.N times and returns the last
-// result, logged beside the paper's values. Any failed cell fails the
-// benchmark.
-func runReproduction(b *testing.B, id string) *sweep.Result {
-	b.Helper()
+// BenchmarkFig6_O2Instances20 regenerates Fig. 6 b.N times and logs the
+// last result beside the paper's values; any failed cell fails the
+// benchmark. It reports the headline (NO 20000) I/O mean, the
+// event-calendar high-water mark over every point and replication
+// (peakcal) and the mean bypass rate over the points (bypass: the share of
+// events continued in place instead of through the calendar). Like
+// peakcal, bypass describes the execution schedule, never the simulated
+// results.
+func BenchmarkFig6_O2Instances20(b *testing.B) {
 	var res *sweep.Result
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Spec(id)
+		s, err := experiments.Spec("fig6")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,22 +58,7 @@ func runReproduction(b *testing.B, id string) *sweep.Result {
 		b.Fatal(err)
 	}
 	b.Log("\n" + tbl.String())
-	return res
-}
-
-// benchFigure reports the figure's headline I/O mean, the event-calendar
-// high-water mark over every point and replication (peakcal) and the mean
-// bypass rate over its points (bypass: the share of events continued in
-// place instead of through the calendar). Like peakcal, bypass describes
-// the execution schedule, never the simulated results.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	res := runReproduction(b, id)
-	head := &res.Points[len(res.Points)-1]
-	if res.AxisNames[0] == "MB" {
-		head = &res.Points[0] // smallest memory is the headline point
-	}
-	ios, _ := head.Get(sweep.IOs)
+	ios, _ := res.Points[len(res.Points)-1].Get(sweep.IOs)
 	peak, bypass := 0, 0.0
 	for i := range res.Points {
 		r := res.Points[i].Result
@@ -157,27 +145,10 @@ func BenchmarkStreamMillionObjects(b *testing.B) {
 	}
 }
 
-func BenchmarkFig6_O2Instances20(b *testing.B)     { benchFigure(b, "fig6") }
-func BenchmarkFig7_O2Instances50(b *testing.B)     { benchFigure(b, "fig7") }
-func BenchmarkFig8_O2CacheSize(b *testing.B)       { benchFigure(b, "fig8") }
-func BenchmarkFig9_TexasInstances20(b *testing.B)  { benchFigure(b, "fig9") }
-func BenchmarkFig10_TexasInstances50(b *testing.B) { benchFigure(b, "fig10") }
-func BenchmarkFig11_TexasMemory(b *testing.B)      { benchFigure(b, "fig11") }
-
-// benchTable reports the table's last row (its headline) for the first
-// variant.
-func benchTable(b *testing.B, id string) {
-	b.Helper()
-	res := runReproduction(b, id)
-	headline, _ := res.Points[0].Get(res.Metrics[len(res.Metrics)-1])
-	b.ReportMetric(headline.Mean, "headline")
-}
-
-func BenchmarkTable6_DSTCMidBase(b *testing.B)   { benchTable(b, "table6") }
-func BenchmarkTable7_DSTCClusters(b *testing.B)  { benchTable(b, "table7") }
-func BenchmarkTable8_DSTCLargeBase(b *testing.B) { benchTable(b, "table8") }
-
-// Ablation benches for the design choices DESIGN.md calls out.
+// The ablations below study switches that no registry row sets yet
+// (reservation-on-load, swizzle-dirty pages) and the clustering modules
+// under the DSTC protocol, which no command line runs with a user-defined
+// configuration.
 
 // BenchmarkAblationReservation isolates the reservation-on-load mechanism
 // at 8 MB. Reservations are run hot (ReserveCold off) so the reserved
@@ -232,39 +203,6 @@ func BenchmarkAblationClustering(b *testing.B) {
 				}
 				b.ReportMetric(res.Gain.Mean(), "gain")
 				b.ReportMetric(res.OverheadIOs.Mean(), "overheadIOs")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch compares PREFETCH=None against OneAhead on a
-// memory-constrained page server.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, pf := range []voodb.PrefetchKind{voodb.NoPrefetch, voodb.OneAhead} {
-		pf := pf
-		b.Run(pf.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := systemsO2Small()
-				cfg.Prefetch = pf
-				ios := runOnce(b, cfg)
-				b.ReportMetric(ios, "ios")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPlacement compares the two INITPL policies on O₂.
-func BenchmarkAblationPlacement(b *testing.B) {
-	for _, placement := range []string{"sequential", "optimized"} {
-		placement := placement
-		b.Run(placement, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := systemsO2Small()
-				if placement == "sequential" {
-					cfg.Placement = 0 // storage.Sequential
-				}
-				ios := runOnce(b, cfg)
-				b.ReportMetric(ios, "ios")
 			}
 		})
 	}

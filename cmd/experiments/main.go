@@ -6,20 +6,24 @@
 // Usage:
 //
 //	experiments [-run fig6|…|table8|all] [-reps N] [-seed S] [-workers W]
-//	            [-share-bases] [-db-layout eager|eagerv2|stream] [-csv] [-chart]
+//	            [-share-bases] [-dblayout eager|eagerv2|stream] [-csv] [-chart]
 //	experiments -sweep param=lo:hi:step [-sweep param=A,B,…] [-metrics ios,resp,…]
-//	            [-system default|o2|texas] [-no N] [-nc N] [-hotn N]
-//	            [-db-layout eager|eagerv2|stream] …
+//	            [-system default|o2|texas|texas-dstc] [-no N] [-nc N] [-mpl N] …
 //	experiments -sweep-params
 //
-// -db-layout sets the object-base layout (Params.Layout) of every -run spec
-// and of the -sweep base; a -sweep dblayout axis overrides it per cell.
-// Its stream layout generates the object base on demand behind a bounded
-// cache (O(hot-set) resident memory; bit-identical to eagerv2), enabling
-// million-object -no values. -cpuprofile/-memprofile write pprof profiles
-// and -trace a runtime execution trace for the whole run (see
-// PERFORMANCE.md). Both forms run under the same options (-reps, -seed,
-// -workers, -share-bases, -on-error, -cell-timeout).
+// Every parameter of the sweep registry (-sweep-params lists them) is also
+// a flag that sets it once, in the value syntax of one -sweep point, as
+// cmd/voodb's flags do: on top of the -system preset and the Table 5
+// workload it sets the -sweep base. A -run figure or table fixes its own
+// configuration and reads only -dblayout, the layout of its object base;
+// any other model flag is refused there, and so is a model flag that names
+// a -sweep axis, which would override it in every cell. The stream layout
+// generates the object base on demand behind a bounded cache (O(hot-set)
+// resident memory; bit-identical to eagerv2), enabling million-object -no
+// values. -cpuprofile/-memprofile write pprof profiles and -trace a
+// runtime execution trace for the whole run (see PERFORMANCE.md). Both
+// forms run under the same options (-reps, -seed, -workers, -share-bases,
+// -on-error, -cell-timeout).
 //
 // Both forms run one loop: every cell of every spec is checked before the
 // first one runs, then each spec runs and renders, a cell that did not
@@ -31,13 +35,13 @@
 // when a signal interrupted it.
 //
 // The -sweep form compiles a declarative voodb.Sweep from the flag set: a
-// base system configuration (-system, workload sizing via -no/-nc/-hotn),
-// one axis per -sweep flag over any Table 3 / OCB parameter (see
-// -sweep-params for names and kinds), and a metric subset (-metrics;
-// default all). Numeric parameters take lo:hi:step ranges or value lists;
-// enum parameters take choice lists (or "all"); bool parameters on/off.
-// Repeating -sweep runs the full cross-product grid; two-axis grids render
-// as heatmaps under -chart. Examples:
+// base system configuration (-system and the model flags), one axis per
+// -sweep flag over any Table 3 / OCB parameter (see -sweep-params for
+// names and kinds), and a metric subset (-metrics; default all). Numeric
+// parameters take lo:hi:step ranges or value lists; enum parameters take
+// choice lists (or "all"); bool parameters on/off. Repeating -sweep runs
+// the full cross-product grid; two-axis grids render as heatmaps under
+// -chart. Examples:
 //
 //	experiments -sweep mpl=1:16:5 -metrics ios,resp,tps -system o2 -reps 10
 //	experiments -sweep pgrep=LRU,FIFO,RANDOM -sweep buffpages=100:1500:200 -metrics ios -chart
@@ -53,12 +57,15 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 
 	"repro/internal/experiments"
 	"repro/internal/report"
+	"repro/internal/sweep"
+	"repro/internal/systems"
 	"repro/voodb"
 )
 
@@ -84,8 +91,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	chart := flag.Bool("chart", false, "draw ASCII charts (heatmaps for 2-axis grids)")
 	verbose := flag.Bool("v", false, "print per-point progress")
-	dbLayout := flag.String("db-layout", "eager",
-		"object-base generation layout: eager (legacy, fully materialized), eagerv2 or stream (on-demand materialization, O(hot-set) resident memory — use for million-object -no runs)")
 	cpuprofile := flag.String("cpuprofile", "",
 		"write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "",
@@ -108,11 +113,9 @@ func main() {
 	metrics := flag.String("metrics", "",
 		"comma-separated metric subset for -sweep (default: every metric)")
 	system := flag.String("system", "default",
-		"base configuration for -sweep: default (Table 3), o2 or texas (Table 4)")
-	no := flag.Int("no", 0, "override OCB instance count for -sweep (default Table 5)")
-	nc := flag.Int("nc", 0, "override OCB class count for -sweep")
-	hotn := flag.Int("hotn", 0, "override OCB measured-transaction count for -sweep")
+		"base configuration for -sweep: default (Table 3), o2, texas (Table 4) or texas-dstc")
 	listParams := flag.Bool("sweep-params", false, "list sweepable parameters and exit")
+	model := sweep.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *listParams {
@@ -122,16 +125,16 @@ func main() {
 
 	// Validate inputs before any simulation starts: a typo'd flag should
 	// fail in milliseconds with the legal choices, not after minutes of
-	// replications (unknown -sweep parameters and -db-layout names already
-	// list theirs in ParseSweepAxis/parseLayout).
+	// replications (unknown -sweep parameters and enum values already list
+	// theirs in ParseSweepAxis).
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (a switch takes -name=off)", flag.Arg(0)))
+	}
 	if *reps < 1 {
 		fatal(fmt.Errorf("-reps %d: need at least 1 replication per point", *reps))
 	}
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers %d: use 0 for all cores, 1 for sequential, or a positive worker count", *workers))
-	}
-	if *no < 0 || *nc < 0 || *hotn < 0 {
-		fatal(fmt.Errorf("-no/-nc/-hotn must be ≥ 0 (0 keeps the Table 5 default)"))
 	}
 	if *cellTimeout < 0 {
 		fatal(fmt.Errorf("-cell-timeout %v: the per-cell budget must be ≥ 0", *cellTimeout))
@@ -142,11 +145,14 @@ func main() {
 	}
 	// The -sweep base and checkpoint flags mean nothing to a -run figure
 	// or table, which fixes its own configuration; refuse them rather than
-	// print results the flags did not shape.
+	// print results the flags did not shape. Of the model flags a figure
+	// reads only -dblayout.
 	if len(sweeps) == 0 {
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "system", "no", "nc", "hotn", "metrics", "journal", "resume":
+			_, isModel := sweep.LookupParam(f.Name)
+			switch {
+			case f.Name == "dblayout":
+			case isModel, f.Name == "system", f.Name == "metrics", f.Name == "journal", f.Name == "resume":
 				fatal(fmt.Errorf("-%s applies only to -sweep runs; add a -sweep axis or drop the flag", f.Name))
 			}
 		})
@@ -158,11 +164,6 @@ func main() {
 	var progress func(string)
 	if *verbose {
 		progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-	}
-
-	layout, err := parseLayout(*dbLayout)
-	if err != nil {
-		fatal(err)
 	}
 
 	// Profiles are opened (and the CPU profile/execution trace started)
@@ -189,10 +190,7 @@ func main() {
 		Policy: policy, CellTimeout: *cellTimeout}
 	var specs []voodb.Sweep
 	if len(sweeps) > 0 {
-		specs = []voodb.Sweep{userSweep(userSweepFlags{
-			axes: sweeps, metrics: *metrics, system: *system,
-			no: *no, nc: *nc, hotn: *hotn, layout: layout,
-		})}
+		specs = []voodb.Sweep{userSweep(sweeps, *metrics, *system, model)}
 	} else {
 		ids := experiments.Names()
 		if *run != "all" {
@@ -203,7 +201,9 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			s.Params.Layout = layout
+			if err := model.Apply(&s.Config, &s.Params); err != nil {
+				fatal(err)
+			}
 			specs = append(specs, s)
 		}
 	}
@@ -269,20 +269,6 @@ func main() {
 	if status != 0 {
 		stopProfiles()
 		os.Exit(status)
-	}
-}
-
-// parseLayout reads the -db-layout flag value.
-func parseLayout(name string) (voodb.Layout, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "eager":
-		return voodb.LayoutEager, nil
-	case "eagerv2":
-		return voodb.LayoutEagerV2, nil
-	case "stream":
-		return voodb.LayoutStream, nil
-	default:
-		return voodb.LayoutEager, fmt.Errorf("unknown -db-layout %q (eager|eagerv2|stream)", name)
 	}
 }
 
@@ -363,21 +349,13 @@ func startProfiles(cpu, mem, trc string) (func(), error) {
 	}, nil
 }
 
-// userSweepFlags carries the flags that build the -sweep spec.
-type userSweepFlags struct {
-	axes            []string
-	metrics, system string
-	no, nc, hotn    int
-	layout          voodb.Layout
-}
-
-// userSweep compiles a declarative sweep from the flags — entirely through
-// the public voodb API. One -sweep flag makes the classic 1-D study;
-// several make the cross-product grid.
-func userSweep(f userSweepFlags) voodb.Sweep {
-	axes := make([]voodb.Axis, len(f.axes))
-	names := make([]string, len(f.axes))
-	for i, spec := range f.axes {
+// userSweep compiles a declarative sweep from the flags — the -system
+// preset and the model flags make its base. One -sweep flag makes the
+// classic 1-D study; several make the cross-product grid.
+func userSweep(specs []string, metrics, system string, model *sweep.Flags) voodb.Sweep {
+	axes := make([]voodb.Axis, len(specs))
+	names := make([]string, len(specs))
+	for i, spec := range specs {
 		axis, err := voodb.ParseSweepAxis(spec)
 		if err != nil {
 			fatal(err)
@@ -385,35 +363,28 @@ func userSweep(f userSweepFlags) voodb.Sweep {
 		axes[i] = axis
 		names[i] = axis.Name
 	}
-	ms, err := voodb.ParseSweepMetrics(f.metrics, voodb.StandardProtocol)
+	// An axis writes its parameter in every cell, so a flag setting the
+	// same one would be overridden without a word.
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			fatal(fmt.Errorf("-%s: the -sweep %s axis sets it in every cell; drop one of the two", f.Name, f.Name))
+		}
+	})
+	ms, err := voodb.ParseSweepMetrics(metrics, voodb.StandardProtocol)
 	if err != nil {
 		fatal(err)
 	}
-	var cfg voodb.Config
-	switch strings.ToLower(f.system) {
-	case "", "default":
-		cfg = voodb.DefaultConfig()
-	case "o2":
-		cfg = voodb.O2()
-	case "texas":
-		cfg = voodb.Texas()
-	default:
-		fatal(fmt.Errorf("unknown -system %q (default|o2|texas)", f.system))
+	cfg, err := systems.Preset(system)
+	if err != nil {
+		fatal(fmt.Errorf("-system: %w", err))
 	}
 	params := voodb.DefaultWorkload()
-	if f.no > 0 {
-		params.NO = f.no
+	if err := model.Apply(&cfg, &params); err != nil {
+		fatal(err)
 	}
-	if f.nc > 0 {
-		params.NC = f.nc
-	}
-	if f.hotn > 0 {
-		params.HotN = f.hotn
-	}
-	params.Layout = f.layout
 	return voodb.Sweep{
 		Name:    "sweep-" + strings.Join(names, "-x-"),
-		Title:   fmt.Sprintf("%s sweep (%s system, NC=%d, NO=%d)", strings.Join(names, " × "), f.system, params.NC, params.NO),
+		Title:   fmt.Sprintf("%s sweep (%s system, NC=%d, NO=%d)", strings.Join(names, " × "), system, params.NC, params.NO),
 		Config:  cfg,
 		Params:  params,
 		Axes:    axes,
@@ -502,7 +473,7 @@ func summarize(res *voodb.SweepResult, err error, resumeHint string) int {
 // enums, its legal choices — so `-sweep-params` tells numeric ranges,
 // choice lists and switches apart.
 func printSweepParams() {
-	t := report.NewTable("sweepable parameters (-sweep name=lo:hi:step, name=v1,v2,… or name=A,B,…; repeat -sweep for a grid)",
+	t := report.NewTable("model parameters (-name value sets one, -sweep name=lo:hi:step, name=v1,v2,… or name=A,B,… sweeps it; repeat -sweep for a grid)",
 		"name", "kind", "generative", "values", "description")
 	for _, p := range voodb.SweepParams() {
 		gen := ""

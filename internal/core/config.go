@@ -81,7 +81,7 @@ func (c ClusteringKind) String() string {
 
 // PrefetchKind selects the prefetching policy (Table 3 PREFETCH). The paper
 // ships only "None" and names prefetching as future work; OneAhead is our
-// simple extension used by the ablation benchmarks.
+// simple extension, which the prefetch sweep axis studies.
 type PrefetchKind uint8
 
 const (

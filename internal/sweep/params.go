@@ -240,6 +240,8 @@ var paramTable = []Param{
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Placement = placementByName[v] }),
 	enumParam("clustp", "clustering policy module (CLUSTP)", clusteringChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Clustering = clusteringByName[v] }),
+	intParam("dstctrigger", "DSTC automatic trigger: reorganize once this many candidate objects exist (0 = never)", false,
+		func(cfg *core.Config, _ *ocb.Params, v int) { cfg.DSTCParams.TriggerCandidates = v }),
 	enumParam("prefetch", "prefetching policy (PREFETCH)", prefetchChoices,
 		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Prefetch = prefetchByName[v] }),
 	boolParam("physoids", "physical OIDs (Texas-style reference fixup on reorganization)",
@@ -290,7 +292,7 @@ var paramTable = []Param{
 				p.ZipfTheta = v
 			}
 		}),
-	asGenerative(enumParam("dblayout", "object-base generation layout (eager/eagerv2/stream; v2 layouts are bit-identical to each other)", layoutChoices,
+	asGenerative(enumParam("dblayout", "object-base generation layout (the v2 layouts are bit-identical to each other)", layoutChoices,
 		func(_ *core.Config, p *ocb.Params, v string) { p.Layout = layoutByName[v] })),
 }
 

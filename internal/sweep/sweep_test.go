@@ -323,3 +323,34 @@ func TestProgressAndDefaults(t *testing.T) {
 		t.Errorf("progress lines = %v", lines)
 	}
 }
+
+// TestDSTCTriggerArmsReorganization: CLUSTP alone installs the DSTC module
+// but never reorganizes a standard batch; the dstctrigger threshold arms
+// its automatic triggering. Reorganization I/Os read 0 in every cell of a
+// clustp × dstctrigger grid except DSTC with a threshold.
+func TestDSTCTriggerArmsReorganization(t *testing.T) {
+	clustp, err := ParseAxis("clustp=none,dstc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trigger, err := ParseAxis("dstctrigger=0,50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ocb.DefaultParams()
+	p.NC, p.NO, p.HotN = 10, 2000, 200
+	s := Sweep{Name: "trigger", Config: core.DefaultConfig(), Params: p,
+		Axes: Grid(clustp, trigger), Metrics: []Metric{ReorgIOs}}
+	res, err := s.Run(Options{Replications: 2, Seed: 1999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, policy := range []string{"none", "dstc"} {
+		for j, threshold := range []int{0, 50} {
+			reorg, _ := res.At(i, j).Get(ReorgIOs)
+			if armed := policy == "dstc" && threshold > 0; armed != (reorg.Mean > 0) {
+				t.Errorf("clustp=%s dstctrigger=%d: %v reorganization I/Os", policy, threshold, reorg.Mean)
+			}
+		}
+	}
+}

@@ -5,11 +5,30 @@
 package systems
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/storage"
 )
+
+// Preset returns the named base configuration of both command-line tools:
+// default (the Table 3 column), o2 and texas (Table 4), or texas-dstc
+// (Texas with the DSTC module of the §4.4 experiments).
+func Preset(name string) (core.Config, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "default":
+		return core.DefaultConfig(), nil
+	case "o2":
+		return O2(), nil
+	case "texas":
+		return Texas(), nil
+	case "texas-dstc":
+		return TexasDSTC(), nil
+	}
+	return core.Config{}, fmt.Errorf("unknown preset %q (default|o2|texas|texas-dstc)", name)
+}
 
 // O2 returns the Table 4 "O₂" column: a page server with an infinite-speed
 // network (client co-located with the server), a 3840-page LRU cache, 6.3 /

@@ -2,6 +2,8 @@ package systems
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -126,5 +128,21 @@ func TestPresetsRunEndToEnd(t *testing.T) {
 		if res.IOs.Mean() <= 0 {
 			t.Errorf("%s: no I/O measured", name)
 		}
+	}
+}
+
+// TestPreset: both command-line tools name their base configurations
+// through Preset, case-insensitively, and an unknown name lists the known
+// ones.
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]core.Config{
+		"default": core.DefaultConfig(), "o2": O2(), "Texas": Texas(), "texas-dstc": TexasDSTC(),
+	} {
+		if got, err := Preset(name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("Preset(%q) = %+v, %v", name, got, err)
+		}
+	}
+	if _, err := Preset("nosuch"); err == nil || !strings.Contains(err.Error(), "default|o2|texas|texas-dstc") {
+		t.Errorf("unknown preset: %v", err)
 	}
 }

@@ -16,10 +16,10 @@ go build -o "$workdir/experiments" ./cmd/experiments
 # Small grid, enough replications that SIGTERM lands mid-grid on any
 # machine. Every flag below is result-affecting and must match across the
 # three runs (the journal fingerprint enforces this). The smoke runs once
-# per object-base layout: -db-layout sets the base Params.Layout, which the
+# per object-base layout: -dblayout sets the base Params.Layout, which the
 # fingerprint covers.
 for layout in eager stream; do
-  args=(-sweep mpl=1:4:2 -sweep buffpages=48,96 -no 600 -nc 8 -hotn 40 -reps 25 -seed 77 -db-layout "$layout" -csv)
+  args=(-sweep mpl=1:4:2 -sweep buffpages=48,96 -no 600 -nc 8 -hotn 40 -reps 25 -seed 77 -dblayout "$layout" -csv)
 
   echo "== [$layout] uninterrupted run"
   "$workdir/experiments" "${args[@]}" > "$workdir/full.csv"
