@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	classes, err := voodb.EnumAxis("sysclass") // all four architectures
+	classes, err := voodb.ParseSweepAxis("sysclass=all") // all four architectures
 	if err != nil {
 		log.Fatal(err)
 	}

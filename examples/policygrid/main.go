@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	policies, err := voodb.EnumAxis("pgrep") // every registered PGREP choice
+	policies, err := voodb.ParseSweepAxis("pgrep=all") // every registered PGREP choice
 	if err != nil {
 		log.Fatal(err)
 	}

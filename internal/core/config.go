@@ -236,19 +236,13 @@ func (c Config) Validate() error {
 	case !(c.StorageOverhead >= 1):
 		return fmt.Errorf("core: StorageOverhead = %v", c.StorageOverhead)
 	}
-	switch c.Clustering {
-	case NoClustering:
-	case DSTC:
-		if err := c.DSTCParams.Validate(); err != nil {
-			return err
-		}
-	case GreedyGraph:
-		// The baseline reads only the cluster size cap.
-		if c.DSTCParams.MaxClusterSize < 2 {
-			return fmt.Errorf("core: GreedyGraph needs DSTCParams.MaxClusterSize ≥ 2, got %d", c.DSTCParams.MaxClusterSize)
-		}
-	default:
+	if c.Clustering > GreedyGraph {
 		return fmt.Errorf("core: unknown clustering kind %d", c.Clustering)
+	}
+	// The DSTC tuning is checked under every policy, so a value nothing
+	// reads yet (a negative trigger with clustering off) is refused too.
+	if err := c.DSTCParams.Validate(); err != nil {
+		return err
 	}
 	return c.Failures.Validate()
 }

@@ -65,7 +65,10 @@ func TestConfigValidate(t *testing.T) {
 		"overhead":   func(c *Config) { c.StorageOverhead = 0.5 },
 		"dstcparams": func(c *Config) { c.Clustering = DSTC; c.DSTCParams.MinUsage = 0 },
 		"greedysize": func(c *Config) { c.Clustering = GreedyGraph; c.DSTCParams.MaxClusterSize = 1 },
-		"clustering": func(c *Config) { c.Clustering = ClusteringKind(9) },
+		// The DSTC tuning is checked whatever the policy, so a trigger
+		// nothing reads is refused too.
+		"trigger-off": func(c *Config) { c.Clustering = NoClustering; c.DSTCParams.TriggerCandidates = -1 },
+		"clustering":  func(c *Config) { c.Clustering = ClusteringKind(9) },
 		// NaN fails every comparison, so each float check must reject it
 		// explicitly rather than through x < 0.
 		"netthru-nan":  func(c *Config) { c.NetThroughputMBps = nan },

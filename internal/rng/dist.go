@@ -51,9 +51,6 @@ func (z *Zipf) Next() int {
 	return lo
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Discrete samples indices proportionally to the given non-negative
 // weights. Used, e.g., to pick a transaction type with the probabilities of
 // Table 5.

@@ -156,11 +156,6 @@ func (r *Source) IntRange(lo, hi int) int {
 	return lo + r.Intn(hi-lo+1)
 }
 
-// Uniform returns a uniform variate in [a, b).
-func (r *Source) Uniform(a, b float64) float64 {
-	return a + (b-a)*r.Float64()
-}
-
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
@@ -179,26 +174,10 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normal variate (Box–Muller, one value per call).
-func (r *Source) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Perm fills a permutation of [0, n) using Fisher–Yates.
-func (r *Source) Perm(n int) []int {
-	return r.PermInto(nil, n)
-}
-
-// PermInto is Perm writing into dst's backing array when it has capacity
-// for n elements (allocating otherwise), so repeated draws — one hot-root
-// population per replication, for example — reuse one buffer. The drawn
-// permutation is identical to Perm's.
+// PermInto draws a permutation of [0, n) by Fisher–Yates into dst's
+// backing array when it has capacity for n elements (allocating
+// otherwise), so repeated draws — one hot-root population per
+// replication, for example — reuse one buffer.
 func (r *Source) PermInto(dst []int, n int) []int {
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -213,12 +192,4 @@ func (r *Source) PermInto(dst []int, n int) []int {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
-}
-
-// Shuffle permutes xs in place.
-func (r *Source) Shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }

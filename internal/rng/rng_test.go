@@ -132,28 +132,9 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(7)
-	const n = 200000
-	sum, sum2 := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sum2/n - mean*mean)
-	if math.Abs(mean-10) > 0.05 {
-		t.Errorf("Normal mean = %v, want ≈ 10", mean)
-	}
-	if math.Abs(sd-2) > 0.05 {
-		t.Errorf("Normal sd = %v, want ≈ 2", sd)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(8)
-	p := r.Perm(100)
+	p := r.PermInto(nil, 100)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {

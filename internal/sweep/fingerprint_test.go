@@ -43,15 +43,15 @@ func TestFingerprintPins(t *testing.T) {
 	params.NO = 600
 	params.HotN = 40
 
-	mpl, err := ParamAxis("mpl", []float64{1, 2, 4})
+	mpl, err := ParseAxis("mpl=1,2,4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgrep, err := EnumAxis("pgrep", "LRU", "FIFO")
+	pgrep, err := ParseAxis("pgrep=LRU,FIFO")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buff, err := ParamAxis("buffpages", []float64{48, 96})
+	buff, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestLegacyAxisMatchesTypedGrid(t *testing.T) {
 		Axes:    []Axis{{Name: "buffpages", Points: legacyPoints}},
 		Metrics: []Metric{IOs, HitPct, RespMs},
 	}
-	typedAxis, err := ParamAxis("buffpages", []float64{48, 96, 192})
+	typedAxis, err := ParseAxis("buffpages=48,96,192")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestGridPointMatchesStandalone(t *testing.T) {
 	cfg.System = core.Centralized
 	params := matrixParams()
 
-	buffAxis, err := ParamAxis("buffpages", []float64{48, 96})
+	buffAxis, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mplAxis, err := ParamAxis("mpl", []float64{1, 2, 4})
+	mplAxis, err := ParseAxis("mpl=1,2,4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestGridPointMatchesStandalone(t *testing.T) {
 func TestGridWorkersBitIdentical(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
-	policy, err := EnumAxis("pgrep", "LRU", "FIFO")
+	policy, err := ParseAxis("pgrep=LRU,FIFO")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buff, err := ParamAxis("buffpages", []float64{48, 96})
+	buff, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestGridShareBases(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
 	params := matrixParams()
-	buff, _ := ParamAxis("buffpages", []float64{48, 96})
-	mpl, _ := ParamAxis("mpl", []float64{1, 2})
-	no, _ := ParamAxis("no", []float64{400, 600})
-	hotn, _ := ParamAxis("hotn", []float64{20, 40})
+	buff, _ := ParseAxis("buffpages=48,96")
+	mpl, _ := ParseAxis("mpl=1,2")
+	no, _ := ParseAxis("no=400,600")
+	hotn, _ := ParseAxis("hotn=20,40")
 
 	nonGen := Sweep{Name: "nongen", Config: cfg, Params: params,
 		Axes: Grid(buff, mpl), Metrics: []Metric{IOs}}
@@ -244,9 +244,9 @@ func TestGridShareBases(t *testing.T) {
 	}
 }
 
-// TestEnumAxes covers typed axis construction for every categorical kind.
+// TestEnumAxes covers axis construction for every categorical kind.
 func TestEnumAxes(t *testing.T) {
-	axis, err := EnumAxis("pgrep", "lru", "FIFO")
+	axis, err := ParseAxis("pgrep=lru,FIFO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestEnumAxes(t *testing.T) {
 	}
 
 	// All-choices sweep.
-	all, err := EnumAxis("sysclass")
+	all, err := ParseAxis("sysclass=all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestEnumAxes(t *testing.T) {
 	}
 
 	// Placement and clustering selectors.
-	initpl, err := EnumAxis("initpl", "sequential")
+	initpl, err := ParseAxis("initpl=sequential")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestEnumAxes(t *testing.T) {
 	}
 
 	// Bool axis.
-	physoids, err := BoolAxis("physoids")
+	physoids, err := ParseAxis("physoids=all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,17 +306,18 @@ func TestEnumAxes(t *testing.T) {
 		t.Errorf("PhysicalOIDs = %v", cfg.PhysicalOIDs)
 	}
 
-	// Errors: bad choice, enum via ParamAxis, duplicate collapse.
-	if _, err := EnumAxis("pgrep", "NOPE"); err == nil {
+	// Errors: bad choice, a number for an enum or a switch; duplicate
+	// collapse.
+	if _, err := ParseAxis("pgrep=NOPE"); err == nil {
 		t.Error("unknown choice accepted")
 	}
-	if _, err := EnumAxis("mpl", "1"); err == nil {
-		t.Error("numeric parameter accepted as enum")
+	if _, err := ParseAxis("pgrep=0,1"); err == nil {
+		t.Error("enum parameter accepted a number")
 	}
-	if _, err := ParamAxis("pgrep", []float64{0, 1}); err == nil {
-		t.Error("enum parameter accepted as numeric")
+	if _, err := ParseAxis("physoids=2"); err == nil {
+		t.Error("switch accepted 2")
 	}
-	dup, err := EnumAxis("pgrep", "LRU", "lru", "FIFO")
+	dup, err := ParseAxis("pgrep=LRU,lru,FIFO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestParseAxisTyped(t *testing.T) {
 // TestEnumSweepRuns is the end-to-end categorical study: a buffer-policy
 // axis changes the simulated replacement behavior.
 func TestEnumSweepRuns(t *testing.T) {
-	axis, err := EnumAxis("pgrep", "LRU", "MRU")
+	axis, err := ParseAxis("pgrep=LRU,MRU")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +391,8 @@ func TestEnumSweepRuns(t *testing.T) {
 // TestGridRendering covers the N-D renderers: flat table, facets, heatmap,
 // heatmap CSV and grid charts.
 func TestGridRendering(t *testing.T) {
-	policy, _ := EnumAxis("pgrep", "LRU", "FIFO")
-	buff, _ := ParamAxis("buffpages", []float64{48, 96, 192})
+	policy, _ := ParseAxis("pgrep=LRU,FIFO")
+	buff, _ := ParseAxis("buffpages=48,96,192")
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
 	s := Sweep{Name: "hm", Title: "policy grid", Config: cfg, Params: matrixParams(),
@@ -464,8 +465,8 @@ func TestGridRendering(t *testing.T) {
 
 // TestResultAt covers the coordinate accessor's bounds checks.
 func TestResultAt(t *testing.T) {
-	buff, _ := ParamAxis("buffpages", []float64{48, 96})
-	mpl, _ := ParamAxis("mpl", []float64{1, 2})
+	buff, _ := ParseAxis("buffpages=48,96")
+	mpl, _ := ParseAxis("mpl=1,2")
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
 	s := Sweep{Name: "at", Config: cfg, Params: matrixParams(),

@@ -48,68 +48,9 @@ func (k Kind) String() string {
 	}
 }
 
-// ParamValue is one typed parameter value: the unit every axis point
-// carries and every Param.Apply consumes. Numeric kinds use Num, enums use
-// Str (canonical registry spelling), bools use Bit.
-type ParamValue struct {
-	Kind Kind
-	Num  float64
-	Str  string
-	Bit  bool
-}
-
-// NumValue returns a numeric value (used for both KindNumeric and
-// KindInteger parameters; integer parameters round on application).
-func NumValue(v float64) ParamValue { return ParamValue{Kind: KindNumeric, Num: v} }
-
-// IntValue returns an integer value.
-func IntValue(v int) ParamValue { return ParamValue{Kind: KindInteger, Num: float64(v)} }
-
-// EnumValue returns an enum value. The string should be a canonical choice
-// of the target parameter (ParamValueAxis canonicalizes on construction).
-func EnumValue(s string) ParamValue { return ParamValue{Kind: KindEnum, Str: s} }
-
-// BoolValue returns a switch value.
-func BoolValue(b bool) ParamValue { return ParamValue{Kind: KindBool, Bit: b} }
-
-// Float returns the value's numeric axis position: the number itself for
-// numeric kinds, 0/1 for bools. Enums have no intrinsic position (axes
-// place them by index) and return 0.
-func (v ParamValue) Float() float64 {
-	switch v.Kind {
-	case KindBool:
-		if v.Bit {
-			return 1
-		}
-		return 0
-	case KindEnum:
-		return 0
-	default:
-		return v.Num
-	}
-}
-
-// String returns the value's display label.
-func (v ParamValue) String() string {
-	switch v.Kind {
-	case KindEnum:
-		return v.Str
-	case KindBool:
-		if v.Bit {
-			return "on"
-		}
-		return "off"
-	case KindInteger:
-		return strconv.FormatFloat(math.Round(v.Num), 'f', -1, 64)
-	default:
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
-	}
-}
-
 // Param is one sweepable parameter: a Table 3 system knob or an OCB
-// workload knob, addressable by name from the CLI
-// (-sweep name=lo:hi:step, -sweep name=A,B,C) and from library code
-// (ParamAxis, EnumAxis).
+// workload knob, addressable by name from the CLI and from library code
+// (-sweep name=lo:hi:step, -sweep name=A,B,C, ParseAxis).
 type Param struct {
 	// Name is the CLI-facing identifier (lower case).
 	Name string
@@ -118,86 +59,45 @@ type Param struct {
 	// Kind is the value domain (numeric, integer, enum, bool).
 	Kind Kind
 	// Choices lists the legal values of an enum parameter, in canonical
-	// spelling and display order; nil for other kinds.
+	// spelling and in the order of its field's constants; nil for other
+	// kinds.
 	Choices []string
 	// Generative marks parameters that feed ocb workload/base generation;
 	// axes over them regenerate bases per point and are ineligible for
 	// base sharing.
 	Generative bool
-	// Apply writes value v into the configuration/parameters.
-	Apply func(cfg *core.Config, p *ocb.Params, v ParamValue)
+	// set writes one point's number into the configuration/parameters:
+	// the value itself (whole for integer rows), the index of an enum
+	// row's choice, or 0/1 for a switch.
+	set func(cfg *core.Config, p *ocb.Params, v float64)
 }
 
 // numParam registers a continuous Table 3 / OCB knob.
-func numParam(name, doc string, generative bool, apply func(*core.Config, *ocb.Params, float64)) Param {
-	return Param{Name: name, Doc: doc, Kind: KindNumeric, Generative: generative,
-		Apply: func(cfg *core.Config, p *ocb.Params, v ParamValue) { apply(cfg, p, v.Num) }}
+func numParam(name, doc string, generative bool, set func(*core.Config, *ocb.Params, float64)) Param {
+	return Param{Name: name, Doc: doc, Kind: KindNumeric, Generative: generative, set: set}
 }
 
-// intParam registers an integer-valued knob; applications round.
-func intParam(name, doc string, generative bool, apply func(*core.Config, *ocb.Params, int)) Param {
+// intParam registers an integer-valued knob; ParseAxis rounds its values.
+func intParam(name, doc string, generative bool, set func(*core.Config, *ocb.Params, int)) Param {
 	return Param{Name: name, Doc: doc, Kind: KindInteger, Generative: generative,
-		Apply: func(cfg *core.Config, p *ocb.Params, v ParamValue) { apply(cfg, p, int(math.Round(v.Num))) }}
+		set: func(cfg *core.Config, p *ocb.Params, v float64) { set(cfg, p, int(v)) }}
 }
 
-// enumParam registers a categorical knob over the given canonical choices.
-func enumParam(name, doc string, choices []string, apply func(*core.Config, *ocb.Params, string)) Param {
-	return Param{Name: name, Doc: doc, Kind: KindEnum, Choices: choices,
-		Apply: func(cfg *core.Config, p *ocb.Params, v ParamValue) { apply(cfg, p, v.Str) }}
+// enumParam registers a categorical knob; set receives the index of the
+// chosen entry of choices.
+func enumParam(name, doc string, generative bool, choices []string, set func(*core.Config, *ocb.Params, int)) Param {
+	return Param{Name: name, Doc: doc, Kind: KindEnum, Choices: choices, Generative: generative,
+		set: func(cfg *core.Config, p *ocb.Params, v float64) { set(cfg, p, int(v)) }}
 }
 
 // boolParam registers an on/off switch.
-func boolParam(name, doc string, apply func(*core.Config, *ocb.Params, bool)) Param {
+func boolParam(name, doc string, set func(*core.Config, *ocb.Params, bool)) Param {
 	return Param{Name: name, Doc: doc, Kind: KindBool,
-		Apply: func(cfg *core.Config, p *ocb.Params, v ParamValue) { apply(cfg, p, v.Bit) }}
+		set: func(cfg *core.Config, p *ocb.Params, v float64) { set(cfg, p, v == 1) }}
 }
 
-// asGenerative marks a parameter as feeding object-base generation (for
-// kinds whose constructor takes no generative flag).
-func asGenerative(p Param) Param {
-	p.Generative = true
-	return p
-}
-
-// Canonical enum choice lists. SystemClasses and Placements use
-// CLI-friendly lower-case names; buffer policies keep their PGREP
-// spelling and come from buffer.PolicyNames.
-var (
-	systemClassChoices = []string{"centralized", "objectserver", "pageserver", "dbserver"}
-	placementChoices   = []string{"sequential", "optimized"}
-	clusteringChoices  = []string{"none", "dstc", "greedygraph"}
-	prefetchChoices    = []string{"none", "oneahead"}
-	layoutChoices      = []string{"eager", "eagerv2", "stream"}
-)
-
-var systemClassByName = map[string]core.SystemClass{
-	"centralized":  core.Centralized,
-	"objectserver": core.ObjectServer,
-	"pageserver":   core.PageServer,
-	"dbserver":     core.DBServer,
-}
-
-var placementByName = map[string]storage.Placement{
-	"sequential": storage.Sequential,
-	"optimized":  storage.OptimizedSequential,
-}
-
-var clusteringByName = map[string]core.ClusteringKind{
-	"none":        core.NoClustering,
-	"dstc":        core.DSTC,
-	"greedygraph": core.GreedyGraph,
-}
-
-var prefetchByName = map[string]core.PrefetchKind{
-	"none":     core.NoPrefetch,
-	"oneahead": core.OneAhead,
-}
-
-var layoutByName = map[string]ocb.Layout{
-	"eager":   ocb.LayoutEager,
-	"eagerv2": ocb.LayoutEagerV2,
-	"stream":  ocb.LayoutStream,
-}
+// policyNames is PGREP's choice list, buffer.PolicyNames in its order.
+var policyNames = buffer.PolicyNames()
 
 // paramTable registers every sweepable parameter. Config-level knobs come
 // first (Table 3 codes) — numeric, then the categorical/switch selectors —
@@ -232,18 +132,21 @@ var paramTable = []Param{
 	numParam("disktra", "disk transfer time in ms (DISKTRA)", false,
 		func(cfg *core.Config, _ *ocb.Params, v float64) { cfg.DiskTransferMs = v }),
 
-	enumParam("sysclass", "system class architecture (SYSCLASS)", systemClassChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.System = systemClassByName[v] }),
-	enumParam("pgrep", "buffer page replacement policy (PGREP)", buffer.PolicyNames(),
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.BufferPolicy = v }),
-	enumParam("initpl", "initial object placement (INITPL)", placementChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Placement = placementByName[v] }),
-	enumParam("clustp", "clustering policy module (CLUSTP)", clusteringChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Clustering = clusteringByName[v] }),
+	// Enum rows list their choices in the order of their field's
+	// constants, so a choice's index is its constant.
+	enumParam("sysclass", "system class architecture (SYSCLASS)", false,
+		[]string{"centralized", "objectserver", "pageserver", "dbserver"},
+		func(cfg *core.Config, _ *ocb.Params, i int) { cfg.System = core.SystemClass(i) }),
+	enumParam("pgrep", "buffer page replacement policy (PGREP)", false, policyNames,
+		func(cfg *core.Config, _ *ocb.Params, i int) { cfg.BufferPolicy = policyNames[i] }),
+	enumParam("initpl", "initial object placement (INITPL)", false, []string{"sequential", "optimized"},
+		func(cfg *core.Config, _ *ocb.Params, i int) { cfg.Placement = storage.Placement(i) }),
+	enumParam("clustp", "clustering policy module (CLUSTP)", false, []string{"none", "dstc", "greedygraph"},
+		func(cfg *core.Config, _ *ocb.Params, i int) { cfg.Clustering = core.ClusteringKind(i) }),
 	intParam("dstctrigger", "DSTC automatic trigger: reorganize once this many candidate objects exist (0 = never)", false,
 		func(cfg *core.Config, _ *ocb.Params, v int) { cfg.DSTCParams.TriggerCandidates = v }),
-	enumParam("prefetch", "prefetching policy (PREFETCH)", prefetchChoices,
-		func(cfg *core.Config, _ *ocb.Params, v string) { cfg.Prefetch = prefetchByName[v] }),
+	enumParam("prefetch", "prefetching policy (PREFETCH)", false, []string{"none", "oneahead"},
+		func(cfg *core.Config, _ *ocb.Params, i int) { cfg.Prefetch = core.PrefetchKind(i) }),
 	boolParam("physoids", "physical OIDs (Texas-style reference fixup on reorganization)",
 		func(cfg *core.Config, _ *ocb.Params, v bool) { cfg.PhysicalOIDs = v }),
 	// Failure-injection knobs (§5 extension module).
@@ -292,8 +195,9 @@ var paramTable = []Param{
 				p.ZipfTheta = v
 			}
 		}),
-	asGenerative(enumParam("dblayout", "object-base generation layout (the v2 layouts are bit-identical to each other)", layoutChoices,
-		func(_ *core.Config, p *ocb.Params, v string) { p.Layout = layoutByName[v] })),
+	enumParam("dblayout", "object-base generation layout (the v2 layouts are bit-identical to each other)", true,
+		[]string{"eager", "eagerv2", "stream"},
+		func(_ *core.Config, p *ocb.Params, i int) { p.Layout = ocb.Layout(i) }),
 }
 
 // Params lists every sweepable parameter, sorted by name.
@@ -314,164 +218,25 @@ func LookupParam(name string) (Param, bool) {
 	return Param{}, false
 }
 
-// canonicalChoice matches tok case-insensitively against the parameter's
-// choice list, returning the canonical spelling.
-func (p Param) canonicalChoice(tok string) (string, error) {
-	for _, c := range p.Choices {
-		if strings.EqualFold(c, strings.TrimSpace(tok)) {
-			return c, nil
-		}
-	}
-	return "", fmt.Errorf("parameter %q has no choice %q (have %s)",
-		p.Name, tok, strings.Join(p.Choices, ","))
-}
-
-// ParamValueAxis builds an axis sweeping the named parameter over typed
-// values — the general constructor behind ParamAxis (numeric values) and
-// EnumAxis (choice lists). Point i uses SeedDelta i, so points draw
-// decorrelated random streams regardless of the value scale; enum and bool
-// points take their axis position X from the value's index. NaN is refused
-// for every parameter, and a value outside the int range (±Inf among them)
-// for integer ones; Sweep.Validate judges +Inf.
-func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
-	param, ok := LookupParam(name)
-	if !ok {
-		return Axis{}, fmt.Errorf("sweep: unknown parameter %q (have %s)", name, strings.Join(paramNames(), ","))
-	}
-	if len(values) == 0 {
-		return Axis{}, fmt.Errorf("sweep: no values for parameter %q", name)
-	}
-	axis := Axis{Name: param.Name, Generative: param.Generative}
-	seen := make(map[ParamValue]bool, len(values))
-	for _, v := range values {
-		v := v
-		if (v.Kind == KindNumeric || v.Kind == KindInteger) &&
-			(math.IsNaN(v.Num) || param.Kind == KindInteger && !inIntRange(math.Round(v.Num))) {
-			return Axis{}, fmt.Errorf("sweep: parameter %q cannot take the value %v", param.Name, v.Num)
-		}
-		switch param.Kind {
-		case KindEnum:
-			if v.Kind != KindEnum {
-				return Axis{}, fmt.Errorf("sweep: parameter %q is an enum; value %v is not", param.Name, v)
-			}
-			canon, err := param.canonicalChoice(v.Str)
-			if err != nil {
-				return Axis{}, fmt.Errorf("sweep: %w", err)
-			}
-			v.Str = canon
-		case KindBool:
-			switch v.Kind {
-			case KindBool:
-			case KindNumeric, KindInteger:
-				// Numeric 0/1 coerces, easing ParamAxis use on switches.
-				switch v.Num {
-				case 0:
-					v = BoolValue(false)
-				case 1:
-					v = BoolValue(true)
-				default:
-					return Axis{}, fmt.Errorf("sweep: parameter %q is a switch; value %v is not 0/1", param.Name, v.Num)
-				}
-			default:
-				return Axis{}, fmt.Errorf("sweep: parameter %q is a switch; value %v is not", param.Name, v)
-			}
-		case KindInteger:
-			if v.Kind != KindNumeric && v.Kind != KindInteger {
-				return Axis{}, fmt.Errorf("sweep: parameter %q is numeric; value %v is not", param.Name, v)
-			}
-			// Rounding can collapse neighbours (mpl=1:3:0.5 → 1,2,2,3,3);
-			// duplicate positions would rerun the same point under a
-			// different seed, so they are dropped.
-			v = ParamValue{Kind: KindInteger, Num: math.Round(v.Num)}
-		default: // KindNumeric
-			if v.Kind != KindNumeric && v.Kind != KindInteger {
-				return Axis{}, fmt.Errorf("sweep: parameter %q is numeric; value %v is not", param.Name, v)
-			}
-			v = ParamValue{Kind: KindNumeric, Num: v.Num}
-		}
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		x := v.Float()
-		label := ""
-		if param.Kind == KindEnum || param.Kind == KindBool {
-			// Categorical axis positions are list indices; the label carries
-			// the choice.
-			x = float64(len(axis.Points))
-			label = v.String()
-		}
-		val := v
-		axis.Points = append(axis.Points, Point{
-			X:         x,
-			Label:     label,
-			SeedDelta: uint64(len(axis.Points)),
-			Apply:     func(cfg *core.Config, p *ocb.Params) { param.Apply(cfg, p, val) },
-		})
-	}
-	return axis, nil
-}
-
-// inIntRange reports whether the whole number x converts to an int
-// exactly; ±2^(IntSize-1) are exact float64 values, and ±Inf lie outside.
-func inIntRange(x float64) bool {
-	return x >= -(1<<(strconv.IntSize-1)) && x < 1<<(strconv.IntSize-1)
-}
-
-// ParamAxis builds an axis sweeping the named parameter over the given
-// numeric values (bool parameters accept 0/1). Enum parameters need
-// EnumAxis or the name=A,B,C spec form.
-func ParamAxis(name string, values []float64) (Axis, error) {
-	vals := make([]ParamValue, len(values))
-	for i, v := range values {
-		vals[i] = NumValue(v)
-	}
-	return ParamValueAxis(name, vals)
-}
-
-// EnumAxis builds an axis sweeping an enum parameter over the given
-// choices (case-insensitive; canonicalized against the registry). Passing
-// no choices sweeps every registered choice of the parameter.
-func EnumAxis(name string, choices ...string) (Axis, error) {
-	if len(choices) == 0 {
-		param, ok := LookupParam(name)
-		if !ok {
-			return Axis{}, fmt.Errorf("sweep: unknown parameter %q (have %s)", name, strings.Join(paramNames(), ","))
-		}
-		if param.Kind != KindEnum {
-			return Axis{}, fmt.Errorf("sweep: parameter %q is %s, not an enum", param.Name, param.Kind)
-		}
-		choices = param.Choices
-	}
-	vals := make([]ParamValue, len(choices))
-	for i, c := range choices {
-		vals[i] = EnumValue(c)
-	}
-	return ParamValueAxis(name, vals)
-}
-
-// BoolAxis builds an on/off axis over a switch parameter.
-func BoolAxis(name string, values ...bool) (Axis, error) {
-	if len(values) == 0 {
-		values = []bool{false, true}
-	}
-	vals := make([]ParamValue, len(values))
-	for i, b := range values {
-		vals[i] = BoolValue(b)
-	}
-	return ParamValueAxis(name, vals)
-}
-
-// ParseAxis compiles a CLI axis spec into an Axis. The accepted forms
-// depend on the parameter's kind:
+// ParseAxis compiles a CLI axis spec into an Axis, the one constructor of
+// a registry axis. The accepted forms depend on the parameter's kind:
 //
 //	numeric/integer   name=lo:hi:step   inclusive range (step > 0)
 //	                  name=v1,v2,v3     explicit value list
 //	enum              name=A,B,C        choice list (case-insensitive)
 //	                  name=all          every registered choice
 //	bool              name=on,off       (also true/false/1/0; name=all)
+//
+// Each token becomes one number (see Param.set), and equal numbers
+// collapse to the first: rounding can merge neighbours (mpl=1:3:0.5 →
+// 1,2,2,3,3), and a repeated point would rerun under another seed. Point i
+// uses SeedDelta i, so points draw decorrelated random streams whatever
+// the value scale; enum and bool points take their position X from i and
+// their Label from the choice. NaN is refused for every parameter, and a
+// value outside the int range (±Inf among them) for integer ones;
+// Sweep.Validate judges +Inf.
 func ParseAxis(spec string) (Axis, error) {
-	name, vals, ok := strings.Cut(spec, "=")
+	name, text, ok := strings.Cut(spec, "=")
 	if !ok {
 		return Axis{}, fmt.Errorf("sweep: axis spec %q is not name=values", spec)
 	}
@@ -479,42 +244,94 @@ func ParseAxis(spec string) (Axis, error) {
 	if !found {
 		return Axis{}, fmt.Errorf("sweep: unknown parameter %q (have %s)", strings.TrimSpace(name), strings.Join(paramNames(), ","))
 	}
-	switch param.Kind {
-	case KindEnum:
-		if strings.EqualFold(strings.TrimSpace(vals), "all") {
-			return EnumAxis(param.Name)
-		}
-		choices, err := splitList(vals)
-		if err != nil {
-			return Axis{}, fmt.Errorf("sweep: axis %q: %w", spec, err)
-		}
-		// EnumAxis errors already carry the parameter name and its legal
-		// choices; no extra wrapping needed.
-		return EnumAxis(param.Name, choices...)
-	case KindBool:
-		if strings.EqualFold(strings.TrimSpace(vals), "all") {
-			return BoolAxis(param.Name)
-		}
-		toks, err := splitList(vals)
-		if err != nil {
-			return Axis{}, fmt.Errorf("sweep: axis %q: %w", spec, err)
-		}
-		bools := make([]bool, len(toks))
-		for i, tok := range toks {
-			b, err := parseBool(tok)
-			if err != nil {
-				return Axis{}, fmt.Errorf("sweep: axis %q: %w", spec, err)
-			}
-			bools[i] = b
-		}
-		return BoolAxis(param.Name, bools...)
-	default:
-		values, err := parseValues(vals)
-		if err != nil {
-			return Axis{}, fmt.Errorf("sweep: axis %q: %w", spec, err)
-		}
-		return ParamAxis(param.Name, values)
+	values, err := param.parse(spec, text)
+	if err != nil {
+		return Axis{}, err
 	}
+	axis := Axis{Name: param.Name, Generative: param.Generative}
+	seen := make(map[float64]bool, len(values))
+	for _, v := range values {
+		if param.Kind == KindInteger {
+			v = math.Round(v)
+		}
+		if math.IsNaN(v) || param.Kind == KindInteger && !inIntRange(v) {
+			return Axis{}, fmt.Errorf("sweep: parameter %q cannot take the value %v", param.Name, v)
+		}
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		i := len(axis.Points)
+		pt := Point{X: v, SeedDelta: uint64(i)}
+		switch param.Kind {
+		case KindEnum:
+			pt.X, pt.Label = float64(i), param.Choices[int(v)]
+		case KindBool:
+			pt.X, pt.Label = float64(i), [2]string{"off", "on"}[int(v)]
+		}
+		set, val := param.set, v
+		pt.Apply = func(cfg *core.Config, p *ocb.Params) { set(cfg, p, val) }
+		axis.Points = append(axis.Points, pt)
+	}
+	return axis, nil
+}
+
+// parse reads an axis spec's value text by the parameter's kind into one
+// number per token. An unknown choice is refused in the parameter's
+// words; any other malformed text in the spec's.
+func (p Param) parse(spec, text string) ([]float64, error) {
+	malformed := func(err error) error { return fmt.Errorf("sweep: axis %q: %w", spec, err) }
+	if p.Kind == KindNumeric || p.Kind == KindInteger {
+		values, err := parseValues(text)
+		if err != nil {
+			return nil, malformed(err)
+		}
+		return values, nil
+	}
+	if strings.EqualFold(strings.TrimSpace(text), "all") {
+		n := len(p.Choices)
+		if p.Kind == KindBool {
+			n = 2
+		}
+		all := make([]float64, n)
+		for i := range all {
+			all[i] = float64(i)
+		}
+		return all, nil
+	}
+	toks, err := splitList(text)
+	if err != nil {
+		return nil, malformed(err)
+	}
+	values := make([]float64, len(toks))
+	for i, tok := range toks {
+		if p.Kind == KindBool {
+			if values[i], err = parseBool(tok); err != nil {
+				return nil, malformed(err)
+			}
+		} else if values[i] = float64(p.choiceIndex(tok)); values[i] < 0 {
+			return nil, fmt.Errorf("sweep: parameter %q has no choice %q (have %s)",
+				p.Name, tok, strings.Join(p.Choices, ","))
+		}
+	}
+	return values, nil
+}
+
+// choiceIndex matches tok case-insensitively against the parameter's
+// choice list; -1 when none matches.
+func (p Param) choiceIndex(tok string) int {
+	for i, c := range p.Choices {
+		if strings.EqualFold(c, tok) {
+			return i
+		}
+	}
+	return -1
+}
+
+// inIntRange reports whether the whole number x converts to an int
+// exactly; ±2^(IntSize-1) are exact float64 values, and ±Inf lie outside.
+func inIntRange(x float64) bool {
+	return x >= -(1<<(strconv.IntSize-1)) && x < 1<<(strconv.IntSize-1)
 }
 
 // splitList splits a comma list into trimmed non-empty tokens.
@@ -533,15 +350,16 @@ func splitList(s string) ([]string, error) {
 	return out, nil
 }
 
-// parseBool reads a switch token (on/off, true/false, 1/0, yes/no).
-func parseBool(tok string) (bool, error) {
+// parseBool reads a switch token (on/off, true/false, 1/0, yes/no) as 1
+// or 0.
+func parseBool(tok string) (float64, error) {
 	switch strings.ToLower(strings.TrimSpace(tok)) {
 	case "on", "true", "1", "yes":
-		return true, nil
+		return 1, nil
 	case "off", "false", "0", "no":
-		return false, nil
+		return 0, nil
 	default:
-		return false, fmt.Errorf("bad switch value %q (on/off)", tok)
+		return 0, fmt.Errorf("bad switch value %q (on/off)", tok)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -153,10 +154,11 @@ func TestIntegerValuePastIntRange(t *testing.T) {
 		}
 	}
 	limit := math.Ldexp(1, strconv.IntSize-1)
-	if _, err := ParamAxis("mpl", []float64{limit}); err == nil {
+	// %v prints the shortest text that parses back to the same float64.
+	if _, err := ParseAxis(fmt.Sprintf("mpl=%v", limit)); err == nil {
 		t.Errorf("mpl=%g (the int limit) accepted", limit)
 	}
-	if _, err := ParamAxis("mpl", []float64{math.Nextafter(limit, 0), -limit}); err != nil {
+	if _, err := ParseAxis(fmt.Sprintf("mpl=%v,%v", math.Nextafter(limit, 0), -limit)); err != nil {
 		t.Errorf("whole numbers inside the int range refused: %v", err)
 	}
 }
@@ -177,8 +179,8 @@ func TestParamsRegistry(t *testing.T) {
 			t.Fatalf("duplicate parameter %q", p.Name)
 		}
 		seen[p.Name] = true
-		if p.Doc == "" || p.Apply == nil {
-			t.Fatalf("parameter %q missing doc or apply", p.Name)
+		if p.Doc == "" || p.set == nil {
+			t.Fatalf("parameter %q missing doc or setter", p.Name)
 		}
 		if p.Kind == KindEnum && len(p.Choices) < 2 {
 			t.Fatalf("enum parameter %q has choices %v", p.Name, p.Choices)
@@ -222,26 +224,24 @@ func TestParamsRegistry(t *testing.T) {
 // TestNoTwoParamsWriteOneField pins the registry invariant that lets a
 // grid combine any axes: no two parameters write the same Config or Params
 // field, so a later axis never overwrites an earlier one's setting in
-// every cell. Each parameter is applied to the defaults at several values,
-// and every field it changes counts as written.
+// every cell. Each parameter's axis over every choice, both switch states
+// or 0, 1 and 2 is applied to the defaults, and every field a point
+// changes counts as written.
 func TestNoTwoParamsWriteOneField(t *testing.T) {
 	owner := map[string]string{}
 	for _, p := range Params() {
-		var values []ParamValue
-		switch p.Kind {
-		case KindEnum:
-			for _, c := range p.Choices {
-				values = append(values, EnumValue(c))
-			}
-		case KindBool:
-			values = []ParamValue{BoolValue(false), BoolValue(true)}
-		default:
-			values = []ParamValue{NumValue(0), NumValue(1), NumValue(2)}
+		values := "all"
+		if p.Kind == KindNumeric || p.Kind == KindInteger {
+			values = "0,1,2"
+		}
+		axis, err := ParseAxis(p.Name + "=" + values)
+		if err != nil {
+			t.Fatal(err)
 		}
 		written := map[string]bool{}
-		for _, v := range values {
+		for _, pt := range axis.Points {
 			cfg, params := core.DefaultConfig(), ocb.DefaultParams()
-			p.Apply(&cfg, &params, v)
+			pt.Apply(&cfg, &params)
 			changedFields(reflect.ValueOf(core.DefaultConfig()), reflect.ValueOf(cfg), "Config", written)
 			changedFields(reflect.ValueOf(ocb.DefaultParams()), reflect.ValueOf(params), "Params", written)
 		}
@@ -314,7 +314,7 @@ func TestMetricLabels(t *testing.T) {
 }
 
 func TestRenderSweep(t *testing.T) {
-	axis, err := ParamAxis("buffpages", []float64{48, 96})
+	axis, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}

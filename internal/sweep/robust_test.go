@@ -22,11 +22,11 @@ func robustGrid(t *testing.T) Sweep {
 	cfg := core.DefaultConfig()
 	cfg.System = core.Centralized
 	cfg.Users = 2
-	buff, err := ParamAxis("buffpages", []float64{48, 96})
+	buff, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpl, err := ParamAxis("mpl", []float64{1, 2})
+	mpl, err := ParseAxis("mpl=1,2")
 	if err != nil {
 		t.Fatal(err)
 	}

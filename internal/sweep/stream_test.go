@@ -107,12 +107,16 @@ func TestHotSkewAxis(t *testing.T) {
 	if p.Kind != KindNumeric || !p.Generative {
 		t.Fatalf("hotskew kind=%s generative=%t, want numeric generative", p.Kind, p.Generative)
 	}
+	skew, err := ParseAxis("hotskew=0.86,0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var params ocb.Params
-	p.Apply(nil, &params, NumValue(0.86))
+	skew.Points[0].Apply(nil, &params)
 	if params.RootDist != ocb.Zipf || params.ZipfTheta != 0.86 {
 		t.Fatalf("hotskew=0.86 applied RootDist=%v theta=%v", params.RootDist, params.ZipfTheta)
 	}
-	p.Apply(nil, &params, NumValue(0))
+	skew.Points[1].Apply(nil, &params)
 	if params.RootDist != ocb.Uniform {
 		t.Fatalf("hotskew=0 applied RootDist=%v, want Uniform", params.RootDist)
 	}

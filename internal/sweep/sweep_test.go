@@ -25,7 +25,7 @@ func matrixSweep(sys core.SystemClass) Sweep {
 	cfg.NetThroughputMBps = 1
 	cfg.BufferPages = 96
 	cfg.Users = 3
-	axis, err := ParamAxis("mpl", []float64{1, 2, 4})
+	axis, err := ParseAxis("mpl=1,2,4")
 	if err != nil {
 		panic(err)
 	}
@@ -120,7 +120,7 @@ func TestArchitectureMatrix(t *testing.T) {
 // that mutates generation inputs — the results have to match the unshared
 // run exactly.
 func TestShareBasesGenerativeAxis(t *testing.T) {
-	axis, err := ParamAxis("no", []float64{400, 600})
+	axis, err := ParseAxis("no=400,600")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestShareBasesGenerativeAxis(t *testing.T) {
 // engage — every replication sees the same base at every point, which the
 // unshared run (per-point seeds) does not guarantee.
 func TestShareBasesNonGenerativeAxis(t *testing.T) {
-	axis, err := ParamAxis("buffpages", []float64{48, 96})
+	axis, err := ParseAxis("buffpages=48,96")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSweepValidate(t *testing.T) {
 	if _, err := s.Run(Options{}); err == nil || !strings.Contains(err.Error(), "empty axis") {
 		t.Errorf("empty axis accepted: %v", err)
 	}
-	ax, err := ParamAxis("mpl", []float64{1, 2})
+	ax, err := ParseAxis("mpl=1,2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSweepValidate(t *testing.T) {
 // TestRunDescendingMatchesAscending: execution order is a pure
 // performance knob; reported results must be bit-identical.
 func TestRunDescendingMatchesAscending(t *testing.T) {
-	axis, err := ParamAxis("no", []float64{400, 700})
+	axis, err := ParseAxis("no=400,700")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestProgressAndDefaults(t *testing.T) {
 	if (Options{Replications: 3}).reps() != 3 {
 		t.Error("explicit replications ignored")
 	}
-	axis, _ := ParamAxis("mpl", []float64{1, 2})
+	axis, _ := ParseAxis("mpl=1,2")
 	cfg := core.DefaultConfig()
 	cfg.BufferPages = 64
 	s := Sweep{Name: "prog", Config: cfg, Params: matrixParams(), Axes: []Axis{axis}, Metrics: []Metric{IOs}}

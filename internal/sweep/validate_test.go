@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func defaultBaseSweep(ax Axis) Sweep {
 // infinite time yields a NaN response time.
 func TestNonFiniteValuesRefused(t *testing.T) {
 	check := func(name string, v float64) error {
-		ax, err := ParamAxis(name, []float64{v})
+		ax, err := ParseAxis(name + "=" + strconv.FormatFloat(v, 'g', -1, 64))
 		if err != nil {
 			return err
 		}

@@ -13,9 +13,11 @@
 //   - declarative multi-metric parameter sweeps (Sweep, Axes, Metric):
 //     any Table 3 or OCB parameter — numeric, integer, enum (SYSCLASS,
 //     PGREP, INITPL, CLUSTP) or switch — swept over any metric subset,
-//     executed through the pooled replication engine (RunSweep, ParamAxis,
-//     EnumAxis), including multi-axis cross-product grids with heatmap
-//     rendering (Grid, SweepResult.Heatmap)
+//     executed through the pooled replication engine (RunSweep), including
+//     multi-axis cross-product grids with heatmap rendering (Grid,
+//     SweepResult.Heatmap); ParseSweepAxis builds every registry axis
+//     from the -sweep text ("mpl=1:16:5", "pgrep=all", "physoids=on,off"),
+//     and a hand-built Axis{Points: …} serves any custom study
 //   - low-level model access for custom studies (NewRun)
 //
 // A minimal study:
@@ -282,18 +284,6 @@ const (
 	BoolParam    = sweep.KindBool
 )
 
-// ParamValue is one typed parameter value (numeric, integer, enum
-// choice, or switch).
-type ParamValue = sweep.ParamValue
-
-// Typed value constructors for ParamValueAxis.
-var (
-	NumValue  = sweep.NumValue
-	IntValue  = sweep.IntValue
-	EnumValue = sweep.EnumValue
-	BoolValue = sweep.BoolValue
-)
-
 // Metric identifies one collected simulation output.
 type Metric = sweep.Metric
 
@@ -427,31 +417,6 @@ func ParseSweepMetrics(list string, p SweepProtocol) ([]Metric, error) {
 // SweepParams lists every named sweepable parameter.
 func SweepParams() []SweepParam { return sweep.Params() }
 
-// ParamAxis builds an axis sweeping the named parameter over numeric
-// values (bool parameters accept 0/1; enum parameters need EnumAxis).
-func ParamAxis(name string, values []float64) (Axis, error) {
-	return sweep.ParamAxis(name, values)
-}
-
-// ParamValueAxis builds an axis sweeping the named parameter over typed
-// values — the general constructor behind ParamAxis and EnumAxis.
-func ParamValueAxis(name string, values []ParamValue) (Axis, error) {
-	return sweep.ParamValueAxis(name, values)
-}
-
-// EnumAxis builds an axis sweeping an enum parameter (sysclass, pgrep,
-// initpl, clustp, prefetch) over the given choices, case-insensitively;
-// with no choices it sweeps every registered choice.
-func EnumAxis(name string, choices ...string) (Axis, error) {
-	return sweep.EnumAxis(name, choices...)
-}
-
-// BoolAxis builds an on/off axis over a switch parameter (physoids);
-// with no values it sweeps off then on.
-func BoolAxis(name string, values ...bool) (Axis, error) {
-	return sweep.BoolAxis(name, values...)
-}
-
 // Grid assembles several axes into the Axes field of a multi-axis sweep:
 //
 //	voodb.Sweep{..., Axes: voodb.Grid(policyAxis, bufferAxis)}
@@ -459,9 +424,11 @@ func BoolAxis(name string, values ...bool) (Axis, error) {
 // runs the full cross-product of the axes' points.
 func Grid(axes ...Axis) []Axis { return sweep.Grid(axes...) }
 
-// ParseSweepAxis compiles a textual axis spec ("mpl=1:16:5",
-// "writeprob=0,0.05,0.2", "pgrep=LRU,FIFO", "physoids=on,off") into an
-// Axis.
+// ParseSweepAxis compiles a textual axis spec into an Axis, in the words
+// of cmd/experiments -sweep: a numeric list or range ("mpl=1:16:5",
+// "writeprob=0,0.05,0.2"), enum choices ("pgrep=LRU,FIFO", case-insensitive)
+// or every choice ("sysclass=all"), and switch states ("physoids=on,off",
+// "physoids=all"). It is the one constructor of a registry axis.
 func ParseSweepAxis(spec string) (Axis, error) { return sweep.ParseAxis(spec) }
 
 // ChartData is one named curve of a multi-series ASCII chart.

@@ -137,7 +137,7 @@ func TestSweepViaFacade(t *testing.T) {
 // enum axis crossed with a numeric axis, run and heatmap-rendered entirely
 // through the public façade.
 func TestGridViaFacade(t *testing.T) {
-	policies, err := voodb.EnumAxis("pgrep", "LRU", "FIFO")
+	policies, err := voodb.ParseSweepAxis("pgrep=LRU,FIFO")
 	if err != nil {
 		t.Fatal(err)
 	}
