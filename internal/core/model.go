@@ -251,6 +251,7 @@ func (r *Run) ExecuteBatch(txs []ocb.Transaction) BatchStats {
 	r.respDist.Reset()
 	r.diskRes.ResetStats()
 	r.serverCPU.ResetStats()
+	r.clientCPU.ResetStats()
 	r.admission.ResetStats()
 
 	next := 0

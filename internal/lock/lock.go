@@ -464,6 +464,9 @@ func (m *Manager) HeldCount(tx Tx) int {
 	return 0
 }
 
+// Locked returns the number of items currently locked or queued on.
+func (m *Manager) Locked() int { return m.items.n }
+
 // updateHeld records item/mode in rec's held list, updating an existing
 // entry or appending. Fresh grants (where the caller knows rec does not
 // hold item) append directly instead; this path serves upgrades and
