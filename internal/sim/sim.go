@@ -53,12 +53,11 @@ func (e *event) before(o *event) bool {
 type Simulation struct {
 	now  Time
 	heap []event // binary min-heap ordered by (time, seq)
-	seq  uint64
+	seq  uint64  // events ever scheduled, the next event's sequence number
 
-	scheduled uint64
-	executed  uint64
-	bypass    uint64 // events Advance continued in place
-	peak      int    // high-water mark of Pending()
+	executed uint64
+	bypass   uint64 // events Advance continued in place
+	peak     int    // high-water mark of Pending()
 
 	// Cooperative halting (see SetStopCheck). The check is polled at a
 	// coarse, masked interval inside Run, never per event, so an
@@ -99,7 +98,7 @@ func (s *Simulation) Pending() int { return len(s.heap) }
 func (s *Simulation) PeakPending() int { return s.peak }
 
 // Scheduled returns the total number of events ever scheduled.
-func (s *Simulation) Scheduled() uint64 { return s.scheduled }
+func (s *Simulation) Scheduled() uint64 { return s.seq }
 
 // Executed returns the total number of events executed.
 func (s *Simulation) Executed() uint64 { return s.executed }
@@ -131,7 +130,6 @@ func (s *Simulation) Schedule(delay Time, action func()) {
 	}
 	s.push(event{time: s.now + delay, seq: s.seq, action: action})
 	s.seq++
-	s.scheduled++
 	if len(s.heap) > s.peak {
 		s.peak = len(s.heap)
 	}
@@ -175,7 +173,6 @@ func (s *Simulation) Advance(d Time) bool {
 		s.peak = p
 	}
 	s.seq++
-	s.scheduled++
 	s.now = t
 	s.executed++
 	s.bypass++
