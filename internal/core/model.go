@@ -33,6 +33,7 @@ type Run struct {
 	serverCPU *sim.Resource // server processor(s)
 	clientCPU *sim.Resource // client processor
 	admission *sim.Resource // database scheduler (MULTILVL tokens)
+	cpu       *sim.Resource // the processing CPU: clientCPU on a page server, serverCPU otherwise
 
 	clusterer cluster.Policy
 	failures  *failureInjector
@@ -97,6 +98,10 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 		serverCPU: sim.NewResource(s, "serverCPU", cfg.ServerCPUs),
 		clientCPU: sim.NewResource(s, "clientCPU", 1),
 		admission: sim.NewResource(s, "database", cfg.MPL),
+	}
+	r.cpu = r.serverCPU
+	if cfg.System == PageServer {
+		r.cpu = r.clientCPU
 	}
 	r.buf.SetReserveCold(cfg.ReserveCold)
 	r.buf.SizePages(st.NumPages())

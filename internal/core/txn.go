@@ -5,78 +5,69 @@ import (
 	"repro/internal/disk"
 	"repro/internal/lock"
 	"repro/internal/ocb"
-	"repro/internal/sim"
 )
 
-// txnState drives the executor's state machine. Each state corresponds to
-// one activity of the knowledge model (acquire lock, extract object,
-// extract pages, access disk, perform treatment related to clustering);
-// step() dispatches on it. An executor goes back to the kernel, through
-// its one reusable continuation, only when another event may fire before
-// its next activity; otherwise it continues in place (see step).
+// txnState is where step resumes the executor. The activities of the
+// knowledge model (acquire lock, extract object, extract pages, access
+// disk, perform treatment related to clustering) run in place between
+// hand-offs, so a state exists only where the executor re-enters after
+// one: a queued lock or resource granted, a delay that could not advance
+// in place, or an I/O list's end (ioNext). Each line says what re-enters.
 type txnState uint8
 
 const (
 	stIdle txnState = iota
-	// stBegin runs at admission grant: register with the lock manager and
-	// start the first operation.
+	// stBegin: the admission token, at once in submit or when queued.
+	// Register with the lock manager and start the first operation.
 	stBegin
-	// stNextOp decides between the next operation and commit, charging the
-	// GETLOCK or RELLOCK service time.
-	stNextOp
-	// stGetLock runs after the GETLOCK service time: the lock table
-	// decides grant, wait, or wait-die death.
-	stGetLock
-	// stFetchObject is the Object Manager: find the page(s) holding the
-	// object.
-	stFetchObject
-	// stFetchPage drives the Buffering Manager for the next page of the
-	// current object.
-	stFetchPage
-	// stFaultLoaded post-processes a completed fault: swizzle-dirty
-	// marking and the prefetch decision.
-	stFaultLoaded
-	// stPageDone is the per-page continuation: Texas reservations, then
-	// page shipping.
-	stPageDone
-	// stReserve claims frames for the swizzled object's reference pages
-	// (the Texas swap mechanism), paying evictions as it goes.
-	stReserve
-	// stShip charges the network for page-server page shipping, then loops
-	// to the next page.
-	stShip
-	// stTreatment is the "Perform Transaction" step on one object: charge
-	// the network for object/result shipping, then the CPU.
-	stTreatment
-	// stCPU requests the processing CPU.
-	stCPU
-	// stCPUGranted holds the CPU for the object processing time.
-	stCPUGranted
-	// stCPURelease releases the CPU after the hold.
-	stCPURelease
-	// stOpDone lets the Clustering Manager observe the access and advances
-	// to the next operation.
-	stOpDone
-	// stCommit runs after the RELLOCK service time: release everything and
-	// recycle the executor.
-	stCommit
-	// stRestart runs after the wait-die abort pause: re-register and
-	// re-run from the first operation.
+	// stRestart: the wait-die abort pause. Re-register and re-run from the
+	// first operation.
 	stRestart
-	// stIO requests the disk controller for the next op of the I/O list,
-	// or continues at ioNext once the list is done.
+	// stGetLock: the GETLOCK service time. The lock table decides grant,
+	// wait, or wait-die death.
+	stGetLock
+	// stFetchObject: a queued lock request's grant (lockGranted). The
+	// Object Manager finds the pages holding the object.
+	stFetchObject
+	// stFetchPage: a page server's page shipping, or the end of a missed
+	// page's loading. The Buffering Manager serves the object's next
+	// pages; then the treatment ships the object or its result.
+	stFetchPage
+	// stCPU: the treatment's shipping. Request the processing CPU.
+	stCPU
+	// stCPUGranted: a queued CPU request's grant. Hold it for the object
+	// processing time.
+	stCPUGranted
+	// stCPURelease: the CPU hold. Release it, let the Clustering Manager
+	// observe the access, and charge the next operation's GETLOCK.
+	stCPURelease
+	// stCommit: the RELLOCK service time. Release everything and recycle
+	// the executor.
+	stCommit
+	// stFaultLoaded: a fault's I/O list. Swizzle-dirty marking and the
+	// prefetch decision.
+	stFaultLoaded
+	// stPageDone: a prefetch's I/O list. Texas reservations for the
+	// faulted object.
+	stPageDone
+	// stReserve: a reservation's write-back. Claim the rest of the
+	// reservation set, then ship the page and go on at stFetchPage.
+	stReserve
+	// stIO: the start of an I/O list (evictIO, a failure's strike,
+	// PerformClustering). Request the disk controller for the next op, or
+	// continue at ioNext once the list is done.
 	stIO
-	// stDiskGrant computes the op's service time once the controller is
-	// granted.
+	// stDiskGrant: a queued controller request's grant. Compute the op's
+	// service time.
 	stDiskGrant
-	// stDiskRelease releases the controller after the op and returns to
-	// stIO.
+	// stDiskRelease: the op's transfer. Release the controller and go on
+	// with the list.
 	stDiskRelease
-	// stReorgDone ends a reorganization: drop the stale buffer, report,
-	// recycle the executor and continue.
+	// stReorgDone: a reorganization's I/O list. Drop the stale buffer,
+	// report, recycle the executor and continue.
 	stReorgDone
-	// stRepairDone ends a failure's repair: recycle the executor and arm
-	// the next failure.
+	// stRepairDone: a repair's hold. Recycle the executor and arm the
+	// next failure.
 	stRepairDone
 )
 
@@ -118,11 +109,8 @@ type txnExec struct {
 
 	state txnState
 
-	pages   []disk.PageID // pages of the current op (reused buffer)
-	pageIdx int
-
-	faultPage disk.PageID
-	loaded    bool // whether the current page required a physical read
+	page, pageEnd disk.PageID // the current op's next page and the page past its last
+	faultPage     disk.PageID // the page the current fault loads
 
 	reserve []disk.PageID // Texas reservation set (reused buffer)
 	resIdx  int
@@ -131,8 +119,6 @@ type txnExec struct {
 	ioIdx  int      // next op of io
 	ioNext txnState // state to resume once every op is done
 	hold   float64  // an ioHold's duration
-
-	cpuRes *sim.Resource
 
 	// cont is the one reusable continuation scheduled on the kernel, and
 	// the only kernel entry; lockGranted is the pre-bound callback of a
@@ -216,11 +202,33 @@ func (e *txnExec) wait(d float64, kernel bool) bool {
 	return false
 }
 
-// step executes states until the executor hands off: a scheduled delay, a
-// queued resource or lock request, a restart, or its final state (commit,
-// or the end of a reorganization or repair). Everything else loops in
-// place — zero delays, free resources, immediate lock grants — and so do
-// delays when kernel is set, as long as no other event can fire first.
+// nextOp charges the GETLOCK service time of the next operation or, once
+// every operation is done, the RELLOCK time of the locks held, and reports
+// whether the caller continues in place, like wait.
+func (e *txnExec) nextOp(kernel bool) bool {
+	if e.opIdx < len(e.tx.Ops) {
+		e.state = stGetLock
+		return e.wait(e.r.cfg.GetLockMs, kernel)
+	}
+	held := e.r.locks.HeldCount(e.lockTx)
+	e.state = stCommit
+	return e.wait(float64(held)*e.r.cfg.RelLockMs, kernel)
+}
+
+// shipPage charges a page server's shipping of one page to its client and
+// reports whether the caller continues in place, like wait. Object servers
+// ship the object once found, in the treatment; centralized and database
+// servers move no page.
+func (e *txnExec) shipPage(kernel bool) bool {
+	r := e.r
+	return r.cfg.System != PageServer || r.net.IsFree() || e.wait(r.net.TransferTime(r.cfg.PageSize), kernel)
+}
+
+// step runs the executor until it hands off: a scheduled delay, a queued
+// resource or lock request, a restart, or its final state (commit, or the
+// end of a reorganization or repair). Everything else goes on in place —
+// zero delays, free resources, immediate lock grants — and so do delays
+// when kernel is set, as long as no other event can fire first.
 //
 // kernel is set only on the kernel entry, e.cont: its frame ends the
 // running event, so advancing the clock there is what returning to the
@@ -233,33 +241,24 @@ func (e *txnExec) wait(d float64, kernel bool) bool {
 // goes on granting after it returns.
 func (e *txnExec) step(kernel bool) {
 	r := e.r
+dispatch:
 	for {
+		// The case order is the rule: from stGetLock to stCPURelease the
+		// cases follow one access's uncontended path in text order, each
+		// falling through to the next, so an access whose lock is granted,
+		// whose pages hit and whose delays advance in place costs one
+		// dispatch. A path that leaves the chain sets the state it resumes
+		// at, then returns on a hand-off or ends its case to dispatch again.
 		switch e.state {
 		case stBegin:
 			r.activeTx++
-			e.lockTx = r.locks.Begin()
-			e.opIdx = 0
-			e.prev = ocb.NilRef
-			e.state = stNextOp
+			fallthrough
 
 		case stRestart:
 			e.lockTx = r.locks.Begin()
 			e.opIdx = 0
 			e.prev = ocb.NilRef
-			e.state = stNextOp
-
-		case stNextOp:
-			if e.opIdx >= len(e.tx.Ops) {
-				held := r.locks.HeldCount(e.lockTx)
-				e.state = stCommit
-				if !e.wait(float64(held)*r.cfg.RelLockMs, kernel) {
-					return
-				}
-				continue
-			}
-			// GETLOCK service time, then the lock table decides.
-			e.state = stGetLock
-			if !e.wait(r.cfg.GetLockMs, kernel) {
+			if !e.nextOp(kernel) {
 				return
 			}
 
@@ -270,138 +269,115 @@ func (e *txnExec) step(kernel bool) {
 				mode = lock.Exclusive
 			}
 			switch r.locks.Acquire(e.lockTx, lock.Item(op.Object()), mode, e.lockGranted) {
-			case lock.Granted:
-				e.state = stFetchObject
 			case lock.Queued:
 				return
 			case lock.Died:
 				e.restart()
 				return
 			}
+			fallthrough
 
 		case stFetchObject:
 			first, span := r.store.Pages(e.tx.Ops[e.opIdx].Object())
-			e.pages = e.pages[:0]
-			for i := 0; i < span; i++ {
-				e.pages = append(e.pages, first+disk.PageID(i))
-			}
-			e.pageIdx = 0
-			e.state = stFetchPage
+			e.page, e.pageEnd = first, first+disk.PageID(span)
+			fallthrough
 
 		case stFetchPage:
-			if e.pageIdx >= len(e.pages) {
-				e.state = stTreatment
-				continue
-			}
-			p := e.pages[e.pageIdx]
-			e.pageIdx++
-			res := r.buf.Access(p, e.tx.Ops[e.opIdx].Write())
-			if res.Hit {
-				e.loaded = false
-				e.state = stPageDone
-				continue
-			}
-			// Write back dirty victims, read the page, then post-process.
-			e.loaded = true
-			e.faultPage = p
-			e.evictIO(res.Evicted, p, stFaultLoaded)
-
-		case stFaultLoaded:
-			if r.cfg.SwizzleDirty {
-				r.buf.MarkDirty(e.faultPage)
-			}
-			// One-ahead prefetching: also fetch page p+1 on a miss of p.
-			if r.cfg.Prefetch == OneAhead {
-				next := e.faultPage + 1
-				if int(next) < r.store.NumPages() && !r.buf.Contains(next) && !r.buf.IsReserved(next) {
-					res := r.buf.Access(next, false)
-					if res.Hit {
-						e.state = stPageDone
-						continue
-					}
-					e.evictIO(res.Evicted, next, stPageDone)
-					continue
-				}
-			}
-			e.state = stPageDone
-
-		case stPageDone:
-			if e.loaded && r.cfg.ReserveOnLoad {
-				// Texas swizzles the freshly faulted object's pointers,
-				// reserving frames for every page it references.
-				e.reserve = r.store.ObjectRefPagesInto(e.tx.Ops[e.opIdx].Object(), e.reserve[:0])
-				e.resIdx = 0
-				e.state = stReserve
-				continue
-			}
-			e.state = stShip
-
-		case stReserve:
-			// A reservation evicts at most one page, and only a dirty one
-			// costs I/O: the rest go on in place.
-			e.state = stShip
-			for e.resIdx < len(e.reserve) {
-				p := e.reserve[e.resIdx]
-				e.resIdx++
-				if evs := r.buf.Reserve(p).Evicted; len(evs) > 0 && evs[0].Dirty {
-					e.evictIO(evs, disk.None, stReserve)
-					break
-				}
-			}
-
-		case stShip:
-			// Page server systems ship the page to the client; object
-			// servers ship the object once found (charged in stTreatment);
-			// centralized and DB servers move nothing.
+			// Hits go on here. A miss writes back its dirty victims, reads
+			// the page and post-processes it, then comes back.
 			e.state = stFetchPage
-			if r.cfg.System == PageServer && !r.net.IsFree() {
-				if !e.wait(r.net.TransferTime(r.cfg.PageSize), kernel) {
+			write := e.tx.Ops[e.opIdx].Write()
+			for e.page < e.pageEnd {
+				p := e.page
+				e.page++
+				if res := r.buf.Access(p, write); !res.Hit {
+					e.faultPage = p
+					e.evictIO(res.Evicted, p, stFaultLoaded)
+					continue dispatch
+				}
+				if !e.shipPage(kernel) {
 					return
 				}
 			}
-
-		case stTreatment:
+			// The treatment: an object server ships the object, a
+			// database server a small per-operation result record.
 			e.state = stCPU
-			if r.cfg.System == ObjectServer && !r.net.IsFree() {
-				size := int(r.db.SizeOf(e.tx.Ops[e.opIdx].Object()))
+			if sys := r.cfg.System; (sys == ObjectServer || sys == DBServer) && !r.net.IsFree() {
+				size := 64
+				if sys == ObjectServer {
+					size = int(r.db.SizeOf(e.tx.Ops[e.opIdx].Object()))
+				}
 				if !e.wait(r.net.TransferTime(size), kernel) {
 					return
 				}
 			}
-			if r.cfg.System == DBServer && !r.net.IsFree() {
-				// Ship a small per-operation result record.
-				if !e.wait(r.net.TransferTime(64), kernel) {
-					return
-				}
-			}
+			fallthrough
 
 		case stCPU:
-			cpu := r.serverCPU
-			if r.cfg.System == PageServer {
-				cpu = r.clientCPU
-			}
-			e.cpuRes = cpu
 			e.state = stCPUGranted
-			if !cpu.Acquire(e.cont) {
+			if !r.cpu.Acquire(e.cont) {
 				return
 			}
+			fallthrough
 
 		case stCPUGranted:
 			e.state = stCPURelease
 			if !e.wait(r.cfg.ObjectCPUMs, kernel) {
 				return
 			}
+			fallthrough
 
 		case stCPURelease:
-			e.cpuRes.Release()
-			e.state = stOpDone
-
-		case stOpDone:
+			r.cpu.Release()
 			op := e.tx.Ops[e.opIdx]
 			r.clusterer.Observe(op.Object(), e.prev, op.Write())
 			e.prev = op.Object()
 			e.opIdx++
-			e.state = stNextOp
+			if !e.nextOp(kernel) {
+				return
+			}
+
+		case stFaultLoaded:
+			if r.cfg.SwizzleDirty {
+				r.buf.MarkDirty(e.faultPage)
+			}
+			// One-ahead prefetching: also fetch page p+1 on a miss of p.
+			if next := e.faultPage + 1; r.cfg.Prefetch == OneAhead && int(next) < r.store.NumPages() && !r.buf.Contains(next) && !r.buf.IsReserved(next) {
+				if res := r.buf.Access(next, false); !res.Hit {
+					e.evictIO(res.Evicted, next, stPageDone)
+					continue
+				}
+			}
+			fallthrough
+
+		case stPageDone:
+			e.reserve, e.resIdx = e.reserve[:0], 0
+			if r.cfg.ReserveOnLoad {
+				// Texas swizzles the freshly faulted object's pointers,
+				// reserving frames for every page it references.
+				e.reserve = r.store.ObjectRefPagesInto(e.tx.Ops[e.opIdx].Object(), e.reserve)
+			}
+			fallthrough
+
+		case stReserve:
+			// A reservation evicts at most one page, and only a dirty one
+			// costs I/O: the rest go on in place.
+			for e.resIdx < len(e.reserve) {
+				p := e.reserve[e.resIdx]
+				e.resIdx++
+				if evs := r.buf.Reserve(p).Evicted; len(evs) > 0 && evs[0].Dirty {
+					e.evictIO(evs, disk.None, stReserve)
+					continue dispatch
+				}
+			}
+			e.state = stFetchPage
+			if !e.shipPage(kernel) {
+				return
+			}
+
+		case stDiskRelease:
+			r.diskRes.Release()
+			fallthrough
 
 		case stIO:
 			if e.ioIdx >= len(e.io) {
@@ -412,6 +388,7 @@ func (e *txnExec) step(kernel bool) {
 			if !r.diskRes.Acquire(e.cont) {
 				return
 			}
+			fallthrough
 
 		case stDiskGrant:
 			// The controller is granted: compute the service time now
@@ -434,10 +411,6 @@ func (e *txnExec) step(kernel bool) {
 			if !e.wait(d, kernel) {
 				return
 			}
-
-		case stDiskRelease:
-			r.diskRes.Release()
-			e.state = stIO
 
 		case stReorgDone:
 			// Placement changed: every cached page is stale. Dirty pages
