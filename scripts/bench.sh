@@ -10,15 +10,27 @@
 # gate of scripts/bench_compare.sh nor hides an allocation. The
 # figure-level benchmarks run once, at FIG_BENCHTIME.
 #
+# Given a parent revision, it records a trajectory pair instead: it builds
+# the parent's test binaries from a temporary checkout of that revision
+# (git archive, so an interrupted run leaves nothing registered in .git)
+# and the working tree's beside them, then alternates the two sides run by
+# run, swapping which side goes first every round. A host slowdown then
+# lands on both sides alike instead of on one recording. It writes the
+# parent's summary and then the change's; by default they take the next
+# two free BENCH_<date>[b-z].json names, so bench_compare.sh diffs them.
+#
 # Usage: scripts/bench.sh [output.json]
+#        scripts/bench.sh -parent REV [parent.json change.json]
 #   FIG_BENCHTIME=3x scripts/bench.sh   # more figure iterations
 #   FIG_WORKERS=1 scripts/bench.sh      # force the sequential engine
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-TMP="$(mktemp)"
-trap 'rm -f "$TMP"' EXIT
+PARENT=""
+if [ "${1:-}" = "-parent" ]; then
+  PARENT="${2:?-parent needs a revision}"
+  shift 2
+fi
 
 # Worker count of the figure benchmark's replication engine: 0 = all cores
 # (the Experiment default). Recorded in the JSON so parallel and sequential
@@ -33,20 +45,88 @@ export FIG_WORKERS="$WORKERS"
 # readers can tell single-core points from multi-core ones.
 CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo unknown)"
 GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
-
+DATE="$(date +%Y-%m-%d)"
 COUNT=5
-{
-  go test -run '^$' -bench 'BenchmarkScheduleStep|BenchmarkScheduleRun|BenchmarkAdvanceChain' -benchmem -count "$COUNT" ./internal/sim/
-  go test -run '^$' -bench 'BenchmarkCalendarScale' -benchmem -count "$COUNT" ./internal/sim/
-  go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireReleaseInterleaved|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem -count "$COUNT" ./internal/lock/
-  go test -run '^$' -bench 'BenchmarkTxnSubmitCommit|BenchmarkTxnTexasReserve' -benchmem -count "$COUNT" ./internal/core/
-  go test -run '^$' -bench 'BenchmarkOCBGenerate' -benchmem -count "$COUNT" ./internal/ocb/
-  go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamGenerateInto|BenchmarkStreamAccess' -benchmem -count "$COUNT" ./internal/ocb/
-  go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPL|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .
-} | tee "$TMP"
 
-awk -v date="$(date +%Y-%m-%d)" \
-    -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+# next_free prints the first BENCH_<date>[b-z].json name that neither
+# exists nor is taken by the names given.
+next_free() {
+  local s f
+  for s in "" b c d e f g h i j k l m n o p q r s t u v w x y z; do
+    f="BENCH_$DATE$s.json"
+    if [ ! -e "$f" ] && [[ " $* " != *" $f "* ]]; then
+      echo "$f"
+      return
+    fi
+  done
+  echo "bench.sh: no free BENCH_$DATE name" >&2
+  exit 1
+}
+
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+
+# Sides: a source tree, a commit label and an output file each.
+if [ -n "$PARENT" ]; then
+  mkdir "$WORK/parent-src"
+  git archive --format=tar "$PARENT" | tar -x -C "$WORK/parent-src"
+  SIDES=(parent change)
+  SRC_parent="$WORK/parent-src"
+  COMMIT_parent="$(git rev-parse --short "$PARENT")"
+  OUT_parent="${1:-$(next_free)}"
+  OUT_change="${2:-$(next_free "$OUT_parent")}"
+else
+  SIDES=(change)
+  OUT_change="${1:-BENCH_$DATE.json}"
+fi
+SRC_change="$PWD"
+COMMIT_change="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+
+# Each set: package directory; -bench pattern; runs a side; -benchtime
+# (empty: the default).
+SETS=(
+  "internal/sim;BenchmarkScheduleStep|BenchmarkScheduleRun|BenchmarkAdvanceChain;$COUNT;"
+  "internal/sim;BenchmarkCalendarScale;$COUNT;"
+  "internal/lock;BenchmarkAcquireReleaseCycle|BenchmarkAcquireReleaseInterleaved|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide;$COUNT;"
+  "internal/core;BenchmarkTxnSubmitCommit|BenchmarkTxnTexasReserve;$COUNT;"
+  "internal/ocb;BenchmarkOCBGenerate;$COUNT;"
+  "internal/ocb;BenchmarkStreamGen1M|BenchmarkStreamGenerateInto|BenchmarkStreamAccess;$COUNT;"
+  ".;BenchmarkFig6|BenchmarkLargeMPL|BenchmarkStreamMillionObjects;1;${FIG_BENCHTIME:-1x}"
+)
+
+# bin <side> <package directory> names the side's test binary of it.
+bin() { local b="${2//\//_}"; echo "$WORK/$1/${b/#./root}.test"; }
+
+# Build every side's test binaries before the first run, so no build
+# overlaps a measurement.
+for side in "${SIDES[@]}"; do
+  src="SRC_$side"
+  for pkg in $(printf '%s\n' "${SETS[@]}" | cut -d';' -f1 | sort -u); do
+    (cd "${!src}" && go test -c -o "$(bin "$side" "$pkg")" "./$pkg")
+  done
+  : > "$WORK/$side.out"
+done
+
+for g in "${SETS[@]}"; do
+  IFS=';' read -r pkg pattern runs benchtime <<< "$g"
+  for ((k = 0; k < runs; k++)); do
+    order=("${SIDES[@]}")
+    if [ "${#SIDES[@]}" -eq 2 ] && [ $((k % 2)) -eq 1 ]; then
+      order=("${SIDES[1]}" "${SIDES[0]}")
+    fi
+    for side in "${order[@]}"; do
+      src="SRC_$side"
+      echo "== $side: $pkg run $((k + 1))/$runs" >&2
+      (cd "${!src}/$pkg" && "$(bin "$side" "$pkg")" -test.run '^$' -test.bench "$pattern" \
+        -test.benchmem -test.timeout 10m ${benchtime:+-test.benchtime "$benchtime"}) | tee -a "$WORK/$side.out"
+    done
+  done
+done
+
+# summarize <run output> <commit> writes the BENCH JSON of one side.
+summarize() {
+awk -v date="$DATE" \
+    -v commit="$2" \
     -v cores="$CORES" \
     -v gomaxprocs="$GOMAXPROCS_EFF" \
     -v workers="$WORKERS" '
@@ -92,6 +172,11 @@ END {
     printf "%s}%s\n", line, (j < n - 1 ? "," : "")
   }
   printf "  ]\n}\n"
-}' "$TMP" > "$OUT"
+}' "$1"
+}
 
-echo "wrote $OUT"
+for side in "${SIDES[@]}"; do
+  commit="COMMIT_$side" out="OUT_$side"
+  summarize "$WORK/$side.out" "${!commit}" > "${!out}"
+  echo "wrote ${!out} ($side, ${!commit})"
+done
