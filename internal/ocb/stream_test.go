@@ -231,6 +231,21 @@ func TestStreamResidencyScaling(t *testing.T) {
 	}
 }
 
+// TestEagerResidentPerObject bounds an eager base's resident bytes per
+// object, in both eager layouts: its class, the start of its references,
+// its instance-list entry and its references, with no per-object record on
+// top of them.
+func TestEagerResidentPerObject(t *testing.T) {
+	p := streamTestParams()["base"]
+	p.NO = 48000
+	for _, layout := range []Layout{LayoutEager, LayoutEagerV2} {
+		db := generateLayout(t, p, layout, 11)
+		if per := float64(db.ResidentBytes()) / float64(p.NO); per > 40 {
+			t.Errorf("%v base at NO=%d, NC=%d: %.1f resident bytes per object, want ≤ 40", layout, p.NO, p.NC, per)
+		}
+	}
+}
+
 // TestStreamCacheCappedByObjects: the direct-mapped cache holds
 // min(4096, NO) lines rounded up to a power of two, so it never uses more
 // slots than the base has objects, and never more than 4096.
