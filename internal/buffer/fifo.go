@@ -49,9 +49,7 @@ func (p *lfu) Reset() {
 }
 
 func (p *lfu) Inserted(f int32, _ PageID) {
-	if int(f) == len(p.frames) {
-		p.frames = append(p.frames, lfuFrame{})
-	}
+	p.frames = extend(p.frames, int(f)+1)
 	p.clock++
 	p.frames[f] = lfuFrame{count: 1, inserted: p.clock}
 }
@@ -97,9 +95,14 @@ func (p *random) Reseed(seed uint64) {
 	p.src.Reinit(seed)
 }
 
-func (p *random) Reset()                     { p.order = p.order[:0] }
-func (p *random) Inserted(f int32, _ PageID) { p.order = append(p.order, f) }
-func (p *random) Touched(int32)              {}
+func (p *random) Reset()        { p.order = p.order[:0] }
+func (p *random) Touched(int32) {}
+
+func (p *random) Inserted(f int32, _ PageID) {
+	n := len(p.order)
+	p.order = extend(p.order, n+1)
+	p.order[n] = f
+}
 
 func (p *random) Victim() int32 {
 	n := len(p.order)

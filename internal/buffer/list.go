@@ -3,8 +3,8 @@ package buffer
 // frameList is a doubly linked list of small integer slots — buffer frames,
 // or 2Q's ghost entries — threaded through a slot-indexed link table, with
 // -1 at either end. The front is the most recently pushed end. The table
-// grows when a slot is first pushed and is kept across reset, so
-// steady-state use allocates nothing. The zero value is an empty list.
+// grows (by extend) when a slot is first pushed and is kept across reset,
+// so steady-state use allocates nothing. The zero value is an empty list.
 type frameList struct {
 	links       []link
 	front, back int32 // meaningful only when len > 0
@@ -15,11 +15,7 @@ type link struct{ prev, next int32 }
 
 func (l *frameList) reset() { l.len = 0 }
 
-func (l *frameList) grow(s int32) {
-	for int(s) >= len(l.links) {
-		l.links = append(l.links, link{})
-	}
-}
+func (l *frameList) grow(s int32) { l.links = extend(l.links, int(s)+1) }
 
 func (l *frameList) pushFront(s int32) {
 	l.grow(s)

@@ -54,7 +54,7 @@ type AccessResult struct {
 type Manager struct {
 	capacity int
 	policy   Policy
-	frames   []frame // resident pages in fill order, grown on demand
+	frames   []frame // resident pages in fill order, sized by SizePages
 	frameOf  []int32 // indexed by PageID: frame + 1, 0 when not resident
 
 	// coldIns inserts reserved frames at the eviction end instead of the
@@ -100,13 +100,17 @@ func New(capacity int, policy Policy) *Manager {
 	}
 }
 
-// SizePages sizes the page table for pages 0…n−1 in one allocation, so a
-// fresh model does not grow it by append as its pages first appear. The
-// model passes its store's page count; pages past it (those a
-// reorganization appends) still grow the table on demand.
+// SizePages sizes the page table for pages 0…n−1, and the frame table for
+// the min(capacity, n) frames those pages can fill, in one allocation
+// each, so a fresh model does not grow them by append as its pages first
+// appear. The model passes its store's page count; pages past it (those a
+// reorganization appends) still grow both tables on demand.
 func (m *Manager) SizePages(n int) {
 	if n > len(m.frameOf) {
 		m.frameOf = slices.Grow(m.frameOf, n-len(m.frameOf))[:n]
+	}
+	if f := min(m.capacity, n); f > cap(m.frames) {
+		m.frames = slices.Grow(m.frames, f-len(m.frames))
 	}
 }
 

@@ -9,7 +9,7 @@
 // The Manager is the only code that maps a page to its buffer state. It
 // keeps the resident pages in frames 0…Len()−1, filled in order and emptied
 // only all at once, and a policy ranks those frame numbers: its state lives
-// in slices indexed by frame, grown as frames first fill.
+// in slices indexed by frame, grown by extend as frames first fill.
 package buffer
 
 import (
@@ -96,6 +96,22 @@ func NewPolicy(name string, src *rng.Source, capacity int) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("buffer: unknown replacement policy %q", name)
 	}
+}
+
+// extend returns s lengthened to n elements, doubling its capacity when it
+// must reallocate, so a table grown one frame at a time allocates about
+// twice its final size in all. Elements past the old length are not
+// cleared: every caller writes an element before it reads it.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	return s[:n]
 }
 
 // PolicyNames lists the recognized PGREP values in a stable order.

@@ -58,9 +58,7 @@ func (p *twoQ) Reset() {
 
 // admit records that frame f holds page pg, on probation or not.
 func (p *twoQ) admit(f int32, pg PageID, probation bool) {
-	if int(f) == len(p.frames) {
-		p.frames = append(p.frames, qFrame{})
-	}
+	p.frames = extend(p.frames, int(f)+1)
 	p.frames[f] = qFrame{page: pg, probation: probation}
 }
 
@@ -119,7 +117,8 @@ func (p *twoQ) remember(pg PageID) {
 		p.ghostPage[s] = pg
 	} else {
 		s = int32(len(p.ghostPage))
-		p.ghostPage = append(p.ghostPage, pg)
+		p.ghostPage = extend(p.ghostPage, int(s)+1)
+		p.ghostPage[s] = pg
 	}
 	if need := int(pg) + 1; need > len(p.ghostOf) {
 		p.ghostOf = append(p.ghostOf, make([]int32, need-len(p.ghostOf))...)

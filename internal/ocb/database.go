@@ -25,16 +25,6 @@ type Class struct {
 	Refs         []ClassRef
 }
 
-// Object is one instance in the object base.
-type Object struct {
-	Class int32
-	Size  int32
-	// Refs holds the target OID for each of the class's references, in
-	// declaration order. A reference may be NilRef when the target class
-	// had no instance available.
-	Refs []OID
-}
-
 // NilRef marks an unresolvable object reference.
 const NilRef OID = -1
 
@@ -44,10 +34,16 @@ const NilRef OID = -1
 // (storage placement, workload draws, and reorganizations all keep their
 // own state), so one Database may be shared across concurrent replications.
 // GenerateInto is the one exception — it rebuilds the receiver in place.
+//
+// An object's size and reference count are its class's, so an eager base
+// keeps two int32s per object: its class (objClass) and the start of its
+// references in refArena (refStart, len NO+1, so object o's references
+// are refArena[refStart[o]:refStart[o+1]]). A streaming base keeps
+// neither. ClassOf, SizeOf, RefsOf and NumObjects are the per-object reads,
+// whatever the layout.
 type Database struct {
 	Params  Params
 	Classes []Class
-	Objects []Object
 	// ByClass lists the OIDs of each class's instances in creation order.
 	ByClass [][]OID
 	// HotRoots is the fixed root population when Params.HotRootCount > 0
@@ -61,6 +57,8 @@ type Database struct {
 	// their address for the Zipf samplers cannot force a heap escape.
 	classRefArena []ClassRef
 	byClassArena  []OID
+	objClass      []int32
+	refStart      []int32
 	refArena      []OID
 	counts        []int
 	permScratch   []int
@@ -153,7 +151,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	// instances per class, then each class's slice is sized into the arena
 	// and filled in OID order — the same content the old per-class appends
 	// produced, without NC growing slices.
-	db.Objects = grown(db.Objects, p.NO)
+	db.objClass = grown(db.objClass, p.NO)
 	db.ByClass = grown(db.ByClass, p.NC)
 	var objClassZipf *rng.Zipf
 	if p.ObjClassDist == Zipf {
@@ -172,10 +170,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 		} else {
 			cls = objSrc.Intn(p.NC)
 		}
-		db.Objects[o] = Object{
-			Class: int32(cls),
-			Size:  int32(db.Classes[cls].InstanceSize),
-		}
+		db.objClass[o] = int32(cls)
 		counts[cls]++
 		totalRefs += len(db.Classes[cls].Refs)
 	}
@@ -185,8 +180,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 		db.ByClass[c] = db.byClassArena[off : off : off+counts[c]]
 		off += counts[c]
 	}
-	for o := range db.Objects {
-		cls := db.Objects[o].Class
+	for o, cls := range db.objClass {
 		db.ByClass[cls] = append(db.ByClass[cls], OID(o))
 	}
 
@@ -203,30 +197,29 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	}
 
 	// --- object references ---
-	// All Refs slices share one backing arena sized in a single shot (full
-	// capacity slice expressions keep neighbouring objects from appending
-	// into each other). Objects are visited in OID order, the order ByClass
-	// lists them in, so counts — free once ByClass is carved — becomes each
-	// class's running rank.
+	// Every object's references are one run of the reference arena, in OID
+	// order. Objects are visited in OID order, the order ByClass lists them
+	// in, so counts — free once ByClass is carved — becomes each class's
+	// running rank.
 	db.refArena = grown(db.refArena, totalRefs)
+	db.refStart = grown(db.refStart, p.NO+1)
 	clear(counts)
 	off = 0
-	for o := range db.Objects {
-		obj := &db.Objects[o]
-		cls := int(obj.Class)
-		refs := db.Classes[cls].Refs
-		obj.Refs = db.refArena[off : off+len(refs) : off+len(refs)]
-		off += len(refs)
+	for o, c := range db.objClass {
+		cls := int(c)
+		db.refStart[o] = int32(off)
 		myRank := counts[cls]
 		counts[cls]++
-		for r, cr := range refs {
+		for _, cr := range db.Classes[cls].Refs {
 			cands := db.ByClass[cr.Target]
-			obj.Refs[r] = NilRef
+			db.refArena[off] = NilRef
 			if k := pickRank(refSrc, p.ObjectLocality, len(cands), myRank, selfRank(cr.Target, cls, myRank)); k >= 0 {
-				obj.Refs[r] = cands[k]
+				db.refArena[off] = cands[k]
 			}
+			off++
 		}
 	}
+	db.refStart[p.NO] = int32(off)
 	return nil
 }
 
@@ -334,37 +327,23 @@ func selfRank(target, cls, myRank int) int {
 }
 
 // TotalBytes returns the sum of all instance sizes (the logical base size,
-// before any storage overhead). On a streaming base it is computed from the
-// per-class counts in O(classes).
+// before any storage overhead), computed from the per-class counts in
+// O(classes).
 func (db *Database) TotalBytes() int64 {
-	if db.stream != nil {
-		var total int64
-		for c := range db.Classes {
-			total += int64(db.Classes[c].InstanceSize) * int64(db.ClassCount(c))
-		}
-		return total
-	}
 	var total int64
-	for i := range db.Objects {
-		total += int64(db.Objects[i].Size)
+	for c := range db.Classes {
+		total += int64(db.Classes[c].InstanceSize) * int64(db.ClassCount(c))
 	}
 	return total
 }
 
 // AvgRefs returns the mean number of declared references per object.
 func (db *Database) AvgRefs() float64 {
-	if db.stream != nil {
-		var total int
-		for c := range db.Classes {
-			total += len(db.Classes[c].Refs) * db.ClassCount(c)
-		}
-		return float64(total) / float64(db.NumObjects())
-	}
 	var total int
-	for i := range db.Objects {
-		total += len(db.Objects[i].Refs)
+	for c := range db.Classes {
+		total += len(db.Classes[c].Refs) * db.ClassCount(c)
 	}
-	return float64(total) / float64(len(db.Objects))
+	return float64(total) / float64(db.NumObjects())
 }
 
 // Stats summarizes the generated base for reports and cmd/ocbgen.

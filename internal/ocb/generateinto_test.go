@@ -2,13 +2,14 @@ package ocb
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // equalDatabases compares the observable content of two databases (the
-// exported object-graph fields; generation arenas are implementation
-// detail). HotRoots is compared element-wise so nil and empty are
-// equivalent.
+// exported object-graph fields and every object's class, size and
+// references; generation arenas are implementation detail). HotRoots is
+// compared element-wise so nil and empty are equivalent.
 func equalDatabases(a, b *Database) bool {
 	if a.Params != b.Params {
 		return false
@@ -16,8 +17,14 @@ func equalDatabases(a, b *Database) bool {
 	if !reflect.DeepEqual(a.Classes, b.Classes) {
 		return false
 	}
-	if !reflect.DeepEqual(a.Objects, b.Objects) {
+	if a.NumObjects() != b.NumObjects() || len(a.objClass) != len(b.objClass) {
 		return false
+	}
+	for i := 0; i < a.NumObjects(); i++ {
+		o := OID(i)
+		if a.ClassOf(o) != b.ClassOf(o) || a.SizeOf(o) != b.SizeOf(o) || !slices.Equal(a.RefsOf(o), b.RefsOf(o)) {
+			return false
+		}
 	}
 	if !reflect.DeepEqual(a.ByClass, b.ByClass) {
 		return false

@@ -220,7 +220,8 @@ func generateV2(db *Database, p Params, seed uint64) error {
 		// Release the O(objects + refs) arenas: only the index (Classes,
 		// classStart, HotRoots) and the bounded cache stay resident. A
 		// later eager rebuild re-grows them.
-		db.Objects = nil
+		db.objClass = nil
+		db.refStart = nil
 		db.ByClass = nil
 		db.byClassArena = nil
 		db.refArena = nil
@@ -234,7 +235,8 @@ func generateV2(db *Database, p Params, seed uint64) error {
 	// identity arena, and the materialization loop below walks classes in
 	// order — which is OID order.
 	db.stream = nil
-	db.Objects = grown(db.Objects, p.NO)
+	db.objClass = grown(db.objClass, p.NO)
+	db.refStart = grown(db.refStart, p.NO+1)
 	db.ByClass = grown(db.ByClass, p.NC)
 	db.byClassArena = grown(db.byClassArena, p.NO)
 	for i := range db.byClassArena {
@@ -250,62 +252,54 @@ func generateV2(db *Database, p Params, seed uint64) error {
 	src := &db.refSrc
 	refOff := 0
 	for c := 0; c < p.NC; c++ {
-		size := int32(db.Classes[c].InstanceSize)
 		crefs := db.Classes[c].Refs
 		lo, hi := db.classStart[c], db.classStart[c+1]
 		for o := lo; o < hi; o++ {
-			obj := &db.Objects[o]
-			obj.Class = int32(c)
-			obj.Size = size
-			obj.Refs = db.refArena[refOff : refOff : refOff+len(crefs)]
-			refOff += len(crefs)
+			db.objClass[o] = int32(c)
+			db.refStart[o] = int32(refOff)
 			src.Reinit(rng.SubSeed(refBase, uint64(o)))
 			myRank := int(o - lo)
 			for _, cr := range crefs {
-				obj.Refs = append(obj.Refs, db.pickRef(src, c, myRank, cr.Target))
+				db.refArena[refOff] = db.pickRef(src, c, myRank, cr.Target)
+				refOff++
 			}
 		}
 	}
+	db.refStart[p.NO] = int32(refOff)
 	return nil
 }
 
 // Streaming reports whether db derives objects on demand (LayoutStream).
 func (db *Database) Streaming() bool { return db.stream != nil }
 
-// NumObjects returns the number of objects in the base regardless of
-// layout. Code that iterates the base should use this (and RefsOf) instead
-// of len(db.Objects), which is zero for a streaming base.
-func (db *Database) NumObjects() int {
-	if db.stream != nil {
-		return db.Params.NO
-	}
-	return len(db.Objects)
-}
+// NumObjects returns the number of objects in the base, whatever its
+// layout: OIDs are 0 … NumObjects()−1.
+func (db *Database) NumObjects() int { return db.Params.NO }
 
 // ClassOf returns the class index of object o.
 func (db *Database) ClassOf(o OID) int32 {
 	if db.stream == nil {
-		return db.Objects[o].Class
+		return db.objClass[o]
 	}
 	return int32(db.classIndexOf(o))
 }
 
-// SizeOf returns the instance size of object o in bytes.
+// SizeOf returns the instance size of object o in bytes: its class's.
 func (db *Database) SizeOf(o OID) int32 {
-	if db.stream == nil {
-		return db.Objects[o].Size
-	}
-	return int32(db.Classes[db.classIndexOf(o)].InstanceSize)
+	return int32(db.Classes[db.ClassOf(o)].InstanceSize)
 }
 
-// RefsOf returns object o's references. On an eager base the slice aliases
-// the object's arena and stays valid for the database's lifetime; on a
+// RefsOf returns object o's references: the target OID of each of its
+// class's references, in declaration order, NilRef where the target class
+// had no instance available. On an eager base the slice aliases the
+// reference arena and stays valid for the database's lifetime; on a
 // streaming base it aliases the materialization cache and is only
 // guaranteed valid until the next RefsOf call on the same Database (view) —
 // callers that hold references across further lookups must copy.
 func (db *Database) RefsOf(o OID) []OID {
 	if db.stream == nil {
-		return db.Objects[o].Refs
+		lo, hi := db.refStart[o], db.refStart[o+1]
+		return db.refArena[lo:hi:hi]
 	}
 	return db.stream.materialize(db, o)
 }
@@ -356,11 +350,10 @@ func (db *Database) ResidentBytes() int64 {
 	var n int64
 	n += int64(cap(db.Classes)) * int64(unsafe.Sizeof(Class{}))
 	n += int64(cap(db.classRefArena)) * int64(unsafe.Sizeof(ClassRef{}))
-	n += int64(cap(db.Objects)) * int64(unsafe.Sizeof(Object{}))
 	n += int64(cap(db.ByClass)) * int64(unsafe.Sizeof([]OID{}))
 	oidSize := int64(unsafe.Sizeof(OID(0)))
 	n += int64(cap(db.byClassArena)+cap(db.refArena)+cap(db.HotRoots)+cap(db.classStart)) * oidSize
-	n += int64(cap(db.bucketClass)) * int64(unsafe.Sizeof(int32(0)))
+	n += int64(cap(db.objClass)+cap(db.refStart)+cap(db.bucketClass)) * int64(unsafe.Sizeof(int32(0)))
 	n += int64(cap(db.counts)+cap(db.permScratch)) * int64(unsafe.Sizeof(int(0)))
 	if db.stream != nil {
 		n += int64(cap(db.stream.slots)) * int64(unsafe.Sizeof(streamSlot{}))

@@ -67,12 +67,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.TotalBytes() != b.TotalBytes() {
 		t.Fatal("same seed, different sizes")
 	}
-	for i := range a.Objects {
-		if a.Objects[i].Class != b.Objects[i].Class {
+	for i := 0; i < a.NumObjects(); i++ {
+		o := OID(i)
+		if a.ClassOf(o) != b.ClassOf(o) {
 			t.Fatalf("object %d class differs", i)
 		}
-		for r := range a.Objects[i].Refs {
-			if a.Objects[i].Refs[r] != b.Objects[i].Refs[r] {
+		ar, br := a.RefsOf(o), b.RefsOf(o)
+		for r := range ar {
+			if ar[r] != br[r] {
 				t.Fatalf("object %d ref %d differs", i, r)
 			}
 		}
@@ -112,27 +114,29 @@ func TestObjectInvariants(t *testing.T) {
 	p := DefaultParams()
 	p.NO = 2000
 	db := mustGenerate(t, p, 7)
-	if len(db.Objects) != p.NO {
-		t.Fatalf("objects = %d", len(db.Objects))
+	if db.NumObjects() != p.NO || len(db.objClass) != p.NO || len(db.refStart) != p.NO+1 {
+		t.Fatalf("objects = %d, class table %d, reference offsets %d", db.NumObjects(), len(db.objClass), len(db.refStart))
 	}
-	for o, obj := range db.Objects {
-		cls := db.Classes[obj.Class]
-		if int(obj.Size) != cls.InstanceSize {
-			t.Fatalf("object %d size %d ≠ class size %d", o, obj.Size, cls.InstanceSize)
+	for i := 0; i < db.NumObjects(); i++ {
+		o := OID(i)
+		cls := db.Classes[db.ClassOf(o)]
+		if size := db.SizeOf(o); int(size) != cls.InstanceSize {
+			t.Fatalf("object %d size %d ≠ class size %d", o, size, cls.InstanceSize)
 		}
-		if len(obj.Refs) != len(cls.Refs) {
-			t.Fatalf("object %d has %d refs, class declares %d", o, len(obj.Refs), len(cls.Refs))
+		refs := db.RefsOf(o)
+		if len(refs) != len(cls.Refs) {
+			t.Fatalf("object %d has %d refs, class declares %d", o, len(refs), len(cls.Refs))
 		}
-		for r, target := range obj.Refs {
+		for r, target := range refs {
 			if target == NilRef {
 				continue
 			}
 			if target < 0 || int(target) >= p.NO {
 				t.Fatalf("object %d ref %d → %d out of range", o, r, target)
 			}
-			if int(db.Objects[target].Class) != cls.Refs[r].Target {
+			if int(db.ClassOf(target)) != cls.Refs[r].Target {
 				t.Fatalf("object %d ref %d targets class %d, declared %d",
-					o, r, db.Objects[target].Class, cls.Refs[r].Target)
+					o, r, db.ClassOf(target), cls.Refs[r].Target)
 			}
 		}
 	}
@@ -160,14 +164,14 @@ func TestByClassConsistent(t *testing.T) {
 	count := 0
 	for c, insts := range db.ByClass {
 		for _, o := range insts {
-			if int(db.Objects[o].Class) != c {
-				t.Fatalf("ByClass[%d] contains object of class %d", c, db.Objects[o].Class)
+			if int(db.ClassOf(o)) != c {
+				t.Fatalf("ByClass[%d] contains object of class %d", c, db.ClassOf(o))
 			}
 			count++
 		}
 	}
-	if count != len(db.Objects) {
-		t.Fatalf("ByClass covers %d objects, want %d", count, len(db.Objects))
+	if count != len(db.objClass) {
+		t.Fatalf("ByClass covers %d objects, want %d", count, len(db.objClass))
 	}
 }
 
@@ -257,7 +261,7 @@ func TestOpsValidAndRooted(t *testing.T) {
 			t.Fatalf("first op %d ≠ root %d", tx.Ops[0].Object(), tx.Root)
 		}
 		for _, op := range tx.Ops {
-			if op.Object() < 0 || int(op.Object()) >= len(db.Objects) {
+			if op.Object() < 0 || int(op.Object()) >= db.NumObjects() {
 				t.Fatalf("op on invalid OID %d", op.Object())
 			}
 		}
@@ -320,9 +324,8 @@ func TestHierarchyFollowsOnlyType0(t *testing.T) {
 		for _, op := range tx.Ops[1:] {
 			reachable := false
 			for prev := range ok {
-				obj := db.Objects[prev]
-				for r, tgt := range obj.Refs {
-					if tgt == op.Object() && db.Classes[obj.Class].Refs[r].Type == 0 {
+				for r, tgt := range db.RefsOf(prev) {
+					if tgt == op.Object() && db.Classes[db.ClassOf(prev)].Refs[r].Type == 0 {
 						reachable = true
 					}
 				}
@@ -405,14 +408,14 @@ func TestPropertyGenerateAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, obj := range db.Objects {
-			for _, r := range obj.Refs {
+		for o := 0; o < db.NumObjects(); o++ {
+			for _, r := range db.RefsOf(OID(o)) {
 				if r != NilRef && (r < 0 || int(r) >= no) {
 					return false
 				}
 			}
 		}
-		return len(db.Objects) == no
+		return db.NumObjects() == no && len(db.objClass) == no
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

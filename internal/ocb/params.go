@@ -259,16 +259,32 @@ func (e *NOLimitError) Error() string {
 }
 
 // MaxInstanceSize is the largest instance size a class may have, in bytes:
-// Object.Size is an int32, so BaseSize·SizeMult must not exceed it.
+// SizeOf returns an int32, so BaseSize·SizeMult must not exceed it.
 const MaxInstanceSize = math.MaxInt32
 
 // InstanceSizeLimitError reports a BaseSize·SizeMult above MaxInstanceSize,
-// which Object.Size cannot hold.
+// which SizeOf cannot return.
 type InstanceSizeLimitError struct{ BaseSize, SizeMult int }
 
 func (e *InstanceSizeLimitError) Error() string {
 	return fmt.Sprintf("ocb: BaseSize·SizeMult = %d·%d exceeds the instance-size limit MaxInstanceSize = %d (sizes are int32)",
 		e.BaseSize, e.SizeMult, MaxInstanceSize)
+}
+
+// MaxRefs is the largest number of object references a base may be sized
+// for: an eager base addresses its reference arena with int32 offsets, so
+// NO·MaxNRef must not exceed it. The bound holds for every layout, because
+// the class-reference arena (NC·MaxNRef) and a streaming base's cache lines
+// (MaxNRef each, at most NO lines) are sized by MaxNRef too.
+const MaxRefs = math.MaxInt32
+
+// RefLimitError reports an NO·MaxNRef above MaxRefs, which reference
+// offsets cannot address.
+type RefLimitError struct{ NO, MaxNRef int }
+
+func (e *RefLimitError) Error() string {
+	return fmt.Sprintf("ocb: NO·MaxNRef = %d·%d exceeds the reference limit MaxRefs = %d (reference offsets are int32)",
+		e.NO, e.MaxNRef, MaxRefs)
 }
 
 // MaxNRefT is the largest number of reference types: ClassRef.Type is a
@@ -295,6 +311,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ocb: NO = %d < NC = %d (every class needs an instance)", p.NO, p.NC)
 	case p.MaxNRef < 1:
 		return fmt.Errorf("ocb: MaxNRef = %d, need ≥ 1", p.MaxNRef)
+	case p.MaxNRef > MaxRefs/p.NO:
+		return &RefLimitError{NO: p.NO, MaxNRef: p.MaxNRef}
 	case p.BaseSize < 1 || p.SizeMult < 1:
 		return fmt.Errorf("ocb: BaseSize = %d, SizeMult = %d, need ≥ 1", p.BaseSize, p.SizeMult)
 	case p.BaseSize > MaxInstanceSize/p.SizeMult:

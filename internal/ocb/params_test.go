@@ -70,9 +70,46 @@ func TestValidateRejectsInstanceSizeBeyondInt32(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BaseSize %d SizeMult %d rejected: %v", c.base, c.mult, err)
 		}
-		for o := range db.Objects {
-			if db.Objects[o].Size < 1 {
-				t.Fatalf("BaseSize %d SizeMult %d: object %d has size %d", c.base, c.mult, o, db.Objects[o].Size)
+		for o := 0; o < db.NumObjects(); o++ {
+			if size := db.SizeOf(OID(o)); size < 1 {
+				t.Fatalf("BaseSize %d SizeMult %d: object %d has size %d", c.base, c.mult, o, size)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsRefsBeyondInt32 pins the reference bound: an
+// NO·MaxNRef past MaxRefs would overflow an eager base's int32 reference
+// offsets, so every layout refuses it with a typed error naming the limit,
+// before generation sizes any arena by MaxNRef, while the largest
+// representable product passes validation.
+func TestValidateRejectsRefsBeyondInt32(t *testing.T) {
+	for _, layout := range []Layout{LayoutEager, LayoutEagerV2, LayoutStream} {
+		for _, c := range []struct{ no, maxNRef int }{
+			{20000, 2_000_000_000},
+			{MaxRefs/100 + 1, 100},
+			{MaxNO, 2},
+			{20000, math.MaxInt64},
+		} {
+			p := DefaultParams()
+			p.NO, p.MaxNRef, p.Layout = c.no, c.maxNRef, layout
+			err := p.Validate()
+			var lim *RefLimitError
+			if !errors.As(err, &lim) || lim.NO != c.no || lim.MaxNRef != c.maxNRef {
+				t.Fatalf("%v, NO %d MaxNRef %d: Validate() = %v, want *RefLimitError", layout, c.no, c.maxNRef, err)
+			}
+			if !strings.Contains(err.Error(), strconv.Itoa(MaxRefs)) {
+				t.Errorf("%v, NO %d MaxNRef %d: error %q does not name the limit %d", layout, c.no, c.maxNRef, err, MaxRefs)
+			}
+			if _, err := Generate(p, 1); !errors.As(err, &lim) {
+				t.Errorf("%v, NO %d MaxNRef %d: Generate() = %v, want *RefLimitError", layout, c.no, c.maxNRef, err)
+			}
+		}
+		for _, c := range []struct{ no, maxNRef int }{{MaxRefs / 100, 100}, {50, MaxRefs / 50}, {MaxNO, 1}} {
+			p := DefaultParams()
+			p.NO, p.MaxNRef, p.Layout = c.no, c.maxNRef, layout
+			if err := p.Validate(); err != nil {
+				t.Errorf("%v, NO %d MaxNRef %d rejected: %v", layout, c.no, c.maxNRef, err)
 			}
 		}
 	}

@@ -24,7 +24,6 @@ type Resource struct {
 	busyIntegral float64 // ∫ inUse dt
 	qIntegral    float64 // ∫ len(queue) dt
 	waitTotal    float64 // total time spent waiting in queue
-	waitCount    uint64  // number of grants that waited ≥ 0 (all grants)
 	statsSince   Time
 }
 
@@ -68,7 +67,6 @@ func (r *Resource) Acquire(grant func()) bool {
 	if r.inUse < r.capacity {
 		r.inUse++
 		r.grants++
-		r.waitCount++
 		return true
 	}
 	r.queue = append(r.queue, waiter{since: r.sim.Now(), grant: grant})
@@ -94,7 +92,6 @@ func (r *Resource) Release() {
 	copy(r.queue, r.queue[1:])
 	r.queue = r.queue[:len(r.queue)-1]
 	r.grants++
-	r.waitCount++
 	r.waitTotal += r.sim.Now() - w.since
 	r.sim.Schedule(0, w.grant)
 }
@@ -118,7 +115,7 @@ func (r *Resource) Reset() {
 	r.inUse = 0
 	clear(r.queue) // drop grant closures so recycled slots hold no references
 	r.queue = r.queue[:0]
-	r.grants, r.releases, r.waitCount = 0, 0, 0
+	r.grants, r.releases = 0, 0
 	r.busyIntegral, r.qIntegral, r.waitTotal = 0, 0, 0
 	r.lastChange, r.statsSince = 0, 0
 }
@@ -127,7 +124,7 @@ func (r *Resource) Reset() {
 // warm-up period can be excluded from measurements.
 func (r *Resource) ResetStats() {
 	r.accumulate()
-	r.grants, r.releases, r.waitCount = 0, 0, 0
+	r.grants, r.releases = 0, 0
 	r.busyIntegral, r.qIntegral, r.waitTotal = 0, 0, 0
 	r.statsSince = r.sim.Now()
 }
@@ -153,13 +150,13 @@ func (r *Resource) MeanQueueLength() float64 {
 	return r.qIntegral / elapsed
 }
 
-// MeanWait returns the mean time a grant spent queued (zero for grants
-// served immediately).
+// MeanWait returns the mean time a grant spent queued, over every grant
+// (one served immediately waited zero).
 func (r *Resource) MeanWait() float64 {
-	if r.waitCount == 0 {
+	if r.grants == 0 {
 		return 0
 	}
-	return r.waitTotal / float64(r.waitCount)
+	return r.waitTotal / float64(r.grants)
 }
 
 // Grants returns the number of tokens granted since the last ResetStats.

@@ -9,7 +9,7 @@ import (
 func TestObjectRefPages(t *testing.T) {
 	db := testDB(t, 10, 500, 21)
 	s := mustStore(t, db, DefaultConfig())
-	for o := range db.Objects {
+	for o := 0; o < db.NumObjects(); o++ {
 		oid := ocb.OID(o)
 		pages := s.ObjectRefPages(oid)
 		own := s.PageOf(oid)
@@ -30,7 +30,7 @@ func TestObjectRefPages(t *testing.T) {
 			seen[int64(p)] = true
 		}
 		// Every referenced page must actually hold a referenced object.
-		for _, ref := range db.Objects[o].Refs {
+		for _, ref := range db.RefsOf(ocb.OID(o)) {
 			if ref == ocb.NilRef {
 				continue
 			}
@@ -59,8 +59,8 @@ func TestObjectRefPagesFollowReorganization(t *testing.T) {
 	// Find an object referencing target, cluster target away, and check
 	// the referrer's set tracks the move.
 	var referrer ocb.OID = -1
-	for o := range db.Objects {
-		for _, ref := range db.Objects[o].Refs {
+	for o := 0; o < db.NumObjects(); o++ {
+		for _, ref := range db.RefsOf(ocb.OID(o)) {
 			if ref == target && ocb.OID(o) != target {
 				referrer = ocb.OID(o)
 				break

@@ -19,7 +19,7 @@ func wantRefPages(t *testing.T, db *ocb.Database, cfg Config, reorgs ...[][]ocb.
 	for _, clusters := range reorgs {
 		s.Reorganize(clusters)
 	}
-	want := make([][]disk.PageID, len(db.Objects))
+	want := make([][]disk.PageID, db.NumObjects())
 	for o := range want {
 		want[o] = s.ObjectRefPagesInto(ocb.OID(o), nil)
 	}
@@ -30,7 +30,7 @@ func wantRefPages(t *testing.T, db *ocb.Database, cfg Config, reorgs ...[][]ocb.
 // then for a shuffled third again, so some are stored once and some are
 // served from the stored copy.
 func fillRefPages(s *Store, r *rand.Rand) {
-	n := len(s.Database().Objects)
+	n := s.Database().NumObjects()
 	perm := r.Perm(n)
 	var buf []disk.PageID
 	for _, o := range perm[:n/2] {
@@ -105,7 +105,7 @@ func TestRefPagesMatchFreshStore(t *testing.T) {
 						for c := 0; c < 4; c++ {
 							cl := make([]ocb.OID, 2+r.Intn(12))
 							for i := range cl {
-								cl[i] = ocb.OID(r.Intn(len(other.Objects)))
+								cl[i] = ocb.OID(r.Intn(other.NumObjects()))
 							}
 							clusters = append(clusters, cl)
 						}

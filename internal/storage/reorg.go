@@ -82,7 +82,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// Every clustered object moves: its new first page lies past the old
 	// pages. Unclustered objects keep their pages. Both the object marks
 	// and the page marks are all clear between calls.
-	inCluster := resized(s.inCluster, len(s.db.Objects))
+	inCluster := resized(s.inCluster, s.db.NumObjects())
 	order := s.orderScratch[:0]
 	for _, cl := range clusters {
 		placed := false
@@ -109,8 +109,8 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	}
 	scan := s.cfg.PhysicalOIDs && len(order) > 0
 	if scan {
-		for o := range s.db.Objects {
-			for _, t := range s.db.Objects[o].Refs {
+		for o := ocb.OID(0); int(o) < s.db.NumObjects(); o++ {
+			for _, t := range s.db.RefsOf(o) {
 				if t != ocb.NilRef && inCluster[t] {
 					marks[s.firstPage[o]] |= markScan
 					break
@@ -126,7 +126,7 @@ func (s *Store) Reorganize(clusters [][]ocb.OID) ReorgStats {
 	// reorganization.
 	pages := s.pack(order, oldPages)
 	starts := slices.Grow(s.pageStartScratch[:0], pages+1)
-	arena := slices.Grow(s.pageObjArenaSwap[:0], len(s.db.Objects))
+	arena := slices.Grow(s.pageObjArenaSwap[:0], s.db.NumObjects())
 	for p := 0; p < oldPages; p++ {
 		starts = append(starts, int32(len(arena)))
 		for _, o := range s.ObjectsOn(disk.PageID(p)) {

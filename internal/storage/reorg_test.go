@@ -22,9 +22,9 @@ func reorgClusters(s *Store, n int, state uint64) [][]ocb.OID {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
-	no := uint64(len(s.Database().Objects))
+	no := uint64(s.Database().NumObjects())
 	var spanning []ocb.OID
-	for o := range s.Database().Objects {
+	for o := 0; o < s.Database().NumObjects(); o++ {
 		if _, span := s.Pages(ocb.OID(o)); span > 1 {
 			spanning = append(spanning, ocb.OID(o))
 		}
@@ -78,7 +78,7 @@ func hashReorg(h hash.Hash64, st ReorgStats) {
 func hashLayout(h hash.Hash64, s *Store) {
 	putU64(h, uint64(s.NumPages()))
 	putU64(h, uint64(s.Reorgs()))
-	for o := range s.Database().Objects {
+	for o := 0; o < s.Database().NumObjects(); o++ {
 		first, span := s.Pages(ocb.OID(o))
 		putU64(h, uint64(first)<<8|uint64(span))
 	}

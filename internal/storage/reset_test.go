@@ -50,7 +50,7 @@ func TestStoreResetMatchesNew(t *testing.T) {
 		if s.Reorgs() != 0 {
 			t.Fatalf("reset store reports %d reorgs", s.Reorgs())
 		}
-		for o := range db.Objects {
+		for o := 0; o < db.NumObjects(); o++ {
 			gf, gs := s.Pages(ocb.OID(o))
 			wf, ws := fresh.Pages(ocb.OID(o))
 			if gf != wf || gs != ws {

@@ -129,18 +129,8 @@ func New(db *ocb.Database, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		cfg:       cfg,
-		db:        db,
-		firstPage: make([]disk.PageID, len(db.Objects)),
-		span:      make([]int32, len(db.Objects)),
-	}
-	if db.Streaming() {
-		s.stream = true
-		s.placeStream()
-	} else {
-		s.place(s.initialOrder())
-	}
+	s := &Store{cfg: cfg}
+	s.Reset(db)
 	return s, nil
 }
 
@@ -151,7 +141,12 @@ func New(db *ocb.Database, cfg Config) (*Store, error) {
 // built store.
 func (s *Store) Reset(db *ocb.Database) {
 	s.db = db
-	n := len(db.Objects)
+	s.reorgs = 0
+	s.stream = db.Streaming()
+	n := 0 // a streaming store keeps no per-object tables
+	if !s.stream {
+		n = db.NumObjects()
+	}
 	if cap(s.firstPage) >= n {
 		s.firstPage = s.firstPage[:n]
 	} else {
@@ -162,8 +157,7 @@ func (s *Store) Reset(db *ocb.Database) {
 	} else {
 		s.span = make([]int32, n)
 	}
-	s.reorgs = 0
-	if s.stream = db.Streaming(); s.stream {
+	if s.stream {
 		s.placeStream()
 	} else {
 		s.place(s.initialOrder())
@@ -173,9 +167,10 @@ func (s *Store) Reset(db *ocb.Database) {
 // initialOrder returns OIDs in the configured placement order, reusing the
 // order scratch across Reset calls.
 func (s *Store) initialOrder() []ocb.OID {
+	n := s.db.NumObjects()
 	order := s.orderScratch[:0]
-	if cap(order) < len(s.db.Objects) {
-		order = make([]ocb.OID, 0, len(s.db.Objects))
+	if cap(order) < n {
+		order = make([]ocb.OID, 0, n)
 	}
 	switch s.cfg.Placement {
 	case OptimizedSequential:
@@ -183,7 +178,7 @@ func (s *Store) initialOrder() []ocb.OID {
 			order = append(order, insts...)
 		}
 	default: // Sequential
-		for o := range s.db.Objects {
+		for o := 0; o < n; o++ {
 			order = append(order, ocb.OID(o))
 		}
 	}
@@ -326,7 +321,7 @@ func (s *Store) ObjectRefPagesInto(o ocb.OID, buf []disk.PageID) []disk.PageID {
 	}
 	start := len(buf)
 	buf = s.refPagesInto(o, buf)
-	s.sets.put(o, buf[start:], len(s.db.Objects))
+	s.sets.put(o, buf[start:], s.db.NumObjects())
 	return buf
 }
 

@@ -42,7 +42,7 @@ func TestEveryObjectPlaced(t *testing.T) {
 		if count != 500 {
 			t.Errorf("%v: %d objects placed, want 500", pl, count)
 		}
-		for o := range db.Objects {
+		for o := 0; o < db.NumObjects(); o++ {
 			first, span := s.Pages(ocb.OID(o))
 			if first < 0 || int(first) >= s.NumPages() || span < 1 {
 				t.Fatalf("%v: object %d at page %d span %d", pl, o, first, span)
@@ -57,8 +57,8 @@ func TestPageCapacityRespected(t *testing.T) {
 	for p := disk.PageID(0); int(p) < s.NumPages(); p++ {
 		bytes := 0
 		for _, o := range s.ObjectsOn(p) {
-			if int(db.Objects[o].Size) <= 4096 {
-				bytes += int(db.Objects[o].Size)
+			if size := int(db.SizeOf(o)); size <= 4096 {
+				bytes += size
 			}
 		}
 		if bytes > 4096 {
@@ -93,7 +93,7 @@ func TestOptimizedSequentialGroupsClasses(t *testing.T) {
 	lastClass := int32(-1)
 	for p := disk.PageID(0); int(p) < s.NumPages(); p++ {
 		for _, o := range s.ObjectsOn(p) {
-			c := db.Objects[o].Class
+			c := db.ClassOf(o)
 			if c < lastClass {
 				t.Fatalf("class order broken at page %d: class %d after %d", p, c, lastClass)
 			}
@@ -114,11 +114,12 @@ func TestSpanningObjects(t *testing.T) {
 	}
 	s := mustStore(t, db, DefaultConfig())
 	foundSpan := false
-	for o := range db.Objects {
+	for o := 0; o < db.NumObjects(); o++ {
 		first, span := s.Pages(ocb.OID(o))
-		want := (int(db.Objects[o].Size) + 4095) / 4096
+		size := db.SizeOf(ocb.OID(o))
+		want := (int(size) + 4095) / 4096
 		if span != want {
-			t.Fatalf("object %d size %d: span %d, want %d", o, db.Objects[o].Size, span, want)
+			t.Fatalf("object %d size %d: span %d, want %d", o, size, span, want)
 		}
 		if span > 1 {
 			foundSpan = true

@@ -14,7 +14,7 @@ func TestObjectRefPagesIntoMatchesFresh(t *testing.T) {
 	db := testDB(t, 10, 500, 33)
 	s := mustStore(t, db, DefaultConfig())
 	var buf []disk.PageID
-	for o := range db.Objects {
+	for o := 0; o < db.NumObjects(); o++ {
 		oid := ocb.OID(o)
 		fresh := s.ObjectRefPages(oid)
 		buf = s.ObjectRefPagesInto(oid, buf[:0])

@@ -97,15 +97,17 @@ func TestBaseCacheGeneratesExactBases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Objects) != len(want.Objects) {
-		t.Fatalf("cached base has %d objects, want %d", len(got.Objects), len(want.Objects))
+	if got.NumObjects() != want.NumObjects() {
+		t.Fatalf("cached base has %d objects, want %d", got.NumObjects(), want.NumObjects())
 	}
-	for o := range want.Objects {
-		if got.Objects[o].Class != want.Objects[o].Class || got.Objects[o].Size != want.Objects[o].Size {
+	for i := 0; i < want.NumObjects(); i++ {
+		o := ocb.OID(i)
+		if got.ClassOf(o) != want.ClassOf(o) || got.SizeOf(o) != want.SizeOf(o) {
 			t.Fatalf("cached base object %d differs", o)
 		}
-		for r := range want.Objects[o].Refs {
-			if got.Objects[o].Refs[r] != want.Objects[o].Refs[r] {
+		gotRefs, wantRefs := got.RefsOf(o), want.RefsOf(o)
+		for r := range wantRefs {
+			if gotRefs[r] != wantRefs[r] {
 				t.Fatalf("cached base object %d ref %d differs", o, r)
 			}
 		}
