@@ -45,7 +45,9 @@ func (p *clock) Inserted(f int32, _ PageID) { p.insert(f, p.weight) }
 func (p *clock) InsertedCold(f int32, _ PageID) { p.insert(f, 0) }
 
 func (p *clock) insert(f, ref int32) {
-	p.ref = extend(p.ref, int(f)+1)
+	if int(f) == len(p.ref) {
+		p.ref = extend(p.ref, int(f)+1)
+	}
 	p.ref[f] = ref
 }
 

@@ -49,7 +49,9 @@ func (p *lfu) Reset() {
 }
 
 func (p *lfu) Inserted(f int32, _ PageID) {
-	p.frames = extend(p.frames, int(f)+1)
+	if int(f) == len(p.frames) {
+		p.frames = extend(p.frames, int(f)+1)
+	}
 	p.clock++
 	p.frames[f] = lfuFrame{count: 1, inserted: p.clock}
 }

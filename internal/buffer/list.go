@@ -15,7 +15,11 @@ type link struct{ prev, next int32 }
 
 func (l *frameList) reset() { l.len = 0 }
 
-func (l *frameList) grow(s int32) { l.links = extend(l.links, int(s)+1) }
+func (l *frameList) grow(s int32) {
+	if int(s) >= len(l.links) {
+		l.links = extend(l.links, int(s)+1)
+	}
+}
 
 func (l *frameList) pushFront(s int32) {
 	l.grow(s)

@@ -61,8 +61,10 @@ func (p *lruK) Reset() {
 
 // insert records frame f's first reference, stamped stamp.
 func (p *lruK) insert(f int32, stamp uint64) {
-	p.frames = extend(p.frames, int(f)+1)
-	p.hist = extend(p.hist, len(p.frames)*p.k)
+	if int(f) == len(p.frames) {
+		p.frames = extend(p.frames, int(f)+1)
+		p.hist = extend(p.hist, len(p.frames)*p.k)
+	}
 	p.frames[f] = kFrame{refs: 1, inserted: p.clock}
 	p.hist[int(f)*p.k] = stamp
 }

@@ -58,7 +58,9 @@ func (p *twoQ) Reset() {
 
 // admit records that frame f holds page pg, on probation or not.
 func (p *twoQ) admit(f int32, pg PageID, probation bool) {
-	p.frames = extend(p.frames, int(f)+1)
+	if int(f) == len(p.frames) {
+		p.frames = extend(p.frames, int(f)+1)
+	}
 	p.frames[f] = qFrame{page: pg, probation: probation}
 }
 
