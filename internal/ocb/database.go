@@ -151,7 +151,7 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	// instances per class, then each class's slice is sized into the arena
 	// and filled in OID order — the same content the old per-class appends
 	// produced, without NC growing slices.
-	db.objClass = grown(db.objClass, p.NO)
+	db.sizeObjectTables(p.NO)
 	db.ByClass = grown(db.ByClass, p.NC)
 	var objClassZipf *rng.Zipf
 	if p.ObjClassDist == Zipf {
@@ -202,7 +202,6 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	// in, so counts — free once ByClass is carved — becomes each class's
 	// running rank.
 	db.refArena = grown(db.refArena, totalRefs)
-	db.refStart = grown(db.refStart, p.NO+1)
 	clear(counts)
 	off = 0
 	for o, c := range db.objClass {
@@ -221,6 +220,18 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	}
 	db.refStart[p.NO] = int32(off)
 	return nil
+}
+
+// sizeObjectTables sizes the per-object tables, objClass and refStart, for
+// no objects. When either must grow, both are carved from one new
+// allocation, so an eager base allocates no more often than one table of
+// records would.
+func (db *Database) sizeObjectTables(no int) {
+	if cap(db.objClass) < no || cap(db.refStart) < no+1 {
+		t := make([]int32, 2*no+1)
+		db.objClass, db.refStart = t[:no:no], t[no:]
+	}
+	db.objClass, db.refStart = db.objClass[:no], db.refStart[:no+1]
 }
 
 // generateSchema draws the NC-class schema from classSrc — shared verbatim

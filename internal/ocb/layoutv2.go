@@ -235,8 +235,7 @@ func generateV2(db *Database, p Params, seed uint64) error {
 	// identity arena, and the materialization loop below walks classes in
 	// order — which is OID order.
 	db.stream = nil
-	db.objClass = grown(db.objClass, p.NO)
-	db.refStart = grown(db.refStart, p.NO+1)
+	db.sizeObjectTables(p.NO)
 	db.ByClass = grown(db.ByClass, p.NC)
 	db.byClassArena = grown(db.byClassArena, p.NO)
 	for i := range db.byClassArena {
