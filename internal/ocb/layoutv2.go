@@ -83,10 +83,12 @@ func (db *Database) resetStream(refBase uint64, p Params, slots int) {
 	}
 }
 
-// materialize returns object o's references, deriving them into o's cache
-// slot on a miss. The returned slice aliases the cache: it is valid until
-// the next RefsOf call on the same Database (view).
-func (sb *streamBase) materialize(db *Database, o OID) []OID {
+// materialize returns object o's references on a streaming base, deriving
+// them into o's cache slot on a miss. The returned slice aliases the
+// cache: it is valid until the next RefsOf call on the same Database
+// (view).
+func (db *Database) materialize(o OID) []OID {
+	sb := db.stream
 	slot := &sb.slots[uint32(o)&sb.mask]
 	if slot.oid == o {
 		return slot.refs
@@ -290,17 +292,18 @@ func (db *Database) SizeOf(o OID) int32 {
 
 // RefsOf returns object o's references: the target OID of each of its
 // class's references, in declaration order, NilRef where the target class
-// had no instance available. On an eager base the slice aliases the
-// reference arena and stays valid for the database's lifetime; on a
-// streaming base it aliases the materialization cache and is only
-// guaranteed valid until the next RefsOf call on the same Database (view) —
-// callers that hold references across further lookups must copy.
+// had no instance available. Callers must not write to the slice. On an
+// eager base it aliases the reference arena and stays valid for the
+// database's lifetime; on a streaming base it aliases the materialization
+// cache and is only guaranteed valid until the next RefsOf call on the
+// same Database (view) — callers that hold references across further
+// lookups must copy. Its body stays within the compiler's inlining
+// budget, so a traversal pays no call per object.
 func (db *Database) RefsOf(o OID) []OID {
-	if db.stream == nil {
-		lo, hi := db.refStart[o], db.refStart[o+1]
-		return db.refArena[lo:hi:hi]
+	if db.stream != nil {
+		return db.materialize(o)
 	}
-	return db.stream.materialize(db, o)
+	return db.refArena[db.refStart[o]:db.refStart[o+1]]
 }
 
 // ClassCount returns how many instances class c has.
